@@ -7,8 +7,9 @@ constant-vs-balanced oracle decision running directly on thermal inputs,
 and the full two-spin dephasing-protection experiment with its
 RF-inhomogeneity noise model and ellipse/fidelity analysis pipeline.
 
-Conventions: spin 0 is the leftmost tensor factor ("a"), spin 1 is "b".
-A pulse about axis eta by angle theta conjugates by exp(-i*theta/2 * sigma_eta).
+Conventions: spins follow qop_core's bit order, and in two-spin systems
+spin 0 is "a" and spin 1 is "b".  A pulse about axis eta by angle theta
+conjugates by exp(-i*theta/2 * sigma_eta).
 Delays evolve only the scalar coupling (Zeeman precession is absorbed by the
 rotating frame); density matrices are deviation matrices in angular-frequency
 units, so the thermal deviation is sum_i omega_i Z_i / 2.
@@ -19,17 +20,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import constants as _const
 from scipy.optimize import brentq, least_squares
 
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SIGMA = (_I2, _SX, _SY, _SZ)
+from .qop_core import I2, PAULIS, SX, SY, conjugate_local, z_signs
 
 THETA_GRID = tuple(k * math.pi / 10 for k in range(11))
 STORAGE_MULTIPLES = (0, 12, 24, 36, 48, 60)
@@ -55,6 +51,8 @@ class SpinSystem:
     def __post_init__(self):
         n = len(self.omega)
         object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
+        if not all(math.isfinite(w) for w in self.omega):
+            raise ValueError("omega must be finite")
         jm = tuple(tuple(float(x) for x in row) for row in self.j)
         if len(jm) != n or any(len(row) != n for row in jm):
             raise ValueError("coupling matrix must be n x n")
@@ -66,8 +64,8 @@ class SpinSystem:
                     raise ValueError("coupling matrix must be symmetric")
         object.__setattr__(self, "j", jm)
         t2 = tuple(float(t) for t in self.t2_star)
-        if len(t2) != n or any(t <= 0 for t in t2):
-            raise ValueError("each spin needs a positive dephasing time")
+        if len(t2) != n or not all(0 < t < math.inf for t in t2):
+            raise ValueError("each spin needs a positive finite dephasing time")
         object.__setattr__(self, "t2_star", t2)
         if self.t1 is not None:
             t1 = tuple(float(t) for t in self.t1)
@@ -171,6 +169,8 @@ def pulse(spin, axis, angle, scale_sensitive=True):
 
 
 def delay(duration, dephase=False, refocus=(), t1_relax=False):
+    if not math.isfinite(duration):
+        raise ValueError("delay duration must be finite")
     if duration < 0:
         raise ValueError("delay duration must be nonnegative")
     return Event("delay", duration=float(duration), dephase=bool(dephase),
@@ -187,37 +187,13 @@ def dephase_probability(t, t2_star):
 # sequence evolution
 
 def _rot2(axis, angle):
-    s = _SX if axis == "x" else _SY
-    return math.cos(angle / 2.0) * _I2 - 1j * math.sin(angle / 2.0) * s
+    s = SX if axis == "x" else SY
+    return math.cos(angle / 2.0) * I2 - 1j * math.sin(angle / 2.0) * s
 
 
-def _kron_pair(a, b):
-    # same contraction as np.kron, minus the generic-shape overhead that
-    # dominates when this runs hundreds of thousands of times per sweep
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
-def _site_op(op, spin, n):
-    full = np.array([[1.0 + 0.0j]])
-    for q in range(n):
-        full = _kron_pair(full, op if q == spin else _I2)
-    return full
-
-
-@lru_cache(maxsize=16)
-def _z_signs(n):
-    # sign of Z on each spin for every computational index
-    idx = np.arange(2 ** n)
-    out = np.array([1 - 2 * ((idx >> (n - 1 - q)) & 1) for q in range(n)])
-    out.setflags(write=False)
-    return out
-
-
-def _apply_pulse(rho, n, ev, scales):
+def _apply_pulse(rho, ev, scales):
     angle = ev.angle * (scales[ev.spin] if ev.scale_sensitive else 1.0)
-    u = _site_op(_rot2(ev.axis, angle), ev.spin, n)
-    return u @ rho @ u.conj().T
+    return conjugate_local(_rot2(ev.axis, angle), rho, (ev.spin,))
 
 
 def _apply_delay(system, rho, ev, scales):
@@ -230,15 +206,13 @@ def _apply_delay(system, rho, ev, scales):
         flips = [Event("pulse", spin=s, axis="y", angle=math.pi) for s in ev.refocus]
         rho = _apply_delay(system, rho, inner, scales)
         for f in flips:
-            rho = _apply_pulse(rho, n, f, scales)
+            rho = _apply_pulse(rho, f, scales)
         rho = _apply_delay(system, rho, inner, scales)
         for f in flips:
-            rho = _apply_pulse(rho, n, f, scales)
+            rho = _apply_pulse(rho, f, scales)
         return rho
     t = ev.duration
-    if t == 0.0:
-        return rho
-    signs = _z_signs(n)
+    signs = z_signs(n)
     # scalar-coupling phases (diagonal, so an elementwise conjugation)
     total = np.zeros(2 ** n)
     for i in range(n):
@@ -291,7 +265,7 @@ def _run_pure(system, rho, events, scales):
     rho = np.array(rho, dtype=complex)
     for ev in events:
         if ev.kind == "pulse":
-            rho = _apply_pulse(rho, system.n, ev, scales)
+            rho = _apply_pulse(rho, ev, scales)
         elif ev.kind == "delay":
             rho = _apply_delay(system, rho, ev, scales)
         else:
@@ -326,7 +300,7 @@ def identity_offset(system, events):
 def thermal_state(system):
     """High-temperature deviation: diagonal sum of omega_i Z_i / 2."""
     n = system.n
-    signs = _z_signs(n)
+    signs = z_signs(n)
     diag = np.zeros(2 ** n)
     for i in range(n):
         diag = diag + system.omega[i] / 2.0 * signs[i]
@@ -400,7 +374,7 @@ def _rotation_table(axis):
     table = np.zeros((4, 4))
     for k in range(4):
         for i in range(4):
-            table[k, i] = (np.trace(_SIGMA[k] @ u @ _SIGMA[i] @ u.conj().T) / 2.0).real
+            table[k, i] = (np.trace(PAULIS[k] @ u @ PAULIS[i] @ u.conj().T) / 2.0).real
     return table
 
 
@@ -454,7 +428,7 @@ def state_tomography(prepare, tol=1e-8):
         raise ValueError(f"inconsistent readout data (residual {resid:.3g})")
     rec = np.zeros((4, 4), dtype=complex)
     for (i, j), c in col.items():
-        rec = rec + sol[c] * np.kron(_SIGMA[i], _SIGMA[j])
+        rec = rec + sol[c] * np.kron(PAULIS[i], PAULIS[j])
     return rec
 
 
@@ -509,9 +483,9 @@ def hybrid_label(n, omegas):
     dim = 2 ** n
     half = dim // 2
     diag = np.zeros(dim)
-    for x in range(dim):
-        for i in range(n):
-            diag[x] += omegas[i] / 2.0 * (1 - 2 * ((x >> (n - 1 - i)) & 1))
+    signs = z_signs(n)
+    for i in range(n):
+        diag = diag + omegas[i] / 2.0 * signs[i]
     # fan-out: when spin 1 reads |1>, flip every other spin
     perm1 = np.array([x ^ (half - 1) if x & half else x for x in range(dim)])
     avg = (diag + diag[perm1]) / 2.0
@@ -583,7 +557,7 @@ def dj_thermal(n, f, p):
         weights = np.kron(weights, np.array([pi, 1.0 - pi]))
     # diagonal mixture in, so the output distribution is an XOR convolution
     pout = _fwht(_fwht(weights) * _fwht(pvec)) / dim
-    bit_sign = _z_signs(n)
+    bit_sign = z_signs(n)
     e_phase_pure = pvec @ bit_sign.T
     e_phase_thermal = pout @ bit_sign.T
     scale = np.array([2.0 * pi - 1.0 for pi in p_reg])
@@ -591,7 +565,9 @@ def dj_thermal(n, f, p):
     e_thermal = p_work * e_phase_thermal + (1.0 - p_work) * scale
     e_pure_reg = p_work * e_phase_pure + (1.0 - p_work) * np.ones(n)
     scaling_error = float(np.max(np.abs(e_thermal - scale * e_pure_reg)))
-    assert scaling_error < 1e-9
+    if not scaling_error < 1e-9:
+        raise RuntimeError("thermal outputs break the scaling identity "
+                           f"E = (2p - 1) E_pure (error {scaling_error:.3e})")
     total = float(e_thermal.sum())
     if np.all(scale > 0):
         threshold = float(scale.sum() - p_work * scale.min())

@@ -19,9 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
-from .qop_core import QuantumChannel, apply, dagger
+from .qop_core import CNOT, QuantumChannel, apply, apply_local, dagger
 
 DEFAULT_TOL = 1e-9
 
@@ -465,35 +466,6 @@ def four_bit_reversible_set(gamma):
     return errs
 
 
-def _apply_1q(state, qubit, op, n=4):
-    t = state.reshape((2,) * n)
-    t = np.tensordot(op, t, axes=([1], [qubit]))
-    t = np.moveaxis(t, 0, qubit)
-    return t.reshape(-1)
-
-
-def _apply_cnot(state, control, target, n=4):
-    t = state.reshape((2,) * n).copy()
-    idx0 = [slice(None)] * n
-    idx1 = [slice(None)] * n
-    idx0[control] = 1
-    idx1[control] = 1
-    idx0[target] = 0
-    idx1[target] = 1
-    block0 = t[tuple(idx0)].copy()
-    t[tuple(idx0)] = t[tuple(idx1)]
-    t[tuple(idx1)] = block0
-    return t.reshape(-1)
-
-
-def _project_qubit(state, qubit, outcome, n=4):
-    t = state.reshape((2,) * n).copy()
-    idx = [slice(None)] * n
-    idx[qubit] = 1 - outcome
-    t[tuple(idx)] = 0.0
-    return t.reshape(-1)
-
-
 @dataclass
 class FourBitReport:
     gamma: float
@@ -512,7 +484,6 @@ def _four_bit_branches(gamma, amplitudes, code):
     None marks a branch with no recovered qubit (counted as fidelity 0).
     """
     psi = code.encode(amplitudes)
-    c = math.cos(math.pi / 4)
     rot_pair = math.atan((1 - gamma) ** 2)
     # rotation sending cos(t)|0> + sin(t)|1> to |0>
     def unrot(t):
@@ -521,17 +492,23 @@ def _four_bit_branches(gamma, amplitudes, code):
 
     n0 = np.array([[0, 1], [1 - gamma, 0]], dtype=complex)
     n1 = np.array([[0, 0], [math.sqrt(gamma * (2 - gamma)), 0]], dtype=complex)
+    controlled_unrot = block_diag(unrot(rot_pair), unrot(math.pi / 4))
+    projector = [np.diag(e) for e in np.eye(2, dtype=complex)]
+    damping = ad_kraus(gamma)
 
     out = []
     for pattern in np.ndindex(2, 2, 2, 2):
-        branch = ad_product(pattern, gamma) @ psi
+        branch = psi
+        for q, b in enumerate(pattern):
+            branch = apply_local(damping[b], branch, (q,))
         if np.abs(branch).max() < 1e-300:
             continue
-        branch = _apply_cnot(branch, 0, 1)
-        branch = _apply_cnot(branch, 2, 3)
+        branch = apply_local(CNOT, branch, (0, 1))
+        branch = apply_local(CNOT, branch, (2, 3))
         for s2 in (0, 1):
+            half = apply_local(projector[s2], branch, (1,))
             for s4 in (0, 1):
-                w = _project_qubit(_project_qubit(branch, 1, s2), 3, s4)
+                w = apply_local(projector[s4], half, (3,))
                 prob = float(np.vdot(w, w).real)
                 if prob < 1e-14:
                     continue
@@ -539,15 +516,8 @@ def _four_bit_branches(gamma, amplitudes, code):
                 if (s2, s4) == (0, 0):
                     # decode back onto qubit 1: fold qubit 3 in, then undo the
                     # residual tilt with a rotation selected by qubit 1
-                    w = _apply_cnot(w, 2, 0)
-                    t = w.reshape((2,) * 4)
-                    low = t[0].copy()
-                    high = t[1].copy()
-                    t[0] = np.tensordot(unrot(rot_pair), low,
-                                        axes=([1], [1])).transpose(1, 0, 2)
-                    t[1] = np.tensordot(unrot(math.pi / 4), high,
-                                        axes=([1], [1])).transpose(1, 0, 2)
-                    w = t.reshape(-1)
+                    w = apply_local(CNOT, w, (2, 0))
+                    w = apply_local(controlled_unrot, w, (0, 1))
                     for sub in np.ndindex(2, 2, 2):
                         vec = np.array([w[int("".join(map(str, (b,) + sub)), 2)]
                                         for b in (0, 1)])

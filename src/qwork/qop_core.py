@@ -5,6 +5,12 @@ matrix with respect to a fixed operator basis, and the real linear
 (Bloch-affine) representation are derived views.  Two independent process
 tomography routes are provided, plus the structural results for unital qubit
 channels (random-unitary decompositions) and the extreme qutrit counterexample.
+
+Bit order: on an n-qubit register, qubit 0 is the leftmost tensor factor and
+the most significant bit of a basis index, so basis index x has qubit q in
+state (x >> (n - 1 - q)) & 1.  The dense kernel below (``z_signs``,
+``apply_local``, ``conjugate_local``) and every module built on it use this
+order.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +29,8 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (I2, SX, SY, SZ)
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                dtype=complex)
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -49,11 +58,51 @@ def unitaries_equal_up_to_phase(u, v, tol=DEFAULT_TOL):
     return abs(abs(np.trace(dagger(u) @ v)) / d - 1.0) <= tol
 
 
-def projector_onto(vectors):
-    """Orthogonal projector onto the span of the given (column) vectors."""
-    v = np.column_stack([np.asarray(x, dtype=complex).reshape(-1) for x in vectors])
-    q, _ = np.linalg.qr(v)
-    return q @ dagger(q)
+@lru_cache(maxsize=16)
+def z_signs(n):
+    """Read-only (n, 2**n) table of Z eigenvalues: entry [q, x] is
+    1 - 2 * (bit of qubit q in basis index x)."""
+    idx = np.arange(1 << n)
+    out = 1 - 2 * ((idx >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+    out.setflags(write=False)
+    return out
+
+
+def apply_local(op, state, axes):
+    """Apply the 2^k x 2^k ``op`` to qubits ``axes`` of an n-qubit state.
+
+    ``state`` is a (2^n,) vector or a (2^n, m) matrix transformed column by
+    column; the first tensor factor of ``op`` acts on ``axes[0]``.  Only the
+    listed qubits are contracted, so no 2^n x 2^n operator is built.
+    """
+    state = np.asarray(state)
+    k = len(axes)
+    first = axes[0]
+    if tuple(axes) == tuple(range(first, first + k)):
+        # an ascending run of qubits is one axis of a plain reshape
+        t = state.reshape(1 << first, 1 << k, -1)
+        return np.matmul(op, t).reshape(state.shape)
+    # otherwise view the state as (gap, 2, gap, 2, ..., gap), one 2 per
+    # listed qubit, and move the 2s together in op order
+    ordered = sorted(axes)
+    dims, prev = [], -1
+    for q in ordered:
+        dims += [1 << (q - prev - 1), 2]
+        prev = q
+    dims.append(-1)
+    perm = ([2 * i for i in range(k)]
+            + [2 * ordered.index(q) + 1 for q in axes] + [2 * k])
+    inverse = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    t = state.reshape(dims).transpose(perm)
+    t = np.matmul(op, t.reshape(-1, 1 << k, t.shape[-1])).reshape(t.shape)
+    return t.transpose(inverse).reshape(state.shape)
+
+
+def conjugate_local(op, rho, axes):
+    """op rho op† for a local ``op`` on qubits ``axes`` of a 2^n x 2^n rho."""
+    return apply_local(np.conj(op), apply_local(op, rho, axes).T, axes).T
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +318,6 @@ def partial_trace(rho, dims, index):
     keep = [d for k, d in enumerate(dims) if k != index]
     dkeep = int(np.prod(keep)) if keep else 1
     return out.reshape(dkeep, dkeep)
-
-
-def identity_channel(dim):
-    return QuantumChannel([np.eye(dim, dtype=complex)])
 
 
 def unitary_channel(u):
@@ -682,8 +727,12 @@ def qutrit_extreme_channel():
     a2 = s * np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex)
     a3 = s * np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     ch = QuantumChannel([a1, a2, a3])
-    assert ch.trace_preserving
-    assert np.abs(sum(a @ dagger(a) for a in ch.kraus) - np.eye(3)).max() < 1e-12
+    defect = float(np.abs(sum(a @ dagger(a) for a in ch.kraus) - np.eye(3)).max())
+    if not ch.trace_preserving or defect >= 1e-12:
+        raise RuntimeError(
+            f"qutrit channel must be trace preserving and unital "
+            f"(completeness defect {ch._completeness_defect:.3e}, "
+            f"unitality defect {defect:.3e})")
     prods = np.column_stack([
         (ak @ dagger(al)).reshape(-1) for ak in ch.kraus for al in ch.kraus])
     rank = int(np.linalg.matrix_rank(prods, tol=1e-10))

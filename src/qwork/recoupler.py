@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .qop_core import z_signs
+
 MAX_ORDER = 2048
 
 
@@ -366,8 +368,8 @@ def emit_pulses(sign, interval_duration):
 
 def recouple_duration(g_ij, n_bar):
     """Interval length making the surviving coupling accumulate pi/4."""
-    if g_ij <= 0:
-        raise ValueError("need a positive coupling")
+    if not (math.isfinite(g_ij) and g_ij > 0):
+        raise ValueError("need a positive finite coupling")
     return math.pi / (4.0 * g_ij * n_bar)
 
 
@@ -399,14 +401,9 @@ class CouplingSystem:
         return self.g.shape[0]
 
 
-def _z_values(n):
-    idx = np.arange(1 << n)
-    return np.array([1 - 2 * ((idx >> (n - 1 - q)) & 1) for q in range(n)])
-
-
 def _hamiltonian_diag(system):
     n = system.n
-    z = _z_values(n)
+    z = z_signs(n)
     h = np.zeros(1 << n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -416,16 +413,6 @@ def _hamiltonian_diag(system):
         for i in range(n):
             h += 0.5 * system.omega[i] * z[i]
     return h
-
-
-def _pulse_matrix(spins, n):
-    mask = 0
-    for s in spins:
-        mask |= 1 << (n - 1 - (s - 1))
-    idx = np.arange(1 << n)
-    p = np.zeros((1 << n, 1 << n), dtype=complex)
-    p[idx ^ mask, idx] = 1.0
-    return p
 
 
 @dataclass
@@ -440,7 +427,7 @@ def _target_unitary(schedule, system):
     if schedule.target in ("decouple", "zeeman-free-identity",
                           "chain-decouple"):
         return np.eye(1 << n, dtype=complex)
-    z = _z_values(n)
+    z = z_signs(n)
     phase = np.zeros(1 << n)
     for part in schedule.target.split("&"):
         if not part.startswith("recouple(") or not part.endswith(")"):
@@ -458,11 +445,17 @@ def verify_schedule(schedule, system, tol=1e-10):
         raise ValueError("dense verification capped at 8 spins")
     if system.n != n:
         raise ValueError("system size mismatch")
-    hdiag = _hamiltonian_diag(system)
-    interval = np.diag(np.exp(-1j * hdiag * schedule.dt))
-    u = _pulse_matrix(schedule.boundaries[0], n)
-    for b in range(1, schedule.intervals + 1):
-        u = _pulse_matrix(schedule.boundaries[b], n) @ interval @ u
+    interval = np.exp(-1j * _hamiltonian_diag(system) * schedule.dt)
+    idx = np.arange(1 << n)
+    u = np.eye(1 << n, dtype=complex)
+    for b in range(schedule.intervals + 1):
+        if b:
+            u = interval[:, None] * u
+        # X on the listed 1-based spins flips their bits of the row index
+        mask = 0
+        for s in schedule.boundaries[b]:
+            mask |= 1 << (n - s)
+        u = u[idx ^ mask]
     target = _target_unitary(schedule, system)
     overlap = np.trace(target.conj().T @ u)
     if abs(overlap) > 1e-12:

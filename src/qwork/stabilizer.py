@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop_core import I2, SX, SY, SZ, dagger
+from .qop_core import CNOT, I2, SX, SY, SZ, apply_local, dagger, z_signs
 
 DEFAULT_TOL = 1e-9
 
@@ -29,15 +29,8 @@ def _parity(mask):
 
 
 def _bit_parities(z, n):
-    """(-1)^(i.z) for all indices i, with qubit 0 the leftmost/most
-    significant position."""
-    dim = 1 << n
-    idx = np.arange(dim)
-    par = np.zeros(dim, dtype=np.int64)
-    for q in range(n):
-        if (z >> q) & 1:
-            par ^= (idx >> (n - 1 - q)) & 1
-    return 1 - 2 * par
+    """(-1)^(i.z) for all basis indices i."""
+    return z_signs(n)[[q for q in range(n) if (z >> q) & 1]].prod(axis=0)
 
 
 @dataclass(frozen=True)
@@ -538,14 +531,12 @@ class AdWord:
         return m
 
     def apply(self, vec):
-        n = self.n
-        tens = np.asarray(vec, dtype=complex).reshape((2,) * n)
+        """The word applied to a state vector, or to each column of a matrix."""
+        out = np.asarray(vec, dtype=complex)
         for q, letter in enumerate(self.letters):
-            if letter == "I":
-                continue
-            tens = np.moveaxis(
-                np.tensordot(_AD_MATRIX[letter], tens, axes=(1, q)), 0, q)
-        return tens.reshape(-1)
+            if letter != "I":
+                out = apply_local(_AD_MATRIX[letter], out, (q,))
+        return out
 
 
 def ad_words(n, t):
@@ -627,8 +618,7 @@ def ad_dense_check(code, t, tol=DEFAULT_TOL):
     dim_l = basis.shape[1]
     worst = 0.0
     for word in ad_words(code.n, t):
-        block = basis.conj().T @ np.column_stack(
-            [word.apply(basis[:, j]) for j in range(dim_l)])
+        block = basis.conj().T @ word.apply(basis)
         c = np.trace(block) / dim_l
         worst = max(worst, float(np.abs(block - c * np.eye(dim_l)).max()))
     return worst
@@ -638,40 +628,12 @@ def ad_dense_check(code, t, tol=DEFAULT_TOL):
 # dense state helpers
 
 
-def apply_1q(vec, u, q, n):
-    tens = np.asarray(vec, dtype=complex).reshape((2,) * n)
-    tens = np.moveaxis(np.tensordot(u, tens, axes=(1, q)), 0, q)
-    return tens.reshape(-1)
-
-
-def apply_2q(vec, u, q1, q2, n):
-    tens = np.asarray(vec, dtype=complex).reshape((2,) * n)
-    u4 = np.asarray(u, dtype=complex).reshape(2, 2, 2, 2)
-    tens = np.tensordot(u4, tens, axes=([2, 3], [q1, q2]))
-    return np.moveaxis(tens, [0, 1], [q1, q2]).reshape(-1)
-
-
-CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def controlled(u):
     out = np.eye(4, dtype=complex)
     out[2:, 2:] = u
-    return out
-
-
-def measure_qubit(vec, q, n):
-    """Both branches [(prob, collapsed), ...] for outcomes 0 and 1."""
-    tens = np.asarray(vec, dtype=complex).reshape((2,) * n)
-    out = []
-    for outcome in (0, 1):
-        sel = np.zeros((2, 2), dtype=complex)
-        sel[outcome, outcome] = 1.0
-        proj = np.moveaxis(np.tensordot(sel, tens, axes=(1, q)), 0, q).reshape(-1)
-        p = float(np.vdot(proj, proj).real)
-        out.append((p, proj / math.sqrt(p) if p > 1e-14 else proj))
     return out
 
 
@@ -696,10 +658,6 @@ class MeasureUpdate:
     generators: list
     fixup: object
     replaced: int
-
-
-def _anticommutes_dense(a, b, tol):
-    return np.abs(a @ b + b @ a).max() > tol and np.abs(a @ b - b @ a).max() > tol
 
 
 def measure_update(generators, k_op, logicals=None, tol=DEFAULT_TOL):
@@ -799,14 +757,14 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
         state = np.zeros(1 << total, dtype=complex)
         state.reshape(1 << n, 1 << a)[:, 0] = psi
         # cat ancilla
-        state = apply_1q(state, HADAMARD, n, total)
+        state = apply_local(HADAMARD, state, (n,))
         for j in range(1, a):
-            state = apply_2q(state, CNOT, n, n + j, total)
+            state = apply_local(CNOT, state, (n, n + j))
         # phase kickback through controlled letters
         for j, (q, c) in enumerate(zip(subset, letters)):
-            state = apply_2q(state, controlled(_LETTER[c]), n + j, q, total)
+            state = apply_local(controlled(_LETTER[c]), state, (n + j, q))
         for j in range(a):
-            state = apply_1q(state, HADAMARD, n + j, total)
+            state = apply_local(HADAMARD, state, (n + j,))
 
         grid = state.reshape(1 << n, 1 << a)
         ideal = {s: (psi + s * (m_full @ psi)) / 2 for s in (1, -1)}
@@ -946,8 +904,8 @@ def verify_teleport_identity(kind, states=100, tol=1e-10, rng=None):
         psi = _random_state(2, rng)
         if kind == "swap":
             state = np.kron(np.array([1, 0], dtype=complex), psi)
-            state = apply_2q(state, CNOT, 1, 0, 2)
-            state = apply_2q(state, CNOT, 0, 1, 2)
+            state = apply_local(CNOT, state, (1, 0))
+            state = apply_local(CNOT, state, (0, 1))
             grid = state.reshape(2, 2)
             if np.linalg.norm(grid[:, 1]) > tol:
                 return False
@@ -956,19 +914,21 @@ def verify_teleport_identity(kind, states=100, tol=1e-10, rng=None):
             continue
         if kind == "z":
             state = np.kron(np.array([1, 0], dtype=complex), psi)
-            state = apply_2q(state, CNOT, 1, 0, 2)
-            state = apply_1q(state, HADAMARD, 1, 2)
+            state = apply_local(CNOT, state, (1, 0))
+            state = apply_local(HADAMARD, state, (1,))
             fix = SZ
         elif kind == "x":
             state = np.kron(np.array([1, 1], dtype=complex) / math.sqrt(2), psi)
-            state = apply_2q(state, CNOT, 0, 1, 2)
+            state = apply_local(CNOT, state, (0, 1))
             fix = SX
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        for outcome, (p, collapsed) in enumerate(measure_qubit(state, 1, 2)):
+        for outcome in (0, 1):
+            branch = apply_local(np.diag(np.eye(2)[outcome]), state, (1,))
+            p = float(np.vdot(branch, branch).real)
             if abs(p - 0.5) > 1e-9:
                 return False
-            out = collapsed.reshape(2, 2)[:, outcome]
+            out = branch.reshape(2, 2)[:, outcome] / math.sqrt(p)
             if outcome == 1:
                 out = fix @ out
             if not _states_equal(out, psi, tol):
@@ -1028,7 +988,6 @@ def _teleport_construction(u, n, tele_kinds, prep_start, presentation,
         base = single_qubit_word(n, q, "X" if kind == "x" else "Z").matrix()
         fixups.append(_conj(u, base))
 
-    total = 2 * n
     for prepared in ancillas:
         for _ in range(states):
             psi = _random_state(anc_dim, rng)
@@ -1036,19 +995,22 @@ def _teleport_construction(u, n, tele_kinds, prep_start, presentation,
             state = np.kron(prepared, psi)
             for q, kind in enumerate(tele_kinds):
                 if kind == "x":
-                    state = apply_2q(state, CNOT, q, n + q, total)
+                    state = apply_local(CNOT, state, (q, n + q))
                 else:
-                    state = apply_2q(state, CNOT, n + q, q, total)
-                    state = apply_1q(state, HADAMARD, n + q, total)
+                    state = apply_local(CNOT, state, (n + q, q))
+                    state = apply_local(HADAMARD, state, (n + q,))
             branches = [(1.0, state, ())]
             for q in range(n):
                 nxt = []
                 for prob, vec, rec in branches:
-                    for outcome, (p, collapsed) in enumerate(
-                            measure_qubit(vec, n + q, total)):
+                    for outcome in (0, 1):
+                        collapsed = apply_local(np.diag(np.eye(2)[outcome]),
+                                                vec, (n + q,))
+                        p = float(np.vdot(collapsed, collapsed).real)
                         if p < 1e-12:
                             continue
-                        nxt.append((prob * p, collapsed, rec + (outcome,)))
+                        nxt.append((prob * p, collapsed / math.sqrt(p),
+                                    rec + (outcome,)))
                 branches = nxt
             for prob, vec, rec in branches:
                 out = vec.reshape(anc_dim, anc_dim)[:, _rec_index(rec)]
@@ -1066,7 +1028,7 @@ def _start_state(n, tele_kinds):
     v[0] = 1.0
     for q, kind in enumerate(tele_kinds):
         if kind == "x":
-            v = apply_1q(v, HADAMARD, q, n)
+            v = apply_local(HADAMARD, v, (q,))
     return v
 
 
@@ -1099,7 +1061,7 @@ def verify_c3_construction(gate, states=100, tol=1e-10, rng=None):
         return _teleport_construction(T_GATE, 1, ("x",), prep, presentation,
                                       measured, states, tol, rng)
     if gate == "CP":
-        prep = apply_1q(_basis_state(2, (0, 0)), HADAMARD, 1, 2)
+        prep = apply_local(HADAMARD, _basis_state(2, (0, 0)), (1,))
         presentation = [np.kron(SZ, I2), _conj(CP_GATE, np.kron(I2, SX))]
         measured = _conj(CP_GATE, np.kron(SX, I2))
         return _teleport_construction(CP_GATE, 2, ("x", "x"), prep,
@@ -1107,7 +1069,7 @@ def verify_c3_construction(gate, states=100, tol=1e-10, rng=None):
     if gate == "Toffoli":
         prep = _basis_state(3, (0, 0, 0))
         for q in range(3):
-            prep = apply_1q(prep, HADAMARD, q, 3)
+            prep = apply_local(HADAMARD, prep, (q,))
         presentation = [_conj(TOFFOLI, single_qubit_word(3, 0, "X").matrix()),
                         _conj(TOFFOLI, single_qubit_word(3, 1, "X").matrix()),
                         single_qubit_word(3, 2, "X").matrix()]

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +209,12 @@ def test_nmr_two_bit_point_matches_module(capsys):
     assert f"z={cli.fmt(ref['accepted'][1])}" in out
 
 
+def test_nmr_two_bit_rejects_non_finite_delay(capsys):
+    code, _, err = run_cli(capsys, "nmr", "two-bit", "--td", "nan",
+                           "--mode", "coded")
+    assert code == 3 and "finite" in err
+
+
 def test_nmr_two_bit_sweep_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -250,3 +258,17 @@ def test_fmt_twelve_digits():
     assert cli.fmt(math.pi) == "3.14159265359"
     assert cli.fmt(1.0) == "1"
     assert cli.fmt(4.94020000000539) == "4.94020000001"
+
+
+# ------------------------------------------------------------------ README
+
+def test_readme_commands_run():
+    # every `qwork ...` line of the README's console blocks must run
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in text.split("```console")[1:]
+                for line in block.split("```")[0].splitlines()
+                if line.startswith("qwork ")]
+    assert len(commands) == 10
+    for argv in commands:
+        assert cli.main(argv) == 0, argv

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qwork import nmr_sim as nm
+from qwork import qop_core as qc
 
 
 def rand_deviation(n, rng):
@@ -16,11 +17,16 @@ def rand_deviation(n, rng):
 def sequence_unitary(system, events):
     """Compose the ideal (scale-1) unitary of a pulse/delay list."""
     dim = 2 ** system.n
+
+    def site(op, spin):
+        return qc.kron_all(*(op if q == spin else qc.I2
+                             for q in range(system.n)))
+
     u = np.eye(dim, dtype=complex)
-    signs = nm._z_signs(system.n)
+    signs = [np.diag(site(qc.SZ, i)).real for i in range(system.n)]
     for ev in events:
         if ev.kind == "pulse":
-            step = nm._site_op(nm._rot2(ev.axis, ev.angle), ev.spin, system.n)
+            step = site(nm._rot2(ev.axis, ev.angle), ev.spin)
         else:
             total = np.zeros(dim)
             for i in range(system.n):
@@ -64,6 +70,11 @@ def test_spin_system_validation():
         nm.SpinSystem(omega=(1.0,), j=((1.0,),), t2_star=(1.0,))
     with pytest.raises(ValueError):
         nm.SpinSystem(omega=(1.0,), j=((0.0,),), t2_star=(0.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            nm.SpinSystem(omega=(bad,), j=((0.0,),), t2_star=(1.0,))
+        with pytest.raises(ValueError):
+            nm.SpinSystem(omega=(1.0,), j=((0.0,),), t2_star=(bad,))
 
 
 def test_json_round_trip_exact():
@@ -91,6 +102,9 @@ def test_event_constructors():
         nm.pulse(0, "z", 1.0)
     with pytest.raises(ValueError):
         nm.delay(-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            nm.delay(bad)
 
 
 def test_dephase_probability():
@@ -139,7 +153,7 @@ def test_refocused_delay_equals_pure_dephasing():
     rho = rand_deviation(2, rng)
     t = 0.123
     out = nm.run_sequence(s, rho, [nm.delay(t, dephase=True, refocus=(1,))])
-    signs = nm._z_signs(2)
+    signs = qc.z_signs(2)
     expect = np.array(rho)
     for i in range(2):
         p = nm.dephase_probability(t, s.t2_star[i])

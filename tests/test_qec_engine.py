@@ -356,8 +356,8 @@ def test_pipeline_single_loss_branch_state():
     amp = np.array([0.6, 0.8], dtype=complex)
     psi = code.encode(amp)
     branch = qe.ad_product((1, 0, 0, 0), g) @ psi
-    branch = qe._apply_cnot(branch, 0, 1)
-    branch = qe._apply_cnot(branch, 2, 3)
+    branch = qc.apply_local(qc.CNOT, branch, (0, 1))
+    branch = qc.apply_local(qc.CNOT, branch, (2, 3))
     t = branch.reshape(2, 2, 2, 2)
     sub = t[0, 1, :, 0]  # qubits 1,2,4 fixed at 0,1,0
     scale = math.sqrt(g * (1 - g) / 2)

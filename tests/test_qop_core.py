@@ -127,6 +127,50 @@ def test_partial_trace():
     assert np.abs(qc.partial_trace(joint, [2, 3], 0) - b).max() < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# dense local-gate kernel
+
+
+def full_operator(op, axes, n):
+    """op on qubits ``axes`` as a 2^n x 2^n matrix: op ⊗ I in the qubit order
+    (axes, then the other qubits), with rows and columns permuted back."""
+    rest = [q for q in range(n) if q not in axes]
+    big = qc.kron_all(op, np.eye(2 ** (n - len(axes))))
+    order = list(axes) + rest
+    perm = [int("".join(format(x, f"0{n}b")[q] for q in order), 2)
+            for x in range(2 ** n)]
+    return big[np.ix_(perm, perm)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_local_kernel_matches_full_operator(n, data):
+    k = data.draw(st.integers(min_value=1, max_value=min(2, n)))
+    axes = tuple(data.draw(st.permutations(range(n)))[:k])
+    krng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def cplx(*shape):
+        return krng.normal(size=shape) + 1j * krng.normal(size=shape)
+
+    op = cplx(2 ** k, 2 ** k)
+    u = full_operator(op, axes, n)
+    vec, mat, rho = cplx(2 ** n), cplx(2 ** n, 3), cplx(2 ** n, 2 ** n)
+    assert np.abs(qc.apply_local(op, vec, axes) - u @ vec).max() < 1e-12
+    assert np.abs(qc.apply_local(op, mat, axes) - u @ mat).max() < 1e-12
+    assert np.abs(qc.conjugate_local(op, rho, axes)
+                  - u @ rho @ qc.dagger(u)).max() < 1e-11
+
+
+def test_z_signs_table():
+    for n in range(1, 7):
+        z = qc.z_signs(n)
+        assert z.shape == (n, 2 ** n) and not z.flags.writeable
+        for x in range(2 ** n):
+            bits = format(x, f"0{n}b")
+            for q in range(n):
+                assert z[q, x] == 1 - 2 * int(bits[q])
+
+
 def test_json_round_trip():
     ch = qc.standard_channel("generalized_amplitude_damping", gamma=0.3, p=0.7)
     text = ch.to_json()

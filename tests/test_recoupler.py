@@ -266,6 +266,12 @@ def test_recouple_duration_formate():
     assert 12 * t == pytest.approx(1.0 / (2 * 195.0), abs=1e-18)
 
 
+def test_recouple_duration_rejects_bad_coupling():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rc.recouple_duration(bad, 12)
+
+
 def test_doubling_order_halves_interval():
     g = 77.0
     assert rc.recouple_duration(g, 24) == pytest.approx(
