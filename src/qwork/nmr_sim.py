@@ -137,10 +137,19 @@ def chloroform_system(input_spin="carbon"):
     raise ValueError("input_spin must be 'proton' or 'carbon'")
 
 
+def _coupling_period(system):
+    """1/(2 J01): the delay over which the input pair's coupling turns ZZ by pi/2."""
+    j = system.j[0][1]
+    if not (math.isfinite(j) and j != 0.0):
+        raise ValueError(f"the input pair needs a nonzero finite J01, got {j!r}")
+    return 1.0 / (2.0 * j)
+
+
 def storage_grid(system, multiples=STORAGE_MULTIPLES):
     """Storage delays at even multiples of the coupling period."""
-    j = system.j[0][1]
-    return tuple(m / j for m in multiples)
+    _coupling_period(system)  # rejects an uncoupled pair
+    # m / J01 (2m periods) rounds once, where 2m times the period rounds twice
+    return tuple(m / system.j[0][1] for m in multiples)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +607,16 @@ class RfModel:
     shots: int = 512
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("none", "lorentzian"):
+            raise ValueError(f"unknown RF model kind {self.kind!r}")
+        if self.integration not in ("quadrature", "monte-carlo"):
+            raise ValueError(f"unknown integration {self.integration!r}")
+        _check_count("nodes", self.nodes)
+        _check_count("shots", self.shots)
+        if not all(0 < w < math.inf for w in self.widths):
+            raise ValueError(f"RF widths must be positive and finite: {self.widths!r}")
+
     @classmethod
     def none(cls):
         return cls(kind="none")
@@ -608,6 +627,11 @@ class RfModel:
         widths = tuple(calibrate_width(a, nodes) for a in attenuations)
         return cls(kind="lorentzian", widths=widths, integration=integration,
                    nodes=nodes, shots=shots, seed=seed)
+
+
+def _check_count(name, value):
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def _lorentz_nodes(width, nodes):
@@ -627,6 +651,7 @@ def calibrate_width(target, nodes=32):
 
     if not 0.0 < target < 1.0:
         raise ValueError("attenuation target must be in (0, 1)")
+    _check_count("nodes", nodes)
     lo, hi = 1e-6, 0.8
     if averaged(hi) > target:
         raise ValueError("attenuation target too small to calibrate")
@@ -637,8 +662,6 @@ def rf_scale_sets(rf, channels):
     """(scales, weight) pairs for ensemble averaging; one entry when off."""
     if rf is None or rf.kind == "none":
         return [((1.0,) * channels, 1.0)]
-    if rf.kind != "lorentzian":
-        raise ValueError(f"unknown RF model kind {rf.kind!r}")
     if len(rf.widths) < channels:
         raise ValueError("need one width per channel")
     per_channel = []
@@ -654,19 +677,17 @@ def rf_scale_sets(rf, channels):
                 weight *= c[1]
             sets.append((scales, weight))
         return sets
-    if rf.integration == "monte-carlo":
-        rng = np.random.default_rng(rf.seed)
-        edge = math.atan(5.0)
-        draws = []
-        for c in range(channels):
-            u = rng.uniform(-edge, edge, size=rf.shots)
-            draws.append(1.0 + rf.widths[c] * np.tan(u))
-        sets = []
-        for k in range(rf.shots):
-            sets.append((tuple(draws[c][k] for c in range(channels)),
-                         1.0 / rf.shots))
-        return sets
-    raise ValueError(f"unknown integration {rf.integration!r}")
+    rng = np.random.default_rng(rf.seed)
+    edge = math.atan(5.0)
+    draws = []
+    for c in range(channels):
+        u = rng.uniform(-edge, edge, size=rf.shots)
+        draws.append(1.0 + rf.widths[c] * np.tan(u))
+    sets = []
+    for k in range(rf.shots):
+        sets.append((tuple(draws[c][k] for c in range(channels)),
+                     1.0 / rf.shots))
+    return sets
 
 
 def rf_average(closure, rf, channels=2):
@@ -685,7 +706,7 @@ def rf_average(closure, rf, channels=2):
 
 def cnot_ba_events(system):
     """Three-step sequence acting as a b-controlled NOT on diagonal states."""
-    tau = 1.0 / (2.0 * system.j[0][1])
+    tau = _coupling_period(system)
     return [pulse(0, "y", math.pi / 2), delay(tau), pulse(0, "x", math.pi / 2)]
 
 
@@ -706,7 +727,7 @@ def encode_events(system):
     analysis layer expects: the fitted attenuation coefficient comes out
     positive and the zero-storage ellipticity lands slightly above one.
     """
-    tau = 1.0 / (2.0 * system.j[0][1])
+    tau = _coupling_period(system)
     return [
         pulse(0, "x", -math.pi / 2),
         pulse(0, "y", -math.pi / 2),
@@ -718,7 +739,7 @@ def encode_events(system):
 
 def decode_events(system):
     """Inverse of the encoder; mirrors it with one pulse before the delay."""
-    tau = 1.0 / (2.0 * system.j[0][1])
+    tau = _coupling_period(system)
     return [
         pulse(0, "y", math.pi / 2),
         delay(tau),

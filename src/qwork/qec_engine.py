@@ -15,12 +15,13 @@ encode/syndrome/recover circuit.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .qop_core import CNOT, QuantumChannel, apply, apply_local, dagger
 
@@ -329,63 +330,87 @@ def check_approximate(code, errors, order=None, samples=None, tol=DEFAULT_TOL,
         ortho_slope=ortho_slope, code_h=hs)
 
 
-def bloch_state(theta, phi):
+def bloch_state(r):
+    """Pure qubit state with unit Bloch vector r."""
+    theta, phi = math.atan2(math.hypot(r[0], r[1]), r[2]), math.atan2(r[1], r[0])
     return np.array([math.cos(theta / 2),
                      complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)])
 
 
-def _minimize_over_pure_states(value, k, grid=(64, 32), refine=True, rng_seed=0):
-    """Deterministic minimization of a real function of a pure state in C^k."""
+# the 26 nonzero points of {-1, 0, 1}^3 on the sphere: more than the ten
+# coefficients of a quadratic in r, so the fit residual tests that it is one
+_PROBES = np.array([p for p in itertools.product((-1, 0, 1), repeat=3) if any(p)])
+_PROBES = _PROBES / np.linalg.norm(_PROBES, axis=1, keepdims=True)
+_I, _J = np.triu_indices(3)
+_DESIGN = np.column_stack([np.ones(len(_PROBES)), _PROBES,
+                           _PROBES[:, _I] * _PROBES[:, _J]])
+
+
+def _sphere_argmin(b, q):
+    """Unit r (up to renormalization) minimizing b·r + rᵀqr, the trust-region
+    boundary problem (Moré & Sorensen 1983; Gander, Golub & von Matt 1989):
+    r = -β/(λ - μ) in q's eigenbasis, β = Vᵀb/2, μ ≤ λ₀ solving Σβᵢ²/(λᵢ - μ)²
+    = 1; in the hard case (β misses the lowest eigenvectors, the rest of r is
+    shorter than one) μ = λ₀ and the lowest eigenvector fills up r."""
+    lam, vecs = np.linalg.eigh(q)
+    beta = vecs.T @ b / 2
+    tol = 1e-12 * max(1.0, np.abs(lam).max(), np.linalg.norm(beta))
+    low = lam - lam[0] <= tol
+    beta_low = np.linalg.norm(beta[low])
+    y = np.zeros(3)
+    y[~low] = -beta[~low] / (lam[~low] - lam[0])
+    if beta_low <= tol and y @ y <= 1.0:
+        y[0] = math.sqrt(1.0 - y @ y)
+        return vecs @ y
+
+    def secular(mu):
+        return float(np.sum((beta / (lam - mu)) ** 2)) - 1.0
+
+    # secular(hi) > 0 unless the root lies within tol of λ₀; secular < 0 at
+    # λ₀ - 2|β|, where λ₀ - |β| may be the root itself (β along the lowest)
+    hi = lam[0] - max(beta_low / 2, tol)
+    mu = hi if secular(hi) <= 0 else brentq(
+        secular, lam[0] - 2 * np.linalg.norm(beta), hi, xtol=1e-3 * tol)
+    return vecs @ (-beta / (lam - mu))
+
+
+def _minimize_over_pure_states(value, k):
+    """(minimum, minimizer) of a real function of a pure state in C^k: exact
+    for a qubit, where the function must be quadratic in the Bloch vector as
+    every fidelity is (ValueError if its fit at fixed probes fails), else a
+    seeded random search refined by Nelder-Mead."""
     if k == 2:
-        def val_angles(x):
-            return value(bloch_state(x[0], x[1]))
-        best, best_x = math.inf, None
-        for ti in range(grid[1]):
-            theta = math.pi * (ti + 0.5) / grid[1]
-            for pi_ in range(grid[0]):
-                phi = 2 * math.pi * pi_ / grid[0]
-                v = val_angles((theta, phi))
-                if v < best:
-                    best, best_x = v, (theta, phi)
-        for pole in ((0.0, 0.0), (math.pi, 0.0)):
-            v = val_angles(pole)
-            if v < best:
-                best, best_x = v, pole
-        if refine:
-            res = minimize(val_angles, best_x, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-14})
-            if res.fun < best:
-                best = float(res.fun)
-        return best
+        f = np.array([value(bloch_state(r)) for r in _PROBES])
+        coef = np.linalg.lstsq(_DESIGN, f, rcond=None)[0]
+        residual = float(np.abs(_DESIGN @ coef - f).max())
+        if not residual <= 1e-9 * max(1.0, float(np.abs(f).max())):
+            raise ValueError(f"objective is not quadratic in the Bloch vector (fit "
+                             f"residual {residual:.3e}); is the channel linear?")
+        q = np.zeros((3, 3))
+        q[_I, _J] = coef[4:]
+        r = _sphere_argmin(coef[1:4], (q + q.T) / 2)
+        psi = bloch_state(r / np.linalg.norm(r))
+        return value(psi), psi
 
-    rng = np.random.default_rng(rng_seed)
-    def val_real(x):
+    def state(x):
         v = x[:k] + 1j * x[k:]
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            return math.inf
-        return value(v / nrm)
-    best, best_x = math.inf, None
-    for _ in range(4096):
-        x = rng.normal(size=2 * k)
-        v = val_real(x)
-        if v < best:
-            best, best_x = v, x
-    if refine:
-        res = minimize(val_real, best_x, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
-        if res.fun < best:
-            best = float(res.fun)
-    return best
+        return v / np.linalg.norm(v)
+
+    val = lambda x: value(state(x)) if np.linalg.norm(x) >= 1e-12 else math.inf
+    start = min(np.random.default_rng(0).normal(size=(4096, 2 * k)), key=val)
+    res = minimize(val, start, method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
+    best = res.x if res.fun < val(start) else start
+    return val(best), state(best)
 
 
-def fidelity_lower_bound(report, grid=(64, 32), refine=True):
+def fidelity_lower_bound(report):
     """Worst-case fidelity guarantee of projector-based recovery.
 
-    Minimizes, over pure code states, the sum over errors of the squared
-    expectation of each error's positive part on the code.  With no residues
-    this reduces to sum p_n lambda_n; with them it is sharper.  Empty error
-    set gives 0.
+    Minimizes (exactly, for a qubit code) over pure code states the sum over
+    errors of the squared expectation of each error's positive part on the
+    code.  With no residues this reduces to sum p_n lambda_n; with them it is
+    sharper.  Empty error set gives 0.
     """
     hs = report.code_h
     if hs is None:
@@ -397,16 +422,16 @@ def fidelity_lower_bound(report, grid=(64, 32), refine=True):
     def value(psi):
         return float(sum(np.real(np.conjugate(psi) @ h @ psi) ** 2 for h in hs))
 
-    return _minimize_over_pure_states(value, k, grid=grid, refine=refine)
+    return _minimize_over_pure_states(value, k)[0]
 
 
-def min_overlap_fidelity(channel, sampler=None, dim=None, grid=(64, 32),
-                         refine=True):
+def min_overlap_fidelity(channel, sampler=None, dim=None):
     """Worst-case overlap of input with channel output over pure states.
 
     ``channel`` is a QuantumChannel or a callable on density matrices (pass
-    ``dim`` for callables on anything but a qubit); ``sampler`` optionally
-    supplies candidate state vectors instead of the built-in search.
+    ``dim`` for callables on anything but a qubit; a qubit callable must be
+    linear); ``sampler`` optionally supplies candidate state vectors instead
+    of the built-in search, which is exact for a qubit.
     """
     if isinstance(channel, QuantumChannel):
         dim = channel.dim_in
@@ -426,7 +451,7 @@ def min_overlap_fidelity(channel, sampler=None, dim=None, grid=(64, 32),
             best = min(best, value(psi / np.linalg.norm(psi)))
         return best
 
-    return _minimize_over_pure_states(value, dim, grid=grid, refine=refine)
+    return _minimize_over_pure_states(value, dim)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +467,8 @@ def four_bit_code():
 
 
 def ad_kraus(gamma):
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be a finite number in [0, 1], got {gamma!r}")
     a0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
     a1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
     return a0, a1
@@ -483,6 +510,7 @@ def _four_bit_branches(gamma, amplitudes, code):
     vectors are unnormalized, their squared norms are branch probabilities.
     None marks a branch with no recovered qubit (counted as fidelity 0).
     """
+    damping = ad_kraus(gamma)  # first: it rejects a bad gamma
     psi = code.encode(amplitudes)
     rot_pair = math.atan((1 - gamma) ** 2)
     # rotation sending cos(t)|0> + sin(t)|1> to |0>
@@ -494,7 +522,6 @@ def _four_bit_branches(gamma, amplitudes, code):
     n1 = np.array([[0, 0], [math.sqrt(gamma * (2 - gamma)), 0]], dtype=complex)
     controlled_unrot = block_diag(unrot(rot_pair), unrot(math.pi / 4))
     projector = [np.diag(e) for e in np.eye(2, dtype=complex)]
-    damping = ad_kraus(gamma)
 
     out = []
     for pattern in np.ndindex(2, 2, 2, 2):
@@ -545,10 +572,10 @@ def _four_bit_branches(gamma, amplitudes, code):
     return out
 
 
-def four_bit_pipeline(gamma, grid=(24, 12)):
+def four_bit_pipeline(gamma):
     """Worst-case fidelity of the four-qubit damping code's circuit pipeline.
 
-    Scans encoded pure states over a Bloch grid; each passes through the
+    Minimizes, exactly over encoded pure states, the fidelity after the
     per-qubit damping channel, the two-pair parity syndrome circuit, and the
     branch recoveries (rotation pair on the no-loss branch, the swap-like
     non-unitary element on single-loss branches).  Unrecoverable branches
@@ -557,30 +584,11 @@ def four_bit_pipeline(gamma, grid=(24, 12)):
     code = four_bit_code()
 
     def fidelity_of(amplitudes):
-        f = 0.0
-        for _, _, vec, _ in _four_bit_branches(gamma, amplitudes, code):
-            if vec is None:
-                continue
-            f += abs(np.vdot(amplitudes, vec)) ** 2
-        return f
+        branches = _four_bit_branches(gamma, amplitudes, code)
+        return sum((abs(np.vdot(amplitudes, vec)) ** 2
+                    for _, _, vec, _ in branches if vec is not None), 0.0)
 
-    worst, worst_angles = math.inf, None
-    for ti in range(grid[1] + 1):
-        theta = math.pi * ti / grid[1]
-        for pi_ in range(grid[0]):
-            phi = 2 * math.pi * pi_ / grid[0]
-            f = fidelity_of(bloch_state(theta, phi))
-            if f < worst:
-                worst, worst_angles = f, (theta, phi)
-
-    res = minimize(lambda x: fidelity_of(bloch_state(x[0], x[1])),
-                   worst_angles, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14})
-    if res.fun < worst:
-        worst = float(res.fun)
-        worst_angles = (res.x[0], res.x[1])
-    worst_amp = bloch_state(*worst_angles)
-
+    worst, worst_amp = _minimize_over_pure_states(fidelity_of, 2)
     branches = _four_bit_branches(gamma, worst_amp, code)
     syn = {}
     for key, _, _, p in branches:

@@ -234,14 +234,6 @@ class ChoiMatrix:
                           "unnormalized-Y")
 
 
-@dataclass
-class ChiRep:
-    """Process matrix with respect to a fixed operator basis."""
-
-    basis: list
-    chi: np.ndarray
-
-
 def apply(channel, rho):
     """Apply the channel: sum_k A_k rho A_k† (no renormalization)."""
     mat = _as_mat(rho)

@@ -317,6 +317,14 @@ class PulseSchedule:
     boundaries: list
     target: str
 
+    def __post_init__(self):
+        if len(self.boundaries) != self.intervals + 1:
+            raise ValueError(f"{self.intervals} intervals need {self.intervals + 1} "
+                             f"boundaries, got {len(self.boundaries)}")
+        for b, s in ((b, s) for b, spins in enumerate(self.boundaries) for s in spins):
+            if not 1 <= s <= self.n:
+                raise ValueError(f"boundary {b} pulses spin {s!r}, outside 1..{self.n}")
+
     @property
     def pulse_count(self):
         return sum(len(b) for b in self.boundaries)
@@ -370,6 +378,8 @@ def recouple_duration(g_ij, n_bar):
     """Interval length making the surviving coupling accumulate pi/4."""
     if not (math.isfinite(g_ij) and g_ij > 0):
         raise ValueError("need a positive finite coupling")
+    if not n_bar >= 1:
+        raise ValueError(f"n_bar must be at least 1, got {n_bar!r}")
     return math.pi / (4.0 * g_ij * n_bar)
 
 

@@ -122,9 +122,6 @@ class PauliWord:
         sign = self.phase.conjugate() * (-1 if _parity(self.x & self.z) else 1)
         return sign == self.phase
 
-    def equal_up_to_phase(self, other):
-        return self.n == other.n and self.x == other.x and self.z == other.z
-
     def apply(self, vec):
         vec = np.asarray(vec, dtype=complex)
         n = self.n

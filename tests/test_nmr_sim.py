@@ -399,6 +399,30 @@ def test_rf_scale_sets_weights_normalized():
         nm.rf_scale_sets(nm.RfModel(kind="gaussian"), 2)
 
 
+def test_rf_model_validation():
+    good = nm.RfModel.lorentzian().widths
+    for kw in (dict(kind="gaussian"), dict(integration="simpson"),
+               dict(nodes=0), dict(shots=0), dict(shots=-3),
+               dict(widths=(good[0], -0.01)), dict(widths=(0.0, good[1])),
+               dict(widths=(math.nan, good[1])), dict(widths=(math.inf, good[1]))):
+        with pytest.raises(ValueError):
+            nm.RfModel(**{"kind": "lorentzian", "widths": good, **kw})
+    with pytest.raises(ValueError, match="nodes"):
+        nm.RfModel.lorentzian(nodes=0)
+    with pytest.raises(ValueError, match="shots"):
+        nm.RfModel.lorentzian(integration="monte-carlo", shots=0)
+
+
+def test_zero_coupling_is_rejected():
+    s = nm.formate_system()
+    free = nm.SpinSystem(omega=s.omega, j=((0.0, 0.0), (0.0, 0.0)),
+                         t2_star=s.t2_star)
+    for build in (nm.storage_grid, nm.cnot_ba_events, nm.encode_events,
+                  nm.decode_events):
+        with pytest.raises(ValueError, match="J01"):
+            build(free)
+
+
 def test_calibrate_width_input_checks():
     with pytest.raises(ValueError):
         nm.calibrate_width(1.5)

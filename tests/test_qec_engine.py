@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwork import qec_engine as qe
 from qwork import qop_core as qc
@@ -315,6 +316,12 @@ def test_min_overlap_phase_damping():
     assert abs(f - 0.7) < 1e-9
 
 
+def test_min_overlap_amplitude_damping():
+    # the ground state is fixed; the excited state keeps 1 - gamma
+    ch = qc.standard_channel("amplitude_damping", gamma=0.2)
+    assert abs(qe.min_overlap_fidelity(ch) - 0.8) < 1e-12
+
+
 def test_min_overlap_identity_is_one():
     u = np.exp(0.7j) * np.eye(2, dtype=complex)
     f = qe.min_overlap_fidelity(qc.QuantumChannel([u]))
@@ -330,6 +337,68 @@ def test_min_overlap_rotation():
     assert abs(f - np.cos(a / 2) ** 2) < 1e-8
 
 
+def bloch_vector(psi):
+    a, b = psi
+    return np.array([2 * (np.conj(a) * b).real, 2 * (np.conj(a) * b).imag,
+                     abs(a) ** 2 - abs(b) ** 2])
+
+
+def sphere_sample(count):
+    # Fibonacci lattice: near-uniform points on the unit sphere
+    i = np.arange(count) + 0.5
+    z = 1 - 2 * i / count
+    phi = math.pi * (1 + 5 ** 0.5) * i
+    rho = np.sqrt(1 - z ** 2)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["generic", "b_perp_lowest", "b_along_lowest",
+                        "b_zero_degenerate"]))
+def test_exact_bloch_minimum_beats_dense_sample(seed, case):
+    r = np.random.default_rng(seed)
+    a = r.normal(size=(3, 3))
+    q = (a + a.T) / 2
+    b = r.normal(size=3) * r.choice([1e-3, 1.0, 10.0])
+    lam, vecs = np.linalg.eigh(q)
+    if case == "b_perp_lowest":
+        # the hard case when the rest of the solution is shorter than one
+        b = b - (b @ vecs[:, 0]) * vecs[:, 0]
+        b *= r.choice([0.01, 0.3, 1.0, 3.0])
+    elif case == "b_along_lowest":
+        # the secular root sits exactly at λ₀ - |β|
+        b = r.normal() * vecs[:, 0]
+    elif case == "b_zero_degenerate":
+        lam[1] = lam[0]
+        q = vecs @ np.diag(lam) @ vecs.T
+        b = np.zeros(3)
+    c = r.normal()
+
+    def value(psi):
+        v = bloch_vector(psi)
+        return c + b @ v + v @ q @ v
+
+    best, state = qe._minimize_over_pure_states(value, 2)
+    assert abs(np.linalg.norm(state) - 1) < 1e-14
+    assert abs(np.linalg.norm(bloch_vector(state)) - 1) < 1e-14
+    pts = sphere_sample(200_000)
+    dense = c + pts @ b + np.einsum("ij,jk,ik->i", pts, q, pts)
+    assert best <= dense.min() + 1e-12
+
+
+def test_qubit_minimizer_rejects_non_quadratic_objective():
+    with pytest.raises(ValueError, match="quadratic"):
+        qe._minimize_over_pure_states(lambda psi: abs(psi[0]) ** 6, 2)
+    with pytest.raises(ValueError, match="quadratic"):
+        qe.min_overlap_fidelity(lambda rho: np.diag(np.diag(rho) ** 3))
+
+
+def test_min_overlap_qutrit_identity_is_one():
+    f = qe.min_overlap_fidelity(lambda rho: rho, dim=3)
+    assert abs(f - 1.0) < 1e-12
+
+
 def test_min_overlap_with_sampler():
     ch = qc.standard_channel("phase_damping", p=0.2)
     equator = [np.array([1, np.exp(1j * t)]) / math.sqrt(2)
@@ -343,7 +412,7 @@ def test_min_overlap_with_sampler():
 
 
 def test_pipeline_identity_at_zero_noise():
-    rep = qe.four_bit_pipeline(0.0, grid=(8, 4))
+    rep = qe.four_bit_pipeline(0.0)
     assert abs(rep.worst_fidelity - 1.0) < 1e-12
     assert set(rep.syndrome_probs) == {(0, 0)}
 
@@ -371,6 +440,22 @@ def test_pipeline_worst_case_coefficient():
         expect = (1 - g) ** 2 + 2 * g * (1 - g) ** 3
         assert abs(rep.worst_fidelity - expect) < 1e-10
         assert 4.5 <= rep.leading_coefficient <= 5.5
+
+
+def test_pipeline_matches_closed_form():
+    for g in (0.005, 0.01, 0.02, 0.04):
+        rep = qe.four_bit_pipeline(g)
+        expect = (1 - g) ** 2 + 2 * g * (1 - g) ** 3
+        assert abs(rep.worst_fidelity - expect) < 1e-14
+        assert abs(np.linalg.norm(rep.worst_state) - 1) < 1e-14
+
+
+def test_damping_rejects_bad_gamma():
+    for bad in (math.nan, math.inf, -0.1, 1.2):
+        with pytest.raises(ValueError, match="gamma"):
+            qe.ad_kraus(bad)
+        with pytest.raises(ValueError, match="gamma"):
+            qe.four_bit_pipeline(bad)
 
 
 def test_pipeline_syndrome_probabilities():

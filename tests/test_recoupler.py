@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -270,6 +271,24 @@ def test_recouple_duration_rejects_bad_coupling():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             rc.recouple_duration(bad, 12)
+
+
+def test_recouple_duration_rejects_bad_interval_count():
+    for bad in (0, -4, 0.5, math.nan):
+        with pytest.raises(ValueError, match="n_bar"):
+            rc.recouple_duration(77.0, bad)
+
+
+def test_pulse_schedule_validates_boundaries():
+    for boundaries, match in (([[0], [], [3]], "spin 0"),
+                              ([[1], [], [4]], "spin 4"),
+                              ([[1], [2]], "3 boundaries")):
+        with pytest.raises(ValueError, match=match):
+            rc.PulseSchedule(3, 2, 1e-3, boundaries, "decouple")
+        with pytest.raises(ValueError, match=match):
+            rc.PulseSchedule.from_json(json.dumps(
+                {"n": 3, "intervals": 2, "dt": 1e-3,
+                 "boundaries": boundaries, "target": "decouple"}))
 
 
 def test_doubling_order_halves_interval():
