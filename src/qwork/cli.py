@@ -7,7 +7,6 @@ a run is fully determined by its config (including the seed); ``qwork run
 Exit codes: 0 = pass, 2 = a verdict check failed, 3 = input/config error.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -42,6 +41,15 @@ def fmt(x):
 
 def fmt_vec(values):
     return " ".join(fmt(v) for v in values)
+
+
+def _tolerance(p, default):
+    """A verdict tolerance; NaN or a non-positive one would pass anything
+    or nothing."""
+    tol = float(p.get("tol", default))
+    if not 0 < tol < math.inf:
+        raise InputError(f"--tol must be positive and finite, got {tol!r}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +240,9 @@ def run_channel_roundtrip(cfg):
     p = cfg.params
     dims = p.get("dims", [2, 3, 4])
     count = p.get("count", 60)
-    tol = p.get("tol", 1e-9)
+    if not count >= 1:
+        raise InputError(f"--count must be at least 1, got {count!r}")
+    tol = _tolerance(p, 1e-9)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for k in range(count):
@@ -262,10 +272,7 @@ def run_channel_show(cfg):
         if p.get(name) is None:
             raise InputError(f"channel {kind} needs --{name}")
         args[name] = int(p[name]) if name == "cutoff" else float(p[name])
-    try:
-        ch = qop_core.standard_channel(kind, **args)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    ch = qop_core.standard_channel(kind, **args)
     choi = qop_core.choi_of(ch)
     evals = np.linalg.eigvalsh(choi.mat)
     click.echo(f"kind={kind} "
@@ -339,22 +346,23 @@ def run_stab_check(cfg):
 
 def _reduced_schedule(sign, dt):
     """Restrict a sign matrix to 8 spins (keeping recoupled pairs) so the
-    dense verifier can run; returns (schedule, kept row indices)."""
+    dense verifier can run; returns (schedule, kept 1-based spins)."""
     keep = []
     for pair in sign.pairs:
         keep.extend(pair)
-    for row in range(sign.n):
+    for spin in range(1, sign.n + 1):
         if len(keep) >= 8:
             break
-        if row not in keep:
-            keep.append(row)
+        if spin not in keep:
+            keep.append(spin)
     keep = sorted(keep[:8])
-    relabel = {old: new for new, old in enumerate(keep)}
+    relabel = {old: new for new, old in enumerate(keep, start=1)}
     pairs = tuple((relabel[i], relabel[j]) for i, j in sign.pairs)
     target = sign.target
     if target.startswith("recouple(") and len(pairs) == 1:
         target = f"recouple({pairs[0][0]},{pairs[0][1]})"
-    reduced = recoupler.SignMatrix(sign.entries[keep], target, pairs)
+    reduced = recoupler.SignMatrix(sign.entries[[k - 1 for k in keep]],
+                                   target, pairs)
     return recoupler.emit_pulses(reduced, dt), keep
 
 
@@ -366,18 +374,15 @@ def run_recouple_plan(cfg):
     zeeman = bool(p.get("zeeman_free"))
     if p.get("pairs"):
         pairs = [tuple(int(x) for x in pair) for pair in p["pairs"]]
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise InputError(f"bad pair ({i},{j}) for n={n}")
         if len(pairs) == 1:
             sign = recoupler.plan_recouple(n, *pairs[0], remove_zeeman=zeeman)
         else:
             sign = recoupler.plan_recouple_parallel(n, pairs,
                                                     remove_zeeman=zeeman)
     else:
-        pairs = []
         sign = recoupler.plan_decouple(n, remove_zeeman=zeeman)
-    dt = float(p.get("dt", 0.0)) or recoupler.recouple_duration(1.0, sign.m)
+    dt = p.get("dt")
+    dt = recoupler.recouple_duration(1.0, sign.m) if dt is None else float(dt)
     sched = recoupler.emit_pulses(sign, dt)
     click.echo(f"target={sign.target} spins={n} intervals={sign.m} "
                f"pulses={sched.pulse_count} total_time={fmt(sign.m * dt)}")
@@ -441,15 +446,12 @@ def _rf_from_params(p):
     if rf_kind != "lorentzian":
         raise InputError(f"unknown rf model {rf_kind!r}")
     att = p.get("attenuations", (0.96, 0.92))
-    try:
-        return nmr_sim.RfModel.lorentzian(
-            tuple(float(a) for a in att),
-            nodes=int(p.get("nodes", 32)),
-            integration=p.get("integration", "quadrature"),
-            shots=int(p.get("shots", 512)),
-            seed=int(p.get("seed", 0)))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    return nmr_sim.RfModel.lorentzian(
+        tuple(float(a) for a in att),
+        nodes=int(p.get("nodes", 32)),
+        integration=p.get("integration", "quadrature"),
+        shots=int(p.get("shots", 512)),
+        seed=int(p.get("seed", 0)))
 
 
 def run_nmr_thermal(cfg):
@@ -489,7 +491,7 @@ def run_nmr_sequence(cfg):
 
 
 def run_nmr_tomo(cfg):
-    tol = float(cfg.params.get("tol", 1e-8))
+    tol = _tolerance(cfg.params, 1e-8)
     rng = np.random.default_rng(cfg.seed)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m + m.conj().T
@@ -542,10 +544,7 @@ def run_nmr_dj(cfg):
         probs = [float(x) for x in probs]
     else:
         probs = float(probs)
-    try:
-        out = nmr_sim.dj_thermal(n, f, probs)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    out = nmr_sim.dj_thermal(n, f, probs)
     click.echo(f"n={n} oracle={oracle}")
     click.echo("E: " + fmt_vec(out["E"]))
     click.echo(f"sum={fmt(out['sum'])} threshold={fmt(out['threshold'])} "
@@ -581,11 +580,8 @@ def run_nmr_two_bit(cfg):
     mode = p.get("mode", "coded")
     if mode == "both":
         raise InputError("single-point runs need --mode coded or control")
-    try:
-        out = nmr_sim.two_bit_experiment(theta, td, mode=mode, rf=rf,
-                                         system=system, t1_relax=t1)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    out = nmr_sim.two_bit_experiment(theta, td, mode=mode, rf=rf,
+                                     system=system, t1_relax=t1)
     click.echo(f"theta={fmt(theta)} td={fmt(td)} mode={mode}")
     click.echo(f"accepted: x={fmt(out['accepted'][0])} z={fmt(out['accepted'][1])}")
     click.echo(f"rejected: x={fmt(out['rejected'][0])} z={fmt(out['rejected'][1])}")
@@ -870,7 +866,7 @@ def main(argv=None):
     except VerdictError as exc:
         click.echo(f"FAIL: {exc}", err=True)
         return 2
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
     except click.ClickException as exc:

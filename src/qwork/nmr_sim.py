@@ -13,19 +13,26 @@ conjugates by exp(-i*theta/2 * sigma_eta).
 Delays evolve only the scalar coupling (Zeeman precession is absorbed by the
 rotating frame); density matrices are deviation matrices in angular-frequency
 units, so the thermal deviation is sum_i omega_i Z_i / 2.
+
+The RF ensemble is a leading array axis: ``rf_scale_sets`` gives S rows of
+per-channel pulse scales with their weights (one row of ones when RF is
+off), ``_run_pure`` evolves an (S, 2^n, 2^n) stack with one deviation per
+row, and every average is weights @ stack.  A stack takes S * 4^n * 16
+bytes: 256 KB for 32 x 32 quadrature nodes on two spins.
 """
 
 import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import constants as _const
 from scipy.optimize import brentq, least_squares
 
-from .qop_core import I2, PAULIS, SX, SY, conjugate_local, z_signs
+from .qop_core import PAULIS, conjugate_local, z_signs
 
 THETA_GRID = tuple(k * math.pi / 10 for k in range(11))
 STORAGE_MULTIPLES = (0, 12, 24, 36, 48, 60)
@@ -56,6 +63,8 @@ class SpinSystem:
         jm = tuple(tuple(float(x) for x in row) for row in self.j)
         if len(jm) != n or any(len(row) != n for row in jm):
             raise ValueError("coupling matrix must be n x n")
+        if not all(math.isfinite(x) for row in jm for x in row):
+            raise ValueError("couplings must be finite")
         for i in range(n):
             if jm[i][i] != 0.0:
                 raise ValueError("self-coupling must be zero")
@@ -69,8 +78,8 @@ class SpinSystem:
         object.__setattr__(self, "t2_star", t2)
         if self.t1 is not None:
             t1 = tuple(float(t) for t in self.t1)
-            if len(t1) != n or any(t <= 0 for t in t1):
-                raise ValueError("t1 times must be positive for every spin")
+            if len(t1) != n or not all(0 < t < math.inf for t in t1):
+                raise ValueError("t1 times must be positive and finite for every spin")
             object.__setattr__(self, "t1", t1)
 
     @property
@@ -139,6 +148,8 @@ def chloroform_system(input_spin="carbon"):
 
 def _coupling_period(system):
     """1/(2 J01): the delay over which the input pair's coupling turns ZZ by pi/2."""
+    if system.n < 2:
+        raise ValueError(f"the input pair needs two spins, got {system.n}")
     j = system.j[0][1]
     if not (math.isfinite(j) and j != 0.0):
         raise ValueError(f"the input pair needs a nonzero finite J01, got {j!r}")
@@ -196,82 +207,91 @@ def dephase_probability(t, t2_star):
 # sequence evolution
 
 def _rot2(axis, angle):
-    s = SX if axis == "x" else SY
-    return math.cos(angle / 2.0) * I2 - 1j * math.sin(angle / 2.0) * s
+    """exp(-i angle/2 sigma_axis); an (S, 2, 2) stack for an (S,) angle array."""
+    half = np.asarray(angle) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    # filled entry by entry: cheaper than summing broadcast products
+    out = np.empty(half.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    if axis == "x":
+        out[..., 0, 1] = out[..., 1, 0] = -1j * s
+    else:
+        out[..., 0, 1], out[..., 1, 0] = -s, s
+    return out
 
 
 def _apply_pulse(rho, ev, scales):
-    angle = ev.angle * (scales[ev.spin] if ev.scale_sensitive else 1.0)
-    return conjugate_local(_rot2(ev.axis, angle), rho, (ev.spin,))
+    scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
+    return conjugate_local(_rot2(ev.axis, ev.angle * scale), rho, (ev.spin,))
 
 
 def _apply_delay(system, rho, ev, scales):
-    n = system.n
+    # free evolution multiplies rho elementwise by the scalar-coupling phases
+    # (a diagonal conjugation) and each spin's dephasing mask; a refocused
+    # delay is two halves, each followed by pi_y flips of the refocused spins
     if ev.duration == 0.0:
         return rho
-    if ev.refocus:
-        inner = Event("delay", duration=ev.duration / 2.0, dephase=ev.dephase,
-                      t1_relax=ev.t1_relax)
-        flips = [Event("pulse", spin=s, axis="y", angle=math.pi) for s in ev.refocus]
-        rho = _apply_delay(system, rho, inner, scales)
-        for f in flips:
-            rho = _apply_pulse(rho, f, scales)
-        rho = _apply_delay(system, rho, inner, scales)
-        for f in flips:
-            rho = _apply_pulse(rho, f, scales)
-        return rho
-    t = ev.duration
+    n = system.n
+    halves = 2 if ev.refocus else 1
+    t = ev.duration / halves
     signs = z_signs(n)
-    # scalar-coupling phases (diagonal, so an elementwise conjugation)
     total = np.zeros(2 ** n)
     for i in range(n):
         for k in range(i + 1, n):
-            g = system.coupling(i, k)
-            if g:
-                total = total + g * t * signs[i] * signs[k]
-    if np.any(total):
+            total = total + system.coupling(i, k) * t * signs[i] * signs[k]
+    factors = []
+    if total.any():
         ph = np.exp(-1j * total)
-        phase = ph[:, None] * ph.conj()[None, :]
-        # populations are untouched by a diagonal conjugation; pin them so
-        # the identity component is preserved exactly, not just to rounding
-        np.fill_diagonal(phase, 1.0)
-        rho = rho * phase
+        factors.append(ph[:, None] * ph.conj()[None, :])
     if ev.dephase:
         for i in range(n):
             p = dephase_probability(t, system.t2_star[i])
-            mask = (1.0 - p) + p * np.outer(signs[i], signs[i])
-            np.fill_diagonal(mask, 1.0)
-            rho = rho * mask
-    if ev.t1_relax:
-        rho = _t1_step(system, rho, t)
+            factors.append((1.0 - p) + p * (signs[i][:, None] * signs[i]))
+    # none of them touches populations; pin those so the identity component
+    # is preserved exactly, not just to rounding
+    for f in factors:
+        np.fill_diagonal(f, 1.0)
+    flips = [(s, _rot2("y", math.pi * scales[:, s])) for s in ev.refocus]
+    for _ in range(halves):
+        for f in factors:
+            rho = rho * f
+        if ev.t1_relax:
+            rho = _t1_step(system, rho, t)
+        for s, op in flips:
+            rho = conjugate_local(op, rho, (s,))
     return rho
 
 
 def _t1_step(system, rho, t):
     # Phenomenological energy relaxation: each spin's longitudinal deviation
     # decays toward its thermal value; transverse parts are left to the
-    # dephasing model.  Assumes rho is a deviation in angular-frequency units.
+    # dephasing model.  Assumes rho is an (S, 2^n, 2^n) stack of deviations
+    # in the units of system.omega, each relaxing toward thermal_state(system).
     if system.t1 is None:
         raise ValueError("t1 relaxation requested but no t1 times configured")
     n = system.n
-    r = rho.reshape([2] * (2 * n))
+    r = rho.reshape((-1,) + (2,) * (2 * n))
+    eye = np.eye(2 ** (n - 1)).reshape((2,) * (2 * (n - 1)))
     for i in range(n):
         decay = math.exp(-t / system.t1[i])
-        r2 = np.moveaxis(r, (i, n + i), (0, 1))
-        b00, b11 = r2[0, 0].copy(), r2[1, 1].copy()
+        r2 = np.moveaxis(r, (1 + i, 1 + n + i), (1, 2))
+        b00, b11 = r2[:, 0, 0].copy(), r2[:, 1, 1].copy()
         even = (b00 + b11) / 2.0
         zpart = (b00 - b11) / 2.0
         zpart = decay * zpart
-        eye = np.eye(2 ** (n - 1)).reshape([2] * (2 * (n - 1)))
         zpart = zpart + (1.0 - decay) * (system.omega[i] / 2.0) * eye
-        r2[0, 0] = even + zpart
-        r2[1, 1] = even - zpart
-        r = np.moveaxis(r2, (0, 1), (i, n + i))
-    return r.reshape(2 ** n, 2 ** n)
+        r2[:, 0, 0] = even + zpart
+        r2[:, 1, 1] = even - zpart
+        r = np.moveaxis(r2, (1, 2), (1 + i, 1 + n + i))
+    return r.reshape(rho.shape)
 
 
 def _run_pure(system, rho, events, scales):
-    rho = np.array(rho, dtype=complex)
+    """Evolve rho (or an (S, 2^n, 2^n) stack) once per row of the (S, n)
+    scales; returns the (S, 2^n, 2^n) stack."""
+    stack = np.empty((len(scales),) + np.shape(rho)[-2:], dtype=complex)
+    stack[...] = rho
+    rho = stack
     for ev in events:
         if ev.kind == "pulse":
             rho = _apply_pulse(rho, ev, scales)
@@ -288,19 +308,14 @@ def run_sequence(system, rho, events, rf=None):
     With an active RF model the result is the ensemble average over the
     per-channel pulse-scale distribution (perfectly correlated within a run).
     """
-    sets = rf_scale_sets(rf, system.n)
-    out = None
-    for scales, weight in sets:
-        run = _run_pure(system, rho, events, scales)
-        out = weight * run if out is None else out + weight * run
-    return out
+    scales, weights = rf_scale_sets(rf, system.n)
+    return np.einsum("s,sij->ij", weights, _run_pure(system, rho, events, scales))
 
 
 def identity_offset(system, events):
     """Deviation of the identity under a sequence; zero means unital."""
     eye = np.eye(2 ** system.n, dtype=complex)
-    out = _run_pure(system, eye, events, (1.0,) * system.n)
-    return float(np.max(np.abs(out - eye)))
+    return float(np.max(np.abs(run_sequence(system, eye, events) - eye)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +409,23 @@ def state_tomography(prepare, tol=1e-8):
     none/x/y quarter-turn pulses per spin before acquisition.  Raises if the
     overdetermined line data are inconsistent beyond tol.
     """
-    variants = list(itertools.product((None, "x", "y"), repeat=2))
+    tables = {axis: _rotation_table(axis) for axis in (None, "x", "y")}
+    system = SpinSystem(omega=(0.0, 0.0), j=((0.0, 0.0), (0.0, 0.0)),
+                        t2_star=(1.0, 1.0))
     unknowns = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
     col = {ij: k for k, ij in enumerate(unknowns)}
     rows, vals = [], []
-    system = None
-    for ra, rb in variants:
+    for ra, rb in itertools.product(tables, repeat=2):
         rho = np.asarray(prepare(), dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("tomography needs two-spin deviations")
-        if system is None:
-            system = SpinSystem(omega=(0.0, 0.0), j=((0.0, 0.0), (0.0, 0.0)),
-                                t2_star=(1.0, 1.0))
         events = []
         if ra:
             events.append(pulse(0, ra, math.pi / 2))
         if rb:
             events.append(pulse(1, rb, math.pi / 2))
-        rot_a, rot_b = _rotation_table(ra), _rotation_table(rb)
-        peaks = peak_integrals(_run_pure(system, rho, events, (1.0, 1.0)))
+        rot_a, rot_b = tables[ra], tables[rb]
+        peaks = peak_integrals(run_sequence(system, rho, events))
         for partner, sign in (((0,), 1.0), ((1,), -1.0)):
             # spin-a line: -(i*(c10 + s*c13) + c20 + s*c23) after the pulses
             for k, pick in ((1, "imag"), (2, "real")):
@@ -455,7 +468,7 @@ def temporal_label(system, preps, rho=None):
         if prep is None:
             total = total + base
         elif isinstance(prep, (list, tuple)) and (not prep or isinstance(prep[0], Event)):
-            total = total + _run_pure(system, base, prep, (1.0,) * system.n)
+            total = total + run_sequence(system, base, prep)
         else:
             u = np.asarray(prep, dtype=complex)
             total = total + u @ base @ u.conj().T
@@ -659,46 +672,24 @@ def calibrate_width(target, nodes=32):
 
 
 def rf_scale_sets(rf, channels):
-    """(scales, weight) pairs for ensemble averaging; one entry when off."""
+    """(S, channels) pulse scales and (S,) weights of the ensemble; one row
+    of ones when RF is off.  Quadrature rows run over every node combination
+    with the last channel fastest."""
     if rf is None or rf.kind == "none":
-        return [((1.0,) * channels, 1.0)]
+        return np.ones((1, channels)), np.ones(1)
     if len(rf.widths) < channels:
         raise ValueError("need one width per channel")
-    per_channel = []
     if rf.integration == "quadrature":
-        for c in range(channels):
-            s, wt = _lorentz_nodes(rf.widths[c], rf.nodes)
-            per_channel.append(list(zip(s, wt)))
-        sets = []
-        for combo in itertools.product(*per_channel):
-            scales = tuple(c[0] for c in combo)
-            weight = 1.0
-            for c in combo:
-                weight *= c[1]
-            sets.append((scales, weight))
-        return sets
+        nodes = [_lorentz_nodes(w, rf.nodes) for w in rf.widths[:channels]]
+        grid = np.meshgrid(*[s for s, _ in nodes], indexing="ij")
+        wgrid = np.meshgrid(*[w for _, w in nodes], indexing="ij")
+        return (np.stack([g.ravel() for g in grid], axis=-1),
+                np.prod([g.ravel() for g in wgrid], axis=0))
     rng = np.random.default_rng(rf.seed)
     edge = math.atan(5.0)
-    draws = []
-    for c in range(channels):
-        u = rng.uniform(-edge, edge, size=rf.shots)
-        draws.append(1.0 + rf.widths[c] * np.tan(u))
-    sets = []
-    for k in range(rf.shots):
-        sets.append((tuple(draws[c][k] for c in range(channels)),
-                     1.0 / rf.shots))
-    return sets
-
-
-def rf_average(closure, rf, channels=2):
-    """Average an array-valued closure over the RF scale distribution."""
-    out = None
-    for scales, weight in rf_scale_sets(rf, channels):
-        val = np.asarray(closure(scales), dtype=float)
-        out = weight * val if out is None else out + weight * val
-    if out is not None and out.ndim == 0:
-        return float(out)
-    return out
+    draws = [1.0 + w * np.tan(rng.uniform(-edge, edge, size=rf.shots))
+             for w in rf.widths[:channels]]
+    return np.stack(draws, axis=-1), np.full(rf.shots, 1.0 / rf.shots)
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +740,18 @@ def decode_events(system):
     ]
 
 
+@lru_cache(maxsize=16)
+def _labeled_units(system):
+    """The system in the units of the two-run labeled state, a sum of two
+    runs normalized by omega_a: its thermal state, the equilibrium T1
+    relaxes toward, has the frequencies 2 omega_i / omega_a."""
+    return replace(system, omega=tuple(2.0 * w / system.omega[0] for w in system.omega))
+
+
 def _labeled_input(system, scales):
+    # sum of the two labeling runs, plain and flipped, per row of scales
     rho = thermal_state(system) / system.omega[0]
-    plain = rho
-    flipped = _run_pure(system, rho, cnot_ba_events(system), scales)
-    return plain + flipped
+    return rho + _run_pure(system, rho, cnot_ba_events(system), scales)
 
 
 def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
@@ -773,6 +771,8 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
         raise ValueError("storage time must be nonnegative")
     if mode not in ("coded", "control"):
         raise ValueError("mode must be 'coded' or 'control'")
+    if system.omega[0] == 0.0:
+        raise ValueError("outputs are normalized by omega of spin 0, which is zero")
     events = [pulse(0, "y", theta)]
     if mode == "coded":
         events += encode_events(system)
@@ -781,18 +781,13 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
         events += decode_events(system)
     events.append(pulse(0, "x", math.pi / 2))
 
-    def one_run(scales):
-        rho = _run_pure(system, _labeled_input(system, scales), events, scales)
-        peaks = peak_integrals(rho)
-        return np.array([
-            -peaks.a_low.imag, peaks.a_low.real,
-            -peaks.a_high.imag, peaks.a_high.real,
-        ])
-
-    vec = rf_average(one_run, rf, channels=system.n)
+    scales, weights = rf_scale_sets(rf, system.n)
+    stack = _run_pure(_labeled_units(system), _labeled_input(system, scales),
+                      events, scales)
+    peaks = peak_integrals(np.einsum("s,sij->ij", weights, stack))
     return {
-        "accepted": (float(vec[0]), float(vec[1])),
-        "rejected": (float(vec[2]), float(vec[3])),
+        "accepted": (-peaks.a_low.imag, peaks.a_low.real),
+        "rejected": (-peaks.a_high.imag, peaks.a_high.real),
     }
 
 

@@ -72,15 +72,22 @@ def apply_local(op, state, axes):
     """Apply the 2^k x 2^k ``op`` to qubits ``axes`` of an n-qubit state.
 
     ``state`` is a (2^n,) vector or a (2^n, m) matrix transformed column by
-    column; the first tensor factor of ``op`` acts on ``axes[0]``.  Only the
-    listed qubits are contracted, so no 2^n x 2^n operator is built.
+    column; the first tensor factor of ``op`` acts on ``axes[0]``.  A stack
+    of ops, (S, 2^k, 2^k), acts entry by entry on an (S, ...) stack of
+    states.  Only the listed qubits are contracted, so no 2^n x 2^n operator
+    is built.
     """
     state = np.asarray(state)
+    lead = state.shape[:np.ndim(op) - 2]
+    if lead == (1,):   # same memory layout as a plain state, minus the batching cost
+        op, lead = op[0], ()
+    elif lead:
+        op = op[:, None]
     k = len(axes)
     first = axes[0]
     if tuple(axes) == tuple(range(first, first + k)):
         # an ascending run of qubits is one axis of a plain reshape
-        t = state.reshape(1 << first, 1 << k, -1)
+        t = state.reshape(*lead, 1 << first, 1 << k, -1)
         return np.matmul(op, t).reshape(state.shape)
     # otherwise view the state as (gap, 2, gap, 2, ..., gap), one 2 per
     # listed qubit, and move the 2s together in op order
@@ -90,19 +97,19 @@ def apply_local(op, state, axes):
         dims += [1 << (q - prev - 1), 2]
         prev = q
     dims.append(-1)
-    perm = ([2 * i for i in range(k)]
-            + [2 * ordered.index(q) + 1 for q in axes] + [2 * k])
-    inverse = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inverse[p] = i
-    t = state.reshape(dims).transpose(perm)
-    t = np.matmul(op, t.reshape(-1, 1 << k, t.shape[-1])).reshape(t.shape)
-    return t.transpose(inverse).reshape(state.shape)
+    b = len(lead)
+    perm = (list(range(b)) + [b + 2 * i for i in range(k)]
+            + [b + 2 * ordered.index(q) + 1 for q in axes] + [b + 2 * k])
+    t = state.reshape(*lead, *dims).transpose(perm)
+    t = np.matmul(op, t.reshape(*lead, -1, 1 << k, t.shape[-1])).reshape(t.shape)
+    return t.transpose(np.argsort(perm)).reshape(state.shape)
 
 
 def conjugate_local(op, rho, axes):
-    """op rho op† for a local ``op`` on qubits ``axes`` of a 2^n x 2^n rho."""
-    return apply_local(np.conj(op), apply_local(op, rho, axes).T, axes).T
+    """op rho op† for a local ``op`` on qubits ``axes`` of a 2^n x 2^n rho
+    (or of an (S, 2^n, 2^n) stack, under an (S, 2^k, 2^k) stack of ops)."""
+    half = apply_local(op, rho, axes).swapaxes(-1, -2)
+    return apply_local(np.conj(op), half, axes).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -318,6 +318,9 @@ class PulseSchedule:
     target: str
 
     def __post_init__(self):
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"interval duration dt must be positive and finite, "
+                             f"got {self.dt!r}")
         if len(self.boundaries) != self.intervals + 1:
             raise ValueError(f"{self.intervals} intervals need {self.intervals + 1} "
                              f"boundaries, got {len(self.boundaries)}")

@@ -544,6 +544,8 @@ def ad_words(n, t):
     raised ones belong to the left factor, the plain to the right, and
     each factor alone stays within order t/2).
     """
+    if not t >= 0:
+        raise ValueError(f"damping order t must be nonnegative, got {t!r}")
     out = []
     for r in range(0, 2 * t + 1):
         for s in range(0, t - (r + 1) // 2 + 1):
@@ -581,10 +583,10 @@ def ad_correctable(code, t):
     hatch -- when some stabilizer element negates the whole word by plain
     multiplication, which zeroes it on the code space.
     """
+    words = ad_words(code.n, t)   # rejects t < 0 before any group work
     signs = code.group_signs()
     group = code.stabilizer_group()
     rejections, negated = [], []
-    words = ad_words(code.n, t)
     for word in words:
         ok = True
         for term in word.pauli_terms():

@@ -148,6 +148,38 @@ def test_recouple_plan_with_reduced_verify(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("pair", ["11,12", "10,11"])
+def test_recouple_plan_takes_one_based_pairs(capsys, pair):
+    code, out, _ = run_cli(capsys, "recouple", "plan", "--n", "12",
+                           "--pair", pair, "--verify")
+    assert code == 0 and "PASS dense check" in out
+    kept = out.split("reduced to spins ")[1].split("]")[0].split(",")
+    assert set(pair.split(",")) <= set(kept)
+
+
+@pytest.mark.parametrize("args", [
+    ("recouple", "plan", "--n", "5", "--pair", "0,1"),
+    ("recouple", "plan", "--n", "6", "--dt", "nan"),
+    ("recouple", "plan", "--n", "3000"),
+    ("bosonic", "verify", "--fixture", "ex1", "--gamma", "2"),
+    ("nmr", "label", "--scheme", "hybrid", "--omegas", "1"),
+    ("channel", "roundtrip", "--dims", "0"),
+])
+def test_library_value_errors_exit_3(capsys, args):
+    code, _, err = run_cli(capsys, *args)
+    assert code == 3 and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ("stab", "check", "--code", "shor9", "--t", "-1"),
+    ("nmr", "tomo", "--tol", "nan"),
+    ("channel", "roundtrip", "--count", "0"),
+])
+def test_verdicts_never_pass_vacuously(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 3 and "PASS" not in out and "error:" in err
+
+
 def test_recouple_decouple_verify(capsys):
     code, out, _ = run_cli(capsys, "recouple", "plan", "--n", "6", "--verify")
     assert code == 0 and "PASS" in out

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwork import nmr_sim as nm
 from qwork import qop_core as qc
@@ -75,6 +77,12 @@ def test_spin_system_validation():
             nm.SpinSystem(omega=(bad,), j=((0.0,),), t2_star=(1.0,))
         with pytest.raises(ValueError):
             nm.SpinSystem(omega=(1.0,), j=((0.0,),), t2_star=(bad,))
+        with pytest.raises(ValueError, match="t1"):
+            nm.SpinSystem(omega=(1.0, 1.0), j=((0.0, 1.0), (1.0, 0.0)),
+                          t2_star=(1.0, 1.0), t1=(bad, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            nm.SpinSystem(omega=(1.0,) * 3, t2_star=(1.0,) * 3,
+                          j=((0.0, 1.0, bad), (1.0, 0.0, 1.0), (bad, 1.0, 0.0)))
 
 
 def test_json_round_trip_exact():
@@ -183,6 +191,34 @@ def test_t1_requires_configuration():
                         [nm.delay(0.5, t1_relax=True)])
 
 
+def storage_outputs(*args, **kwargs):
+    out = nm.two_bit_experiment(*args, **kwargs)
+    return np.array(out["accepted"] + out["rejected"])
+
+
+@pytest.mark.parametrize("mode", ["coded", "control"])
+def test_t1_storage_relaxes_in_the_state_normalization(mode):
+    # the storage experiment reports omega_a-normalized sums of two labeled
+    # runs, so T1 has to pull the state toward its equilibrium in those
+    # units: the outputs cannot depend on the overall frequency scale, and
+    # a practically infinite t1 must change nothing
+    s = nm.formate_system()
+    scaled = nm.SpinSystem(omega=tuple(10 * w for w in s.omega), j=s.j,
+                           t2_star=s.t2_star, t1=s.t1)
+    frozen = nm.SpinSystem(omega=s.omega, j=s.j, t2_star=s.t2_star,
+                           t1=(1e12, 1e12))
+    for theta in (0.0, 0.9, math.pi / 2, math.pi):
+        for td in nm.storage_grid(s)[::2] + (0.3077,):
+            out = storage_outputs(theta, td, mode, system=s, t1_relax=True)
+            again = storage_outputs(theta, td, mode, system=scaled, t1_relax=True)
+            assert np.max(np.abs(again - out)) < 1e-12
+            slow = storage_outputs(theta, td, mode, system=frozen, t1_relax=True)
+            plain = storage_outputs(theta, td, mode, system=s)
+            assert np.max(np.abs(slow - plain)) < 1e-12
+            if mode == "control":
+                assert -1.0 <= out[1] <= 1.0
+
+
 # ----------------------------------------------------------------- readout
 
 def test_thermal_state_has_no_lines():
@@ -195,9 +231,9 @@ def test_readout_of_thermal_state():
     # quarter turn about x maps z onto the detected quadrature: both lines
     # of each spin come out equal, positive and real
     s = nm.formate_system()
-    rho = nm._run_pure(s, nm.thermal_state(s),
-                       [nm.pulse(0, "x", math.pi / 2),
-                        nm.pulse(1, "x", math.pi / 2)], (1.0, 1.0))
+    rho = nm.run_sequence(s, nm.thermal_state(s),
+                          [nm.pulse(0, "x", math.pi / 2),
+                           nm.pulse(1, "x", math.pi / 2)])
     peaks = nm.peak_integrals(rho)
     wa, wb = s.omega
     assert peaks.a_low == pytest.approx(wa / 2)
@@ -209,9 +245,8 @@ def test_readout_of_thermal_state():
 def test_flip_then_readout_splits_lines():
     # a b-controlled flip of the input spin makes its two lines antiphase
     s = nm.formate_system()
-    rho = nm._run_pure(s, nm.thermal_state(s), nm.cnot_ba_events(s),
-                       (1.0, 1.0))
-    rho = nm._run_pure(s, rho, [nm.pulse(0, "x", math.pi / 2)], (1.0, 1.0))
+    rho = nm.run_sequence(s, nm.thermal_state(s), nm.cnot_ba_events(s))
+    rho = nm.run_sequence(s, rho, [nm.pulse(0, "x", math.pi / 2)])
     peaks = nm.peak_integrals(rho)
     wa = s.omega[0]
     assert peaks.a_low == pytest.approx(wa / 2)
@@ -220,8 +255,7 @@ def test_flip_then_readout_splits_lines():
 
 def test_cnot_interchanges_populations():
     s = nm.formate_system()
-    out = nm._run_pure(s, nm.thermal_state(s), nm.cnot_ba_events(s),
-                       (1.0, 1.0))
+    out = nm.run_sequence(s, nm.thermal_state(s), nm.cnot_ba_events(s))
     th = np.diag(nm.thermal_state(s))
     swapped = np.array([th[0], th[3], th[2], th[1]])
     assert np.allclose(np.diag(out), swapped, atol=1e-6)
@@ -366,9 +400,9 @@ def test_dj_rejects_other_oracles():
 
 def test_rf_calibration_hits_targets():
     rf = nm.RfModel.lorentzian((0.96, 0.92), nodes=32)
+    scales, weights = nm.rf_scale_sets(rf, 2)
     for ch, target in ((0, 0.96), (1, 0.92)):
-        val = nm.rf_average(lambda s, c=ch: math.sin(s[c] * math.pi / 2),
-                            rf, channels=2)
+        val = weights @ np.sin(scales[:, ch] * math.pi / 2)
         assert val == pytest.approx(target, abs=1e-9)
 
 
@@ -376,11 +410,47 @@ def test_rf_monte_carlo_deterministic_and_close():
     rf = nm.RfModel(kind="lorentzian",
                     widths=nm.RfModel.lorentzian().widths,
                     integration="monte-carlo", shots=4000, seed=7)
-    f = lambda s: math.sin(s[0] * math.pi / 2)
-    v1 = nm.rf_average(f, rf, channels=2)
-    v2 = nm.rf_average(f, rf, channels=2)
+    def f():
+        scales, weights = nm.rf_scale_sets(rf, 2)
+        return weights @ np.sin(scales[:, 0] * math.pi / 2)
+    v1 = f()
+    v2 = f()
     assert v1 == v2
     assert v1 == pytest.approx(0.96, abs=5e-3)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=2, max_value=3), st.data())
+def test_ensemble_stack_matches_per_row_runs(n, data):
+    # the per-node meaning is the oracle: every scale row evolved on its
+    # own, then weighted
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    j = np.triu(rng.uniform(5.0, 200.0, size=(n, n)), 1)
+    system = nm.SpinSystem(omega=tuple(rng.uniform(0.5, 2.0, size=n)),
+                           j=tuple(map(tuple, j + j.T)),
+                           t2_star=tuple(rng.uniform(0.05, 1.0, size=n)),
+                           t1=tuple(rng.uniform(0.05, 1.0, size=n)))
+    events = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        if data.draw(st.booleans()):
+            events.append(nm.pulse(
+                int(rng.integers(n)), str(rng.choice(["x", "y"])),
+                float(rng.uniform(-math.pi, math.pi)),
+                scale_sensitive=data.draw(st.booleans())))
+        else:
+            events.append(nm.delay(
+                float(rng.uniform(0.0, 0.02)), dephase=data.draw(st.booleans()),
+                refocus=[q for q in range(n) if data.draw(st.booleans())],
+                t1_relax=data.draw(st.booleans())))
+    rf = nm.RfModel(kind="lorentzian", nodes=3,
+                    widths=tuple(rng.uniform(0.02, 0.2, size=n)))
+    rho = rand_deviation(n, rng)
+    scales, weights = nm.rf_scale_sets(rf, n)
+    assert scales.shape == (3 ** n, n)
+    want = sum(w * nm._run_pure(system, rho, events, row[None])[0]
+               for row, w in zip(scales, weights))
+    got = nm.run_sequence(system, rho, events, rf=rf)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_rf_none_matches_noiseless():
@@ -392,9 +462,9 @@ def test_rf_none_matches_noiseless():
 
 def test_rf_scale_sets_weights_normalized():
     rf = nm.RfModel.lorentzian(nodes=8)
-    sets = nm.rf_scale_sets(rf, 2)
-    assert len(sets) == 64
-    assert sum(w for _, w in sets) == pytest.approx(1.0, abs=1e-12)
+    scales, weights = nm.rf_scale_sets(rf, 2)
+    assert scales.shape == (64, 2) and weights.shape == (64,)
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         nm.rf_scale_sets(nm.RfModel(kind="gaussian"), 2)
 
@@ -417,10 +487,13 @@ def test_zero_coupling_is_rejected():
     s = nm.formate_system()
     free = nm.SpinSystem(omega=s.omega, j=((0.0, 0.0), (0.0, 0.0)),
                          t2_star=s.t2_star)
+    single = nm.SpinSystem(omega=(1.0,), j=((0.0,),), t2_star=(1.0,))
     for build in (nm.storage_grid, nm.cnot_ba_events, nm.encode_events,
                   nm.decode_events):
         with pytest.raises(ValueError, match="J01"):
             build(free)
+        with pytest.raises(ValueError, match="two spins"):
+            build(single)
 
 
 def test_calibrate_width_input_checks():
@@ -495,6 +568,10 @@ def test_two_bit_input_validation():
         nm.two_bit_experiment(0.5, -1.0)
     with pytest.raises(ValueError):
         nm.two_bit_experiment(0.5, 0.0, mode="protected")
+    s = nm.formate_system()
+    unscaled = nm.SpinSystem(omega=(0.0, s.omega[1]), j=s.j, t2_star=s.t2_star)
+    with pytest.raises(ValueError, match="normalized"):
+        nm.two_bit_experiment(0.5, 0.0, system=unscaled)
 
 
 # ---------------------------------------------------------------- analysis

@@ -159,6 +159,16 @@ def test_local_kernel_matches_full_operator(n, data):
     assert np.abs(qc.apply_local(op, mat, axes) - u @ mat).max() < 1e-12
     assert np.abs(qc.conjugate_local(op, rho, axes)
                   - u @ rho @ qc.dagger(u)).max() < 1e-11
+    # a stack of ops acts entry by entry on a stack of states
+    ops = cplx(3, 2 ** k, 2 ** k)
+    vecs, mats, rhos = cplx(3, 2 ** n), cplx(3, 2 ** n, 3), cplx(3, 2 ** n, 2 ** n)
+    got_vec, got_mat = qc.apply_local(ops, vecs, axes), qc.apply_local(ops, mats, axes)
+    got_rho = qc.conjugate_local(ops, rhos, axes)
+    for s in range(3):
+        u = full_operator(ops[s], axes, n)
+        assert np.abs(got_vec[s] - u @ vecs[s]).max() < 1e-12
+        assert np.abs(got_mat[s] - u @ mats[s]).max() < 1e-12
+        assert np.abs(got_rho[s] - u @ rhos[s] @ qc.dagger(u)).max() < 1e-11
 
 
 def test_z_signs_table():

@@ -291,6 +291,12 @@ def test_pulse_schedule_validates_boundaries():
                  "boundaries": boundaries, "target": "decouple"}))
 
 
+def test_pulse_schedule_rejects_bad_dt():
+    for dt in (math.nan, math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt"):
+            rc.PulseSchedule(3, 2, dt, [[1], [], [1]], "decouple")
+
+
 def test_doubling_order_halves_interval():
     g = 77.0
     assert rc.recouple_duration(g, 24) == pytest.approx(

@@ -237,6 +237,11 @@ def test_ad_word_enumeration_counts():
     assert len(st.ad_words(4, 1)) == 25
     assert len(st.ad_words(7, 1)) == 64
     assert len(st.ad_words(9, 2)) == 2620
+    # a negative order would check nothing and pass
+    with pytest.raises(ValueError, match="nonnegative"):
+        st.ad_words(4, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        st.ad_correctable(st.shor9(), -1)
 
 
 def test_single_loss_codes_pass():
