@@ -358,11 +358,8 @@ def _reduced_schedule(sign, dt):
     keep = sorted(keep[:8])
     relabel = {old: new for new, old in enumerate(keep, start=1)}
     pairs = tuple((relabel[i], relabel[j]) for i, j in sign.pairs)
-    target = sign.target
-    if target.startswith("recouple(") and len(pairs) == 1:
-        target = f"recouple({pairs[0][0]},{pairs[0][1]})"
     reduced = recoupler.SignMatrix(sign.entries[[k - 1 for k in keep]],
-                                   target, pairs)
+                                   sign.target, pairs)
     return recoupler.emit_pulses(reduced, dt), keep
 
 

@@ -765,6 +765,9 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
     """
     if system is None:
         system = formate_system()
+    if system.n != 2:
+        raise ValueError(f"the storage experiment needs a two-spin system, "
+                         f"got {system.n} spins")
     if not 0.0 <= theta <= math.pi:
         raise ValueError("preparation angle must lie in [0, pi]")
     if t_d < 0:

@@ -255,7 +255,7 @@ def _fit_slope(xs, ys):
 
 def _approx_quantities(code, errors):
     cols = [error_columns(code, e) for e in errors]
-    ne, k = len(errors), code.k
+    ne = len(errors)
     ws, hs, p, lam = [], [], np.empty(ne), np.empty(ne)
     for n, ac in enumerate(cols):
         w, h, s = _thin_polar(ac)

@@ -10,6 +10,7 @@ checks compiled schedules against their targets.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -46,27 +47,24 @@ class HadamardMatrix:
         object.__setattr__(self, "entries", e)
         if e.shape != (self.order, self.order) or not np.all(np.abs(e) == 1):
             raise ValueError("entries must be a +/-1 square matrix")
-        if not np.array_equal(e @ e.T, self.order * np.eye(self.order,
-                                                           dtype=np.int64)):
+        # a float Gram product runs through BLAS and stays exact: every
+        # partial sum of +/-1 products is an integer of size <= order
+        f = e.astype(float)
+        if not np.array_equal(f @ f.T, self.order * np.eye(self.order)):
             raise ValueError("rows are not orthogonal")
-
-
-def _sylvester(a, b):
-    return np.kron(a, b)
 
 
 def _paley(q):
     """Order q+1 matrix from quadratic residues mod a prime q = 3 mod 4."""
     if not _is_prime(q) or q % 4 != 3:
         raise ValueError("need a prime q with q = 3 mod 4")
-    residues = {(x * x) % q for x in range(1, q)}
-    chi = [0] + [1 if x in residues else -1 for x in range(1, q)]
-    n = q + 1
-    h = np.ones((n, n), dtype=np.int64)
-    for i in range(1, n):
-        h[i, 0] = -1
-        for j in range(1, n):
-            h[i, j] = 1 if i == j else chi[(j - i) % q]
+    chi = -np.ones(q, dtype=np.int64)
+    chi[np.arange(1, q) ** 2 % q] = 1
+    chi[0] = 0
+    i = np.arange(q)
+    h = np.ones((q + 1, q + 1), dtype=np.int64)
+    h[1:, 0] = -1
+    h[1:, 1:] = chi[(i[None, :] - i[:, None]) % q] + np.eye(q, dtype=np.int64)
     return h
 
 
@@ -92,29 +90,17 @@ def stored_h12():
 
 
 def _build_recipes():
-    """order -> construction recipe, every achievable order up to the cap."""
+    """order -> recipe for the orders hadamard() builds up to MAX_ORDER:
+    1 and 2, the other powers of two as Sylvester products 2 x order/2, and
+    the Paley orders q+1 (q a prime = 3 mod 4) that are not powers of two."""
     recipes = {1: ("base",), 2: ("base",)}
     o = 4
     while o <= MAX_ORDER:
         recipes[o] = ("sylvester", 2, o // 2)
         o *= 2
     for q in range(3, MAX_ORDER):
-        if q % 4 == 3 and _is_prime(q) and q + 1 <= MAX_ORDER:
+        if q % 4 == 3 and _is_prime(q):
             recipes.setdefault(q + 1, ("paley", q))
-    recipes.setdefault(12, ("stored",))
-    changed = True
-    while changed:
-        changed = False
-        known = sorted(recipes)
-        for a in known:
-            if a == 1:
-                continue
-            for b in known:
-                if b == 1 or a * b > MAX_ORDER:
-                    break
-                if a * b not in recipes:
-                    recipes[a * b] = ("sylvester", a, b)
-                    changed = True
     return recipes
 
 
@@ -122,61 +108,51 @@ _RECIPES = _build_recipes()
 _ORDERS = sorted(_RECIPES)
 
 
-def _construct(order):
-    recipe = _RECIPES[order]
-    if recipe[0] == "base":
-        return np.array([[1]] if order == 1 else [[1, 1], [1, -1]],
-                        dtype=np.int64)
-    if recipe[0] == "paley":
-        return _paley(recipe[1])
-    if recipe[0] == "stored":
-        return stored_h12().entries
-    _, a, b = recipe
-    return _sylvester(_construct(a), _construct(b))
-
-
-def _provenance(order):
-    recipe = _RECIPES[order]
-    if recipe[0] == "base":
-        return f"base({order})"
-    if recipe[0] == "paley":
-        return f"paley({recipe[1]})"
-    if recipe[0] == "stored":
-        return "stored(h12)"
-    return f"sylvester({recipe[1]},{recipe[2]})"
-
-
 def achievable_order(n):
-    """Smallest constructible order >= n."""
+    """Smallest order >= n that hadamard() builds: a power of two or a
+    Paley order q+1."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_ORDER:
         raise ValueError(f"order search capped at {MAX_ORDER}")
-    for o in _ORDERS:
-        if o >= n:
-            return o
-    raise ValueError("unreachable")
+    return _ORDERS[bisect.bisect_left(_ORDERS, n)]
 
 
 def hadamard(n_request):
+    """Hadamard matrix of order achievable_order(n_request)."""
     order = achievable_order(n_request)
-    return HadamardMatrix(order, _construct(order), _provenance(order))
+    recipe = _RECIPES[order]
+    if recipe[0] == "sylvester":
+        _, a, b = recipe
+        return HadamardMatrix(order, np.kron(hadamard(a).entries,
+                                             hadamard(b).entries),
+                              f"sylvester({a},{b})")
+    if recipe[0] == "paley":
+        return HadamardMatrix(order, _paley(recipe[1]), f"paley({recipe[1]})")
+    return HadamardMatrix(order, [[1]] if order == 1 else [[1, 1], [1, -1]],
+                          f"base({order})")
 
 
 def normalize(h):
     """Row/column negations making the first row and column all +."""
-    e = h.entries.copy()
-    for i in range(h.order):
-        if e[i, 0] == -1:
-            e[i] = -e[i]
-    for j in range(h.order):
-        if e[0, j] == -1:
-            e[:, j] = -e[:, j]
-    return HadamardMatrix(h.order, e, f"normalized({h.provenance})")
+    e = h.entries * h.entries[:, :1]
+    return HadamardMatrix(h.order, e * e[:1], f"normalized({h.provenance})")
 
 
 # ---------------------------------------------------------------------------
 # sign matrices
+
+
+def _check_pairs(pairs, n):
+    """Every 1-based pair must satisfy 1 <= i < j <= n, no spin twice."""
+    seen = set()
+    for i, j in pairs:
+        if not 1 <= i < j <= n:
+            raise ValueError(f"need 1 <= i < j <= {n}, got pair ({i},{j})")
+        if seen & {i, j}:
+            raise ValueError(f"pairs must be disjoint, got pair ({i},{j}) "
+                             f"reusing a spin")
+        seen |= {i, j}
 
 
 @dataclass(frozen=True)
@@ -204,19 +180,18 @@ class SignMatrix:
 
     def validate(self):
         e = self.entries
-        paired = set()
+        _check_pairs(self.pairs, self.n)
         for i, j in self.pairs:
             if not np.array_equal(e[i - 1], e[j - 1]):
                 raise ValueError(f"rows {i} and {j} must be identical")
-            paired |= {i - 1, j - 1}
         if self.target != "chain-decouple":
-            gram = e @ e.T
-            for a in range(self.n):
-                for b in range(a + 1, self.n):
-                    same_pair = any({a, b} == {i - 1, j - 1}
-                                    for i, j in self.pairs)
-                    if not same_pair and gram[a, b] != 0:
-                        raise ValueError(f"rows {a + 1},{b + 1} not orthogonal")
+            f = e.astype(float)   # exact, as in HadamardMatrix
+            bad = np.triu(f @ f.T != 0, 1)
+            for i, j in self.pairs:
+                bad[i - 1, j - 1] = False
+            if bad.any():
+                a, b = np.argwhere(bad)[0]
+                raise ValueError(f"rows {a + 1},{b + 1} not orthogonal")
         if self.target == "zeeman-free-identity" or self.pairs:
             if np.any(e.sum(axis=1) != 0):
                 raise ValueError("row sums must vanish")
@@ -226,36 +201,27 @@ class SignMatrix:
 def plan_decouple(n, remove_zeeman=False):
     """Sign matrix silencing every pairwise coupling.
 
-    Rows come from the normalized smallest-order Hadamard matrix; with
+    Rows come from the normalized Hadamard matrix of order
+    achievable_order(n), a power of two or a Paley order q+1; with
     remove_zeeman the all-plus first row is skipped (bumping the order when
     nothing would be left to skip) so each row also sums to zero.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if remove_zeeman:
-        order = achievable_order(n)
-        if order == n:
-            order = achievable_order(n + 1)
-        e = normalize(hadamard(order)).entries[1:n + 1]
+        e = normalize(hadamard(n + 1)).entries[1:n + 1]
         return SignMatrix(e, "zeeman-free-identity")
     e = normalize(hadamard(n)).entries[:n]
     return SignMatrix(e, "decouple")
 
 
 def _assign_pairs(norm_entries, n, pairs):
-    rows = np.zeros((n, norm_entries.shape[1]), dtype=np.int64)
-    available = list(range(1, norm_entries.shape[0]))
+    rows = iter(range(1, norm_entries.shape[0]))
     taken = {}
     for i, j in pairs:
-        shared = available.pop(0)
-        taken[i - 1] = shared
-        taken[j - 1] = shared
-    for s in range(n):
-        if s not in taken:
-            taken[s] = available.pop(0)
-    for s in range(n):
-        rows[s] = norm_entries[taken[s]]
-    return rows
+        taken[i - 1] = taken[j - 1] = next(rows)
+    return norm_entries[[taken[s] if s in taken else next(rows)
+                         for s in range(n)]]
 
 
 def plan_recouple(n, i, j, remove_zeeman=False):
@@ -270,21 +236,13 @@ def plan_recouple(n, i, j, remove_zeeman=False):
 
 def plan_recouple_parallel(n, pairs, remove_zeeman=False):
     """Recouple several disjoint 1-based pairs in one schedule."""
-    seen = set()
-    for i, j in pairs:
-        if not 1 <= i < j <= n:
-            raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
-        if seen & {i, j}:
-            raise ValueError("pairs must be disjoint")
-        seen |= {i, j}
-    order = achievable_order(n)
-    if remove_zeeman and order == n:
-        order = achievable_order(n + 1)
-    norm = normalize(hadamard(order)).entries
-    while len(pairs) + (n - 2 * len(pairs)) > order - 1:
-        order = achievable_order(order + 1)
-        norm = normalize(hadamard(order)).entries
-    rows = _assign_pairs(norm, n, pairs)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    _check_pairs(pairs, n)
+    # the all-plus row 0 is never assigned, so n spins without a shared row
+    # need an order above n; remove_zeeman asks for one too
+    norm = normalize(hadamard(n + 1 if remove_zeeman or not pairs else n))
+    rows = _assign_pairs(norm.entries, n, pairs)
     return SignMatrix(rows, "recouple", tuple(tuple(p) for p in pairs))
 
 
@@ -294,8 +252,7 @@ def plan_chain_decouple(n, k):
     if k < 2 or n < 2:
         raise ValueError("need n, k >= 2")
     base = normalize(hadamard(k)).entries
-    rows = np.array([base[s % k] for s in range(n)], dtype=np.int64)
-    return SignMatrix(rows, "chain-decouple")
+    return SignMatrix(base[np.arange(n) % k], "chain-decouple")
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +321,10 @@ def emit_pulses(sign, interval_duration):
     after the last for a trailing minus."""
     e = sign.entries
     n, m = e.shape
-    boundaries = [[] for _ in range(m + 1)]
-    for s in range(n):
-        if e[s, 0] == -1:
-            boundaries[0].append(s + 1)
-        for b in range(1, m):
-            if e[s, b - 1] != e[s, b]:
-                boundaries[b].append(s + 1)
-        if e[s, m - 1] == -1:
-            boundaries[m].append(s + 1)
-    return PulseSchedule(n, m, float(interval_duration),
-                         [sorted(b) for b in boundaries], _target_string(sign))
+    flips = np.diff(np.pad(e, ((0, 0), (1, 1)), constant_values=1), axis=1)
+    boundaries = [(np.flatnonzero(col) + 1).tolist() for col in flips.T]
+    return PulseSchedule(n, m, float(interval_duration), boundaries,
+                         _target_string(sign))
 
 
 def recouple_duration(g_ij, n_bar):

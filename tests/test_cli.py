@@ -250,6 +250,17 @@ def test_nmr_two_bit_rejects_non_finite_delay(capsys):
     assert code == 3 and "finite" in err
 
 
+def test_nmr_two_bit_rejects_three_spin_fixture(tmp_path, capsys):
+    (tmp_path / "three.json").write_text(json.dumps({
+        "kind": "spin_system", "name": "three",
+        "payload": {"omega_hz": [10.0, 5.0, 3.0],
+                    "J_hz": [[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]],
+                    "t2_star_s": [1.0, 1.0, 1.0]}}))
+    code, _, err = run_cli(capsys, "--fixture-dir", str(tmp_path), "nmr",
+                           "two-bit", "--system", "three", "--mode", "coded")
+    assert code == 3 and "got 3 spins" in err and "Traceback" not in err
+
+
 def test_nmr_two_bit_rejects_bad_rf_settings(capsys):
     base = ("nmr", "two-bit", "--rf", "lorentzian", "--theta", "0.3",
             "--mode", "coded")

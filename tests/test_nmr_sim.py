@@ -574,6 +574,15 @@ def test_two_bit_input_validation():
         nm.two_bit_experiment(0.5, 0.0, system=unscaled)
 
 
+def test_two_bit_experiment_needs_two_spins():
+    three = nm.SpinSystem(omega=(1.0, 2.0, 3.0),
+                          j=((0.0, 195.0, 10.0), (195.0, 0.0, 20.0),
+                             (10.0, 20.0, 0.0)),
+                          t2_star=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="two-spin system, got 3 spins"):
+        nm.two_bit_experiment(0.5, 0.0, system=three)
+
+
 # ---------------------------------------------------------------- analysis
 
 def test_ellipse_circle():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwork import recoupler as rc
 
@@ -41,6 +44,62 @@ def test_orthogonality_integer_exact_up_to_256():
         assert h.order >= n
         assert np.array_equal(h.entries @ h.entries.T,
                               h.order * np.eye(h.order, dtype=np.int64))
+
+
+def _digest(labelled):
+    h = hashlib.sha256()
+    for label, entries in labelled:
+        h.update(f"{label}:".encode())
+        h.update(entries.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 digests pinning every entry, order and provenance string of the
+# constructions and plans below
+PINNED = {
+    "hadamard": "38a6ec79183edebf83a6095aa7302250cafc938730f04536f45555394c0d8b83",
+    "decouple": "5917aeabd7cc808b50250494810a19b4c12c2e24ba614307ee6480141b77695f",
+    "zeeman": "0fd079f29403b27b3eabd3ff3f3a207ee219cdcaff9712249c44acf8d57e0669",
+    "recouple": "d607ca0b9fc0f9dfcf1f177d3620d029bc6f7ec018fd5af76831c9cbff9fa6ca",
+    "chain": "1d404228c9ce815a4354d4d410d10b51279c525e30081d4143458318e813d101",
+}
+
+
+def test_hadamard_orders_up_to_512_pinned():
+    orders = sorted({rc.achievable_order(n) for n in range(1, 513)})
+    mats = [rc.hadamard(o) for o in orders]
+    assert _digest((f"{m.order}:{m.provenance}", m.entries)
+                   for m in mats) == PINNED["hadamard"]
+
+
+@pytest.mark.parametrize("name, plan", [
+    ("decouple", rc.plan_decouple),
+    ("zeeman", lambda n: rc.plan_decouple(n, remove_zeeman=True)),
+    ("recouple", lambda n: rc.plan_recouple(n, 1, n)),
+    ("chain", lambda n: rc.plan_chain_decouple(n, 2 + n % 7)),
+])
+def test_plans_up_to_256_pinned(name, plan):
+    signs = ((n, plan(n).entries) for n in range(2, 257))
+    assert _digest((f"{n}:{e.shape}", e) for n, e in signs) == PINNED[name]
+
+
+def test_recipes_are_powers_of_two_and_paley_orders():
+    assert len(rc._RECIPES) == 167
+    for order, recipe in rc._RECIPES.items():
+        power = order & (order - 1) == 0
+        assert recipe[0] == ("base" if order <= 2 else
+                             "sylvester" if power else "paley")
+
+
+def test_one_flipped_entry_is_rejected():
+    h = rc.hadamard(256).entries
+    for r, c in ((0, 0), (97, 200), (255, 255)):
+        bad = h.copy()
+        bad[r, c] = -bad[r, c]
+        with pytest.raises(ValueError, match="not orthogonal"):
+            rc.HadamardMatrix(256, bad, "flipped")
+        with pytest.raises(ValueError, match="not orthogonal"):
+            rc.SignMatrix(bad, "decouple")
 
 
 def test_invalid_matrix_rejected():
@@ -152,6 +211,28 @@ def test_four_spin_simplified_pulses():
     sched = rc.emit_pulses(rc.plan_decouple(4), 1e-3)
     assert sched.boundaries == [[], [2, 4], [2, 3], [2, 4], [2, 3]]
     assert sched.pulse_count == 8
+
+
+def pm_matrices(max_rows, max_cols, min_rows=1):
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda n: st.integers(1, max_cols).flatmap(
+            lambda m: st.lists(st.lists(st.sampled_from((-1, 1)),
+                                        min_size=m, max_size=m),
+                               min_size=n, max_size=n))).map(np.array)
+
+
+@settings(deadline=None, max_examples=80)
+@given(pm_matrices(6, 10))
+def test_emit_pulses_marks_every_sign_change(e):
+    n, m = e.shape
+    expected = [[] for _ in range(m + 1)]
+    for s, row in enumerate(e.tolist(), start=1):
+        padded = [1, *row, 1]
+        for b in range(m + 1):
+            if padded[b] != padded[b + 1]:
+                expected[b].append(s)
+    sched = rc.emit_pulses(rc.SignMatrix(e, "chain-decouple"), 1.0)
+    assert sched.boundaries == expected
 
 
 def test_all_plus_gives_no_pulses():
@@ -317,3 +398,36 @@ def test_sign_matrix_validation():
         rc.SignMatrix(np.ones((2, 3), dtype=int), "decouple")  # not orthogonal
     with pytest.raises(ValueError):
         rc.SignMatrix(np.array([[1, 1], [1, -1]]), "recouple", ((1, 2),))
+
+
+@settings(deadline=None, max_examples=120)
+@given(pm_matrices(6, 8, min_rows=2), st.data())
+def test_validate_names_first_bad_pair(e, data):
+    n = e.shape[0]
+    pairs = ()
+    if data.draw(st.booleans()):
+        i, j = sorted(data.draw(st.lists(st.integers(1, n), min_size=2,
+                                         max_size=2, unique=True)))
+        e[j - 1] = e[i - 1]
+        pairs = ((i, j),)
+    bad = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+           if (a, b) not in pairs and e[a - 1] @ e[b - 1] != 0]
+    target = "recouple" if pairs else "decouple"
+    if bad:
+        with pytest.raises(ValueError,
+                           match=f"rows {bad[0][0]},{bad[0][1]} not orthogonal"):
+            rc.SignMatrix(e, target, pairs)
+    elif pairs and np.any(e.sum(axis=1) != 0):
+        with pytest.raises(ValueError, match="row sums"):
+            rc.SignMatrix(e, target, pairs)
+    else:
+        rc.SignMatrix(e, target, pairs)
+
+
+def test_sign_matrix_rejects_pairs_outside_rows():
+    e = rc.plan_recouple(4, 1, 2).entries
+    for pair in ((0, 1), (1, 5), (2, 1)):
+        with pytest.raises(ValueError, match=rf"\({pair[0]},{pair[1]}\)"):
+            rc.SignMatrix(e, "recouple", (pair,))
+    with pytest.raises(ValueError, match=r"disjoint, got pair \(2,3\)"):
+        rc.SignMatrix(e, "recouple", ((1, 2), (2, 3)))

@@ -34,3 +34,45 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert found == []
+
+
+def _unread_locals(func):
+    # names the function body itself binds (nested scopes are checked on
+    # their own) that nothing in the function, nested scopes included, reads
+    stored, declared, todo = set(), set(), list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stored.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    read = {node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in stored - read - declared
+                  if not name.startswith("_"))
+
+
+def _functions(node, prefix=""):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_no_unread_locals():
+    # an assigned name that is never read is dead code or a lost result
+    found = []
+    for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name} {name}: {local}"
+                  for name, func in _functions(tree)
+                  for local in _unread_locals(func)]
+    assert found == []
