@@ -303,18 +303,29 @@ def construct_t2(x):
 # fidelity
 
 
+def _check_loss(t, gamma=0.0):
+    """t is a loss order and gamma a loss probability (as standard_channel
+    checks it)."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma={gamma} out of [0, 1]")
+    if not t >= 0:
+        raise ValueError(f"loss order t must be nonnegative, got {t!r}")
+
+
 def code_fidelity(n_total, t, gamma):
     """Success probability when every loss of up to t quanta is repaired.
 
     Includes the no-loss term s = 0, so the small-gamma expansion reads
     1 - comb(n_total, t+1) * gamma^(t+1) + ...
     """
+    _check_loss(t, gamma)
     return sum(math.comb(n_total, s) * (1 - gamma) ** (n_total - s) * gamma ** s
                for s in range(t + 1))
 
 
 def leading_term(n_total, t):
     """Coefficient of the first uncorrected order gamma^(t+1)."""
+    _check_loss(t)
     return math.comb(n_total, t + 1)
 
 

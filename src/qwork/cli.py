@@ -1,8 +1,10 @@
 """Command-line frontend: named fixtures, reproducible runs, CSV/JSON output.
 
-Every subcommand builds an ExperimentConfig and hands it to a dispatcher, so
-a run is fully determined by its config (including the seed); ``qwork run
---config file.json`` replays any invocation bit-for-bit.
+The click command tree is the one declaration of every command, its options
+and their defaults.  A run is fully determined by its command path, option
+values, fixture directory and seed; ``qwork run --config file.json`` replays
+an ExperimentConfig holding them through the same click command and option
+types, so it prints what the command line prints.
 
 Exit codes: 0 = pass, 2 = a verdict check failed, 3 = input/config error.
 """
@@ -43,17 +45,27 @@ def fmt_vec(values):
     return " ".join(fmt(v) for v in values)
 
 
-def _tolerance(p, default):
+def _check_tolerance(tol):
     """A verdict tolerance; NaN or a non-positive one would pass anything
     or nothing."""
-    tol = float(p.get("tol", default))
     if not 0 < tol < math.inf:
         raise InputError(f"--tol must be positive and finite, got {tol!r}")
-    return tol
 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+_CONFIG_FIELDS = {
+    "command": ("a list of strings", lambda v: isinstance(v, list)
+                and all(isinstance(c, str) for c in v)),
+    "params": ("an object", lambda v: isinstance(v, dict)),
+    "fixture_dir": ("a string or null",
+                    lambda v: v is None or isinstance(v, str)),
+    "seed": ("an integer", lambda v: isinstance(v, int)
+             and not isinstance(v, bool)),
+    "output": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -78,13 +90,17 @@ class ExperimentConfig:
     def from_json(cls, text):
         try:
             data = json.loads(text)
-            return cls(command=tuple(data["command"]),
-                       params=dict(data.get("params", {})),
-                       fixture_dir=data.get("fixture_dir"),
-                       seed=int(data.get("seed", 0)),
-                       output=data.get("output"))
+            command = data["command"]
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad config: {exc}")
+        for name, value in data.items():
+            if name not in _CONFIG_FIELDS:
+                raise InputError(f"bad config: unknown field {name!r}")
+            want, ok = _CONFIG_FIELDS[name]
+            if not ok(value):
+                raise InputError(f"bad config: {name!r} must be {want}, "
+                                 f"got {value!r}")
+        return cls(**dict(data, command=tuple(command)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,41 +229,162 @@ class FixtureRegistry:
         return out
 
 
-def _registry(cfg):
-    return FixtureRegistry(cfg.fixture_dir)
-
-
-def _open_output(cfg):
-    if cfg.output:
-        return open(cfg.output, "w", newline="")
-    return None
-
-
 # ---------------------------------------------------------------------------
-# command implementations (all take an ExperimentConfig)
+# commands: the click tree declares each command once, with its options and
+# defaults; ``run --config`` replays a config through the same tree
 
-def run_list_fixtures(cfg):
-    reg = _registry(cfg)
-    rows = reg.rows()
+class Numbers(click.ParamType):
+    """Numbers of one click type: a comma-separated string on the command
+    line, a JSON number or list of numbers in a config; ``size`` fixes how
+    many."""
+
+    name = "text"   # the command-line form is a comma-separated string
+
+    def __init__(self, item, size=None):
+        self.item, self.size = item, size
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str):
+            items = value.split(",")
+        elif isinstance(value, (list, tuple)):
+            items = value
+        else:
+            items = [value]
+        if self.size is not None and len(items) != self.size:
+            self.fail(f"{value!r} is not {self.size} comma-separated values",
+                      param, ctx)
+        return tuple(self.item.convert(x, param, ctx) for x in items)
+
+
+def _json_kind_ok(ptype, value):
+    """Whether a config value has the JSON kind that click type ``ptype``
+    takes; the type's own conversion would truncate 3.5 or parse "3"."""
+    if isinstance(ptype, Numbers):
+        items = value if isinstance(value, list) else [value]
+        return all(_json_kind_ok(ptype.item, x) for x in items)
+    if isinstance(ptype, click.types.BoolParamType):
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if isinstance(ptype, click.types.IntParamType):
+        return isinstance(value, int)
+    if isinstance(ptype, click.types.FloatParamType):
+        return isinstance(value, (int, float))
+    return isinstance(value, str)
+
+
+def replay(cfg):
+    """Run an ExperimentConfig through the click command it names.
+
+    The params are that command's parameter names and go through its own
+    types, defaults and required checks; the config's seed and output feed
+    --seed and --out.  A bad key or value is an InputError naming the key.
+    """
+    path = " ".join(cfg.command)
+    cmd = cli
+    for name in cfg.command:
+        cmd = getattr(cmd, "commands", {}).get(name)
+        if cmd is None:
+            break
+    if cmd is None or isinstance(cmd, click.Group):
+        raise InputError(f"unknown command {path!r}")
+    options = {param.name: param for param in cmd.params}
+    params = dict(cfg.params)
+    for key in params:
+        if key not in options:
+            raise InputError(f"unknown param {key!r} for {path!r}")
+    for name, field_name in (("seed", "seed"), ("out", "output")):
+        value = getattr(cfg, field_name)
+        if name in options:
+            if params.setdefault(name, value) != value:
+                raise InputError(f"param {name!r} disagrees with the "
+                                 f"config's {field_name!r}")
+        elif value:
+            raise InputError(f"config {field_name!r} is set but {path!r} "
+                             f"has no --{name}")
+    # the parent link shares ctx.meta, where `run` notes the configs it reads
+    ctx = click.Context(cli, parent=click.get_current_context(silent=True),
+                        obj=cfg.fixture_dir)
+    kwargs = {}
+    for key, value in params.items():
+        param = options[key]
+        items = value if param.multiple else [value]
+        nullable = value is None and param.default is None
+        if not nullable and not (isinstance(items, list) and all(
+                _json_kind_ok(param.type, x) for x in items)):
+            raise InputError(f"param {key!r} has the wrong JSON type: "
+                             f"{value!r}")
+        try:
+            kwargs[key] = param.type_cast_value(ctx, value)
+        except click.BadParameter as exc:
+            raise InputError(f"param {key!r}: {exc.message}")
+    for param in cmd.params:
+        if param.required and param.name not in kwargs:
+            raise InputError(f"missing required param {param.name!r} "
+                             f"for {path!r}")
+    return ctx.invoke(cmd, **kwargs)
+
+
+@click.group()
+@click.option("--fixture-dir", envvar=FIXTURE_DIR_ENV, default=None,
+              help="Directory of extra fixture JSON files.")
+@click.pass_context
+def cli(ctx, fixture_dir):
+    """Workbench for channels, error-correcting codes, and NMR experiments."""
+    ctx.obj = fixture_dir
+
+
+@cli.command("list-fixtures")
+@click.pass_obj
+def cmd_list_fixtures(fixture_dir):
+    """Show every named fixture with its validation summary."""
+    rows = FixtureRegistry(fixture_dir).rows()
     width = max(len(r[0]) for r in rows)
     kw = max(len(r[1]) for r in rows)
     for name, kind, info in rows:
         click.echo(f"{name:<{width}}  {kind:<{kw}}  {info}")
-    return 0
 
 
-def run_channel_roundtrip(cfg):
-    p = cfg.params
-    dims = p.get("dims", [2, 3, 4])
-    count = p.get("count", 60)
+@cli.command("run")
+@click.option("--config", "config_path", required=True,
+              type=click.Path(), help="ExperimentConfig JSON file.")
+@click.pass_context
+def cmd_run(ctx, config_path):
+    """Replay a saved configuration exactly."""
+    # a config may replay another one, but a cycle would never end
+    real = os.path.realpath(config_path)
+    reading = ctx.meta.setdefault("qwork.configs", set())
+    if real in reading:
+        raise InputError(f"config {config_path} replays itself")
+    reading.add(real)
+    try:
+        with open(config_path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read config: {exc}")
+    replay(ExperimentConfig.from_json(text))
+
+
+@cli.group()
+def channel():
+    """Quantum-channel utilities."""
+
+
+@channel.command("roundtrip")
+@click.option("--count", default=60, show_default=True)
+@click.option("--dims", type=Numbers(click.INT), default="2,3,4",
+              show_default=True)
+@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--seed", default=0, show_default=True)
+def cmd_channel_roundtrip(count, dims, tol, seed):
+    """Random-channel Choi/Kraus round-trip check."""
     if not count >= 1:
         raise InputError(f"--count must be at least 1, got {count!r}")
-    tol = _tolerance(p, 1e-9)
-    rng = np.random.default_rng(cfg.seed)
+    _check_tolerance(tol)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(count):
-        dim = int(dims[k % len(dims)])
-        ch = qop_core.random_channel(dim, rng=rng)
+        ch = qop_core.random_channel(dims[k % len(dims)], rng=rng)
         choi = qop_core.choi_of(ch)
         back = qop_core.kraus_from_choi(choi)
         worst = max(worst, float(np.max(np.abs(
@@ -257,21 +394,22 @@ def run_channel_roundtrip(cfg):
     if worst >= tol:
         raise VerdictError(f"round-trip error {fmt(worst)} >= {fmt(tol)}")
     click.echo("PASS round-trip within tolerance")
-    return 0
 
 
-def run_channel_show(cfg):
-    p = dict(cfg.params)
-    kind = p.pop("kind")
+@channel.command("show")
+@click.option("--kind", required=True)
+@click.option("--p", type=float, default=None)
+@click.option("--gamma", type=float, default=None)
+@click.option("--cutoff", type=int, default=None)
+def cmd_channel_show(kind, **given):
+    """Print the Choi spectrum and unitality of a named channel."""
     if kind not in _CHANNEL_KINDS:
         raise InputError(f"unknown channel kind {kind!r} "
                          f"(have: {', '.join(sorted(_CHANNEL_KINDS))})")
-    needed = _CHANNEL_KINDS[kind]
-    args = {}
-    for name in needed:
-        if p.get(name) is None:
+    args = {name: given[name] for name in _CHANNEL_KINDS[kind]}
+    for name, value in args.items():
+        if value is None:
             raise InputError(f"channel {kind} needs --{name}")
-        args[name] = int(p[name]) if name == "cutoff" else float(p[name])
     ch = qop_core.standard_channel(kind, **args)
     choi = qop_core.choi_of(ch)
     evals = np.linalg.eigvalsh(choi.mat)
@@ -282,12 +420,17 @@ def run_channel_show(cfg):
     click.echo(f"completely_positive: {bool(evals[0] > -1e-9)}")
     offset, _ = qop_core.deviation_map(ch)
     click.echo(f"unital_offset: {fmt(np.max(np.abs(offset)))}")
-    return 0
 
 
-def run_qec_four_bit(cfg):
-    p = cfg.params
-    gamma = float(p.get("gamma", 0.01))
+@cli.group()
+def qec():
+    """Approximate error-correction pipelines."""
+
+
+@qec.command("four-bit")
+@click.option("--gamma", default=0.01, show_default=True)
+def cmd_qec_four_bit(gamma):
+    """Run the four-qubit loss-code recovery pipeline."""
     if not 0 < gamma < 0.5:
         raise InputError("gamma must be in (0, 0.5)")
     report = qec_engine.four_bit_pipeline(gamma)
@@ -301,16 +444,22 @@ def run_qec_four_bit(cfg):
     if not 4.5 <= lead <= 5.5:
         raise VerdictError(f"leading coefficient {fmt(lead)} outside [4.5, 5.5]")
     click.echo("PASS leading coefficient in [4.5, 5.5]")
-    return 0
 
 
-def run_bosonic_verify(cfg):
-    p = cfg.params
-    reg = _registry(cfg)
-    code = reg.bosonic_code(p["fixture"])
-    gamma = float(p.get("gamma", 0.01))
+@cli.group()
+def bosonic():
+    """Multimode excitation-loss codes."""
+
+
+@bosonic.command("verify")
+@click.option("--fixture", required=True)
+@click.option("--gamma", default=0.01, show_default=True)
+@click.pass_obj
+def cmd_bosonic_verify(fixture_dir, fixture, gamma):
+    """Check a named bosonic code structurally and against the channel."""
+    code = FixtureRegistry(fixture_dir).bosonic_code(fixture)
     exact = bosonic_codes.check_nondeformation(code)
-    click.echo(f"fixture={p['fixture']} order={code.t} registers={code.m}")
+    click.echo(f"fixture={fixture} order={code.t} registers={code.m}")
     click.echo(f"structural_check: passed={exact.passed} "
                f"max_discrepancy={fmt(exact.max_discrepancy)}")
     chan = bosonic_codes.verify_by_channel(code, gamma)
@@ -321,27 +470,37 @@ def run_bosonic_verify(cfg):
     if not exact.passed or chan.verdict != "exact":
         raise VerdictError("bosonic fixture failed verification")
     click.echo("PASS")
-    return 0
 
 
-def run_stab_check(cfg):
-    p = cfg.params
-    reg = _registry(cfg)
-    name = p["code"]
-    code = reg.code(name)
-    t = int(p.get("t", 1))
-    report = stabilizer.ad_correctable(code, t)
-    click.echo(f"code={name} n={code.n} k={code.k} t={t}")
+@cli.group()
+def stab():
+    """Stabilizer codes."""
+
+
+@stab.command("check")
+@click.option("--code", required=True)
+@click.option("--t", default=1, show_default=True)
+@click.option("--distance", is_flag=True)
+@click.pass_obj
+def cmd_stab_check(fixture_dir, code, t, distance):
+    """Check loss-error correctability of a named stabilizer code."""
+    stab_code = FixtureRegistry(fixture_dir).code(code)
+    report = stabilizer.ad_correctable(stab_code, t)
+    click.echo(f"code={code} n={stab_code.n} k={stab_code.k} t={t}")
     click.echo(f"checked_products={report.checked} "
                f"negated_pairs={len(report.negated)}")
-    if p.get("distance"):
-        click.echo(f"pauli_distance={stabilizer.pauli_distance(code)}")
+    if distance:
+        click.echo(f"pauli_distance={stabilizer.pauli_distance(stab_code)}")
     if not report.correctable:
         first = report.rejections[0] if report.rejections else "?"
         raise VerdictError(
             f"loss errors of order {t} NOT correctable (first failure: {first})")
     click.echo(f"PASS loss errors up to order {t} correctable")
-    return 0
+
+
+@cli.group()
+def recouple():
+    """Decoupling and selective recoupling schedules."""
 
 
 def _reduced_schedule(sign, dt):
@@ -363,34 +522,44 @@ def _reduced_schedule(sign, dt):
     return recoupler.emit_pulses(reduced, dt), keep
 
 
-def run_recouple_plan(cfg):
-    p = cfg.params
-    n = int(p["n"])
+def _unit_couplings(n):
+    g = np.ones((n, n))
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
+@recouple.command("plan")
+@click.option("--n", required=True, type=int)
+@click.option("--pair", "pairs", multiple=True, type=Numbers(click.INT, 2),
+              help="Spin pair to recouple, e.g. --pair 3,4; repeatable.")
+@click.option("--zeeman-free", is_flag=True)
+@click.option("--dt", type=float, default=None,
+              help="Interval duration (defaults to the recoupling period).")
+@click.option("--verify", is_flag=True)
+@click.option("--out", default=None, type=click.Path())
+def cmd_recouple_plan(n, pairs, zeeman_free, dt, verify, out):
+    """Print (and optionally verify / save) a pulse schedule."""
     if n < 2:
         raise InputError("need at least two spins")
-    zeeman = bool(p.get("zeeman_free"))
-    if p.get("pairs"):
-        pairs = [tuple(int(x) for x in pair) for pair in p["pairs"]]
-        if len(pairs) == 1:
-            sign = recoupler.plan_recouple(n, *pairs[0], remove_zeeman=zeeman)
-        else:
-            sign = recoupler.plan_recouple_parallel(n, pairs,
-                                                    remove_zeeman=zeeman)
+    if not pairs:
+        sign = recoupler.plan_decouple(n, remove_zeeman=zeeman_free)
+    elif len(pairs) == 1:
+        sign = recoupler.plan_recouple(n, *pairs[0], remove_zeeman=zeeman_free)
     else:
-        sign = recoupler.plan_decouple(n, remove_zeeman=zeeman)
-    dt = p.get("dt")
-    dt = recoupler.recouple_duration(1.0, sign.m) if dt is None else float(dt)
+        sign = recoupler.plan_recouple_parallel(n, pairs,
+                                                remove_zeeman=zeeman_free)
+    if dt is None:
+        dt = recoupler.recouple_duration(1.0, sign.m)
     sched = recoupler.emit_pulses(sign, dt)
     click.echo(f"target={sign.target} spins={n} intervals={sign.m} "
                f"pulses={sched.pulse_count} total_time={fmt(sign.m * dt)}")
     for row in sign.entries:
         click.echo("".join("+" if v > 0 else "-" for v in row))
-    out = _open_output(cfg)
-    if out is not None:
-        with out:
-            out.write(sched.to_json())
-        click.echo(f"wrote {cfg.output}")
-    if p.get("verify"):
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(sched.to_json())
+        click.echo(f"wrote {out}")
+    if verify:
         if n <= 8:
             check = recoupler.verify_schedule(
                 sched, recoupler.CouplingSystem(_unit_couplings(n)))
@@ -405,13 +574,11 @@ def run_recouple_plan(cfg):
             raise VerdictError(
                 f"schedule deviation {fmt(check.max_deviation)} over tolerance")
         click.echo("PASS dense check under 1e-10")
-    return 0
 
 
-def _unit_couplings(n):
-    g = np.ones((n, n))
-    np.fill_diagonal(g, 0.0)
-    return g
+@cli.group()
+def nmr():
+    """Bulk-spin simulation and the two-spin storage experiment."""
 
 
 def _events_from_spec(items):
@@ -436,341 +603,25 @@ def _events_from_spec(items):
     return events
 
 
-def _rf_from_params(p):
-    rf_kind = p.get("rf", "none")
-    if rf_kind == "none":
+def _rf_model(rf, **settings):
+    """The RF-inhomogeneity model --rf names, or None for "none"."""
+    if rf == "none":
         return None
-    if rf_kind != "lorentzian":
-        raise InputError(f"unknown rf model {rf_kind!r}")
-    att = p.get("attenuations", (0.96, 0.92))
-    return nmr_sim.RfModel.lorentzian(
-        tuple(float(a) for a in att),
-        nodes=int(p.get("nodes", 32)),
-        integration=p.get("integration", "quadrature"),
-        shots=int(p.get("shots", 512)),
-        seed=int(p.get("seed", 0)))
-
-
-def run_nmr_thermal(cfg):
-    reg = _registry(cfg)
-    system = reg.system(cfg.params.get("system", "formate"))
-    rho = nmr_sim.thermal_state(system)
-    click.echo(f"system={cfg.params.get('system', 'formate')} spins={system.n}")
-    click.echo(f"diagonal[rad/s]: {fmt_vec(np.diag(rho).real)}")
-    click.echo(f"identity_weight_at_298K: {fmt(nmr_sim.thermal_scale(system))}")
-    return 0
-
-
-def run_nmr_sequence(cfg):
-    p = cfg.params
-    reg = _registry(cfg)
-    system = reg.system(p.get("system", "formate"))
-    if "events_file" in p:
-        try:
-            with open(p["events_file"]) as fh:
-                items = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read events file: {exc}")
-        except ValueError as exc:
-            raise InputError(f"events file is not JSON: {exc}")
-    else:
-        items = p.get("events", [])
-    events = _events_from_spec(items)
-    rf = _rf_from_params(p)
-    rho = nmr_sim.run_sequence(system, nmr_sim.thermal_state(system),
-                               events, rf=rf)
-    peaks = nmr_sim.peak_integrals(rho)
-    for (spin, bits), value in sorted(peaks.lines.items()):
-        label = "".join(str(b) for b in bits)
-        click.echo(f"spin={spin} partner=|{label}> "
-                   f"re={fmt(value.real)} im={fmt(value.imag)}")
-    return 0
-
-
-def run_nmr_tomo(cfg):
-    tol = _tolerance(cfg.params, 1e-8)
-    rng = np.random.default_rng(cfg.seed)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = m + m.conj().T
-    rho = rho - np.trace(rho) / 4 * np.eye(4)
-    rec = nmr_sim.state_tomography(lambda: rho)
-    err = float(np.max(np.abs(rec - rho)))
-    click.echo(f"seed={cfg.seed} reconstruction_error={fmt(err)}")
-    if err > tol:
-        raise VerdictError(f"tomography error {fmt(err)} > {fmt(tol)}")
-    click.echo("PASS reconstruction within tolerance")
-    return 0
-
-
-def run_nmr_label(cfg):
-    p = cfg.params
-    scheme = p.get("scheme", "temporal")
-    if scheme == "temporal":
-        reg = _registry(cfg)
-        system = reg.system(p.get("system", "formate"))
-        lab = nmr_sim.temporal_label(
-            system, [None, nmr_sim.cnot_ba_events(system)])
-        click.echo("two-run temporal label, diagonal[rad/s]: "
-                   + fmt_vec(np.diag(lab).real))
-        return 0
-    if scheme == "hybrid":
-        omegas = [float(w) for w in p.get("omegas", (3.0, 1.0, 1.0))]
-        out = nmr_sim.hybrid_label(len(omegas), omegas)
-        click.echo("hybrid label on %d spins" % len(omegas))
-        click.echo("upper_block: " + fmt_vec(np.diag(out["upper_block"])))
-        click.echo("lower_block: " + fmt_vec(np.diag(out["lower_block"])))
-        gc = out["gate_count"]
-        click.echo(f"gates: fanout={gc['fanout']} "
-                   f"conditional_flip={gc['conditional_flip']} total={gc['total']}")
-        return 0
-    raise InputError(f"unknown labeling scheme {scheme!r}")
-
-
-def run_nmr_dj(cfg):
-    p = cfg.params
-    n = int(p.get("n", 3))
-    oracle = p.get("oracle", "constant")
-    if oracle == "constant":
-        f = lambda x: 0
-    elif oracle == "balanced":
-        f = lambda x: bin(x).count("1") & 1
-    else:
-        raise InputError("oracle must be 'constant' or 'balanced'")
-    probs = p.get("p", 1.0)
-    if isinstance(probs, (list, tuple)):
-        probs = [float(x) for x in probs]
-    else:
-        probs = float(probs)
-    out = nmr_sim.dj_thermal(n, f, probs)
-    click.echo(f"n={n} oracle={oracle}")
-    click.echo("E: " + fmt_vec(out["E"]))
-    click.echo(f"sum={fmt(out['sum'])} threshold={fmt(out['threshold'])} "
-               f"decision={out['decision']}")
-    if out["decision"] != oracle:
-        raise VerdictError(
-            f"decision {out['decision']} does not match the {oracle} oracle")
-    click.echo("PASS decision matches the oracle")
-    return 0
-
-
-def run_nmr_two_bit(cfg):
-    p = cfg.params
-    reg = _registry(cfg)
-    system = reg.system(p.get("system", "formate"))
-    rf = _rf_from_params(p)
-    t1 = bool(p.get("t1", False))
-    if p.get("sweep"):
-        modes = ("coded", "control") if p.get("mode", "both") == "both" \
-            else (p["mode"],)
-        rows = nmr_sim.two_bit_sweep(system=system, modes=modes, rf=rf,
-                                     t1_relax=t1)
-        out = _open_output(cfg)
-        if out is not None:
-            with out:
-                nmr_sim.sweep_to_csv(rows, out)
-            click.echo(f"wrote {len(rows)} rows to {cfg.output}")
-        else:
-            nmr_sim.sweep_to_csv(rows, sys.stdout)
-        return 0
-    theta = float(p.get("theta", 0.0))
-    td = float(p.get("td", 0.0))
-    mode = p.get("mode", "coded")
-    if mode == "both":
-        raise InputError("single-point runs need --mode coded or control")
-    out = nmr_sim.two_bit_experiment(theta, td, mode=mode, rf=rf,
-                                     system=system, t1_relax=t1)
-    click.echo(f"theta={fmt(theta)} td={fmt(td)} mode={mode}")
-    click.echo(f"accepted: x={fmt(out['accepted'][0])} z={fmt(out['accepted'][1])}")
-    click.echo(f"rejected: x={fmt(out['rejected'][0])} z={fmt(out['rejected'][1])}")
-    return 0
-
-
-_DISPATCH = {
-    ("list-fixtures",): run_list_fixtures,
-    ("channel", "roundtrip"): run_channel_roundtrip,
-    ("channel", "show"): run_channel_show,
-    ("qec", "four-bit"): run_qec_four_bit,
-    ("bosonic", "verify"): run_bosonic_verify,
-    ("stab", "check"): run_stab_check,
-    ("recouple", "plan"): run_recouple_plan,
-    ("nmr", "thermal"): run_nmr_thermal,
-    ("nmr", "sequence"): run_nmr_sequence,
-    ("nmr", "tomo"): run_nmr_tomo,
-    ("nmr", "label"): run_nmr_label,
-    ("nmr", "dj"): run_nmr_dj,
-    ("nmr", "two-bit"): run_nmr_two_bit,
-}
-
-
-def dispatch(cfg):
-    try:
-        impl = _DISPATCH[cfg.command]
-    except KeyError:
-        raise InputError(f"unknown command {' '.join(cfg.command)!r}")
-    return impl(cfg)
-
-
-# ---------------------------------------------------------------------------
-# click layer: thin parsers that build configs
-
-@click.group()
-@click.option("--fixture-dir", envvar=FIXTURE_DIR_ENV, default=None,
-              help="Directory of extra fixture JSON files.")
-@click.pass_context
-def cli(ctx, fixture_dir):
-    """Workbench for channels, error-correcting codes, and NMR experiments."""
-    ctx.obj = {"fixture_dir": fixture_dir}
-
-
-def _cfg(ctx, command, params, seed=0, output=None):
-    return ExperimentConfig(command=command, params=params,
-                            fixture_dir=ctx.obj["fixture_dir"],
-                            seed=seed, output=output)
-
-
-@cli.command("list-fixtures")
-@click.pass_context
-def cmd_list_fixtures(ctx):
-    """Show every named fixture with its validation summary."""
-    return dispatch(_cfg(ctx, ("list-fixtures",), {}))
-
-
-@cli.command("run")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(), help="ExperimentConfig JSON file.")
-def cmd_run(config_path):
-    """Replay a saved configuration exactly."""
-    try:
-        with open(config_path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read config: {exc}")
-    return dispatch(ExperimentConfig.from_json(text))
-
-
-@cli.group()
-def channel():
-    """Quantum-channel utilities."""
-
-
-@channel.command("roundtrip")
-@click.option("--count", default=60, show_default=True)
-@click.option("--dims", default="2,3,4", show_default=True)
-@click.option("--tol", default=1e-9, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.pass_context
-def cmd_channel_roundtrip(ctx, count, dims, tol, seed):
-    """Random-channel Choi/Kraus round-trip check."""
-    try:
-        dim_list = [int(d) for d in dims.split(",")]
-    except ValueError:
-        raise InputError("--dims wants a comma-separated list of integers")
-    return dispatch(_cfg(ctx, ("channel", "roundtrip"),
-                         {"count": count, "dims": dim_list, "tol": tol},
-                         seed=seed))
-
-
-@channel.command("show")
-@click.option("--kind", required=True)
-@click.option("--p", type=float, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--cutoff", type=int, default=None)
-@click.pass_context
-def cmd_channel_show(ctx, kind, p, gamma, cutoff):
-    """Print the Choi spectrum and unitality of a named channel."""
-    return dispatch(_cfg(ctx, ("channel", "show"),
-                         {"kind": kind, "p": p, "gamma": gamma,
-                          "cutoff": cutoff}))
-
-
-@cli.group()
-def qec():
-    """Approximate error-correction pipelines."""
-
-
-@qec.command("four-bit")
-@click.option("--gamma", default=0.01, show_default=True)
-@click.pass_context
-def cmd_qec_four_bit(ctx, gamma):
-    """Run the four-qubit loss-code recovery pipeline."""
-    return dispatch(_cfg(ctx, ("qec", "four-bit"), {"gamma": gamma}))
-
-
-@cli.group()
-def bosonic():
-    """Multimode excitation-loss codes."""
-
-
-@bosonic.command("verify")
-@click.option("--fixture", required=True)
-@click.option("--gamma", default=0.01, show_default=True)
-@click.pass_context
-def cmd_bosonic_verify(ctx, fixture, gamma):
-    """Check a named bosonic code structurally and against the channel."""
-    return dispatch(_cfg(ctx, ("bosonic", "verify"),
-                         {"fixture": fixture, "gamma": gamma}))
-
-
-@cli.group()
-def stab():
-    """Stabilizer codes."""
-
-
-@stab.command("check")
-@click.option("--code", required=True)
-@click.option("--t", default=1, show_default=True)
-@click.option("--distance", is_flag=True)
-@click.pass_context
-def cmd_stab_check(ctx, code, t, distance):
-    """Check loss-error correctability of a named stabilizer code."""
-    return dispatch(_cfg(ctx, ("stab", "check"),
-                         {"code": code, "t": t, "distance": distance}))
-
-
-@cli.group()
-def recouple():
-    """Decoupling and selective recoupling schedules."""
-
-
-@recouple.command("plan")
-@click.option("--n", required=True, type=int)
-@click.option("--pair", "pair_specs", multiple=True,
-              help="Spin pair to recouple, e.g. --pair 3,4; repeatable.")
-@click.option("--zeeman-free", is_flag=True)
-@click.option("--dt", type=float, default=None,
-              help="Interval duration (defaults to the recoupling period).")
-@click.option("--verify", is_flag=True)
-@click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def cmd_recouple_plan(ctx, n, pair_specs, zeeman_free, dt, verify, out):
-    """Print (and optionally verify / save) a pulse schedule."""
-    pairs = []
-    for spec in pair_specs:
-        bits = spec.split(",")
-        if len(bits) != 2:
-            raise InputError(f"bad --pair {spec!r}, want i,j")
-        try:
-            pairs.append((int(bits[0]), int(bits[1])))
-        except ValueError:
-            raise InputError(f"bad --pair {spec!r}, want integers")
-    params = {"n": n, "pairs": pairs, "zeeman_free": zeeman_free,
-              "verify": verify}
-    if dt is not None:
-        params["dt"] = dt
-    return dispatch(_cfg(ctx, ("recouple", "plan"), params, output=out))
-
-
-@cli.group()
-def nmr():
-    """Bulk-spin simulation and the two-spin storage experiment."""
+    if rf != "lorentzian":
+        raise InputError(f"unknown rf model {rf!r}")
+    return nmr_sim.RfModel.lorentzian(**settings)
 
 
 @nmr.command("thermal")
 @click.option("--system", default="formate", show_default=True)
-@click.pass_context
-def cmd_nmr_thermal(ctx, system):
+@click.pass_obj
+def cmd_nmr_thermal(fixture_dir, system):
     """Print the equilibrium deviation of a named spin system."""
-    return dispatch(_cfg(ctx, ("nmr", "thermal"), {"system": system}))
+    spins = FixtureRegistry(fixture_dir).system(system)
+    rho = nmr_sim.thermal_state(spins)
+    click.echo(f"system={system} spins={spins.n}")
+    click.echo(f"diagonal[rad/s]: {fmt_vec(np.diag(rho).real)}")
+    click.echo(f"identity_weight_at_298K: {fmt(nmr_sim.thermal_scale(spins))}")
 
 
 @nmr.command("sequence")
@@ -779,55 +630,94 @@ def cmd_nmr_thermal(ctx, system):
               help="JSON list of pulse/delay events.")
 @click.option("--rf", default="none", show_default=True)
 @click.option("--nodes", default=32, show_default=True)
-@click.pass_context
-def cmd_nmr_sequence(ctx, system, events_file, rf, nodes):
+@click.pass_obj
+def cmd_nmr_sequence(fixture_dir, system, events_file, rf, nodes):
     """Run an event list on the thermal state and print the spectrum."""
-    return dispatch(_cfg(ctx, ("nmr", "sequence"),
-                         {"system": system, "events_file": events_file,
-                          "rf": rf, "nodes": nodes}))
+    spins = FixtureRegistry(fixture_dir).system(system)
+    try:
+        with open(events_file) as fh:
+            items = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read events file: {exc}")
+    except ValueError as exc:
+        raise InputError(f"events file is not JSON: {exc}")
+    events = _events_from_spec(items)
+    rho = nmr_sim.run_sequence(spins, nmr_sim.thermal_state(spins), events,
+                               rf=_rf_model(rf, nodes=nodes))
+    peaks = nmr_sim.peak_integrals(rho)
+    for (spin, bits), value in sorted(peaks.lines.items()):
+        label = "".join(str(b) for b in bits)
+        click.echo(f"spin={spin} partner=|{label}> "
+                   f"re={fmt(value.real)} im={fmt(value.imag)}")
 
 
 @nmr.command("tomo")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--tol", default=1e-8, show_default=True)
-@click.pass_context
-def cmd_nmr_tomo(ctx, seed, tol):
+def cmd_nmr_tomo(seed, tol):
     """Round-trip a random deviation through simulated readout."""
-    return dispatch(_cfg(ctx, ("nmr", "tomo"), {"tol": tol}, seed=seed))
+    _check_tolerance(tol)
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = m + m.conj().T
+    rho = rho - np.trace(rho) / 4 * np.eye(4)
+    rec = nmr_sim.state_tomography(lambda: rho)
+    err = float(np.max(np.abs(rec - rho)))
+    click.echo(f"seed={seed} reconstruction_error={fmt(err)}")
+    if err > tol:
+        raise VerdictError(f"tomography error {fmt(err)} > {fmt(tol)}")
+    click.echo("PASS reconstruction within tolerance")
 
 
 @nmr.command("label")
 @click.option("--scheme", default="temporal", show_default=True)
 @click.option("--system", default="formate", show_default=True)
-@click.option("--omegas", default=None,
+@click.option("--omegas", type=Numbers(click.FLOAT), default="3,1,1",
               help="Comma-separated frequencies for the hybrid scheme.")
-@click.pass_context
-def cmd_nmr_label(ctx, scheme, system, omegas):
+@click.pass_obj
+def cmd_nmr_label(fixture_dir, scheme, system, omegas):
     """Build an effective-pure input state."""
-    params = {"scheme": scheme, "system": system}
-    if omegas:
-        try:
-            params["omegas"] = [float(w) for w in omegas.split(",")]
-        except ValueError:
-            raise InputError("--omegas wants comma-separated numbers")
-    return dispatch(_cfg(ctx, ("nmr", "label"), params))
+    if scheme == "temporal":
+        spins = FixtureRegistry(fixture_dir).system(system)
+        lab = nmr_sim.temporal_label(
+            spins, [None, nmr_sim.cnot_ba_events(spins)])
+        click.echo("two-run temporal label, diagonal[rad/s]: "
+                   + fmt_vec(np.diag(lab).real))
+    elif scheme == "hybrid":
+        res = nmr_sim.hybrid_label(len(omegas), omegas)
+        click.echo("hybrid label on %d spins" % len(omegas))
+        click.echo("upper_block: " + fmt_vec(np.diag(res["upper_block"])))
+        click.echo("lower_block: " + fmt_vec(np.diag(res["lower_block"])))
+        gc = res["gate_count"]
+        click.echo(f"gates: fanout={gc['fanout']} "
+                   f"conditional_flip={gc['conditional_flip']} total={gc['total']}")
+    else:
+        raise InputError(f"unknown labeling scheme {scheme!r}")
 
 
 @nmr.command("dj")
 @click.option("--n", default=3, show_default=True)
 @click.option("--oracle", default="constant", show_default=True)
-@click.option("--p", default="1.0", show_default=True,
+@click.option("--p", type=Numbers(click.FLOAT), default="1.0",
+              show_default=True,
               help="Scalar or comma-separated per-qubit probabilities.")
-@click.pass_context
-def cmd_nmr_dj(ctx, n, oracle, p):
+def cmd_nmr_dj(n, oracle, p):
     """Constant-vs-balanced decision on a thermal register."""
-    try:
-        probs = [float(x) for x in p.split(",")]
-    except ValueError:
-        raise InputError("--p wants numbers")
-    params = {"n": n, "oracle": oracle,
-              "p": probs[0] if len(probs) == 1 else probs}
-    return dispatch(_cfg(ctx, ("nmr", "dj"), params))
+    if oracle == "constant":
+        f = lambda x: 0
+    elif oracle == "balanced":
+        f = lambda x: bin(x).count("1") & 1
+    else:
+        raise InputError("oracle must be 'constant' or 'balanced'")
+    res = nmr_sim.dj_thermal(n, f, p[0] if len(p) == 1 else p)
+    click.echo(f"n={n} oracle={oracle}")
+    click.echo("E: " + fmt_vec(res["E"]))
+    click.echo(f"sum={fmt(res['sum'])} threshold={fmt(res['threshold'])} "
+               f"decision={res['decision']}")
+    if res["decision"] != oracle:
+        raise VerdictError(
+            f"decision {res['decision']} does not match the {oracle} oracle")
+    click.echo("PASS decision matches the oracle")
 
 
 @nmr.command("two-bit")
@@ -844,15 +734,31 @@ def cmd_nmr_dj(ctx, n, oracle, p):
 @click.option("--system", default="formate", show_default=True)
 @click.option("--t1", is_flag=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def cmd_nmr_two_bit(ctx, sweep, theta, td, mode, rf, nodes, integration,
-                    shots, seed, system, t1, out):
+@click.pass_obj
+def cmd_nmr_two_bit(fixture_dir, sweep, theta, td, mode, rf, nodes,
+                    integration, shots, seed, system, t1, out):
     """Run the two-spin storage experiment (single point or full sweep)."""
-    params = {"sweep": sweep, "theta": theta, "td": td, "mode": mode,
-              "rf": rf, "nodes": nodes, "integration": integration,
-              "shots": shots, "seed": seed, "system": system, "t1": t1}
-    return dispatch(_cfg(ctx, ("nmr", "two-bit"), params, seed=seed,
-                         output=out))
+    spins = FixtureRegistry(fixture_dir).system(system)
+    model = _rf_model(rf, nodes=nodes, integration=integration, shots=shots,
+                      seed=seed)
+    if sweep:
+        modes = ("coded", "control") if mode == "both" else (mode,)
+        rows = nmr_sim.two_bit_sweep(system=spins, modes=modes, rf=model,
+                                     t1_relax=t1)
+        if out:
+            with open(out, "w", newline="") as fh:
+                nmr_sim.sweep_to_csv(rows, fh)
+            click.echo(f"wrote {len(rows)} rows to {out}")
+        else:
+            nmr_sim.sweep_to_csv(rows, sys.stdout)
+        return
+    if mode == "both":
+        raise InputError("single-point runs need --mode coded or control")
+    res = nmr_sim.two_bit_experiment(theta, td, mode=mode, rf=model,
+                                     system=spins, t1_relax=t1)
+    click.echo(f"theta={fmt(theta)} td={fmt(td)} mode={mode}")
+    click.echo(f"accepted: x={fmt(res['accepted'][0])} z={fmt(res['accepted'][1])}")
+    click.echo(f"rejected: x={fmt(res['rejected'][0])} z={fmt(res['rejected'][1])}")
 
 
 def main(argv=None):

@@ -502,6 +502,8 @@ def hybrid_label(n, omegas):
     omegas = [float(w) for w in omegas]
     if len(omegas) != n:
         raise ValueError("need one frequency per spin")
+    if not all(math.isfinite(w) for w in omegas):
+        raise ValueError(f"omegas must be finite, got {omegas!r}")
     dim = 2 ** n
     half = dim // 2
     diag = np.zeros(dim)
@@ -555,17 +557,17 @@ def dj_thermal(n, f, p):
     """
     if n < 1 or n > 12:
         raise ValueError("register size limited to 1..12 for dense simulation")
+    probs = [float(x) for x in ([p] if np.isscalar(p) else p)]
+    if not all(0.0 <= x <= 1.0 for x in probs):
+        raise ValueError(f"p must hold probabilities in [0, 1], got {p!r}")
     if np.isscalar(p):
-        p_reg = [float(p)] * n
-        p_work = 1.0
+        p_reg, p_work = probs * n, 1.0
+    elif len(probs) == n:
+        p_reg, p_work = probs, 1.0
+    elif len(probs) == n + 1:
+        p_reg, p_work = probs[:n], probs[n]
     else:
-        p = [float(x) for x in p]
-        if len(p) == n:
-            p_reg, p_work = p, 1.0
-        elif len(p) == n + 1:
-            p_reg, p_work = p[:n], p[n]
-        else:
-            raise ValueError("p must have length n or n+1")
+        raise ValueError("p must have length n or n+1")
     dim = 2 ** n
     table = np.array([int(bool(f(x))) for x in range(dim)])
     ones = int(table.sum())

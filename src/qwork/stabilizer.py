@@ -841,7 +841,8 @@ def hierarchy_level(u, k_max=4, tol=DEFAULT_TOL):
     """
     u = np.asarray(u, dtype=complex)
     dim = len(u)
-    if np.abs(u @ dagger(u) - np.eye(dim)).max() > 1e-8:
+    # a NaN entry fails this comparison, so a NaN matrix is rejected
+    if not np.abs(u @ dagger(u) - np.eye(dim)).max() <= 1e-8:
         raise ValueError("gate must be unitary")
     n = dim.bit_length() - 1
     if 1 << n != dim or n > 3:
@@ -898,6 +899,8 @@ def verify_teleport_identity(kind, states=100, tol=1e-10, rng=None):
     the two-CNOT identity moving the input onto the |0> wire.  Every
     branch must relocate the state exactly.
     """
+    if not states >= 1:
+        raise ValueError(f"states must be at least 1, got {states!r}")
     rng = np.random.default_rng(0x7E1E) if rng is None else rng
     for _ in range(states):
         psi = _random_state(2, rng)

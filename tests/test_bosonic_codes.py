@@ -178,6 +178,20 @@ def test_leading_coefficients():
     assert bc.leading_term(50, 4) == 2118760
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.1, 2.0])
+def test_fidelity_rejects_gamma_outside_unit_interval(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        bc.code_fidelity(4, 1, gamma)
+
+
+def test_loss_order_must_be_nonnegative():
+    with pytest.raises(ValueError, match="t must"):
+        bc.leading_term(4, -1)
+    with pytest.raises(ValueError, match="t must"):
+        bc.code_fidelity(4, -1, 0.1)
+    assert bc.code_fidelity(4, 0, 0.0) == 1.0 and bc.code_fidelity(4, 1, 1.0) == 0.0
+
+
 def test_loss_weight_identity():
     for s in (1, 2):
         vals, target = bc.loss_weight_identity(CODES["ex8"], s)

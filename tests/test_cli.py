@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
@@ -308,6 +309,177 @@ def test_config_json_round_trip():
     assert back == cfg
     with pytest.raises(cli.InputError):
         cli.ExperimentConfig.from_json("not json at all")
+
+
+def _command_paths(group=cli.cli, prefix=()):
+    for name, cmd in sorted(group.commands.items()):
+        if isinstance(cmd, click.Group):
+            yield from _command_paths(cmd, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+def _command(path):
+    cmd = cli.cli
+    for name in path:
+        cmd = cmd.commands[name]
+    return cmd
+
+
+def replay_cases(tmp):
+    """path -> (direct options, the params replaying them, top-level fields)
+    for every command; output files and fixtures live under ``tmp``."""
+    events = tmp / "events.json"
+    events.write_text(json.dumps([
+        {"type": "pulse", "spin": 0, "axis": "x", "angle": math.pi / 2},
+        {"type": "delay", "duration": 0.002, "dephase": True},
+        {"type": "pulse", "spin": 1, "axis": "y", "angle": 1.0}]))
+    inner = tmp / "inner.json"
+    inner.write_text(cli.ExperimentConfig(("nmr", "dj"), {"n": 2}).to_json())
+    fixtures = tmp / "fixtures"
+    fixtures.mkdir(exist_ok=True)
+    (fixtures / "code.json").write_text(json.dumps({
+        "kind": "stabilizer_code", "name": "bitflip3",
+        "payload": {"n": 3, "generators": ["ZZI", "IZZ"],
+                    "logical_x": ["XXX"], "logical_z": ["ZII"]}}))
+    fx = {"fixture_dir": str(fixtures)}
+    return {
+        ("list-fixtures",): ([], {}, fx),
+        ("run",): (["--config", str(inner)], {"config_path": str(inner)}, {}),
+        ("channel", "roundtrip"): (
+            ["--count", "5", "--dims", "3,2", "--seed", "4"],
+            {"count": 5, "dims": [3, 2]}, {"seed": 4}),
+        ("channel", "show"): (
+            ["--kind", "generalized_amplitude_damping", "--gamma", "0.3",
+             "--p", "0.4"],
+            {"kind": "generalized_amplitude_damping", "gamma": 0.3, "p": 0.4},
+            {}),
+        ("qec", "four-bit"): (["--gamma", "0.02"], {"gamma": 0.02}, {}),
+        ("bosonic", "verify"): (["--fixture", "ex3", "--gamma", "0.02"],
+                                {"fixture": "ex3", "gamma": 0.02}, {}),
+        ("stab", "check"): (["--code", "bitflip3", "--t", "1", "--distance"],
+                            {"code": "bitflip3", "t": 1, "distance": True}, fx),
+        ("recouple", "plan"): (
+            ["--n", "9", "--pair", "3,4", "--pair", "5,7", "--zeeman-free",
+             "--dt", "0.25", "--verify", "--out", str(tmp / "sched.json")],
+            {"n": 9, "pairs": [[3, 4], [5, 7]], "zeeman_free": True,
+             "dt": 0.25, "verify": True},
+            {"output": str(tmp / "sched.json")}),
+        ("nmr", "thermal"): (["--system", "chloroform_proton"],
+                             {"system": "chloroform_proton"}, {}),
+        ("nmr", "sequence"): (
+            ["--events", str(events), "--rf", "lorentzian", "--nodes", "4"],
+            {"events_file": str(events), "rf": "lorentzian", "nodes": 4}, {}),
+        ("nmr", "tomo"): (["--seed", "6", "--tol", "1e-9"], {"tol": 1e-9},
+                          {"seed": 6}),
+        ("nmr", "label"): (["--scheme", "hybrid", "--omegas", "5,2,1,1"],
+                           {"scheme": "hybrid", "omegas": [5, 2, 1, 1]}, {}),
+        ("nmr", "dj"): (
+            ["--n", "4", "--oracle", "balanced", "--p", "0.6,0.7,0.8,0.9,0.95"],
+            {"n": 4, "oracle": "balanced", "p": [0.6, 0.7, 0.8, 0.9, 0.95]},
+            {}),
+        ("nmr", "two-bit"): (
+            ["--theta", "0.9", "--td", "0.05", "--mode", "control", "--rf",
+             "lorentzian", "--integration", "monte-carlo", "--shots", "16",
+             "--seed", "3", "--t1"],
+            {"theta": 0.9, "td": 0.05, "mode": "control", "rf": "lorentzian",
+             "integration": "monte-carlo", "shots": 16, "t1": True},
+            {"seed": 3}),
+    }
+
+
+def _fixture_args(top):
+    return ["--fixture-dir", top["fixture_dir"]] if "fixture_dir" in top else []
+
+
+@pytest.mark.parametrize("path", list(_command_paths()), ids=" ".join)
+def test_every_command_replays_like_the_command_line(path, tmp_path, capsys):
+    # a command without a case in replay_cases fails here
+    options, params, top = replay_cases(tmp_path)[path]
+    code, direct, _ = run_cli(capsys, *_fixture_args(top), *path, *options)
+    assert code in (0, 2) and direct
+    written = None
+    if "output" in top:
+        written = Path(top["output"]).read_bytes()
+        Path(top["output"]).unlink()
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(cli.ExperimentConfig(path, params, **top).to_json())
+    assert run_cli(capsys, "run", "--config", str(cfg))[:2] == (code, direct)
+    if written is not None:
+        assert Path(top["output"]).read_bytes() == written
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"command": ["nmr", "dj"], "params": {"n": 3.5}}, "'n'"),
+    ({"command": ["nmr", "dj"], "params": {"n": "3"}}, "'n'"),
+    ({"command": ["nmr", "dj"], "params": {"n": None}}, "'n'"),
+    ({"command": ["nmr", "dj"], "params": {"p": True}}, "'p'"),
+    ({"command": ["nmr", "dj"], "params": {"bogus": 1}}, "'bogus'"),
+    ({"command": ["recouple", "plan"],
+      "params": {"n": 4, "zeeman_free": "no"}}, "'zeeman_free'"),
+    ({"command": ["recouple", "plan"],
+      "params": {"n": 4, "pairs": [[1, 2, 3]]}}, "'pairs'"),
+    ({"command": ["stab", "check"], "params": {"code": "shor9", "t": 1.7}},
+     "'t'"),
+    ({"command": ["channel", "roundtrip"], "params": {"dims": ["2", 3]}},
+     "'dims'"),
+    ({"command": ["nmr", "two-bit"], "params": {"mode": "sideways"}},
+     "'mode'"),
+    ({"command": ["recouple", "plan"], "params": {}}, "'n'"),
+    ({"command": ["channel", "show"], "params": {}}, "'kind'"),
+    ({"command": ["bosonic", "verify"], "params": {"gamma": 0.01}},
+     "'fixture'"),
+    ({"command": ["nmr", "sequence"], "params": {"events": []}}, "'events'"),
+    ({"command": ["nmr", "sequence"],
+      "params": {"events_file": "e.json", "shots": 8}}, "'shots'"),
+    ({"command": ["nmr", "two-bit"], "params": {"out": "x.csv"}}, "'out'"),
+    ({"command": ["nmr", "dj"], "output": "x.csv"}, "'output'"),
+    ({"command": ["nmr", "dj"], "seed": 4}, "'seed'"),
+    ({"command": ["nmr", "two-bit"], "params": {"seed": 1}, "seed": 0},
+     "'seed'"),
+    ({"command": "nmr dj"}, "'command'"),
+    ({"command": ["nmr", "dj"], "seed": 3.5}, "'seed'"),
+    ({"command": ["nmr", "dj"], "sed": 3}, "'sed'"),
+    ({"command": ["nmr"]}, "'nmr'"),
+])
+def test_bad_replays_exit_3_naming_the_key(config, key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 3 and out == "" and key in err and "Traceback" not in err
+
+
+def test_a_config_cannot_replay_itself(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": ["run"],
+                                "params": {"config_path": str(path)}}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 3 and "replays itself" in err
+
+
+def _numeric_options():
+    for path in _command_paths():
+        for param in _command(path).params:
+            if isinstance(param.type, (click.types.IntParamType,
+                                       click.types.FloatParamType,
+                                       cli.Numbers)):
+                yield path, param.opts[0]
+
+
+@pytest.mark.parametrize("path, option", list(_numeric_options()),
+                         ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_numeric_options_fail_cleanly_at_the_edges(path, option, tmp_path,
+                                                   capsys):
+    # huge values are left out: --count or --nodes would do real work
+    options, _, top = replay_cases(tmp_path)[path]
+    for value in ("nan", "inf", "-inf", "-1", "0"):
+        argv = list(options)
+        if option in argv:
+            argv[argv.index(option) + 1] = value
+        else:
+            argv += [option, value]
+        code, _, err = run_cli(capsys, *_fixture_args(top), *path, *argv)
+        assert code in (0, 2, 3) and "Traceback" not in err, argv
 
 
 def test_fmt_twelve_digits():

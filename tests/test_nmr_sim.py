@@ -335,6 +335,12 @@ def test_hybrid_label_three_spins():
         nm.hybrid_label(1, (1.0,))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hybrid_label_rejects_non_finite_frequencies(bad):
+    with pytest.raises(ValueError, match="omegas"):
+        nm.hybrid_label(3, (bad, 1.0, 1.0))
+
+
 def test_hybrid_label_two_spins():
     out = nm.hybrid_label(2, (2.0, 1.0))
     assert np.allclose(out["lower_block"], np.diag([0.0, 3.0]))
@@ -394,6 +400,13 @@ def test_dj_rejects_other_oracles():
         nm.dj_thermal(0, lambda x: 0, 1.0)
     with pytest.raises(ValueError):
         nm.dj_thermal(3, lambda x: 0, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2, math.nan, math.inf,
+                               [0.6, 0.6, 1.2], [0.6, 0.6, 0.6, math.nan]])
+def test_dj_rejects_probabilities_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="p must"):
+        nm.dj_thermal(3, lambda x: 0, p)
 
 
 # ----------------------------------------------------------------- RF model

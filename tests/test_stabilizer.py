@@ -369,6 +369,8 @@ def test_hierarchy_generic_unitary_unranked():
 def test_hierarchy_rejects_non_unitary():
     with pytest.raises(ValueError):
         st.hierarchy_level(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="unitary"):
+        st.hierarchy_level(np.full((2, 2), np.nan))
 
 
 def test_hierarchy_stable_under_pauli_conjugation():
@@ -385,6 +387,12 @@ def test_hierarchy_stable_under_pauli_conjugation():
 @pytest.mark.parametrize("kind", ["z", "x", "swap"])
 def test_teleport_identity(kind):
     assert st.verify_teleport_identity(kind, states=100, tol=1e-10)
+
+
+@pytest.mark.parametrize("states", [0, -3])
+def test_teleport_identity_checks_at_least_one_state(states):
+    with pytest.raises(ValueError, match="states"):
+        st.verify_teleport_identity("x", states=states)
 
 
 @pytest.mark.parametrize("gate", ["T", "CP", "Toffoli"])
