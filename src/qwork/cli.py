@@ -375,7 +375,8 @@ def channel():
 @click.option("--dims", type=Numbers(click.INT), default="2,3,4",
               show_default=True)
 @click.option("--tol", default=1e-9, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 def cmd_channel_roundtrip(count, dims, tol, seed):
     """Random-channel Choi/Kraus round-trip check."""
     if not count >= 1:
@@ -652,7 +653,8 @@ def cmd_nmr_sequence(fixture_dir, system, events_file, rf, nodes):
 
 
 @nmr.command("tomo")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--tol", default=1e-8, show_default=True)
 def cmd_nmr_tomo(seed, tol):
     """Round-trip a random deviation through simulated readout."""
@@ -730,7 +732,8 @@ def cmd_nmr_dj(n, oracle, p):
 @click.option("--nodes", default=32, show_default=True)
 @click.option("--integration", default="quadrature", show_default=True)
 @click.option("--shots", default=512, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--system", default="formate", show_default=True)
 @click.option("--t1", is_flag=True)
 @click.option("--out", default=None, type=click.Path())

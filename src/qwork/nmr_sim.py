@@ -29,10 +29,12 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import constants as _const
-from scipy.optimize import brentq, least_squares
 
 from .qop_core import PAULIS, conjugate_local, z_signs
+
+# exact SI-2019 values: reduced Planck constant (J s) and Boltzmann (J/K)
+_HBAR = 6.62607015e-34 / (2 * math.pi)
+_K_B = 1.380649e-23
 
 THETA_GRID = tuple(k * math.pi / 10 for k in range(11))
 STORAGE_MULTIPLES = (0, 12, 24, 36, 48, 60)
@@ -333,7 +335,7 @@ def thermal_state(system):
 
 def thermal_scale(system, temperature=298.0):
     """Weight of the deviation relative to the unit identity component."""
-    return _const.hbar / (2 ** system.n * _const.k * temperature)
+    return _HBAR / (2 ** system.n * _K_B * temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +555,9 @@ def dj_thermal(n, f, p):
     f maps integers 0..2^n-1 to {0, 1} and must be constant or balanced.
     p gives each qubit's probability of starting in its nominal basis state
     (length n, or n+1 with the work bit last).  Returns the per-qubit
-    longitudinal outputs, the pure-register reference, and the decision.
+    longitudinal outputs, the pure-register reference, and the decision:
+    "constant", "balanced", or "undecided" when the register carries no
+    signal (every register qubit at p = 0.5, or the work bit at p = 0).
     """
     if n < 1 or n > 12:
         raise ValueError("register size limited to 1..12 for dense simulation")
@@ -597,7 +601,11 @@ def dj_thermal(n, f, p):
         threshold = float(scale.sum() - p_work * scale.min())
     else:
         threshold = float(scale.sum())
-    decision = "constant" if total >= threshold else "balanced"
+    if p_work == 0.0 or not np.any(scale):
+        # the outputs are the same for every oracle: nothing to decide on
+        decision = "undecided"
+    else:
+        decision = "constant" if total >= threshold else "balanced"
     return {
         "E": [float(x) for x in e_thermal],
         "E_pure": [float(x) for x in e_pure_reg],
@@ -660,6 +668,8 @@ def _lorentz_nodes(width, nodes):
 
 def calibrate_width(target, nodes=32):
     """Half-width whose averaged quarter-turn signal equals the target."""
+    from scipy.optimize import brentq
+
     def averaged(width):
         s, wt = _lorentz_nodes(width, nodes)
         return float(np.sum(wt * np.sin(s * math.pi / 2.0)))
@@ -863,6 +873,8 @@ def ellipse_analysis(points):
     signal loss, which is a separate effect from the shape of the ellipse,
     so it is divided out before the axis ratio is taken.
     """
+    from scipy.optimize import least_squares
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 6:
         raise ValueError("need at least six (theta, x, z) samples")

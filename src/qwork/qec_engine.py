@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import brentq, minimize
 
 from .qop_core import CNOT, QuantumChannel, apply, apply_local, dagger
 
@@ -346,39 +344,78 @@ _DESIGN = np.column_stack([np.ones(len(_PROBES)), _PROBES,
                            _PROBES[:, _I] * _PROBES[:, _J]])
 
 
+# far from the root, Newton from the right end of the bracket gains a factor
+# of about 1.5 per step, so 100 steps cover any bracket in double precision
+_SECULAR_STEPS = 100
+_EPS4 = 4 * np.finfo(float).eps
+
+
 def _sphere_argmin(b, q):
     """Unit r (up to renormalization) minimizing b·r + rᵀqr, the trust-region
     boundary problem (Moré & Sorensen 1983; Gander, Golub & von Matt 1989):
-    r = -β/(λ - μ) in q's eigenbasis, β = Vᵀb/2, μ ≤ λ₀ solving Σβᵢ²/(λᵢ - μ)²
-    = 1; in the hard case (β misses the lowest eigenvectors, the rest of r is
-    shorter than one) μ = λ₀ and the lowest eigenvector fills up r."""
+    r = y(μ) = -β/(λ - μ) in q's eigenbasis, β = Vᵀb/2, μ ≤ λ₀ solving
+    ‖y(μ)‖ = 1; in the hard case (β misses the lowest eigenvectors, the rest
+    of r is shorter than one) μ = λ₀ and the lowest eigenvector fills up r.
+
+    The root is found by Newton's method on φ(μ) = 1/‖y(μ)‖ - 1, which is
+    concave and nearly linear below λ₀: started at the right end of the
+    bracket [λ₀ - 2‖β‖, λ₀ - max(‖β_low‖/2, tol)], where φ < 0, the iterates
+    fall monotonically to the root.  A step that leaves the bracket, which
+    only rounding can cause, is replaced by bisection.  The iteration stops
+    when ‖y‖ = 1 to within rounding (|φ| ≤ 4ε) or the step is below 4ε|μ - λ₀|,
+    so r lies on the sphere to machine precision; RuntimeError if neither
+    happens in _SECULAR_STEPS steps.  It runs on ν = μ - λ₀ and the gaps
+    λ - λ₀ (shifting q by λ₀ moves no minimizer), so λ₀ - μ = -ν carries no
+    cancellation when the root is within a few tol of λ₀.
+    """
     lam, vecs = np.linalg.eigh(q)
     beta = vecs.T @ b / 2
     tol = 1e-12 * max(1.0, np.abs(lam).max(), np.linalg.norm(beta))
-    low = lam - lam[0] <= tol
+    gap = lam - lam[0]
+    low = gap <= tol
     beta_low = np.linalg.norm(beta[low])
     y = np.zeros(3)
-    y[~low] = -beta[~low] / (lam[~low] - lam[0])
+    y[~low] = -beta[~low] / gap[~low]
     if beta_low <= tol and y @ y <= 1.0:
         y[0] = math.sqrt(1.0 - y @ y)
         return vecs @ y
 
-    def secular(mu):
-        return float(np.sum((beta / (lam - mu)) ** 2)) - 1.0
+    def phi(nu):
+        # φ and φ' = -Σβᵢ²/(λᵢ - μ)³ / ‖y‖³ at μ = λ₀ + ν
+        y = beta / (gap - nu)
+        norm = math.sqrt(y @ y)
+        return 1.0 / norm - 1.0, -float(y @ (y / (gap - nu))) / norm ** 3
 
-    # secular(hi) > 0 unless the root lies within tol of λ₀; secular < 0 at
-    # λ₀ - 2|β|, where λ₀ - |β| may be the root itself (β along the lowest)
-    hi = lam[0] - max(beta_low / 2, tol)
-    mu = hi if secular(hi) <= 0 else brentq(
-        secular, lam[0] - 2 * np.linalg.norm(beta), hi, xtol=1e-3 * tol)
-    return vecs @ (-beta / (lam - mu))
+    # φ(hi) < 0 unless the root lies within tol of λ₀; φ > 0 at -2‖β‖,
+    # where -‖β‖ may be the root itself (β along the lowest)
+    lo, hi = -2 * np.linalg.norm(beta), -max(beta_low / 2, tol)
+    nu = hi
+    f, slope = phi(nu)
+    if f >= 0:
+        return vecs @ (-beta / (gap - nu))
+    for _ in range(_SECULAR_STEPS):
+        if f > 0:
+            lo = nu
+        else:
+            hi = nu
+        step = f / slope
+        if abs(f) <= _EPS4 or abs(step) <= _EPS4 * abs(nu):
+            return vecs @ (-beta / (gap - (nu - step)))
+        nu = nu - step if lo < nu - step < hi else (lo + hi) / 2
+        f, slope = phi(nu)
+    raise RuntimeError(f"secular equation unsolved after {_SECULAR_STEPS} "
+                       f"steps (bracket [{lo!r}, {hi!r}] around λ₀)")
 
 
 def _minimize_over_pure_states(value, k):
     """(minimum, minimizer) of a real function of a pure state in C^k: exact
-    for a qubit, where the function must be quadratic in the Bloch vector as
-    every fidelity is (ValueError if its fit at fixed probes fails), else a
-    seeded random search refined by Nelder-Mead."""
+    for k = 1, which has one state, and for a qubit, where the function must
+    be quadratic in the Bloch vector as every fidelity is (ValueError if its
+    fit at fixed probes fails), else a seeded random search refined by
+    Nelder-Mead, which imports scipy."""
+    if k == 1:
+        psi = np.ones(1, dtype=complex)
+        return value(psi), psi
     if k == 2:
         f = np.array([value(bloch_state(r)) for r in _PROBES])
         coef = np.linalg.lstsq(_DESIGN, f, rcond=None)[0]
@@ -391,6 +428,8 @@ def _minimize_over_pure_states(value, k):
         r = _sphere_argmin(coef[1:4], (q + q.T) / 2)
         psi = bloch_state(r / np.linalg.norm(r))
         return value(psi), psi
+
+    from scipy.optimize import minimize
 
     def state(x):
         v = x[:k] + 1j * x[k:]
@@ -429,9 +468,10 @@ def min_overlap_fidelity(channel, sampler=None, dim=None):
     """Worst-case overlap of input with channel output over pure states.
 
     ``channel`` is a QuantumChannel or a callable on density matrices (pass
-    ``dim`` for callables on anything but a qubit; a qubit callable must be
-    linear); ``sampler`` optionally supplies candidate state vectors instead
-    of the built-in search, which is exact for a qubit.
+    ``dim``, an integer of at least 1, for callables on anything but a
+    qubit; a qubit callable must be linear); ``sampler`` optionally supplies
+    candidate state vectors instead of the built-in search, which is exact
+    for a qubit and for dim = 1, where it is the value at the one state.
     """
     if isinstance(channel, QuantumChannel):
         dim = channel.dim_in
@@ -439,6 +479,9 @@ def min_overlap_fidelity(channel, sampler=None, dim=None):
     else:
         act = channel
         dim = 2 if dim is None else dim
+        if (isinstance(dim, bool) or not isinstance(dim, (int, np.integer))
+                or dim < 1):
+            raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
 
     def value(psi):
         rho = np.outer(psi, psi.conj())
@@ -520,7 +563,9 @@ def _four_bit_branches(gamma, amplitudes, code):
 
     n0 = np.array([[0, 1], [1 - gamma, 0]], dtype=complex)
     n1 = np.array([[0, 0], [math.sqrt(gamma * (2 - gamma)), 0]], dtype=complex)
-    controlled_unrot = block_diag(unrot(rot_pair), unrot(math.pi / 4))
+    zero = np.zeros((2, 2))
+    controlled_unrot = np.block([[unrot(rot_pair), zero],
+                                 [zero, unrot(math.pi / 4)]])
     projector = [np.diag(e) for e in np.eye(2, dtype=complex)]
 
     out = []

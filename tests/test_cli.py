@@ -235,6 +235,25 @@ def test_nmr_dj(capsys):
     assert code == 0 and "decision=constant" in out
 
 
+def test_nmr_dj_without_signal_fails_for_both_oracles(capsys):
+    for oracle in ("constant", "balanced"):
+        code, out, err = run_cli(capsys, "nmr", "dj", "--n", "3",
+                                 "--oracle", oracle, "--p", "0.5")
+        assert code == 2 and "decision=undecided" in out
+        assert "PASS" not in out and "undecided" in err
+
+
+@pytest.mark.parametrize("path", [("channel", "roundtrip"), ("nmr", "tomo"),
+                                  ("nmr", "two-bit")])
+def test_negative_seed_exits_3_naming_the_option(path, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *path, "--seed", "-1")
+    assert code == 3 and out == "" and "--seed" in err and "-1" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(cli.ExperimentConfig(path, seed=-1).to_json())
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 3 and out == "" and "'seed'" in err and "-1" in err
+
+
 def test_nmr_two_bit_point_matches_module(capsys):
     theta, td = 3 * math.pi / 10, 24 / 195.0
     code, out, _ = run_cli(capsys, "nmr", "two-bit", "--theta", str(theta),

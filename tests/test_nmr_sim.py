@@ -393,6 +393,19 @@ def test_dj_decision_at_sixty_percent():
         assert bal["sum"] < bal["threshold"] <= const["sum"]
 
 
+def test_dj_undecided_without_signal():
+    # a register at p = 0.5, or a work bit that never kicks back, gives the
+    # same outputs for every oracle
+    table = [x & 1 for x in range(8)]
+    for p in (0.5, [0.5] * 3, [1.0, 0.9, 0.8, 0.0]):
+        for f in (lambda x: 0, lambda x: table[x]):
+            assert nm.dj_thermal(3, f, p)["decision"] == "undecided"
+    # one informative qubit is enough to decide
+    assert nm.dj_thermal(2, lambda x: 0, [0.5, 1.0])["decision"] == "constant"
+    assert nm.dj_thermal(2, lambda x: x & 1,
+                         [0.5, 1.0])["decision"] == "balanced"
+
+
 def test_dj_rejects_other_oracles():
     with pytest.raises(ValueError):
         nm.dj_thermal(3, lambda x: int(x == 0), 1.0)

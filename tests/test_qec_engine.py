@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from qwork import qec_engine as qe
 from qwork import qop_core as qc
@@ -387,6 +389,72 @@ def test_exact_bloch_minimum_beats_dense_sample(seed, case):
     assert best <= dense.min() + 1e-12
 
 
+def brentq_argmin(b, q):
+    """_sphere_argmin's boundary solution with the secular equation
+    Σβᵢ²/(λᵢ - μ)² = 1 solved by scipy's brentq to full precision, on the
+    same shift ν = μ - λ₀."""
+    lam, vecs = np.linalg.eigh(q)
+    beta = vecs.T @ b / 2
+    tol = 1e-12 * max(1.0, np.abs(lam).max(), np.linalg.norm(beta))
+    gap = lam - lam[0]
+    low = gap <= tol
+    beta_low = np.linalg.norm(beta[low])
+    y = np.zeros(3)
+    y[~low] = -beta[~low] / gap[~low]
+    if beta_low <= tol and y @ y <= 1.0:
+        y[0] = math.sqrt(1.0 - y @ y)
+        return vecs @ y
+
+    def secular(nu):
+        return float(np.sum((beta / (gap - nu)) ** 2)) - 1.0
+
+    hi = -max(beta_low / 2, tol)
+    nu = hi if secular(hi) <= 0 else brentq(
+        secular, -2 * np.linalg.norm(beta), hi, xtol=1e-300)
+    return vecs @ (-beta / (gap - nu))
+
+
+def secular_cases():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        a = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+        yield (a + a.T) / 2, rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+    for lam0 in (0.0, 1.0, -3.0, 100.0):
+        for _ in range(5):
+            v = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            spread = lam0 + np.array([0.0, 1.0, 2.5])
+            tol = 1e-12 * max(1.0, np.abs(spread).max())
+            # hard case: β misses a degenerate lowest eigenspace
+            lam = lam0 + np.array([0.0, 0.0, 2.0])
+            yield v @ np.diag(lam) @ v.T, 2 * v @ np.array([0.0, 0.0, 0.7])
+            # near-hard case: |β_low| within a factor of ten of tol, the
+            # rest of y of length 0.3, 0.6 or 0.9
+            for factor, rest in itertools.product((0.5, 1.0, 2.0, 10.0),
+                                                  (0.3, 0.6, 0.9)):
+                beta = np.array([factor * tol, 0.8 * rest, 1.5 * rest])
+                yield v @ np.diag(spread) @ v.T, 2 * v @ beta
+            # β along the lowest eigenvector: the root is λ₀ - |β|
+            yield v @ np.diag(spread) @ v.T, 2 * v @ np.array([0.9, 0.0, 0.0])
+
+
+def test_newton_secular_root_matches_brentq():
+    for q, b in secular_cases():
+        r = qe._sphere_argmin(b, q)
+        ref = brentq_argmin(b, q)
+        r, ref = r / np.linalg.norm(r), ref / np.linalg.norm(ref)
+        assert np.abs(r - ref).max() <= 1e-12
+        # never higher, up to the rounding of the objective's own evaluation
+        slack = 4 * np.finfo(float).eps * (np.abs(b).sum() + np.abs(q).sum())
+        assert b @ r + r @ q @ r <= b @ ref + ref @ q @ ref + slack
+
+
+def test_secular_root_along_the_lowest_eigenvector():
+    v = np.linalg.qr(np.random.default_rng(43).normal(size=(3, 3)))[0]
+    q = v @ np.diag([1.0, 2.0, 3.5]) @ v.T
+    r = qe._sphere_argmin(1.8 * v[:, 0], q)
+    assert np.abs(r + v[:, 0]).max() <= 1e-15
+
+
 def test_qubit_minimizer_rejects_non_quadratic_objective():
     with pytest.raises(ValueError, match="quadratic"):
         qe._minimize_over_pure_states(lambda psi: abs(psi[0]) ** 6, 2)
@@ -397,6 +465,17 @@ def test_qubit_minimizer_rejects_non_quadratic_objective():
 def test_min_overlap_qutrit_identity_is_one():
     f = qe.min_overlap_fidelity(lambda rho: rho, dim=3)
     assert abs(f - 1.0) < 1e-12
+
+
+def test_min_overlap_one_dimensional_space_is_exact():
+    assert qe.min_overlap_fidelity(lambda rho: 0.3 * rho, dim=1) == 0.3
+    assert qe.min_overlap_fidelity(lambda rho: rho, dim=1) == 1.0
+
+
+@pytest.mark.parametrize("dim", [0, -2, 1.5, 2.0, "2", True])
+def test_min_overlap_rejects_bad_dim(dim):
+    with pytest.raises(ValueError, match="dim"):
+        qe.min_overlap_fidelity(lambda rho: rho, dim=dim)
 
 
 def test_min_overlap_with_sampler():

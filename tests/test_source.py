@@ -1,7 +1,12 @@
 """Rules that hold for every module of the qwork package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import qwork
 
@@ -76,3 +81,45 @@ def test_no_unread_locals():
                   for name, func in _functions(tree)
                   for local in _unread_locals(func)]
     assert found == []
+
+
+def _module_level(node):
+    # statements that run on import: everything outside function bodies
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _module_level(child)
+
+
+def test_no_module_level_scipy_import():
+    # importing scipy.optimize and scipy.linalg costs about 0.6 s, more than
+    # most commands' work, so only the functions that need scipy import it
+    found = []
+    for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _module_level(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+@pytest.mark.parametrize("argv", [None, ["qec", "four-bit", "--gamma", "0.01"],
+                                  ["nmr", "thermal"]],
+                         ids=["import", "qec four-bit", "nmr thermal"])
+def test_cli_runs_without_importing_scipy(argv):
+    script = "\n".join([
+        "import sys", "import qwork.cli",
+        f"rc = qwork.cli.main({argv!r})" if argv else "rc = 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " rc, file=sys.stderr)"])
+    src = str(Path(qwork.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "[] 0", proc.stderr
