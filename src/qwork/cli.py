@@ -411,6 +411,9 @@ def cmd_channel_show(kind, **given):
     for name, value in args.items():
         if value is None:
             raise InputError(f"channel {kind} needs --{name}")
+    for name, value in given.items():
+        if value is not None and name not in args:
+            raise InputError(f"channel {kind} takes no --{name}")
     ch = qop_core.standard_channel(kind, **args)
     choi = qop_core.choi_of(ch)
     evals = np.linalg.eigvalsh(choi.mat)

@@ -596,11 +596,14 @@ def dj_thermal(n, f, p):
     if not scaling_error < 1e-9:
         raise RuntimeError("thermal outputs break the scaling identity "
                            f"E = (2p - 1) E_pure (error {scaling_error:.3e})")
-    total = float(e_thermal.sum())
-    if np.all(scale > 0):
-        threshold = float(scale.sum() - p_work * scale.min())
+    # E = s E_pure with s = 2p - 1: a constant oracle reaches Σ|s| in
+    # Σ sign(s)·E, a balanced one flips some register bit and falls at
+    # least p_work·min|s| short
+    total = float((np.sign(scale) * e_thermal).sum())
+    if not np.any(scale):
+        threshold = 0.0
     else:
-        threshold = float(scale.sum())
+        threshold = float(np.abs(scale).sum() - p_work * np.abs(scale[scale != 0]).min())
     if p_work == 0.0 or not np.any(scale):
         # the outputs are the same for every oracle: nothing to decide on
         decision = "undecided"

@@ -15,13 +15,12 @@ encode/syndrome/recover circuit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qop_core import CNOT, QuantumChannel, apply, apply_local, dagger
+from .qop_core import CNOT, PAULIS, QuantumChannel, apply, apply_local, dagger
 
 DEFAULT_TOL = 1e-9
 
@@ -116,29 +115,15 @@ def _thin_polar(ac):
     return w, h, s
 
 
-def _gram_blocks(code, errors):
-    cols = [error_columns(code, e) for e in errors]
-    ne, k = len(errors), code.k
-    blocks = np.empty((ne, ne, k, k), dtype=complex)
-    for m in range(ne):
-        for n in range(ne):
-            blocks[m, n] = dagger(cols[m]) @ cols[n]
-    return cols, blocks
-
-
 def check_exact(code, errors, tol=DEFAULT_TOL):
     """Exact correctability: every cross product of errors must act on the
     code as a scalar g_mn times the identity, with no logical mixing."""
     code.validate(max(tol, 1e-12))
     ne, k = len(errors), code.k
-    _, blocks = _gram_blocks(code, errors)
-    g = np.empty((ne, ne), dtype=complex)
-    defect = 0.0
-    for m in range(ne):
-        for n in range(ne):
-            g[m, n] = np.trace(blocks[m, n]) / k
-            defect = max(defect,
-                         float(np.abs(blocks[m, n] - g[m, n] * np.eye(k)).max()))
+    cols = np.array([error_columns(code, e) for e in errors])
+    blocks = cols.conj().swapaxes(1, 2)[:, None] @ cols[None]    # (A_m C)†(A_n C)
+    g = np.trace(blocks, axis1=2, axis2=3) / k
+    defect = float(np.abs(blocks - g[..., None, None] * np.eye(k)).max())
     g = (g + dagger(g)) / 2
     w = np.linalg.eigvalsh(g)
     scale = max(w.max(), 1.0)
@@ -196,10 +181,7 @@ def canonicalize_errors(code, errors, g=None, tol=DEFAULT_TOL):
                 return sum(c * apply_error(e, vec) for c, e in zip(_c, _errs))
             new_errors.append(combo)
 
-    isometries = []
-    for e in new_errors:
-        wmat, _, _ = _thin_polar(error_columns(code, e))
-        isometries.append(wmat)
+    isometries = [_thin_polar(error_columns(code, e))[0] for e in new_errors]
     return CanonicalSet(new_errors, np.clip(w, 0.0, None), isometries)
 
 
@@ -335,13 +317,30 @@ def bloch_state(r):
                      complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)])
 
 
-# the 26 nonzero points of {-1, 0, 1}^3 on the sphere: more than the ten
-# coefficients of a quadratic in r, so the fit residual tests that it is one
-_PROBES = np.array([p for p in itertools.product((-1, 0, 1), repeat=3) if any(p)])
-_PROBES = _PROBES / np.linalg.norm(_PROBES, axis=1, keepdims=True)
-_I, _J = np.triu_indices(3)
-_DESIGN = np.column_stack([np.ones(len(_PROBES)), _PROBES,
-                           _PROBES[:, _I] * _PROBES[:, _J]])
+# Bloch vectors at which a qubit objective's coefficients are read: ±x̂, ±ŷ,
+# ±ẑ, then (êᵢ + êⱼ)/√2 for the pairs in _PAIRS, then one generic state
+# that checks the objective is quadratic at all
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_READ = np.vstack([np.eye(3), -np.eye(3),
+                   [(np.eye(3)[i] + np.eye(3)[j]) / math.sqrt(2) for i, j in _PAIRS],
+                   np.array([1.0, 2.0, 3.0]) / math.sqrt(14)])
+
+
+def _bloch_coefficients(f):
+    """(b, q) with f(r) = b·r + rᵀqr on the unit sphere, read exactly from
+    f at the ten _READ states (a constant term folds into q's diagonal
+    because rᵀr = 1); ValueError if the check state disagrees."""
+    f = np.asarray(f, dtype=float)
+    b = (f[:3] - f[3:6]) / 2
+    q = np.diag((f[:3] + f[3:6]) / 2)
+    for (i, j), fij in zip(_PAIRS, f[6:9]):
+        q[i, j] = q[j, i] = fij - (b[i] + b[j]) / math.sqrt(2) - (q[i, i] + q[j, j]) / 2
+    r = _READ[9]
+    residual = abs(b @ r + r @ q @ r - f[9])
+    if not residual <= 1e-9 * max(1.0, float(np.abs(f).max())):
+        raise ValueError(f"objective is not quadratic in the Bloch vector "
+                         f"(check-state residual {residual:.3e}); is the channel linear?")
+    return b, q
 
 
 # far from the root, Newton from the right end of the bracket gains a factor
@@ -407,26 +406,26 @@ def _sphere_argmin(b, q):
                        f"steps (bracket [{lo!r}, {hi!r}] around λ₀)")
 
 
+def _bloch_argmin(b, q):
+    """Pure qubit state minimizing b·r + rᵀqr over unit r, and the gap
+    |‖r‖ - 1| of _sphere_argmin's root before it is renormalized."""
+    r = _sphere_argmin(b, q)
+    norm = np.linalg.norm(r)
+    return bloch_state(r / norm), abs(norm - 1.0)
+
+
 def _minimize_over_pure_states(value, k):
     """(minimum, minimizer) of a real function of a pure state in C^k: exact
     for k = 1, which has one state, and for a qubit, where the function must
-    be quadratic in the Bloch vector as every fidelity is (ValueError if its
-    fit at fixed probes fails), else a seeded random search refined by
-    Nelder-Mead, which imports scipy."""
+    be quadratic in the Bloch vector as every fidelity is (its coefficients
+    are read at fixed states, ValueError if a check state disagrees), else a
+    seeded random search refined by Nelder-Mead, which imports scipy."""
     if k == 1:
         psi = np.ones(1, dtype=complex)
         return value(psi), psi
     if k == 2:
-        f = np.array([value(bloch_state(r)) for r in _PROBES])
-        coef = np.linalg.lstsq(_DESIGN, f, rcond=None)[0]
-        residual = float(np.abs(_DESIGN @ coef - f).max())
-        if not residual <= 1e-9 * max(1.0, float(np.abs(f).max())):
-            raise ValueError(f"objective is not quadratic in the Bloch vector (fit "
-                             f"residual {residual:.3e}); is the channel linear?")
-        q = np.zeros((3, 3))
-        q[_I, _J] = coef[4:]
-        r = _sphere_argmin(coef[1:4], (q + q.T) / 2)
-        psi = bloch_state(r / np.linalg.norm(r))
+        psi, _ = _bloch_argmin(*_bloch_coefficients(
+            [value(bloch_state(r)) for r in _READ]))
         return value(psi), psi
 
     from scipy.optimize import minimize
@@ -528,12 +527,8 @@ def ad_product(pattern, gamma):
 
 def four_bit_reversible_set(gamma):
     """The no-loss element plus the four single-loss elements."""
-    errs = [ad_product((0, 0, 0, 0), gamma)]
-    for i in range(4):
-        pattern = [0, 0, 0, 0]
-        pattern[i] = 1
-        errs.append(ad_product(tuple(pattern), gamma))
-    return errs
+    single = [tuple(int(q == i) for q in range(4)) for i in range(4)]
+    return [ad_product(p, gamma) for p in [(0, 0, 0, 0)] + single]
 
 
 @dataclass
@@ -542,19 +537,31 @@ class FourBitReport:
     worst_fidelity: float
     worst_state: np.ndarray
     syndrome_probs: dict
-    branches: list           # (syndrome, sub-label, weight, logical 2-vector or None)
+    branches: list           # (syndrome, label, logical 2-vector or None, probability)
     leading_coefficient: float   # (1 - worst_fidelity) / gamma²
+    method: str              # how the worst state was found: "exact-sphere"
+    secular_residual: float  # |‖r‖ - 1| of the secular root before renormalizing
 
 
-def _four_bit_branches(gamma, amplitudes, code):
-    """Push one encoded state through damping, syndrome circuit and recovery.
+# the outcomes of one damping pattern in circuit order, (syndrome, label,
+# recovered): no loss decodes onto qubit 1; a single loss keeps the register
+# with the logical content under the good (n0) or bad (n1) element
+_FOUR_BIT_LEAVES = ([((0, 0), f"/rest{sub}", True) for sub in np.ndindex(2, 2, 2)]
+                    + [(syn, f"/{el}.{col}", el == "n0") for syn in ((0, 1), (1, 0))
+                       for col in range(8) for el in ("n0", "n1")]
+                    + [((1, 1), "", False)])
 
-    Returns a list of (syndrome, label, logical-output-vector or None); the
-    vectors are unnormalized, their squared norms are branch probabilities.
-    None marks a branch with no recovered qubit (counted as fidelity 0).
+
+def _four_bit_branches(gamma, code):
+    """Push the code's logical basis through damping, syndrome circuit and
+    recovery, under all 16 damping patterns at once.
+
+    Every step is linear in the encoded amplitudes a, so each outcome is a
+    map of a.  Returns a (16, 41, 2, 2) stack M over (damping pattern,
+    _FOUR_BIT_LEAVES entry): M·a is a recovered outcome's unnormalized
+    logical output, and for every outcome ‖M·a‖² is its probability.
     """
-    damping = ad_kraus(gamma)  # first: it rejects a bad gamma
-    psi = code.encode(amplitudes)
+    damping = np.array(ad_kraus(gamma))  # first: it rejects a bad gamma
     rot_pair = math.atan((1 - gamma) ** 2)
     # rotation sending cos(t)|0> + sin(t)|1> to |0>
     def unrot(t):
@@ -568,53 +575,35 @@ def _four_bit_branches(gamma, amplitudes, code):
                                  [zero, unrot(math.pi / 4)]])
     projector = [np.diag(e) for e in np.eye(2, dtype=complex)]
 
-    out = []
-    for pattern in np.ndindex(2, 2, 2, 2):
-        branch = psi
-        for q, b in enumerate(pattern):
-            branch = apply_local(damping[b], branch, (q,))
-        if np.abs(branch).max() < 1e-300:
-            continue
-        branch = apply_local(CNOT, branch, (0, 1))
-        branch = apply_local(CNOT, branch, (2, 3))
-        for s2 in (0, 1):
-            half = apply_local(projector[s2], branch, (1,))
-            for s4 in (0, 1):
-                w = apply_local(projector[s4], half, (3,))
-                prob = float(np.vdot(w, w).real)
-                if prob < 1e-14:
-                    continue
-                label = "".join(map(str, pattern))
-                if (s2, s4) == (0, 0):
-                    # decode back onto qubit 1: fold qubit 3 in, then undo the
-                    # residual tilt with a rotation selected by qubit 1
-                    w = apply_local(CNOT, w, (2, 0))
-                    w = apply_local(controlled_unrot, w, (0, 1))
-                    for sub in np.ndindex(2, 2, 2):
-                        vec = np.array([w[int("".join(map(str, (b,) + sub)), 2)]
-                                        for b in (0, 1)])
-                        p = float(np.vdot(vec, vec).real)
-                        if p < 1e-14:
-                            continue
-                        out.append(((s2, s4), label + f"/rest{sub}", vec, p))
-                elif (s2, s4) in ((1, 0), (0, 1)):
-                    reg = 2 if (s2, s4) == (1, 0) else 0
-                    t = np.moveaxis(w.reshape((2,) * 4), reg, 0).reshape(2, 8)
-                    for col in range(8):
-                        vec = t[:, col]
-                        if np.vdot(vec, vec).real < 1e-14:
-                            continue
-                        good = n0 @ vec
-                        bad = n1 @ vec
-                        pg = float(np.vdot(good, good).real)
-                        pb = float(np.vdot(bad, bad).real)
-                        if pg >= 1e-14:
-                            out.append(((s2, s4), label + f"/n0.{col}", good, pg))
-                        if pb >= 1e-14:
-                            out.append(((s2, s4), label + f"/n1.{col}", None, pb))
-                else:
-                    out.append(((s2, s4), label, None, prob))
-    return out
+    patterns = np.array(list(np.ndindex(2, 2, 2, 2)))
+    branch = np.broadcast_to(code.matrix, (16, 16, 2))
+    for q in range(4):
+        branch = apply_local(damping[patterns[:, q]], branch, (q,))
+    # one 16 x (pattern, amplitude) matrix from here on
+    branch = branch.transpose(1, 0, 2).reshape(16, 32)
+    branch = apply_local(CNOT, apply_local(CNOT, branch, (0, 1)), (2, 3))
+
+    def by_column(w, reg):
+        # (pattern, column, register, amplitude): the register's qubit
+        # against the basis states of the other three
+        t = np.moveaxis(w.reshape((2,) * 4 + (16, 2)), reg, 0)
+        return t.reshape(2, 8, 16, 2).transpose(2, 1, 0, 3)
+
+    maps = []
+    for s2, s4 in np.ndindex(2, 2):
+        w = apply_local(projector[s4], apply_local(projector[s2], branch, (1,)), (3,))
+        if (s2, s4) == (0, 0):
+            # decode back onto qubit 1: fold qubit 3 in, then undo the
+            # residual tilt with a rotation selected by qubit 1
+            w = apply_local(controlled_unrot, apply_local(CNOT, w, (2, 0)), (0, 1))
+            maps.append(by_column(w, 0))
+        elif s2 != s4:
+            t = by_column(w, 2 if s2 else 0)
+            maps.append(np.stack([n0 @ t, n1 @ t], axis=2).reshape(16, 16, 2, 2))
+        else:
+            # W = QR: the 2x2 R has W's probabilities, ‖Ra‖ = ‖Wa‖
+            maps.append(np.linalg.qr(w.reshape(16, 16, 2).transpose(1, 0, 2), mode="r")[:, None])
+    return np.concatenate(maps, axis=1)
 
 
 def four_bit_pipeline(gamma):
@@ -624,19 +613,29 @@ def four_bit_pipeline(gamma):
     per-qubit damping channel, the two-pair parity syndrome circuit, and the
     branch recoveries (rotation pair on the no-loss branch, the swap-like
     non-unitary element on single-loss branches).  Unrecoverable branches
-    count as fidelity zero.
+    count as fidelity zero.  The circuit runs once, on the code's logical
+    basis: with ρ = (I + r·σ)/2 each recovered branch map M contributes
+    |tr(Mρ)|² = |t₀ + t·r|², t_μ = tr(Mσ_μ)/2, so the fidelity's Bloch
+    coefficients are exact and _sphere_argmin gives the worst state a.  The
+    report's branches are the M·a of probability 1e-14 or more.
     """
-    code = four_bit_code()
-
-    def fidelity_of(amplitudes):
-        branches = _four_bit_branches(gamma, amplitudes, code)
-        return sum((abs(np.vdot(amplitudes, vec)) ** 2
-                    for _, _, vec, _ in branches if vec is not None), 0.0)
-
-    worst, worst_amp = _minimize_over_pure_states(fidelity_of, 2)
-    branches = _four_bit_branches(gamma, worst_amp, code)
-    syn = {}
-    for key, _, _, p in branches:
+    maps = _four_bit_branches(gamma, four_bit_code())
+    recovered = np.array([rec for *_, rec in _FOUR_BIT_LEAVES])
+    t = np.einsum("pij,nji->np", np.array(PAULIS),
+                  maps[:, recovered].reshape(-1, 2, 2)) / 2
+    b = 2 * np.real(t[:, :1].conj() * t[:, 1:]).sum(axis=0)
+    q = np.real(t[:, 1:].conj().T @ t[:, 1:]) + np.sum(np.abs(t[:, 0]) ** 2) * np.eye(3)
+    amp, residual = _bloch_argmin(b, q)
+    vecs = maps @ amp
+    probs = np.einsum("...i,...i->...", vecs.conj(), vecs).real
+    branches, syn, worst = [], {}, 0.0
+    for pattern, leaf in zip(*np.nonzero(probs >= 1e-14)):
+        key, suffix, rec = _FOUR_BIT_LEAVES[leaf]
+        vec, p = vecs[pattern, leaf], float(probs[pattern, leaf])
+        branches.append((key, f"{pattern:04b}{suffix}", vec if rec else None, p))
         syn[key] = syn.get(key, 0.0) + p
+        if rec:
+            worst += abs(np.vdot(amp, vec)) ** 2
     coeff = (1 - worst) / gamma ** 2 if gamma > 0 else 0.0
-    return FourBitReport(gamma, worst, worst_amp, syn, branches, coeff)
+    return FourBitReport(gamma, worst, amp, syn, branches, coeff,
+                         "exact-sphere", residual)

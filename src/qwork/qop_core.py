@@ -416,6 +416,27 @@ def default_state_basis(dim):
     return states
 
 
+def _chi_equations(oracle, rhos, op_basis):
+    """(lam, kappa) of tomography's lambda = kappa · chi: lam[i, j] expands
+    the oracle's output on rhos[i], and kappa[(i, j), (m, n)] expands
+    B_m rhos[i] B_n†, over the input states rhos[j]."""
+    d2 = len(rhos)
+    # R maps expansion coefficients over the input states to vectorized matrices
+    r_cols = np.column_stack([m.reshape(-1) for m in rhos])
+    if np.linalg.matrix_rank(r_cols, tol=1e-10) < d2:
+        raise ValueError("input basis does not span the operator space")
+
+    # every right-hand side of each system in one solve
+    outs = np.array([_as_mat(oracle(rho)).reshape(-1) for rho in rhos])
+    lam = np.linalg.solve(r_cols, outs.T).T
+    basis = np.array(op_basis)
+    left = basis[:, None] @ np.array(rhos)[None]                         # (m, i)
+    prods = left[:, None] @ basis.conj().swapaxes(1, 2)[None, :, None]  # (m, n, i)
+    coef = np.linalg.solve(r_cols, prods.reshape(d2 ** 3, d2).T)        # (j, m, n, i)
+    kappa = coef.reshape((d2,) * 4).transpose(3, 0, 1, 2).reshape(d2 * d2, d2 * d2)
+    return lam, kappa
+
+
 def tomography_method1(oracle, dim, input_basis=None, op_basis=None,
                        tol=DEFAULT_TOL):
     """Process tomography by expanding outputs over a fixed operator basis.
@@ -436,25 +457,7 @@ def tomography_method1(oracle, dim, input_basis=None, op_basis=None,
     if len(rhos) != d2 or len(op_basis) != d2:
         raise ValueError("bases must have dim² elements")
 
-    # R maps expansion coefficients over the input states to vectorized matrices
-    r_cols = np.column_stack([m.reshape(-1) for m in rhos])
-    if np.linalg.matrix_rank(r_cols, tol=1e-10) < d2:
-        raise ValueError("input basis does not span the operator space")
-
-    lam = np.empty((d2, d2), dtype=complex)       # lam[i, j]
-    for i, rho in enumerate(rhos):
-        out = _as_mat(oracle(rho))
-        lam[i] = np.linalg.solve(r_cols, out.reshape(-1))
-
-    kappa = np.empty((d2 * d2, d2 * d2), dtype=complex)
-    for m, bm in enumerate(op_basis):
-        for n, bn in enumerate(op_basis):
-            col = m * d2 + n
-            for i, rho in enumerate(rhos):
-                prod = bm @ rho @ dagger(bn)
-                kappa[i * d2:(i + 1) * d2, col] = np.linalg.solve(
-                    r_cols, prod.reshape(-1))
-
+    lam, kappa = _chi_equations(oracle, rhos, op_basis)
     chi_vec, *_ = np.linalg.lstsq(kappa, lam.reshape(-1), rcond=None)
     chi = chi_vec.reshape(d2, d2)
     chi = (chi + dagger(chi)) / 2

@@ -102,6 +102,17 @@ def test_channel_show(capsys):
     assert code == 3
 
 
+def test_channel_show_rejects_an_option_its_kind_does_not_read(capsys, tmp_path):
+    params = {"kind": "depolarizing", "p": 0.5, "gamma": 0.1}
+    code, out, err = run_cli(capsys, "channel", "show", "--kind", "depolarizing",
+                             "--p", "0.5", "--gamma", "0.1")
+    assert code == 3 and out == ""
+    assert "channel depolarizing takes no --gamma" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(cli.ExperimentConfig(("channel", "show"), params).to_json())
+    assert run_cli(capsys, "run", "--config", str(cfg)) == (code, out, err)
+
+
 def test_qec_four_bit(capsys):
     code, out, _ = run_cli(capsys, "qec", "four-bit", "--gamma", "0.01")
     assert code == 0

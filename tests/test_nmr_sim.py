@@ -393,6 +393,17 @@ def test_dj_decision_at_sixty_percent():
         assert bal["sum"] < bal["threshold"] <= const["sum"]
 
 
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.4, [0.9, 0.5, 0.9]])
+def test_dj_decides_with_registers_below_one_half(p):
+    # 2p - 1 <= 0 flips a qubit's outputs; the decision reads through it
+    parity = lambda x: bin(x).count("1") & 1
+    const = nm.dj_thermal(3, lambda x: 0, p)
+    bal = nm.dj_thermal(3, parity, p)
+    assert const["decision"] == "constant"
+    assert bal["decision"] == "balanced"
+    assert bal["sum"] < const["threshold"] < const["sum"]
+
+
 def test_dj_undecided_without_signal():
     # a register at p = 0.5, or a work bit that never kicks back, gives the
     # same outputs for every oracle

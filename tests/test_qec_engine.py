@@ -296,6 +296,13 @@ def test_fidelity_bound_four_bit():
     assert bound >= rep.crude_bound - 1e-12
 
 
+@pytest.mark.parametrize("g", [0.005, 0.01, 0.04])
+def test_fidelity_bound_four_bit_closed_form(g):
+    rep = qe.check_approximate(qe.four_bit_code(), qe.four_bit_reversible_set(g))
+    expect = 1 - 3 * g ** 2 + 4 * g ** 3 - 1.5 * g ** 4
+    assert abs(qe.fidelity_lower_bound(rep) - expect) < 1e-12
+
+
 def test_fidelity_bound_exact_code_is_total_probability():
     code = five_qubit_code()
     errs = weight_one_paulis(5)
@@ -462,6 +469,18 @@ def test_qubit_minimizer_rejects_non_quadratic_objective():
         qe.min_overlap_fidelity(lambda rho: np.diag(np.diag(rho) ** 3))
 
 
+def test_min_overlap_of_a_linear_callable_matches_its_channel():
+    # a trace-decreasing map: the worst overlap reads the same coefficients
+    # from the callable as from the Kraus form
+    ch = qc.QuantumChannel([0.8 * qc.standard_channel("amplitude_damping", gamma=0.3).kraus[0],
+                            0.5 * qc.SX @ qc.SZ])
+    assert not qc.linear_rep(ch).trace_preserving
+    f = qe.min_overlap_fidelity(lambda rho: qc.apply(ch, rho))
+    assert abs(f - qe.min_overlap_fidelity(ch)) < 1e-14
+    dense = qe.min_overlap_fidelity(ch, sampler=[qe.bloch_state(r) for r in sphere_sample(2000)])
+    assert f <= dense + 1e-12
+
+
 def test_min_overlap_qutrit_identity_is_one():
     f = qe.min_overlap_fidelity(lambda rho: rho, dim=3)
     assert abs(f - 1.0) < 1e-12
@@ -527,6 +546,21 @@ def test_pipeline_matches_closed_form():
         expect = (1 - g) ** 2 + 2 * g * (1 - g) ** 3
         assert abs(rep.worst_fidelity - expect) < 1e-14
         assert abs(np.linalg.norm(rep.worst_state) - 1) < 1e-14
+
+
+def test_pipeline_runs_the_circuit_once(monkeypatch):
+    calls = []
+    circuit = qe._four_bit_branches
+
+    def counted(*args):
+        calls.append(args)
+        return circuit(*args)
+
+    monkeypatch.setattr(qe, "_four_bit_branches", counted)
+    rep = qe.four_bit_pipeline(0.02)
+    assert len(calls) == 1
+    assert rep.method == "exact-sphere"
+    assert 0.0 <= rep.secular_residual <= 1e-14
 
 
 def test_damping_rejects_bad_gamma():

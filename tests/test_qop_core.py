@@ -218,6 +218,37 @@ def test_tomography_method1_phase_damping():
     assert qc.channels_equal(got, ch, tol=1e-8)
 
 
+def chi_equations_by_loops(oracle, rhos, op_basis):
+    """lambda and kappa of method 1, one solve per output and per product."""
+    d2 = len(rhos)
+    r_cols = np.column_stack([m.reshape(-1) for m in rhos])
+    lam = np.array([np.linalg.solve(r_cols, oracle(rho).reshape(-1)) for rho in rhos])
+    kappa = np.empty((d2 * d2, d2 * d2), dtype=complex)
+    for m, bm in enumerate(op_basis):
+        for n, bn in enumerate(op_basis):
+            for i, rho in enumerate(rhos):
+                kappa[i * d2:(i + 1) * d2, m * d2 + n] = np.linalg.solve(
+                    r_cols, (bm @ rho @ qc.dagger(bn)).reshape(-1))
+    return lam, kappa
+
+
+@pytest.mark.parametrize("dim, basis", [(2, "default"), (4, "default"), (2, "random")])
+def test_chi_equations_match_the_per_element_loops(dim, basis):
+    r = np.random.default_rng(dim)
+    ch = qc.random_channel(dim, n_kraus=2, rng=r)
+    oracle = lambda rho: qc.apply(ch, rho)
+    rhos = (qc.default_state_basis(dim) if basis == "default"
+            else [random_density(dim, r) for _ in range(dim * dim)])
+    ops = qc.pauli_product_basis(dim.bit_length() - 1)
+    lam, kappa = qc._chi_equations(oracle, rhos, ops)
+    want_lam, want_kappa = chi_equations_by_loops(oracle, rhos, ops)
+    assert np.abs(lam - want_lam).max() <= 1e-12
+    assert np.abs(kappa - want_kappa).max() <= 1e-12
+    if basis == "random":
+        got = qc.tomography_method1(oracle, dim, input_basis=rhos)
+        assert qc.channels_equal(got, ch, tol=1e-8)
+
+
 def test_tomography_method2_phase_damping():
     ch = qc.standard_channel("phase_damping", p=0.25)
     got = qc.tomography_method2(lambda rho: qc.apply(ch, rho), 2)
