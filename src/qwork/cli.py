@@ -441,7 +441,7 @@ def cmd_qec_four_bit(gamma):
     lead = report.leading_coefficient
     click.echo(f"gamma={fmt(gamma)}")
     click.echo(f"worst_fidelity={fmt(report.worst_fidelity)}")
-    click.echo(f"infidelity_over_gamma2={fmt((1 - report.worst_fidelity) / gamma ** 2)}")
+    click.echo(f"infidelity_over_gamma2={fmt(lead)}")
     click.echo(f"leading_coefficient={fmt(lead)}")
     for syn, prob in sorted(report.syndrome_probs.items()):
         click.echo(f"syndrome {syn}: prob={fmt(prob)}")

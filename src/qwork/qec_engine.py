@@ -538,7 +538,7 @@ class FourBitReport:
     worst_state: np.ndarray
     syndrome_probs: dict
     branches: list           # (syndrome, label, logical 2-vector or None, probability)
-    leading_coefficient: float   # (1 - worst_fidelity) / gamma²
+    leading_coefficient: float   # (1 - worst_fidelity) / gamma², loss summed directly
     method: str              # how the worst state was found: "exact-sphere"
     secular_residual: float  # |‖r‖ - 1| of the secular root before renormalizing
 
@@ -628,6 +628,11 @@ def four_bit_pipeline(gamma):
     amp, residual = _bloch_argmin(b, q)
     vecs = maps @ amp
     probs = np.einsum("...i,...i->...", vecs.conj(), vecs).real
+    # 1 - F summed directly over every leaf: an unrecovered leaf's whole
+    # probability, and the weight a recovered one holds outside a
+    kept = vecs[:, recovered]
+    outside = kept - (kept @ amp.conj())[..., None] * amp
+    loss = probs[:, ~recovered].sum() + np.sum(np.abs(outside) ** 2)
     branches, syn, worst = [], {}, 0.0
     for pattern, leaf in zip(*np.nonzero(probs >= 1e-14)):
         key, suffix, rec = _FOUR_BIT_LEAVES[leaf]
@@ -636,6 +641,6 @@ def four_bit_pipeline(gamma):
         syn[key] = syn.get(key, 0.0) + p
         if rec:
             worst += abs(np.vdot(amp, vec)) ** 2
-    coeff = (1 - worst) / gamma ** 2 if gamma > 0 else 0.0
+    coeff = loss / gamma ** 2 if gamma > 0 else 0.0
     return FourBitReport(gamma, worst, amp, syn, branches, coeff,
                          "exact-sphere", residual)

@@ -10,14 +10,17 @@ the measurement-plus-fixup gate constructions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop_core import CNOT, I2, SX, SY, SZ, apply_local, dagger, z_signs
+from .qop_core import (CNOT, I2, SX, SY, SZ, apply_local, dagger,
+                       pauli_product_basis, z_signs)
 
 DEFAULT_TOL = 1e-9
 
@@ -123,6 +126,7 @@ class PauliWord:
         return sign == self.phase
 
     def apply(self, vec):
+        """The word applied to a state vector, or to each column of a matrix."""
         vec = np.asarray(vec, dtype=complex)
         n = self.n
         idx = np.arange(1 << n)
@@ -131,22 +135,12 @@ class PauliWord:
             if (self.x >> q) & 1:
                 xperm |= 1 << (n - 1 - q)
         out = np.zeros_like(vec)
-        out[idx ^ xperm] = self.phase * _bit_parities(self.z, n) * vec
+        scale = self.phase * _bit_parities(self.z, n)
+        out[idx ^ xperm] = scale.reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
         return out
 
     def matrix(self):
-        m = np.array([[self.phase]], dtype=complex)
-        for q in range(self.n):
-            xb, zb = (self.x >> q) & 1, (self.z >> q) & 1
-            local = _LETTER["I"]
-            if xb and zb:
-                local = SX @ SZ
-            elif xb:
-                local = SX
-            elif zb:
-                local = SZ
-            m = np.kron(m, local)
-        return m
+        return self.apply(np.eye(1 << self.n))
 
 
 def commutes(p, q):
@@ -164,7 +158,7 @@ def single_qubit_word(n, q, letter):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) helpers for logical-operator completion
+# GF(2) rank, for generator independence
 
 
 def _gf2_rank(rows):
@@ -186,54 +180,6 @@ def _gf2_rank(rows):
     return rank
 
 
-def _in_span(vec, rows):
-    return _gf2_rank(list(rows) + [vec]) == _gf2_rank(rows)
-
-
-def _symp(n, a, b):
-    ax, az = a >> n, a & ((1 << n) - 1)
-    bx, bz = b >> n, b & ((1 << n) - 1)
-    return _parity(ax & bz) ^ _parity(az & bx)
-
-
-def _word_to_vec(w):
-    return (w.x << w.n) | w.z
-
-
-def _vec_to_word(n, v):
-    w = PauliWord(n, v >> n, v & ((1 << n) - 1))
-    sign, _ = w.display()
-    if sign == -1:
-        w = PauliWord(n, w.x, w.z, -w.phase)
-    return w
-
-
-def complete_logicals(n, generators):
-    """Pair up the operators that commute with every generator but are not
-    stabilizers themselves, giving k anticommuting logical pairs."""
-    if n > 8:
-        raise ValueError("dense kernel scan capped at 8 qubits")
-    gen_vecs = [_word_to_vec(g) for g in generators]
-    kernel = []
-    span = list(gen_vecs)
-    for v in range(1, 1 << (2 * n)):
-        if all(_symp(n, v, g) == 0 for g in gen_vecs):
-            if not _in_span(v, span):
-                kernel.append(v)
-                span.append(v)
-    pairs = []
-    rest = kernel
-    while rest:
-        a = rest[0]
-        partner = next((b for b in rest[1:] if _symp(n, a, b)), None)
-        if partner is None:
-            raise ValueError("unpaired logical candidate")
-        rest = [c ^ (_symp(n, c, partner) * a) ^ (_symp(n, c, a) * partner)
-                for c in rest if c not in (a, partner)]
-        pairs.append((_vec_to_word(n, a), _vec_to_word(n, partner)))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # stabilizer codes
 
@@ -251,6 +197,9 @@ class StabilizerCode:
 
     @classmethod
     def from_strings(cls, generators, logical_x=(), logical_z=()):
+        if not generators:
+            raise ValueError("generators must hold at least one word "
+                             "(the qubit count is read from them)")
         to = PauliWord.from_string
         code = cls(len(generators[0].lstrip("+-i")),
                    [to(g) for g in generators],
@@ -261,12 +210,16 @@ class StabilizerCode:
         for g in self.generators:
             if g.n != self.n or not g.is_hermitian:
                 raise ValueError(f"bad generator {g}")
-        vecs = [_word_to_vec(g) for g in self.generators]
+        vecs = [(g.x << self.n) | g.z for g in self.generators]
         if _gf2_rank(vecs) != len(vecs):
             raise ValueError("generators are not independent")
         for a, b in itertools.combinations(self.generators, 2):
             if not a.commutes(b):
                 raise ValueError(f"generators {a} and {b} anticommute")
+        kx, kz = len(self.logical_x), len(self.logical_z)
+        if kx != kz or kx not in (0, self.k):
+            raise ValueError(f"logical_x and logical_z must both hold 0 or "
+                             f"k = {self.k} words, got {kx} and {kz}")
         norm = []
         for word in self.logical_x + self.logical_z:
             if not all(word.commutes(g) for g in self.generators):
@@ -277,7 +230,6 @@ class StabilizerCode:
             elif sign in (1j, -1j):
                 raise ValueError(f"logical {word} is not hermitian")
             norm.append(word)
-        kx = len(self.logical_x)
         self.logical_x, self.logical_z = norm[:kx], norm[kx:]
         for i, xi in enumerate(self.logical_x):
             for j, zj in enumerate(self.logical_z):
@@ -380,11 +332,10 @@ def ad4():
 
 
 def ad7():
-    gens = [PauliWord.from_string(s) for s in
-            ["XXXXXXX", "ZZZZIII", "ZZIIZZI", "ZIZIZIZ"]]
-    pairs = complete_logicals(7, gens)
-    code = StabilizerCode(7, gens, [a for a, _ in pairs], [b for _, b in pairs])
-    return code.validate()
+    return StabilizerCode.from_strings(
+        ["XXXXXXX", "ZZZZIII", "ZZIIZZI", "ZIZIZIZ"],
+        logical_x=["ZZIIIII", "IZZIIII", "IZIIZII"],
+        logical_z=["IXXIXII", "XXIIXXI", "XXXXIII"])
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +350,15 @@ class PauliCheck:
     violations: list
 
 
+def _quotient_kind(code, signs, q):
+    """"detected" when q anticommutes with a generator, else "stabilizer"
+    when q is a stabilizer element up to sign (signs: code.group_signs()),
+    else "logical": an undetected word acting on the code space."""
+    if any(not q.commutes(g) for g in code.generators):
+        return "detected"
+    return "stabilizer" if (q.x, q.z) in signs else "logical"
+
+
 def pauli_correctable(code, errors):
     """Knill-Laflamme check over a Pauli error list: every quotient E^t F
     must be detected by anticommutation or lie inside the stabilizer."""
@@ -407,16 +367,13 @@ def pauli_correctable(code, errors):
     degenerate = False
     for i, e in enumerate(errors):
         for j, f in enumerate(errors):
-            q = e.dagger() * f
-            if any(not q.commutes(g) for g in code.generators):
-                verdicts[i, j] = "detected"
-            elif (q.x, q.z) in signs:
-                verdicts[i, j] = "stabilizer"
-                if i != j:
-                    degenerate = True
-            else:
-                verdicts[i, j] = "violation"
+            kind = _quotient_kind(code, signs, e.dagger() * f)
+            if kind == "logical":
+                kind = "violation"
                 violations.append((i, j))
+            elif kind == "stabilizer" and i != j:
+                degenerate = True
+            verdicts[i, j] = kind
     return PauliCheck(not violations, degenerate, verdicts, violations)
 
 
@@ -438,9 +395,8 @@ def pauli_distance(code, max_weight=None):
     top = code.n if max_weight is None else max_weight
     for w in range(1, top + 1):
         for word in weight_words(code.n, w):
-            if all(word.commutes(g) for g in code.generators):
-                if (word.x, word.z) not in signs:
-                    return w
+            if _quotient_kind(code, signs, word) == "logical":
+                return w
     raise ValueError("no logical operator found up to the weight cap")
 
 
@@ -544,8 +500,9 @@ def ad_words(n, t):
     raised ones belong to the left factor, the plain to the right, and
     each factor alone stays within order t/2).
     """
-    if not t >= 0:
-        raise ValueError(f"damping order t must be nonnegative, got {t!r}")
+    if not (isinstance(t, numbers.Integral) and t >= 0):
+        raise ValueError(f"damping order t must be a nonnegative integer, "
+                         f"got {t!r}")
     out = []
     for r in range(0, 2 * t + 1):
         for s in range(0, t - (r + 1) // 2 + 1):
@@ -588,24 +545,15 @@ def ad_correctable(code, t):
     group = code.stabilizer_group()
     rejections, negated = [], []
     for word in words:
-        ok = True
-        for term in word.pauli_terms():
-            if any(not term.commutes(g) for g in code.generators):
-                continue
-            if (term.x, term.z) in signs:
-                continue
-            ok = False
-            break
-        if not ok:
-            for m in group:
-                if m.is_identity:
-                    continue
-                if word.times_stabilizer_sign(m) == -1:
-                    ok = True
-                    negated.append((word, m))
-                    break
-        if not ok:
+        if all(_quotient_kind(code, signs, term) != "logical"
+               for term in word.pauli_terms()):
+            continue
+        # the identity element never negates, so the first hit is nontrivial
+        m = next((m for m in group if word.times_stabilizer_sign(m) == -1), None)
+        if m is None:
             rejections.append(word)
+        else:
+            negated.append((word, m))
     return AdReport(not rejections, t, len(words), rejections, negated)
 
 
@@ -736,11 +684,19 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
     statistics and the data register must collapse exactly onto the ideal
     projection -- identically for every ancilla record of equal parity.
     """
-    rng = np.random.default_rng(0xCA7) if rng is None else rng
+    if not (len(subset) and len(set(subset)) == len(subset) and all(
+            isinstance(q, numbers.Integral) and 0 <= q < n for q in subset)):
+        raise ValueError(f"subset must list distinct qubits in 0..{n - 1}, "
+                         f"got {subset!r}")
     subset = sorted(subset)
     a = len(subset)
     if letters is None:
         letters = "Z" * a
+    if len(letters) != a or not set(letters) <= set(_LETTER):
+        raise ValueError(f"letters must give one of I, X, Y, Z for each of "
+                         f"the {a} subset qubits, got {letters!r}")
+    _check_states(states, 0 if len(special_inputs) else 1)
+    rng = np.random.default_rng(0xCA7) if rng is None else rng
     word = ["I"] * n
     for q, c in zip(subset, letters):
         word[q] = c
@@ -792,52 +748,23 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
 # gate hierarchy
 
 
-def _pauli_from_matrix(u, tol=DEFAULT_TOL):
-    """Recover (word, phase) from a dense matrix, or None."""
-    u = np.asarray(u)
-    dim = len(u)
-    n = dim.bit_length() - 1
-    row0 = np.abs(u[:, 0])
-    hits = np.flatnonzero(row0 > tol)
-    if len(hits) != 1:
-        return None
-    xperm = int(hits[0])
-    phase = u[xperm, 0]
-    if abs(abs(phase) - 1) > tol:
-        return None
-    idx = np.arange(dim)
-    vals = u[idx ^ xperm, idx]
-    signs = vals / phase
-    z = 0
-    for b in range(n):
-        s = signs[1 << b]
-        if abs(s - 1) <= tol:
-            pass
-        elif abs(s + 1) <= tol:
-            z |= 1 << (n - 1 - b)
-        else:
-            return None
-    x = 0
-    for b in range(n):
-        if (xperm >> b) & 1:
-            x |= 1 << (n - 1 - b)
-    expect = phase * _bit_parities(z, n)
-    if np.abs(vals - expect).max() > tol:
-        return None
-    off = u.copy()
-    off[idx ^ xperm, idx] = 0.0
-    if np.abs(off).max() > tol:
-        return None
-    return PauliWord(n, x, z), phase
+@functools.cache
+def _pauli_table(n):
+    """The 4^n n-qubit Pauli words P, conjugated, so that
+    einsum("pij,ij->p", table, u) gives every tr(P^dagger u); read-only."""
+    table = np.conj(pauli_product_basis(n)) * math.sqrt(1 << n)
+    table.flags.writeable = False
+    return table
 
 
 def hierarchy_level(u, k_max=4, tol=DEFAULT_TOL):
     """Smallest k with u in the conjugation hierarchy level k, or None.
 
-    Level 1 holds the Pauli words themselves; level k the gates whose
-    conjugates of the single-qubit X and Z generators all sit in level
-    k-1.  Membership is tested on those generators (products stay inside
-    because level 2 is a group).
+    Level 1 holds the Pauli words themselves, up to phase: a unitary u is
+    one exactly when |tr(P^dagger u)| reaches 2^n for some word P.  Level k
+    holds the gates whose conjugates of the single-qubit X and Z generators
+    all sit in level k-1.  Membership is tested on those generators
+    (products stay inside because level 2 is a group).
     """
     u = np.asarray(u, dtype=complex)
     dim = len(u)
@@ -848,28 +775,20 @@ def hierarchy_level(u, k_max=4, tol=DEFAULT_TOL):
     if 1 << n != dim or n > 3:
         raise ValueError("supported on 1..3 qubits")
 
-    gens = []
-    for q in range(n):
-        for c in "XZ":
-            gens.append(single_qubit_word(n, q, c).matrix())
-
+    paulis = _pauli_table(n)
+    gens = [single_qubit_word(n, q, c).matrix() for q in range(n) for c in "XZ"]
     memo = {}
 
     def in_level(mat, k):
         key = (np.round(mat, 9).tobytes(), k)
-        if key in memo:
-            return memo[key]
-        if k == 1:
-            out = _pauli_from_matrix(mat, 1e-7) is not None
-        else:
-            out = True
-            for g in gens:
-                conj = mat @ g @ dagger(mat)
-                if not in_level(conj, k - 1):
-                    out = False
-                    break
-        memo[key] = out
-        return out
+        if key not in memo:
+            if k == 1:
+                overlap = np.abs(np.einsum("pij,ij->p", paulis, mat)).max()
+                memo[key] = overlap >= dim - 1e-7
+            else:
+                memo[key] = all(in_level(mat @ g @ dagger(mat), k - 1)
+                                for g in gens)
+        return memo[key]
 
     for k in range(1, k_max + 1):
         if in_level(u, k):
@@ -881,6 +800,11 @@ def hierarchy_level(u, k_max=4, tol=DEFAULT_TOL):
 # one-bit teleportation and gate constructions
 
 
+def _check_states(states, least=1):
+    if not states >= least:
+        raise ValueError(f"states must be at least {least}, got {states!r}")
+
+
 def _random_state(ndim, rng):
     v = rng.normal(size=ndim) + 1j * rng.normal(size=ndim)
     return v / np.linalg.norm(v)
@@ -888,6 +812,56 @@ def _random_state(ndim, rng):
 
 def _states_equal(a, b, tol):
     return abs(abs(np.vdot(a, b)) - 1.0) <= tol
+
+
+def _start_state(n, kinds):
+    """|0> on each "z" wire and |+> on each "x" wire."""
+    v = np.zeros(1 << n, dtype=complex)
+    v[0] = 1.0
+    for q, kind in enumerate(kinds):
+        if kind == "x":
+            v = apply_local(HADAMARD, v, (q,))
+    return v
+
+
+def _teleport(u, kinds, ancillas, states, tol, rng):
+    """Teleport random inputs through each prepared ancilla u|start>.
+
+    Ancilla wires come first, input wires follow.  Per input wire, kind "x"
+    is a CNOT from the ancilla onto the input and a computational readout;
+    "z" is a CNOT from the input onto the ancilla and a +/- readout.  With
+    the state read as a 2^n x 2^n grid, column rec holds the ancilla wires
+    after readout record rec.  Every record must have probability 2^-n and,
+    after the u-conjugated Pauli fix-up for each of its 1 bits, give u|psi>.
+    """
+    n = len(kinds)
+    dim = 1 << n
+    fixups = [_conj(u, single_qubit_word(n, q, kind.upper()).matrix())
+              for q, kind in enumerate(kinds)]
+    for prepared in ancillas:
+        for _ in range(states):
+            psi = _random_state(dim, rng)
+            ideal = u @ psi
+            state = np.kron(prepared, psi)
+            for q, kind in enumerate(kinds):
+                if kind == "x":
+                    state = apply_local(CNOT, state, (q, n + q))
+                else:
+                    state = apply_local(CNOT, state, (n + q, q))
+                    state = apply_local(HADAMARD, state, (n + q,))
+            grid = state.reshape(dim, dim)
+            for rec in range(dim):
+                out = grid[:, rec]
+                p = float(np.vdot(out, out).real)
+                if abs(p - 1 / dim) > 1e-9:
+                    return False
+                out = out / math.sqrt(p)
+                for q in range(n):
+                    if (rec >> (n - 1 - q)) & 1:
+                        out = fixups[q] @ out
+                if not _states_equal(out, ideal, tol):
+                    return False
+    return True
 
 
 def verify_teleport_identity(kind, states=100, tol=1e-10, rng=None):
@@ -899,42 +873,22 @@ def verify_teleport_identity(kind, states=100, tol=1e-10, rng=None):
     the two-CNOT identity moving the input onto the |0> wire.  Every
     branch must relocate the state exactly.
     """
-    if not states >= 1:
-        raise ValueError(f"states must be at least 1, got {states!r}")
+    _check_states(states)
+    if kind not in ("z", "x", "swap"):
+        raise ValueError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(0x7E1E) if rng is None else rng
+    if kind != "swap":
+        return _teleport(I2, kind, [_start_state(1, kind)], states, tol, rng)
     for _ in range(states):
         psi = _random_state(2, rng)
-        if kind == "swap":
-            state = np.kron(np.array([1, 0], dtype=complex), psi)
-            state = apply_local(CNOT, state, (1, 0))
-            state = apply_local(CNOT, state, (0, 1))
-            grid = state.reshape(2, 2)
-            if np.linalg.norm(grid[:, 1]) > tol:
-                return False
-            if not _states_equal(grid[:, 0], psi, tol):
-                return False
-            continue
-        if kind == "z":
-            state = np.kron(np.array([1, 0], dtype=complex), psi)
-            state = apply_local(CNOT, state, (1, 0))
-            state = apply_local(HADAMARD, state, (1,))
-            fix = SZ
-        elif kind == "x":
-            state = np.kron(np.array([1, 1], dtype=complex) / math.sqrt(2), psi)
-            state = apply_local(CNOT, state, (0, 1))
-            fix = SX
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        for outcome in (0, 1):
-            branch = apply_local(np.diag(np.eye(2)[outcome]), state, (1,))
-            p = float(np.vdot(branch, branch).real)
-            if abs(p - 0.5) > 1e-9:
-                return False
-            out = branch.reshape(2, 2)[:, outcome] / math.sqrt(p)
-            if outcome == 1:
-                out = fix @ out
-            if not _states_equal(out, psi, tol):
-                return False
+        state = np.kron(np.array([1, 0], dtype=complex), psi)
+        state = apply_local(CNOT, state, (1, 0))
+        state = apply_local(CNOT, state, (0, 1))
+        grid = state.reshape(2, 2)
+        if np.linalg.norm(grid[:, 1]) > tol:
+            return False
+        if not _states_equal(grid[:, 0], psi, tol):
+            return False
     return True
 
 
@@ -956,126 +910,43 @@ def _prepared_ancilla_branches(start, presentation, measured):
     update, _ = measure_update(presentation, measured)
     if update.kind != "update":
         raise ValueError("preparation measurement must anticommute")
-    fix = update.fixup
-    out = []
-    for p, vec in measure_operator(start, measured):
-        if p < 1e-12:
-            raise ValueError("preparation branch vanished")
-        out.append((p, vec))
-    plus, minus = out
-    return [plus[1], fix @ minus[1]]
-
-
-def _teleport_construction(u, n, tele_kinds, prep_start, presentation,
-                           measured, states, tol, rng):
-    """Run the measurement-and-fixup realization of u against the ideal.
-
-    Ancilla wires come first, input wires follow; teleportation kind per
-    input wire is "x" (CNOT ancilla->input, computational readout) or "z"
-    (CNOT input->ancilla, +/- readout).  The ancilla is prepared by
-    measuring ``measured`` on ``prep_start`` (a joint +1 state of the
-    ``presentation`` operators) with the measure_update fix-up; fix-ups on
-    the teleport outcomes are the u-conjugated Paulis.
-    """
-    anc_dim = 1 << n
-    ancilla_plain = _start_state(n, tele_kinds)
-    ancillas = _prepared_ancilla_branches(prep_start, presentation, measured)
-    target_anc = u @ ancilla_plain
-    for prepared in ancillas:
-        if not _states_equal(prepared, target_anc, 1e-9):
-            raise ValueError("ancilla preparation failed")
-
-    fixups = []
-    for q, kind in enumerate(tele_kinds):
-        base = single_qubit_word(n, q, "X" if kind == "x" else "Z").matrix()
-        fixups.append(_conj(u, base))
-
-    for prepared in ancillas:
-        for _ in range(states):
-            psi = _random_state(anc_dim, rng)
-            ideal = u @ psi
-            state = np.kron(prepared, psi)
-            for q, kind in enumerate(tele_kinds):
-                if kind == "x":
-                    state = apply_local(CNOT, state, (q, n + q))
-                else:
-                    state = apply_local(CNOT, state, (n + q, q))
-                    state = apply_local(HADAMARD, state, (n + q,))
-            branches = [(1.0, state, ())]
-            for q in range(n):
-                nxt = []
-                for prob, vec, rec in branches:
-                    for outcome in (0, 1):
-                        collapsed = apply_local(np.diag(np.eye(2)[outcome]),
-                                                vec, (n + q,))
-                        p = float(np.vdot(collapsed, collapsed).real)
-                        if p < 1e-12:
-                            continue
-                        nxt.append((prob * p, collapsed / math.sqrt(p),
-                                    rec + (outcome,)))
-                branches = nxt
-            for prob, vec, rec in branches:
-                out = vec.reshape(anc_dim, anc_dim)[:, _rec_index(rec)]
-                out = out / np.linalg.norm(out)
-                for q, bit in enumerate(rec):
-                    if bit:
-                        out = fixups[q] @ out
-                if not _states_equal(out, ideal, tol):
-                    return False
-    return True
-
-
-def _start_state(n, tele_kinds):
-    v = np.zeros(1 << n, dtype=complex)
-    v[0] = 1.0
-    for q, kind in enumerate(tele_kinds):
-        if kind == "x":
-            v = apply_local(HADAMARD, v, (q,))
-    return v
-
-
-def _rec_index(rec):
-    idx = 0
-    for bit in rec:
-        idx = (idx << 1) | bit
-    return idx
-
-
-def _basis_state(n, bits):
-    v = np.zeros(1 << n, dtype=complex)
-    v[_rec_index(bits)] = 1.0
-    return v
+    (p_plus, plus), (p_minus, minus) = measure_operator(start, measured)
+    if min(p_plus, p_minus) < 1e-12:
+        raise ValueError("preparation branch vanished")
+    return [plus, update.fixup @ minus]
 
 
 def verify_c3_construction(gate, states=100, tol=1e-10, rng=None):
     """Teleportation realization of the third-level gates.
 
-    The special ancilla is produced by measuring the conjugated stabilizer
-    (never by applying the gate), then the inputs are teleported through
-    it with conjugated-Pauli fix-ups; every measurement branch must induce
-    the ideal gate.
+    The special ancilla u|start> is produced by measuring the conjugated
+    stabilizer on a joint +1 state of the presentation (never by applying
+    the gate), with the measure_update fix-up; then the inputs are
+    teleported through it with conjugated-Pauli fix-ups, and every
+    measurement branch must induce the ideal gate.
     """
+    _check_states(states)
     rng = np.random.default_rng(0xC3) if rng is None else rng
     if gate == "T":
-        prep = _basis_state(1, (0,))
+        u, kinds, prep = T_GATE, "x", "z"
         presentation = [SZ.astype(complex)]
         measured = _conj(T_GATE, SX)
-        return _teleport_construction(T_GATE, 1, ("x",), prep, presentation,
-                                      measured, states, tol, rng)
-    if gate == "CP":
-        prep = apply_local(HADAMARD, _basis_state(2, (0, 0)), (1,))
+    elif gate == "CP":
+        u, kinds, prep = CP_GATE, "xx", "zx"
         presentation = [np.kron(SZ, I2), _conj(CP_GATE, np.kron(I2, SX))]
         measured = _conj(CP_GATE, np.kron(SX, I2))
-        return _teleport_construction(CP_GATE, 2, ("x", "x"), prep,
-                                      presentation, measured, states, tol, rng)
-    if gate == "Toffoli":
-        prep = _basis_state(3, (0, 0, 0))
-        for q in range(3):
-            prep = apply_local(HADAMARD, prep, (q,))
+    elif gate == "Toffoli":
+        u, kinds, prep = TOFFOLI, "xxz", "xxx"
         presentation = [_conj(TOFFOLI, single_qubit_word(3, 0, "X").matrix()),
                         _conj(TOFFOLI, single_qubit_word(3, 1, "X").matrix()),
                         single_qubit_word(3, 2, "X").matrix()]
         measured = _conj(TOFFOLI, single_qubit_word(3, 2, "Z").matrix())
-        return _teleport_construction(TOFFOLI, 3, ("x", "x", "z"), prep,
-                                      presentation, measured, states, tol, rng)
-    raise ValueError(f"unknown gate {gate!r}")
+    else:
+        raise ValueError(f"unknown gate {gate!r}")
+    n = len(kinds)
+    ancillas = _prepared_ancilla_branches(_start_state(n, prep), presentation,
+                                          measured)
+    target = u @ _start_state(n, kinds)
+    if not all(_states_equal(a, target, 1e-9) for a in ancillas):
+        raise ValueError("ancilla preparation failed")
+    return _teleport(u, kinds, ancillas, states, tol, rng)

@@ -67,6 +67,20 @@ def test_corrupted_fixture_rejected(tmp_path, capsys):
     assert "broken.json" in err
 
 
+@pytest.mark.parametrize("payload", [
+    {"generators": []},
+    {"generators": ["ZZI", "IZZ"], "logical_x": ["XXX"]},
+    {"generators": ["ZZI"], "logical_x": ["XXX"], "logical_z": ["ZII"]},
+], ids=["no-generators", "unpaired", "pair-count"])
+def test_malformed_code_fixture_exits_3(tmp_path, capsys, payload):
+    (tmp_path / "odd.json").write_text(json.dumps({
+        "kind": "stabilizer_code", "name": "odd", "payload": payload}))
+    code, out, err = run_cli(capsys, "--fixture-dir", str(tmp_path),
+                             "stab", "check", "--code", "shor9")
+    assert code == 3 and out == ""
+    assert "odd.json" in err and ("generators" in err or "logical_x" in err)
+
+
 def test_fixture_dir_env_var(tmp_path, capsys, monkeypatch):
     (tmp_path / "sys.json").write_text(json.dumps({
         "kind": "spin_system", "name": "envsys",

@@ -548,6 +548,14 @@ def test_pipeline_matches_closed_form():
         assert abs(np.linalg.norm(rep.worst_state) - 1) < 1e-14
 
 
+def test_pipeline_leading_coefficient_at_small_gamma():
+    # the loss is summed directly, not formed as 1 - F, so F's last-bit
+    # rounding is not amplified by 1/g² even at g = 1e-4
+    for g in (1e-4, 1e-3, 5e-3, 0.01):
+        rep = qe.four_bit_pipeline(g)
+        assert abs(rep.leading_coefficient - (5 - 6 * g + 2 * g * g)) < 1e-10
+
+
 def test_pipeline_runs_the_circuit_once(monkeypatch):
     calls = []
     circuit = qe._four_bit_branches

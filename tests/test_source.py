@@ -123,3 +123,36 @@ def test_cli_runs_without_importing_scipy(argv):
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr.splitlines()[-1] == "[] 0", proc.stderr
+
+
+def test_no_unread_private_names():
+    # a private module-level helper, class or constant that no module of the
+    # package reads is dead code; reads inside its own definition (recursion)
+    # do not count
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(qwork.__file__).parent.glob("*.py"))}
+
+    def reads(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                or isinstance(n, ast.Attribute)]
+
+    everywhere = [name for tree in trees.values() for name in reads(tree)]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names, inside = [node.name], reads(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+                inside = []
+            else:
+                continue
+            found += [f"{module}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")
+                      and everywhere.count(name) == inside.count(name)]
+    assert found == []

@@ -53,6 +53,13 @@ def test_apply_matches_matrix():
         assert np.allclose(w.apply(v), w.matrix() @ v)
 
 
+def test_apply_acts_on_each_column():
+    rng = np.random.default_rng(12)
+    w = st.PauliWord.from_string("-iYZX")
+    m = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+    assert np.allclose(w.apply(m), w.matrix() @ m)
+
+
 def test_weight():
     assert st.PauliWord.from_string("XZZXI").weight == 4
     assert st.identity_word(6).weight == 0
@@ -131,6 +138,17 @@ def test_validation_rejections():
     with pytest.raises(ValueError):
         st.StabilizerCode.from_strings(["ZZ"], logical_x=["XI"],
                                        logical_z=["ZI"])
+
+
+def test_validation_names_the_parameter():
+    with pytest.raises(ValueError, match="generators"):
+        st.StabilizerCode.from_strings([])
+    # one logical_x without its logical_z
+    with pytest.raises(ValueError, match="logical_x"):
+        st.StabilizerCode.from_strings(["ZZI", "IZZ"], logical_x=["XXX"])
+    # k = 2 but only one pair
+    with pytest.raises(ValueError, match="logical_x"):
+        st.StabilizerCode.from_strings(["ZZI"], ["XXX"], ["ZII"])
 
 
 def test_negative_logical_sign_normalized():
@@ -244,6 +262,14 @@ def test_ad_word_enumeration_counts():
         st.ad_correctable(st.shor9(), -1)
 
 
+@pytest.mark.parametrize("t", [1.5, 2.0, float("nan"), "1"])
+def test_damping_order_must_be_an_integer(t):
+    with pytest.raises(ValueError, match="order t"):
+        st.ad_words(4, t)
+    with pytest.raises(ValueError, match="order t"):
+        st.ad_correctable(st.ad4(), t)
+
+
 def test_single_loss_codes_pass():
     rep = st.ad_correctable(st.ad4(), 1)
     assert rep.correctable
@@ -345,6 +371,25 @@ def test_parity_measurement_deterministic_input():
     assert st.verify_parity_measurement([0, 1, 2], 3, special_inputs=[ghz])
 
 
+def test_parity_measurement_special_inputs_alone():
+    ghz = np.zeros(8, dtype=complex)
+    ghz[0] = ghz[7] = 1 / math.sqrt(2)
+    assert st.verify_parity_measurement([0, 1, 2], 3, states=0,
+                                        special_inputs=[ghz])
+
+
+@pytest.mark.parametrize("subset,letters,match", [
+    ([0, 5], None, "subset"),
+    ([-1], None, "subset"),
+    ([], None, "subset"),
+    ([1, 1], None, "subset"),        # would report the circuit as broken
+    ([0, 1, 2], "X", "letters"),     # would measure one qubit and pass
+], ids=["out-of-range", "negative", "empty", "repeated", "short-letters"])
+def test_parity_measurement_rejects_malformed_input(subset, letters, match):
+    with pytest.raises(ValueError, match=match):
+        st.verify_parity_measurement(subset, 3, letters=letters)
+
+
 # ---------------------------------------------------------------- hierarchy
 
 def test_hierarchy_anchors():
@@ -398,6 +443,16 @@ def test_teleport_identity_checks_at_least_one_state(states):
 @pytest.mark.parametrize("gate", ["T", "CP", "Toffoli"])
 def test_c3_constructions(gate):
     assert st.verify_c3_construction(gate, states=40, tol=1e-10)
+
+
+@pytest.mark.parametrize("states", [0, -2])
+@pytest.mark.parametrize("verify", [
+    lambda states: st.verify_c3_construction("T", states=states),
+    lambda states: st.verify_parity_measurement([0, 1], 2, states=states),
+], ids=["c3", "parity"])
+def test_verifiers_check_at_least_one_state(verify, states):
+    with pytest.raises(ValueError, match="states must be at least 1"):
+        verify(states)
 
 
 def test_c3_unknown_gate():
