@@ -14,15 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import qec_engine
-from .qop_core import standard_channel
-
-DEFAULT_TOL = 1e-9
+from .qop_core import DEFAULT_TOL, standard_channel
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,10 @@ class Qcs:
     occupations: tuple
 
     def __post_init__(self):
-        occ = tuple(int(x) for x in self.occupations)
-        if any(x < 0 for x in occ):
-            raise ValueError("occupations must be non-negative")
-        object.__setattr__(self, "occupations", occ)
+        if not all(x >= 0 and float(x).is_integer() for x in self.occupations):
+            raise ValueError(f"occupations must be non-negative integers, "
+                             f"got {self.occupations!r}")
+        object.__setattr__(self, "occupations", tuple(int(x) for x in self.occupations))
 
     @property
     def m(self):
@@ -68,6 +67,8 @@ def partitions(n, m):
 
 def occupation_vectors(n, m):
     """All length-m occupation vectors summing to n, lexicographic."""
+    if n < 0 or m < 1:
+        raise ValueError(f"need n >= 0 and m >= 1, got n={n!r}, m={m!r}")
     if m == 1:
         return [(n,)]
     out = []
@@ -105,8 +106,8 @@ class BosonicCode:
     def validate(self, tol=DEFAULT_TOL):
         if self.m < 1:
             raise ValueError("need at least one register")
-        if self.t < 0:
-            raise ValueError("t must be non-negative")
+        if not (isinstance(self.t, numbers.Integral) and self.t >= 0):
+            raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
         if not self.logicals:
             raise ValueError("no logical states")
         for states in self.logicals:
@@ -120,8 +121,8 @@ class BosonicCode:
                 if q.occupations in seen:
                     raise ValueError(f"repeated basis state {q.occupations}")
                 seen.add(q.occupations)
-                if mu <= 0:
-                    raise ValueError("weights must be positive")
+                if not (mu > 0 and math.isfinite(mu)):
+                    raise ValueError(f"weights must be positive and finite, got {mu!r}")
                 total += mu
             if abs(float(total) - 1.0) > tol:
                 raise ValueError(f"weights sum to {float(total)}, not 1")
@@ -436,6 +437,8 @@ def existence_min_NT(t, m, l_o):
 def rate(code):
     """Encoded bits per qubit-equivalent of register space."""
     n = code.max_occupation
+    if n < 1:
+        raise ValueError("code has max_occupation 0, so its rate is undefined")
     k = math.log2(code.n_levels)
     return k / (code.m * math.log2(n + 1))
 

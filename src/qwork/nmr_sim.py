@@ -30,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop_core import PAULIS, conjugate_local, z_signs
+from .qop_core import (PAULIS, conjugate_local, ising_diagonal, pauli_components,
+                       z_signs)
 
 # exact SI-2019 values: reduced Planck constant (J s) and Boltzmann (J/K)
 _HBAR = 6.62607015e-34 / (2 * math.pi)
@@ -237,10 +238,7 @@ def _apply_delay(system, rho, ev, scales):
     halves = 2 if ev.refocus else 1
     t = ev.duration / halves
     signs = z_signs(n)
-    total = np.zeros(2 ** n)
-    for i in range(n):
-        for k in range(i + 1, n):
-            total = total + system.coupling(i, k) * t * signs[i] * signs[k]
+    total = ising_diagonal(np.zeros(n), math.pi * np.array(system.j) / 2.0 * t)
     factors = []
     if total.any():
         ph = np.exp(-1j * total)
@@ -326,10 +324,7 @@ def identity_offset(system, events):
 def thermal_state(system):
     """High-temperature deviation: diagonal sum of omega_i Z_i / 2."""
     n = system.n
-    signs = z_signs(n)
-    diag = np.zeros(2 ** n)
-    for i in range(n):
-        diag = diag + system.omega[i] / 2.0 * signs[i]
+    diag = ising_diagonal(np.array(system.omega) / 2.0, np.zeros((n, n)))
     return np.diag(diag).astype(complex)
 
 
@@ -397,11 +392,8 @@ def _rotation_table(axis):
     if axis is None:
         return np.eye(4)
     u = _rot2(axis, math.pi / 2.0)
-    table = np.zeros((4, 4))
-    for k in range(4):
-        for i in range(4):
-            table[k, i] = (np.trace(PAULIS[k] @ u @ PAULIS[i] @ u.conj().T) / 2.0).real
-    return table
+    # table[k, i] = Re tr(sigma_k u sigma_i u†) / 2
+    return pauli_components(u @ np.array(PAULIS) @ u.conj().T).real.T
 
 
 def state_tomography(prepare, tol=1e-8):
@@ -508,10 +500,7 @@ def hybrid_label(n, omegas):
         raise ValueError(f"omegas must be finite, got {omegas!r}")
     dim = 2 ** n
     half = dim // 2
-    diag = np.zeros(dim)
-    signs = z_signs(n)
-    for i in range(n):
-        diag = diag + omegas[i] / 2.0 * signs[i]
+    diag = ising_diagonal(np.array(omegas) / 2.0, np.zeros((n, n)))
     # fan-out: when spin 1 reads |1>, flip every other spin
     perm1 = np.array([x ^ (half - 1) if x & half else x for x in range(dim)])
     avg = (diag + diag[perm1]) / 2.0

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qop_core import CNOT, PAULIS, QuantumChannel, apply, apply_local, dagger
-
-DEFAULT_TOL = 1e-9
+from .qop_core import (CNOT, DEFAULT_TOL, QuantumChannel, apply, apply_local, dagger,
+                       kron_all, pauli_components, standard_channel)
 
 
 @dataclass
@@ -509,20 +508,13 @@ def four_bit_code():
 
 
 def ad_kraus(gamma):
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be a finite number in [0, 1], got {gamma!r}")
-    a0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
-    a1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    return a0, a1
+    return standard_channel("amplitude_damping", gamma=gamma).kraus
 
 
 def ad_product(pattern, gamma):
     """Tensor product of per-qubit damping elements, e.g. pattern (1,0,0,0)."""
     a0, a1 = ad_kraus(gamma)
-    out = np.array([[1.0]], dtype=complex)
-    for b in pattern:
-        out = np.kron(out, a1 if b else a0)
-    return out
+    return kron_all(np.eye(1), *(a1 if b else a0 for b in pattern))
 
 
 def four_bit_reversible_set(gamma):
@@ -621,8 +613,7 @@ def four_bit_pipeline(gamma):
     """
     maps = _four_bit_branches(gamma, four_bit_code())
     recovered = np.array([rec for *_, rec in _FOUR_BIT_LEAVES])
-    t = np.einsum("pij,nji->np", np.array(PAULIS),
-                  maps[:, recovered].reshape(-1, 2, 2)) / 2
+    t = pauli_components(maps[:, recovered].reshape(-1, 2, 2))
     b = 2 * np.real(t[:, :1].conj() * t[:, 1:]).sum(axis=0)
     q = np.real(t[:, 1:].conj().T @ t[:, 1:]) + np.sum(np.abs(t[:, 0]) ** 2) * np.eye(3)
     amp, residual = _bloch_argmin(b, q)

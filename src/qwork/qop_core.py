@@ -68,6 +68,34 @@ def z_signs(n):
     return out
 
 
+@lru_cache(maxsize=16)
+def _ising_rows(n):
+    # pair indices i < j in row-major order, and the read-only rows
+    # Z_i Z_j for those pairs followed by Z_0 .. Z_{n-1}
+    z = z_signs(n)
+    i, j = np.triu_indices(n, 1)
+    rows = np.concatenate([z[i] * z[j], z]).astype(float)
+    rows.setflags(write=False)
+    return i, j, rows
+
+
+def ising_diagonal(fields, couplings):
+    """Diagonal of sum_i h_i Z_i + sum_{i<j} J_ij Z_i Z_j over the 2^n basis
+    states, for fields h of length n and an n x n coupling matrix J whose
+    strict upper triangle is read."""
+    fields = np.asarray(fields, dtype=float)
+    i, j, rows = _ising_rows(len(fields))
+    coef = np.concatenate([np.asarray(couplings, dtype=float)[i, j], fields])
+    # an axis-0 sum adds the rows in order, pairs first, as one loop would
+    return (coef[:, None] * rows).sum(axis=0)
+
+
+def pauli_components(m):
+    """tr(sigma_mu m) / 2 for mu = I, X, Y, Z over the last two axes: (4,)
+    for one 2 x 2 matrix, (..., 4) for a stack."""
+    return np.einsum("pij,...ji->...p", np.array(PAULIS), m) / 2
+
+
 def apply_local(op, state, axes):
     """Apply the 2^k x 2^k ``op`` to qubits ``axes`` of an n-qubit state.
 
@@ -478,44 +506,20 @@ def tomography_method2(oracle=None, dim=None, joint_state=None, tol=DEFAULT_TOL)
     """Process tomography through one half of a maximally entangled pair.
 
     Either pass ``joint_state`` = (I ⊗ E)(|Φ><Φ|) directly, or pass ``oracle``
-    and ``dim`` and the joint state is simulated.  The state is scaled by d,
-    eigendecomposed, and each eigenvector is cut into d segments forming the
-    columns of one Kraus operator.
+    and ``dim`` and the joint state is simulated.  The joint state is the
+    channel's Choi matrix in its "state" normalization, and the result is
+    kraus_from_choi on it.
     """
     if joint_state is None:
         if oracle is None or dim is None:
             raise ValueError("need either joint_state or (oracle, dim)")
-        d = dim
-        phi = np.zeros(d * d, dtype=complex)
-        for i in range(d):
-            phi[i * d + i] = 1.0
-        phi /= math.sqrt(d)
-        pp = np.outer(phi, phi.conj())
-        # act on the second subsystem, block by block
-        joint_state = np.zeros_like(pp)
-        for i in range(d):
-            for j in range(d):
-                blk = pp[i * d:(i + 1) * d, j * d:(j + 1) * d]
-                joint_state[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                    _as_mat(oracle(blk))
-    else:
-        joint_state = _as_mat(joint_state)
-        d = int(round(math.sqrt(joint_state.shape[0])))
-    y = d * joint_state
-    y = (y + dagger(y)) / 2
-    w, v = np.linalg.eigh(y)
-    if w.min() < -max(tol, 1e-7):
-        raise NotCompletelyPositiveError(
-            f"joint state eigenvalue {w.min():.3e} < 0")
-    kraus = []
-    for lam, vec in zip(w, v.T):
-        if lam <= tol:
-            continue
-        a = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            a[:, i] = math.sqrt(lam) * vec[i * d:(i + 1) * d]
-        kraus.append(a)
-    return QuantumChannel(kraus)
+        return kraus_from_choi(choi_of_map(oracle, dim), tol)
+    joint_state = _as_mat(joint_state)
+    d = round(joint_state.size ** 0.25)
+    if joint_state.shape != (d * d, d * d):
+        raise ValueError(f"joint_state must be square with side d², "
+                         f"got shape {joint_state.shape}")
+    return kraus_from_choi(ChoiMatrix(joint_state, d, d, "state"), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +576,9 @@ class LinearRep:
 def linear_rep(channel):
     if channel.dim_in != 2 or channel.dim_out != 2:
         raise ValueError("linear_rep implemented for qubit channels")
-    out_i = apply(channel, I2)
-    m0 = float(np.real(np.trace(out_i)) / 2)
-    v2 = np.array([np.real(np.trace(s @ out_i)) / 2 for s in (SX, SY, SZ)])
-    v1 = np.empty(3)
-    m = np.empty((3, 3))
-    for j, sj in enumerate((SX, SY, SZ)):
-        out = apply(channel, sj)
-        v1[j] = float(np.real(np.trace(out)) / 2)
-        for i, si in enumerate((SX, SY, SZ)):
-            m[i, j] = float(np.real(np.trace(si @ out)) / 2)
-    return LinearRep(m0, v1, v2, m)
+    # transfer matrix r[mu, nu] = Re tr(sigma_mu E(sigma_nu)) / 2
+    r = pauli_components(np.array([apply(channel, s) for s in PAULIS])).real.T
+    return LinearRep(float(r[0, 0]), r[0, 1:], r[1:, 0], r[1:, 1:])
 
 
 def bloch_inversion():
@@ -598,9 +594,8 @@ def channel_from_linear_rep(rep):
     positive; use is_cp to test).
     """
     def act(rho):
-        rho = _as_mat(rho)
-        c0 = np.trace(rho) / 2
-        r = np.array([np.trace(s @ rho) / 2 for s in (SX, SY, SZ)])
+        c = pauli_components(_as_mat(rho))
+        c0, r = c[0], c[1:]
         rp = rep.m.astype(complex) @ r + c0 * rep.v2
         c0p = rep.m0 * c0 + rep.v1 @ r
         return c0p * I2 + rp[0] * SX + rp[1] * SY + rp[2] * SZ
@@ -614,8 +609,7 @@ def choi_of_map(act, dim):
         for j in range(dim):
             e = np.zeros((dim, dim), dtype=complex)
             e[i, j] = 1.0
-            c[np.ix_(range(i * dim, (i + 1) * dim),
-                     range(j * dim, (j + 1) * dim))] = act(e)
+            c[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = _as_mat(act(e))
     return ChoiMatrix(c, dim, dim)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qop_core import z_signs
+from .qop_core import ising_diagonal
 
 MAX_ORDER = 2048
 
@@ -364,20 +364,6 @@ class CouplingSystem:
         return self.g.shape[0]
 
 
-def _hamiltonian_diag(system):
-    n = system.n
-    z = z_signs(n)
-    h = np.zeros(1 << n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if system.g[i, j]:
-                h += system.g[i, j] * z[i] * z[j]
-    if system.omega is not None:
-        for i in range(n):
-            h += 0.5 * system.omega[i] * z[i]
-    return h
-
-
 @dataclass
 class ScheduleCheck:
     max_deviation: float
@@ -385,19 +371,20 @@ class ScheduleCheck:
     target: str
 
 
-def _target_unitary(schedule, system):
+def _target_unitary(schedule):
     n = schedule.n
     if schedule.target in ("decouple", "zeeman-free-identity",
                           "chain-decouple"):
         return np.eye(1 << n, dtype=complex)
-    z = z_signs(n)
-    phase = np.zeros(1 << n)
+    phase = np.zeros((n, n))
     for part in schedule.target.split("&"):
         if not part.startswith("recouple(") or not part.endswith(")"):
             raise ValueError(f"unknown target {schedule.target!r}")
-        i, j = (int(x) for x in part[len("recouple("):-1].split(","))
-        phase = phase + (math.pi / 4.0) * z[i - 1] * z[j - 1]
-    return np.diag(np.exp(-1j * phase))
+        i, j = sorted(int(x) for x in part[len("recouple("):-1].split(","))
+        if not 1 <= i < j <= n:
+            raise ValueError(f"target {schedule.target!r} names a pair outside spins 1..{n}")
+        phase[i - 1, j - 1] += math.pi / 4.0
+    return np.diag(np.exp(-1j * ising_diagonal(np.zeros(n), phase)))
 
 
 def verify_schedule(schedule, system, tol=1e-10):
@@ -408,7 +395,8 @@ def verify_schedule(schedule, system, tol=1e-10):
         raise ValueError("dense verification capped at 8 spins")
     if system.n != n:
         raise ValueError("system size mismatch")
-    interval = np.exp(-1j * _hamiltonian_diag(system) * schedule.dt)
+    fields = np.zeros(n) if system.omega is None else 0.5 * system.omega
+    interval = np.exp(-1j * ising_diagonal(fields, system.g) * schedule.dt)
     idx = np.arange(1 << n)
     u = np.eye(1 << n, dtype=complex)
     for b in range(schedule.intervals + 1):
@@ -419,7 +407,7 @@ def verify_schedule(schedule, system, tol=1e-10):
         for s in schedule.boundaries[b]:
             mask |= 1 << (n - s)
         u = u[idx ^ mask]
-    target = _target_unitary(schedule, system)
+    target = _target_unitary(schedule)
     overlap = np.trace(target.conj().T @ u)
     if abs(overlap) > 1e-12:
         u = u * (abs(overlap) / overlap)

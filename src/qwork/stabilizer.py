@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop_core import (CNOT, I2, SX, SY, SZ, apply_local, dagger,
-                       pauli_product_basis, z_signs)
-
-DEFAULT_TOL = 1e-9
+from .qop_core import (CNOT, DEFAULT_TOL, I2, SX, SY, SZ, apply_local, dagger,
+                       kron_all, pauli_product_basis, z_signs)
 
 _LETTER = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
 
@@ -478,10 +476,7 @@ class AdWord:
         return total
 
     def matrix(self):
-        m = np.array([[1.0]], dtype=complex)
-        for letter in self.letters:
-            m = np.kron(m, _AD_MATRIX[letter])
-        return m
+        return kron_all(np.eye(1), *(_AD_MATRIX[letter] for letter in self.letters))
 
     def apply(self, vec):
         """The word applied to a state vector, or to each column of a matrix."""
@@ -557,7 +552,7 @@ def ad_correctable(code, t):
     return AdReport(not rejections, t, len(words), rejections, negated)
 
 
-def ad_dense_check(code, t, tol=DEFAULT_TOL):
+def ad_dense_check(code, t):
     """Dense confirmation of the symbolic verdict: every relevant word W
     must act as a multiple of the identity between codewords.  Returns the
     worst off-diagonal-or-spread deviation."""
@@ -607,7 +602,7 @@ class MeasureUpdate:
     replaced: int
 
 
-def measure_update(generators, k_op, logicals=None, tol=DEFAULT_TOL):
+def measure_update(generators, k_op, logicals=None):
     """Rewrite a stabilizer presentation after measuring k_op.
 
     The first generator anticommuting with k_op is replaced by k_op and
@@ -677,18 +672,18 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
                               rng=None, special_inputs=()):
     """Check the cat-ancilla circuit against the ideal parity measurement.
 
-    Measures the product of the given letters (default Z) over ``subset``
-    on n data qubits: a cat state of len(subset) ancillas controls the
-    single-qubit operators, ancillas rotate back through Hadamards and are
-    read out; the outcome parity must reproduce the ideal projective
-    statistics and the data register must collapse exactly onto the ideal
-    projection -- identically for every ancilla record of equal parity.
+    Measures the product of the given letters (default Z) over ``subset``,
+    letters[j] on qubit subset[j], on n data qubits: a cat state of
+    len(subset) ancillas controls the single-qubit operators, ancillas
+    rotate back through Hadamards and are read out; the outcome parity must
+    reproduce the ideal projective statistics and the data register must
+    collapse exactly onto the ideal projection -- identically for every
+    ancilla record of equal parity.
     """
     if not (len(subset) and len(set(subset)) == len(subset) and all(
             isinstance(q, numbers.Integral) and 0 <= q < n for q in subset)):
         raise ValueError(f"subset must list distinct qubits in 0..{n - 1}, "
                          f"got {subset!r}")
-    subset = sorted(subset)
     a = len(subset)
     if letters is None:
         letters = "Z" * a
@@ -757,7 +752,7 @@ def _pauli_table(n):
     return table
 
 
-def hierarchy_level(u, k_max=4, tol=DEFAULT_TOL):
+def hierarchy_level(u, k_max=4):
     """Smallest k with u in the conjugation hierarchy level k, or None.
 
     Level 1 holds the Pauli words themselves, up to phase: a unitary u is

@@ -97,6 +97,23 @@ def test_validation_rejects_bad_codes():
         bc.BosonicCode(2, 1, [[((1, 1), 0.7)]]).validate()
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: bc.BosonicCode(2, 1, [[((2, 2), math.nan)]]).validate(), "weights"),
+    (lambda: bc.BosonicCode(2, math.nan, [[((2, 2), 1.0)]]).validate(), "t must"),
+    (lambda: bc.BosonicCode(2, 1.5, [[((2, 2), 1.0)]]).validate(), "t must"),
+    (lambda: bc.Qcs((1.5, 2)), "occupations"),
+    (lambda: bc.Qcs((math.nan, 2)), "occupations"),
+    (lambda: bc.occupation_vectors(2, 0), "m >= 1"),
+    (lambda: bc.occupation_vectors(-1, 2), "n >= 0"),
+    (lambda: bc.rate(bc.BosonicCode(2, 0, [[((0, 0), 1.0)]]).validate()),
+     "max_occupation"),
+], ids=["nan-weight", "nan-t", "fractional-t", "fractional-qcs",
+        "nan-qcs", "no-registers", "negative-quanta", "rate-no-quanta"])
+def test_input_checks_name_the_parameter(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # constructions
 

@@ -181,6 +181,31 @@ def test_z_signs_table():
                 assert z[q, x] == 1 - 2 * int(bits[q])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_ising_diagonal_matches_the_pair_loop(n):
+    r = np.random.default_rng(n)
+    h, j = r.normal(size=n), r.normal(size=(n, n))
+    z = qc.z_signs(n)
+    want = np.zeros(2 ** n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            want = want + j[a, b] * z[a] * z[b]
+    for a in range(n):
+        want = want + h[a] * z[a]
+    # the same sum in the same order: equal to the last bit
+    assert np.array_equal(qc.ising_diagonal(h, j), want)
+
+
+def test_pauli_components_rebuild_the_matrix():
+    r = np.random.default_rng(3)
+    stack = r.normal(size=(5, 2, 2)) + 1j * r.normal(size=(5, 2, 2))
+    c = qc.pauli_components(stack)
+    assert c.shape == (5, 4)
+    back = np.einsum("sp,pij->sij", c, np.array(qc.PAULIS))
+    assert np.abs(back - stack).max() < 1e-15
+    assert np.abs(qc.pauli_components(stack[0]) - c[0]).max() == 0.0
+
+
 def test_json_round_trip():
     ch = qc.standard_channel("generalized_amplitude_damping", gamma=0.3, p=0.7)
     text = ch.to_json()
@@ -278,6 +303,23 @@ def test_tomography_method2_joint_state_input():
                 ch, pp[i * 2:(i + 1) * 2, j * 2:(j + 1) * 2])
     got = qc.tomography_method2(joint_state=joint)
     assert qc.channels_equal(got, ch, tol=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tomography_method2_is_kraus_from_choi(d):
+    ch = qc.random_channel(d, n_kraus=3, rng=np.random.default_rng(d))
+    choi = qc.choi_of(ch)
+    got = qc.tomography_method2(lambda r: qc.apply(ch, r), d)
+    assert np.abs(qc.choi_of(got).mat - choi.mat).max() < 1e-14
+    joint = qc.tomography_method2(joint_state=choi.as_state().mat)
+    assert np.abs(qc.choi_of(joint).mat - choi.mat).max() < 1e-14
+
+
+@pytest.mark.parametrize("joint", [np.eye(6) / 6, np.eye(4)[:, :2], np.eye(3) / 3,
+                                   np.float64(1.0)], ids=["6x6", "4x2", "3x3", "scalar"])
+def test_tomography_method2_rejects_a_joint_state_of_wrong_side(joint):
+    with pytest.raises(ValueError, match="joint_state"):
+        qc.tomography_method2(joint_state=joint)
 
 
 def test_deviation_map_unital_offset_zero():

@@ -339,6 +339,17 @@ def test_verification_size_cap():
         rc.verify_schedule(sched, rc.CouplingSystem(np.zeros((9, 9))))
 
 
+@pytest.mark.parametrize("target", ["recouple(0,2)", "recouple(2,9)", "recouple(2,2)"])
+def test_verification_rejects_a_target_pair_outside_the_spins(target):
+    # a schedule file carries its target as text; a pair it cannot name
+    # would otherwise wrap to another spin or index past the register
+    sched = rc.emit_pulses(rc.plan_recouple(4, 1, 2), 1e-3)
+    data = dict(json.loads(sched.to_json()), target=target)
+    with pytest.raises(ValueError, match="outside spins"):
+        rc.verify_schedule(rc.PulseSchedule.from_json(json.dumps(data)),
+                           rc.CouplingSystem(np.ones((4, 4)) - np.eye(4)))
+
+
 # ---------------------------------------------------------- time and overhead
 
 def test_recouple_duration_formate():

@@ -156,3 +156,19 @@ def test_no_unread_private_names():
                       if name.startswith("_") and not name.startswith("__")
                       and everywhere.count(name) == inside.count(name)]
     assert found == []
+
+
+def test_no_unread_parameters():
+    # a parameter the body never reads is silently ignored by every caller
+    # that passes it; lambdas are exempt (a constant oracle ignores its input)
+    found = []
+    for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, func in _functions(tree):
+            args = func.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a]]
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [f"{path.name} {name}: {p}" for p in params if p not in read]
+    assert found == []

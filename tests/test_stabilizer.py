@@ -390,6 +390,19 @@ def test_parity_measurement_rejects_malformed_input(subset, letters, match):
         st.verify_parity_measurement(subset, 3, letters=letters)
 
 
+def test_parity_measurement_pairs_letters_with_subset_in_given_order(monkeypatch):
+    words = []
+    parse = st.PauliWord.from_string
+
+    def spy(text):
+        words.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(st.PauliWord, "from_string", spy)
+    assert st.verify_parity_measurement([2, 0], 3, letters="XZ")
+    assert words == ["ZIX"]   # X on qubit 2, Z on qubit 0
+
+
 # ---------------------------------------------------------------- hierarchy
 
 def test_hierarchy_anchors():
