@@ -29,6 +29,14 @@ def _parity(mask):
     return bin(mask).count("1") & 1
 
 
+def _parities(v):
+    """Parity of the set bits of each nonnegative int64 entry; a xor fold,
+    so it runs on numpy versions without np.bitwise_count."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
 def _bit_parities(z, n):
     """(-1)^(i.z) for all basis indices i."""
     return z_signs(n)[[q for q in range(n) if (z >> q) & 1]].prod(axis=0)
@@ -242,10 +250,6 @@ class StabilizerCode:
             group += [w * g for w in group]
         return group
 
-    def group_signs(self):
-        """(x, z) -> sign for every stabilizer element."""
-        return {(w.x, w.z): w.phase.real for w in self.stabilizer_group()}
-
     def to_json(self):
         return json.dumps({
             "n": self.n,
@@ -348,30 +352,70 @@ class PauliCheck:
     violations: list
 
 
-def _quotient_kind(code, signs, q):
-    """"detected" when q anticommutes with a generator, else "stabilizer"
-    when q is a stabilizer element up to sign (signs: code.group_signs()),
-    else "logical": an undetected word acting on the code space."""
-    if any(not q.commutes(g) for g in code.generators):
-        return "detected"
-    return "stabilizer" if (q.x, q.z) in signs else "logical"
+def _word_arrays(words):
+    """x masks, z masks and real phase signs (0 for an imaginary phase) of
+    Pauli words, as int64 arrays."""
+    return (np.array([w.x for w in words], dtype=np.int64),
+            np.array([w.z for w in words], dtype=np.int64),
+            np.array([int(w.phase.real) for w in words], dtype=np.int64))
+
+
+def _group_arrays(code):
+    """code.stabilizer_group() followed by its _word_arrays.  Masks hold
+    bit q for qubit q in an int64, so the bit-array checks stop at 63
+    qubits."""
+    if code.n > 63:
+        raise ValueError(f"bit-array checks hold at most 63 qubits, "
+                         f"got n={code.n}")
+    group = code.stabilizer_group()
+    return (group, *_word_arrays(group))
+
+
+def _keys(x, z):
+    keys = np.empty(np.shape(x), dtype=[("x", np.int64), ("z", np.int64)])
+    keys["x"], keys["z"] = x, z
+    return keys
+
+
+_KINDS = ("detected", "stabilizer", "logical")
+_LOGICAL = _KINDS.index("logical")
+
+
+def _quotient_kinds(code, group_x, group_z, x, z):
+    """Index into _KINDS for each Pauli word (x, z): "detected" when it
+    anticommutes with a generator, else "stabilizer" when it is a group
+    element (masks group_x, group_z) up to sign, else "logical": an
+    undetected word acting on the code space."""
+    undetected = np.ones(np.shape(x), dtype=bool)
+    for g in code.generators:
+        undetected &= _parities((x & g.z) ^ (z & g.x)) == 0
+    members = np.sort(_keys(group_x, group_z))
+    words = _keys(x[undetected], z[undetected])
+    at = np.searchsorted(members, words).clip(max=len(members) - 1)
+    kinds = np.zeros(np.shape(x), dtype=np.int64)
+    kinds[undetected] = np.where(members[at] == words, 1, 2)
+    return kinds
 
 
 def pauli_correctable(code, errors):
     """Knill-Laflamme check over a Pauli error list: every quotient E^t F
     must be detected by anticommutation or lie inside the stabilizer."""
-    signs = code.group_signs()
+    if any(e.n != code.n for e in errors):
+        raise ValueError("qubit counts differ")
+    _, group_x, group_z, _ = _group_arrays(code)
+    ex, ez, _ = _word_arrays(errors)
+    kinds = _quotient_kinds(code, group_x, group_z,
+                            ex[:, None] ^ ex, ez[:, None] ^ ez)
     verdicts, violations = {}, []
     degenerate = False
-    for i, e in enumerate(errors):
-        for j, f in enumerate(errors):
-            kind = _quotient_kind(code, signs, e.dagger() * f)
-            if kind == "logical":
-                kind = "violation"
-                violations.append((i, j))
-            elif kind == "stabilizer" and i != j:
-                degenerate = True
-            verdicts[i, j] = kind
+    for (i, j), index in np.ndenumerate(kinds):
+        kind = _KINDS[index]
+        if kind == "logical":
+            kind = "violation"
+            violations.append((i, j))
+        elif kind == "stabilizer" and i != j:
+            degenerate = True
+        verdicts[i, j] = kind
     return PauliCheck(not violations, degenerate, verdicts, violations)
 
 
@@ -389,12 +433,15 @@ def weight_words(n, w):
 
 def pauli_distance(code, max_weight=None):
     """Smallest weight of an undetected non-stabilizer word."""
-    signs = code.group_signs()
     top = code.n if max_weight is None else max_weight
+    if not (isinstance(top, numbers.Integral) and top >= 1):
+        raise ValueError(f"max_weight must be a positive integer, "
+                         f"got {max_weight!r}")
+    _, group_x, group_z, _ = _group_arrays(code)
     for w in range(1, top + 1):
-        for word in weight_words(code.n, w):
-            if _quotient_kind(code, signs, word) == "logical":
-                return w
+        x, z, _ = _word_arrays(weight_words(code.n, w))
+        if (_quotient_kinds(code, group_x, group_z, x, z) == _LOGICAL).any():
+            return w
     raise ValueError("no logical operator found up to the weight cap")
 
 
@@ -409,8 +456,8 @@ _AD_MATRIX = {
     "Ad": (I2 - SZ) @ SX,
 }
 
-# letter times Pauli letter -> (sign, does it stay the same letter)
-_AD_TIMES_Z = {"I": None, "B": -1, "A": -1, "Ad": 1}
+# letter codes: 2 * (has an X part) + (a Z term takes sign -1)
+_AD_LETTERS = ("I", "B", "Ad", "A")
 
 
 @dataclass(frozen=True)
@@ -438,42 +485,24 @@ class AdWord:
     def __str__(self):
         return "".join(c if c != "Ad" else "A'" for c in self.letters)
 
+    def _codes(self):
+        return np.array([[_AD_LETTERS.index(c) for c in self.letters]],
+                        dtype=np.int8)
+
     def pauli_terms(self):
         """Expansion into signed Pauli words: A = X - XZ, A' = X + XZ,
         B = I - Z."""
-        expansions = {
-            "I": [((0, 0), 1)],
-            "B": [((0, 0), 1), ((0, 1), -1)],
-            "A": [((1, 0), 1), ((1, 1), -1)],
-            "Ad": [((1, 0), 1), ((1, 1), 1)],
-        }
-        terms = [((0, 0), 1)]
-        for q, letter in enumerate(self.letters):
-            new = []
-            for (x, z), sign in terms:
-                for (xb, zb), s2 in expansions[letter]:
-                    new.append(((x | (xb << q), z | (zb << q)), sign * s2))
-            terms = new
-        return [PauliWord(self.n, x, z, complex(sign))
-                for (x, z), sign in terms]
+        _, x, z, sign = _ad_terms(self._codes())
+        return [PauliWord(self.n, int(a), int(b), complex(c))
+                for a, b, c in zip(x, z, sign)]
 
     def times_stabilizer_sign(self, word):
         """Sign c with (self * word) = c * self, or None when the product
         changes letters.  Only Z letters can be absorbed."""
-        sign, letters = word.display()
-        if sign not in (1, -1):
-            return None
-        total = 1 if sign == 1 else -1
-        for mine, theirs in zip(self.letters, letters):
-            if theirs == "I":
-                continue
-            if theirs != "Z":
-                return None
-            got = _AD_TIMES_Z[mine]
-            if got is None:
-                return None
-            total *= got
-        return total
+        _, support, ab = _ad_masks(self._codes())
+        sign = _negation_signs(support, ab, word.x, word.z,
+                               int(word.phase.real))[0]
+        return int(sign) if sign else None
 
     def matrix(self):
         return kron_all(np.eye(1), *(_AD_MATRIX[letter] for letter in self.letters))
@@ -487,6 +516,37 @@ class AdWord:
         return out
 
 
+def _ad_word(codes):
+    return AdWord(tuple(_AD_LETTERS[c] for c in codes))
+
+
+def _ad_codes(n, t):
+    """Letter codes of ad_words(n, t), one row per word, in its order."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"qubit count n must be a positive integer, "
+                         f"got {n!r}")
+    if not (isinstance(t, numbers.Integral) and t >= 0):
+        raise ValueError(f"damping order t must be a nonnegative integer, "
+                         f"got {t!r}")
+    lower, raised, diag = (_AD_LETTERS.index(c) for c in ("A", "Ad", "B"))
+    rows = []
+    for r in range(0, 2 * t + 1):
+        for s in range(0, t - (r + 1) // 2 + 1):   # so r + 2s <= 2t
+            for a_pos in itertools.combinations(range(n), r):
+                others = [q for q in range(n) if q not in a_pos]
+                for b_pos in itertools.combinations(others, s):
+                    for kinds in itertools.product((lower, raised), repeat=r):
+                        if kinds.count(lower) > t or kinds.count(raised) > t:
+                            continue
+                        row = [0] * n
+                        for q, kind in zip(a_pos, kinds):
+                            row[q] = kind
+                        for q in b_pos:
+                            row[q] = diag
+                        rows.append(row)
+    return np.array(rows, dtype=np.int8).reshape(len(rows), n)
+
+
 def ad_words(n, t):
     """Every damping word relevant at order t.
 
@@ -495,27 +555,42 @@ def ad_words(n, t):
     raised ones belong to the left factor, the plain to the right, and
     each factor alone stays within order t/2).
     """
-    if not (isinstance(t, numbers.Integral) and t >= 0):
-        raise ValueError(f"damping order t must be a nonnegative integer, "
-                         f"got {t!r}")
-    out = []
-    for r in range(0, 2 * t + 1):
-        for s in range(0, t - (r + 1) // 2 + 1):
-            if r + 2 * s > 2 * t:
-                continue
-            for a_pos in itertools.combinations(range(n), r):
-                others = [q for q in range(n) if q not in a_pos]
-                for b_pos in itertools.combinations(others, s):
-                    for kinds in itertools.product(("A", "Ad"), repeat=r):
-                        if kinds.count("A") > t or kinds.count("Ad") > t:
-                            continue
-                        letters = ["I"] * n
-                        for q, kind in zip(a_pos, kinds):
-                            letters[q] = kind
-                        for q in b_pos:
-                            letters[q] = "B"
-                        out.append(AdWord(tuple(letters)))
-    return out
+    return [_ad_word(row) for row in _ad_codes(n, t).tolist()]
+
+
+def _ad_masks(codes):
+    """Bit masks (bit q for qubit q) of each row of a letter-code array:
+    x on the A and A' letters, support on every non-I letter, and ab on
+    the A and B letters, where a Z term takes sign -1."""
+    bits = np.int64(1) << np.arange(codes.shape[1], dtype=np.int64)
+    return (((codes >> 1) * bits).sum(axis=1),
+            ((codes != 0) * bits).sum(axis=1),
+            ((codes & 1) * bits).sum(axis=1))
+
+
+def _ad_terms(codes):
+    """Pauli terms of every row of a letter-code array, flattened to
+    (row, x, z, sign) in row order.  With A = X - XZ, A' = X + XZ and
+    B = I - Z a term keeps its word's x mask, has Z on a subset of the
+    word's non-I letters and sign -1 for each Z on an A or a B."""
+    x, _, ab = _ad_masks(codes)
+    row = np.arange(len(codes))
+    z = np.zeros(len(codes), dtype=np.int64)
+    for q in range(codes.shape[1]):
+        # a term splits on each non-I letter: without, then with Z there
+        split = codes[row, q] != 0
+        row, z = np.repeat(row, 1 + split), np.repeat(z, 1 + split)
+        z[np.cumsum(1 + split)[split] - 1] |= 1 << q
+    return row, x[row], z, 1 - 2 * _parities(z & ab[row])
+
+
+def _negation_signs(support, ab, mx, mz, msign):
+    """c with W * m = c * W, broadcast over damping words W (masks support
+    and ab) and Pauli words m (masks mx, mz, real sign msign); 0 where the
+    product changes letters.  Only Z letters on non-I letters are absorbed,
+    taking -1 on A and B."""
+    absorbed = (mx == 0) & ((mz & ~support) == 0)
+    return np.where(absorbed, msign * (1 - 2 * _parities(mz & ab)), 0)
 
 
 @dataclass
@@ -533,37 +608,71 @@ def ad_correctable(code, t):
     A word passes when each of its Pauli terms anticommutes with a
     generator or lies in the stabilizer group, or -- the non-Pauli escape
     hatch -- when some stabilizer element negates the whole word by plain
-    multiplication, which zeroes it on the code space.
+    multiplication, which zeroes it on the code space.  Words and terms
+    are checked as int64 bit masks, so codes of more than 63 qubits are
+    refused.
     """
-    words = ad_words(code.n, t)   # rejects t < 0 before any group work
-    signs = code.group_signs()
-    group = code.stabilizer_group()
+    codes = _ad_codes(code.n, t)   # rejects a bad n or t before any group work
+    group, group_x, group_z, group_sign = _group_arrays(code)
+    row, x, z, _ = _ad_terms(codes)
+    kinds = _quotient_kinds(code, group_x, group_z, x, z)
+    failing = np.unique(row[kinds == _LOGICAL])
+    _, support, ab = _ad_masks(codes[failing])
+    # the identity element never negates, so the first hit is nontrivial
+    hits = _negation_signs(support[:, None], ab[:, None], group_x, group_z,
+                           group_sign) == -1
     rejections, negated = [], []
-    for word in words:
-        if all(_quotient_kind(code, signs, term) != "logical"
-               for term in word.pauli_terms()):
-            continue
-        # the identity element never negates, so the first hit is nontrivial
-        m = next((m for m in group if word.times_stabilizer_sign(m) == -1), None)
-        if m is None:
-            rejections.append(word)
+    for i, hit in zip(failing, hits):
+        word = _ad_word(codes[i])
+        if hit.any():
+            negated.append((word, group[hit.argmax()]))
         else:
-            negated.append((word, m))
-    return AdReport(not rejections, t, len(words), rejections, negated)
+            rejections.append(word)
+    return AdReport(not rejections, t, len(codes), rejections, negated)
+
+
+def _ad_blocks(basis, codes):
+    """basis^dagger W basis for the damping word W of each letter-code row.
+
+    Every non-I letter has a single nonzero entry in _AD_MATRIX, so W sends
+    basis index j to j ^ flip, times the product of those entries, when
+    each non-I qubit of j holds its letter's input bit, and to zero
+    otherwise.  Words with one flip pattern share one table of
+    conj(basis[j ^ flip])^T basis[j], and their blocks are one 0/1-mask
+    product with it.
+    """
+    dim, k = basis.shape
+    care, need, flip = np.zeros((3, len(_AD_LETTERS)), dtype=np.int64)
+    entry = np.ones(len(_AD_LETTERS), dtype=complex)
+    for c, letter in enumerate(_AD_LETTERS[1:], 1):
+        (out, inp), = np.argwhere(_AD_MATRIX[letter])
+        care[c], need[c], flip[c] = 1, inp, out ^ inp
+        entry[c] = _AD_MATRIX[letter][out, inp]
+    bits = 1 << np.arange(codes.shape[1] - 1, -1, -1)   # qubit 0 is the top bit
+    word_care, word_need, word_flip = (table[codes] @ bits
+                                       for table in (care, need, flip))
+    index = np.arange(dim)
+    blocks = np.empty((len(codes), k, k), dtype=complex)
+    flips, group = np.unique(word_flip, return_inverse=True)
+    for g, f in enumerate(flips):
+        rows = np.flatnonzero(group == g)
+        mask = (index & word_care[rows, None]) == word_need[rows, None]
+        table = basis[index ^ f].conj()[:, :, None] * basis[:, None, :]
+        blocks[rows] = (mask @ table.reshape(dim, k * k).view(np.float64)
+                        ).view(complex).reshape(-1, k, k)
+    return blocks * entry[codes].prod(axis=1)[:, None, None]
 
 
 def ad_dense_check(code, t):
     """Dense confirmation of the symbolic verdict: every relevant word W
     must act as a multiple of the identity between codewords.  Returns the
     worst off-diagonal-or-spread deviation."""
+    codes = _ad_codes(code.n, t)
     basis = np.column_stack(codewords(code))
+    blocks = _ad_blocks(basis, codes)
     dim_l = basis.shape[1]
-    worst = 0.0
-    for word in ad_words(code.n, t):
-        block = basis.conj().T @ word.apply(basis)
-        c = np.trace(block) / dim_l
-        worst = max(worst, float(np.abs(block - c * np.eye(dim_l)).max()))
-    return worst
+    c = np.trace(blocks, axis1=1, axis2=2) / dim_l
+    return float(np.abs(blocks - c[:, None, None] * np.eye(dim_l)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,21 @@ def test_input_checks_name_the_parameter(build, match):
         build()
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: bc.existence_min_NT(1, 2, math.nan), "l_o"),
+    (lambda: bc.existence_min_NT(1, 2, math.inf), "l_o"),
+    (lambda: bc.existence_min_NT(1.5, 2, 1), "t >= 0"),
+    (lambda: bc.partitions(2.5, 2), "n >= 0"),
+    (lambda: bc.construct_t1(2.5, 2), "n >= 1"),
+], ids=["nan-logicals", "inf-logicals", "fractional-order",
+        "fractional-quanta", "fractional-construct"])
+def test_counts_must_be_integers(build, match):
+    # a NaN count returned a plausible bound, an infinite one never
+    # returned, and a fractional one raised TypeError from math.comb
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # constructions
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -303,6 +305,79 @@ def test_ad4_distance_gap():
     code = st.ad4()
     assert st.pauli_distance(code) == 2
     assert st.ad_correctable(code, 1).correctable
+
+
+def test_dense_gather_matches_letter_matrices():
+    # the masked row gather against the letters' dense matrices
+    basis = np.column_stack(st.codewords(st.ad4()))
+    words = st.ad_words(4, 2)
+    blocks = st._ad_blocks(basis, st._ad_codes(4, 2))
+    assert len(blocks) == len(words)
+    for word, block in zip(words, blocks):
+        assert np.abs(block - basis.conj().T @ word.apply(basis)).max() < 1e-14
+
+
+@pytest.mark.parametrize("max_weight", [2.5, 0, -3, float("nan")])
+def test_pauli_distance_weight_cap_must_be_positive_integer(max_weight):
+    with pytest.raises(ValueError, match="max_weight"):
+        st.pauli_distance(st.shor9(), max_weight)
+
+
+def test_pauli_distance_cap_below_distance():
+    with pytest.raises(ValueError, match="weight cap"):
+        st.pauli_distance(st.shor9(), 2)
+    assert st.pauli_distance(st.shor9(), 3) == 3
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2.5])
+def test_ad_words_qubit_count_must_be_positive_integer(n):
+    with pytest.raises(ValueError, match="qubit count n"):
+        st.ad_words(n, 1)
+
+
+def test_bit_array_checks_stop_at_63_qubits():
+    wide = st.StabilizerCode.from_strings(["Z" * 64])
+    for check in (lambda: st.ad_correctable(wide, 1),
+                  lambda: st.pauli_distance(wide),
+                  lambda: st.pauli_correctable(wide, [st.identity_word(64)])):
+        with pytest.raises(ValueError, match="n=64"):
+            check()
+    # the top qubit of a 63-qubit code still fits the masks
+    rep = st.ad_correctable(st.StabilizerCode.from_strings(["Z" * 63]), 1)
+    assert rep.checked == len(st.ad_words(63, 1))
+
+
+def _verdict_dump():
+    out = {}
+    for name in ("shor9", "steane7", "five_qubit", "ad4", "ad7"):
+        code = getattr(st, name)()
+        errs = [st.identity_word(code.n)] + st.weight_words(code.n, 1)
+        check = st.pauli_correctable(code, errs)
+        entry = {"pauli_distance": st.pauli_distance(code),
+                 "pauli_verdicts": [[i, j, kind]
+                                    for (i, j), kind in check.verdicts.items()]}
+        for t in (1, 2):
+            rep = st.ad_correctable(code, t)
+            entry[f"ad_t{t}"] = [rep.correctable, rep.t, rep.checked,
+                                 [str(w) for w in rep.rejections],
+                                 [[str(w), str(m)] for w, m in rep.negated]]
+        out[name] = entry
+    return json.dumps(out, sort_keys=True)
+
+
+def test_verdicts_pinned():
+    # every AdReport field (rejections and negated pairs in order), the
+    # Pauli distance and the weight-1 Pauli verdicts of all five fixtures
+    digest = hashlib.sha256(_verdict_dump().encode()).hexdigest()
+    assert digest == "60db5ef52782562e200a182b249f17c2022c92b8e5d4f7334b55754ada17fe70"
+
+
+def test_shor_order_three():
+    rep = st.ad_correctable(st.shor9(), 3)
+    assert rep.checked == 24460
+    assert rep.correctable is False
+    assert len(rep.rejections) == 69
+    assert len(rep.negated) == 126
 
 
 # ---------------------------------------------------------- measurement update
