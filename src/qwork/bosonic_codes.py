@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qec_engine
-from .qop_core import DEFAULT_TOL, standard_channel
+from .qop_core import DEFAULT_TOL, check_int, standard_channel
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,17 @@ def as_qcs(x):
     return x if isinstance(x, Qcs) else Qcs(tuple(x))
 
 
-def _check_int(name, value, least):
-    """value is a count of at least least: math.comb and range need an
-    integer, and a NaN or an infinity passes a bare comparison."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValueError(f"need {name} >= {least} as an integer, "
-                         f"got {name}={value!r}")
-
-
 def partitions(n, m):
     """Number of ways to spread n quanta over m ordered registers."""
-    _check_int("n", n, 0)
-    _check_int("m", m, 1)
+    check_int("n", n, 0)
+    check_int("m", m, 1)
     return math.comb(n + m - 1, m - 1)
 
 
 def occupation_vectors(n, m):
     """All length-m occupation vectors summing to n, lexicographic."""
-    _check_int("n", n, 0)
-    _check_int("m", m, 1)
+    check_int("n", n, 0)
+    check_int("m", m, 1)
     if m == 1:
         return [(n,)]
     out = []
@@ -273,8 +265,8 @@ def construct_t1(n, m):
     Rotation averaging makes all first moments equal to 2n/m, and doubling
     keeps distinct basis states at distance two or more.
     """
-    _check_int("n", n, 1)
-    _check_int("m", m, 2)
+    check_int("n", n, 1)
+    check_int("m", m, 2)
     logicals = []
     for orbit in cyclic_orbits(n, m):
         mu = Fraction(1, len(orbit))
@@ -433,9 +425,9 @@ def existence_min_NT(t, m, l_o):
     to t losses must fit, mutually distinguishable, among the occupation
     vectors available at spacing t + 1.
     """
-    _check_int("t", t, 0)
-    _check_int("m", m, 1)
-    _check_int("l_o", l_o, 1)
+    check_int("t", t, 0)
+    check_int("m", m, 1)
+    check_int("l_o", l_o, 1)
     need = 1 + l_o + l_o * sum(partitions(s, m) for s in range(t + 1))
     nt = t + 1
     while partitions(nt // (t + 1), m) < need:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,14 @@ CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
 
 class NotCompletelyPositiveError(ValueError):
     """Raised when a positivity requirement fails beyond tolerance."""
+
+
+def check_int(name, value, least):
+    """value is a count of at least least: math.comb, range and slicing
+    need an integer, and a NaN or an infinity passes a bare comparison."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"need {name} >= {least} as an integer, "
+                         f"got {name}={value!r}")
 
 
 def kron_all(*mats):

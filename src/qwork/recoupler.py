@@ -13,12 +13,14 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .qop_core import ising_diagonal
+from .qop_core import check_int, ising_diagonal
 
 MAX_ORDER = 2048
 
@@ -111,8 +113,7 @@ _ORDERS = sorted(_RECIPES)
 def achievable_order(n):
     """Smallest order >= n that hadamard() builds: a power of two or a
     Paley order q+1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_int("n", n, 1)
     if n > MAX_ORDER:
         raise ValueError(f"order search capped at {MAX_ORDER}")
     return _ORDERS[bisect.bisect_left(_ORDERS, n)]
@@ -139,15 +140,28 @@ def normalize(h):
     return HadamardMatrix(h.order, e * e[:1], f"normalized({h.provenance})")
 
 
+@lru_cache(maxsize=64)
+def _normalized_rows(order):
+    """Read-only int8 entries of normalize(hadamard(order)), so each order
+    is built and Gram-checked once per process.  Callers pass an order
+    from achievable_order.  The 64 tables kept hold every order a plan for
+    n <= 257 uses (34 of them, 0.6 MiB); at worst they are the 64 largest
+    orders up to MAX_ORDER, 160 MiB."""
+    rows = normalize(hadamard(order)).entries.astype(np.int8)
+    rows.setflags(write=False)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # sign matrices
 
 
 def _check_pairs(pairs, n):
-    """Every 1-based pair must satisfy 1 <= i < j <= n, no spin twice."""
+    """Every 1-based pair must be integers 1 <= i < j <= n, no spin twice."""
     seen = set()
     for i, j in pairs:
-        if not 1 <= i < j <= n:
+        if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)
+                and 1 <= i < j <= n):
             raise ValueError(f"need 1 <= i < j <= {n}, got pair ({i},{j})")
         if seen & {i, j}:
             raise ValueError(f"pairs must be disjoint, got pair ({i},{j}) "
@@ -206,12 +220,11 @@ def plan_decouple(n, remove_zeeman=False):
     remove_zeeman the all-plus first row is skipped (bumping the order when
     nothing would be left to skip) so each row also sums to zero.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_int("n", n, 2)
     if remove_zeeman:
-        e = normalize(hadamard(n + 1)).entries[1:n + 1]
+        e = _normalized_rows(achievable_order(n + 1))[1:n + 1]
         return SignMatrix(e, "zeeman-free-identity")
-    e = normalize(hadamard(n)).entries[:n]
+    e = _normalized_rows(achievable_order(n))[:n]
     return SignMatrix(e, "decouple")
 
 
@@ -236,22 +249,21 @@ def plan_recouple(n, i, j, remove_zeeman=False):
 
 def plan_recouple_parallel(n, pairs, remove_zeeman=False):
     """Recouple several disjoint 1-based pairs in one schedule."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_int("n", n, 2)
     _check_pairs(pairs, n)
     # the all-plus row 0 is never assigned, so n spins without a shared row
     # need an order above n; remove_zeeman asks for one too
-    norm = normalize(hadamard(n + 1 if remove_zeeman or not pairs else n))
-    rows = _assign_pairs(norm.entries, n, pairs)
+    order = achievable_order(n + 1 if remove_zeeman or not pairs else n)
+    rows = _assign_pairs(_normalized_rows(order), n, pairs)
     return SignMatrix(rows, "recouple", tuple(tuple(p) for p in pairs))
 
 
 def plan_chain_decouple(n, k):
     """Periodic plan for a chain coupled only within distance < k: spin s
     reuses row s mod k, so the schedule length stays k-bar regardless of n."""
-    if k < 2 or n < 2:
-        raise ValueError("need n, k >= 2")
-    base = normalize(hadamard(k)).entries
+    check_int("n", n, 2)
+    check_int("k", k, 2)
+    base = _normalized_rows(achievable_order(k))
     return SignMatrix(base[np.arange(n) % k], "chain-decouple")
 
 

@@ -442,3 +442,129 @@ def test_sign_matrix_rejects_pairs_outside_rows():
             rc.SignMatrix(e, "recouple", (pair,))
     with pytest.raises(ValueError, match=r"disjoint, got pair \(2,3\)"):
         rc.SignMatrix(e, "recouple", ((1, 2), (2, 3)))
+
+
+# ------------------------------------------------------ one table per order
+
+def _counted(monkeypatch, cls, name):
+    """Wrap cls.name so each call records its instance in the returned list."""
+    calls = []
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+def test_each_order_is_built_and_checked_once(monkeypatch):
+    rc._normalized_rows.cache_clear()
+    built = _counted(monkeypatch, rc.HadamardMatrix, "__post_init__")
+    validated = _counted(monkeypatch, rc.SignMatrix, "validate")
+    orders = sorted({rc.achievable_order(n) for n in range(2, 257)})
+    first = [rc.plan_decouple(n) for n in range(2, 257)]
+    assert sorted(h.order for h in built
+                  if h.provenance.startswith("normalized(")) == orders
+    assert {h.order for h in built} == set(orders)
+    assert len(validated) == 255
+
+    built.clear()
+    validated.clear()
+    second = [rc.plan_decouple(n) for n in range(2, 257)]
+    assert built == []
+    assert len(validated) == 255
+    assert all(np.array_equal(a.entries, b.entries) for a, b in zip(first, second))
+
+
+def test_rows_table_is_read_only_int8():
+    rows = rc._normalized_rows(12)
+    assert rows.dtype == np.int8
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = -1
+    assert np.array_equal(rows, rc.normalize(rc.hadamard(12)).entries)
+
+
+@pytest.mark.parametrize("plan", [
+    lambda: rc.plan_decouple(12),
+    lambda: rc.plan_decouple(12, remove_zeeman=True),
+    lambda: rc.plan_recouple(12, 1, 2),
+    lambda: rc.plan_chain_decouple(12, 5),
+], ids=["decouple", "zeeman", "recouple", "chain"])
+def test_plan_entries_are_writable_copies(plan):
+    sign = plan()
+    assert sign.entries.dtype == np.int64
+    assert sign.entries.flags.writeable
+    expected = sign.entries.copy()
+    sign.entries[:] *= -1
+    assert np.array_equal(plan().entries, expected)
+
+
+# ------------------------------------------------------ count arguments
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: rc.achievable_order(math.nan), "n"),
+    (lambda: rc.hadamard(math.inf), "n"),
+    (lambda: rc.plan_decouple(2.5), "n"),
+    (lambda: rc.plan_decouple(3.0), "n"),
+    (lambda: rc.plan_decouple(math.nan, remove_zeeman=True), "n"),
+    (lambda: rc.plan_chain_decouple(4, 2.5), "k"),
+    (lambda: rc.plan_chain_decouple(2.5, 2), "n"),
+    (lambda: rc.plan_recouple(4.0, 1, 2), "n"),
+    (lambda: rc.efficiency_c(2.5), "n"),
+], ids=["order-nan", "hadamard-inf", "decouple-2.5", "decouple-3.0", "zeeman-nan",
+        "chain-k-2.5", "chain-n-2.5", "recouple-4.0", "efficiency-2.5"])
+def test_counts_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=rf"need {name} >= \d as an integer"):
+        call()
+
+
+def test_zeeman_free_plan_at_the_order_cap_is_rejected():
+    with pytest.raises(ValueError, match="capped"):
+        rc.plan_decouple(rc.MAX_ORDER, remove_zeeman=True)
+
+
+def test_non_integer_pair_is_rejected():
+    with pytest.raises(ValueError, match=r"got pair \(1.5,2\)"):
+        rc.plan_recouple(4, 1.5, 2)
+
+
+def test_numpy_integer_counts_pass():
+    assert rc.achievable_order(np.int64(9)) == 12
+    assert rc.efficiency_c(np.int32(9)) == Fraction(4, 3)
+    assert np.array_equal(rc.plan_chain_decouple(np.int64(6), np.int16(3)).entries,
+                          rc.plan_chain_decouple(6, 3).entries)
+
+
+# finite, non-finite, non-integer and out-of-range counts; valid ones stay
+# small, and the out-of-range ones stop short of sizes a chain plan, which
+# has no cap on n, could not allocate
+COUNTS = st.one_of(
+    st.integers(-3, 40),
+    st.integers(2, 40).map(np.int64),
+    st.integers(2, 40).map(float),
+    st.integers(rc.MAX_ORDER + 1, 4 * rc.MAX_ORDER),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+ENTRY_POINTS = {
+    "achievable_order": lambda n, k: rc.achievable_order(n),
+    "hadamard": lambda n, k: rc.hadamard(n),
+    "plan_decouple": lambda n, k: rc.plan_decouple(n),
+    "plan_decouple_zeeman": lambda n, k: rc.plan_decouple(n, remove_zeeman=True),
+    "plan_recouple": lambda n, k: rc.plan_recouple(n, 1, k),
+    "plan_chain_decouple": lambda n, k: rc.plan_chain_decouple(n, k),
+    "efficiency_c": lambda n, k: rc.efficiency_c(n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(deadline=None, max_examples=60)
+@given(n=COUNTS, k=COUNTS)
+def test_entry_points_return_or_raise_value_error(name, n, k):
+    try:
+        ENTRY_POINTS[name](n, k)
+    except ValueError:
+        pass
