@@ -17,8 +17,10 @@ units, so the thermal deviation is sum_i omega_i Z_i / 2.
 The RF ensemble is a leading array axis: ``rf_scale_sets`` gives S rows of
 per-channel pulse scales with their weights (one row of ones when RF is
 off), ``_run_pure`` evolves an (S, 2^n, 2^n) stack with one deviation per
-row, and every average is weights @ stack.  A stack takes S * 4^n * 16
-bytes: 256 KB for 32 x 32 quadrature nodes on two spins.
+row, and every average is weights @ stack.  The evolution holds the stack
+and one scratch array of the same size, S * 4^n * 16 bytes each (256 KB for
+32 x 32 quadrature nodes on two spins), and writes into them in place: no
+event allocates a 2^n x 2^n array.
 """
 
 import csv
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop_core import (PAULIS, conjugate_local, ising_diagonal, pauli_components,
+from .qop_core import (PAULIS, check_int, ising_diagonal, pauli_components,
                        z_signs)
 
 # exact SI-2019 values: reduced Planck constant (J s) and Boltzmann (J/K)
@@ -187,6 +189,7 @@ def pulse(spin, axis, angle, scale_sensitive=True):
         raise ValueError("pulse axis must be 'x' or 'y'")
     if not math.isfinite(angle):
         raise ValueError("pulse angle must be finite")
+    check_int("spin", spin, 0)
     return Event("pulse", spin=int(spin), axis=axis, angle=float(angle),
                  scale_sensitive=bool(scale_sensitive))
 
@@ -196,6 +199,8 @@ def delay(duration, dephase=False, refocus=(), t1_relax=False):
         raise ValueError("delay duration must be finite")
     if duration < 0:
         raise ValueError("delay duration must be nonnegative")
+    for s in refocus:
+        check_int("refocus", s, 0)
     return Event("delay", duration=float(duration), dephase=bool(dephase),
                  refocus=tuple(sorted(set(int(s) for s in refocus))),
                  t1_relax=bool(t1_relax))
@@ -223,50 +228,70 @@ def _rot2(axis, angle):
     return out
 
 
-def _apply_pulse(rho, ev, scales):
+def _conjugate_spin(op, rho, spin, scratch):
+    """qop_core.conjugate_local(op, rho, (spin,)) in place on a C-contiguous
+    (S, 2^n, 2^n) stack under an (S, 2, 2) op: the same two matmuls on the
+    same shapes, each written into scratch, whose transpose goes back to rho."""
+    if len(rho) == 1:   # as apply_local: one op for a one-row stack
+        op, shape = op[0], (1 << spin, 2, -1)
+    else:
+        op, shape = op[:, None], (len(rho), 1 << spin, 2, -1)
+    for u in (op, np.conj(op)):
+        np.matmul(u, rho.reshape(shape), out=scratch.reshape(shape))
+        np.copyto(rho, scratch.swapaxes(-1, -2))
+
+
+def _apply_pulse(rho, ev, scales, scratch):
     scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
-    return conjugate_local(_rot2(ev.axis, ev.angle * scale), rho, (ev.spin,))
+    _conjugate_spin(_rot2(ev.axis, ev.angle * scale), rho, ev.spin, scratch)
 
 
-def _apply_delay(system, rho, ev, scales):
+def _apply_delay(system, rho, ev, scales, scratch):
     # free evolution multiplies rho elementwise by the scalar-coupling phases
     # (a diagonal conjugation) and each spin's dephasing mask; a refocused
     # delay is two halves, each followed by pi_y flips of the refocused spins
     if ev.duration == 0.0:
-        return rho
+        return
     n = system.n
     halves = 2 if ev.refocus else 1
     t = ev.duration / halves
-    signs = z_signs(n)
     total = ising_diagonal(np.zeros(n), math.pi * np.array(system.j) / 2.0 * t)
-    factors = []
+    phase = None
     if total.any():
         ph = np.exp(-1j * total)
-        factors.append(ph[:, None] * ph.conj()[None, :])
+        phase = ph[:, None] * ph.conj()[None, :]
+        # the phases do not touch populations; pin those so the identity
+        # component is preserved exactly, not just to rounding
+        np.fill_diagonal(phase, 1.0)
+    # spin i's dephasing mask is (1 - p) + p where its row and column bits
+    # agree, which rounds to exactly 1 for p <= 1/2, and (1 - p) - p where
+    # they differ: only the differing quarters are scaled
+    keep = []
     if ev.dephase:
-        for i in range(n):
-            p = dephase_probability(t, system.t2_star[i])
-            factors.append((1.0 - p) + p * (signs[i][:, None] * signs[i]))
-    # none of them touches populations; pin those so the identity component
-    # is preserved exactly, not just to rounding
-    for f in factors:
-        np.fill_diagonal(f, 1.0)
+        for t2 in system.t2_star:
+            p = dephase_probability(t, t2)
+            keep.append((1.0 - p) - p)
     flips = [(s, _rot2("y", math.pi * scales[:, s])) for s in ev.refocus]
     for _ in range(halves):
-        for f in factors:
-            rho = rho * f
+        if phase is not None:
+            rho *= phase
+        for i, k in enumerate(keep):
+            high, low = 1 << i, 1 << (n - 1 - i)
+            r = rho.reshape(-1, high, 2, low, high, 2, low)
+            r[:, :, 0, :, :, 1] *= k
+            r[:, :, 1, :, :, 0] *= k
         if ev.t1_relax:
-            rho = _t1_step(system, rho, t)
+            _t1_step(system, rho, t)
         for s, op in flips:
-            rho = conjugate_local(op, rho, (s,))
-    return rho
+            _conjugate_spin(op, rho, s, scratch)
 
 
 def _t1_step(system, rho, t):
     # Phenomenological energy relaxation: each spin's longitudinal deviation
     # decays toward its thermal value; transverse parts are left to the
-    # dephasing model.  Assumes rho is an (S, 2^n, 2^n) stack of deviations
-    # in the units of system.omega, each relaxing toward thermal_state(system).
+    # dephasing model.  Relaxes a C-contiguous (S, 2^n, 2^n) stack of
+    # deviations in the units of system.omega in place, each toward
+    # thermal_state(system).
     if system.t1 is None:
         raise ValueError("t1 relaxation requested but no t1 times configured")
     n = system.n
@@ -282,8 +307,6 @@ def _t1_step(system, rho, t):
         zpart = zpart + (1.0 - decay) * (system.omega[i] / 2.0) * eye
         r2[:, 0, 0] = even + zpart
         r2[:, 1, 1] = even - zpart
-        r = np.moveaxis(r2, (1, 2), (1 + i, 1 + n + i))
-    return r.reshape(rho.shape)
 
 
 def _run_pure(system, rho, events, scales):
@@ -291,15 +314,15 @@ def _run_pure(system, rho, events, scales):
     scales; returns the (S, 2^n, 2^n) stack."""
     stack = np.empty((len(scales),) + np.shape(rho)[-2:], dtype=complex)
     stack[...] = rho
-    rho = stack
+    scratch = np.empty_like(stack)
     for ev in events:
         if ev.kind == "pulse":
-            rho = _apply_pulse(rho, ev, scales)
+            _apply_pulse(stack, ev, scales, scratch)
         elif ev.kind == "delay":
-            rho = _apply_delay(system, rho, ev, scales)
+            _apply_delay(system, stack, ev, scales, scratch)
         else:
             raise ValueError(f"unknown event kind {ev.kind!r}")
-    return rho
+    return stack
 
 
 def run_sequence(system, rho, events, rf=None):
@@ -308,6 +331,19 @@ def run_sequence(system, rho, events, rf=None):
     With an active RF model the result is the ensemble average over the
     per-channel pulse-scale distribution (perfectly correlated within a run).
     """
+    n = system.n
+    rho = np.asarray(rho)
+    if rho.shape != (2 ** n, 2 ** n):
+        raise ValueError(f"rho must be {2 ** n} x {2 ** n} for {n} spins, "
+                         f"got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("rho must be finite")
+    for ev in events:
+        name, spins = (("spin", (ev.spin,)) if ev.kind == "pulse"
+                       else ("refocus", ev.refocus))
+        for s in spins:
+            if not 0 <= s < n:
+                raise ValueError(f"{ev.kind} {name} {s} outside 0..{n - 1}")
     scales, weights = rf_scale_sets(rf, system.n)
     return np.einsum("s,sij->ij", weights, _run_pure(system, rho, events, scales))
 

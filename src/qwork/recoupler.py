@@ -263,6 +263,8 @@ def plan_chain_decouple(n, k):
     reuses row s mod k, so the schedule length stays k-bar regardless of n."""
     check_int("n", n, 2)
     check_int("k", k, 2)
+    if n > MAX_ORDER:
+        raise ValueError(f"chain length n={n} exceeds MAX_ORDER={MAX_ORDER}")
     base = _normalized_rows(achievable_order(k))
     return SignMatrix(base[np.arange(n) % k], "chain-decouple")
 

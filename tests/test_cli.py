@@ -234,6 +234,19 @@ def test_nmr_sequence(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("event, name", [
+    ({"type": "pulse", "spin": 5, "axis": "x", "angle": 1.0}, "spin 5"),
+    ({"type": "pulse", "spin": -1, "axis": "x", "angle": 1.0}, "spin=-1"),
+    ({"type": "pulse", "spin": 1.7, "axis": "x", "angle": 1.0}, "spin=1.7"),
+    ({"type": "delay", "duration": 0.01, "refocus": [2]}, "refocus 2"),
+], ids=["spin-5", "spin-negative", "spin-fraction", "refocus-2"])
+def test_nmr_sequence_rejects_bad_spins(capsys, tmp_path, event, name):
+    events = tmp_path / "ev.json"
+    events.write_text(json.dumps([event]))
+    code, out, err = run_cli(capsys, "nmr", "sequence", "--events", str(events))
+    assert code == 3 and out == "" and name in err and "Traceback" not in err
+
+
 def test_nmr_tomo(capsys):
     code, out, _ = run_cli(capsys, "nmr", "tomo", "--seed", "6")
     assert code == 0 and "PASS" in out

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -714,3 +715,117 @@ def test_sweep_deterministic():
     kw = dict(system=s, thetas=(0.0, math.pi / 2), tds=(0.0,),
               modes=("control",), rf=rf)
     assert nm.two_bit_sweep(**kw) == nm.two_bit_sweep(**kw)
+
+
+# ------------------------------------------------------ in-place evolution
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_conjugate_spin_matches_conjugate_local_bytes(n):
+    rng = np.random.default_rng(70 + n)
+    for rows in (1, 3):
+        rho = (rng.normal(size=(rows, 2 ** n, 2 ** n))
+               + 1j * rng.normal(size=(rows, 2 ** n, 2 ** n)))
+        for spin in range(n):
+            for axis in ("x", "y"):
+                op = nm._rot2(axis, rng.uniform(-math.pi, math.pi, size=rows))
+                want = qc.conjugate_local(op, rho, (spin,))
+                got = rho.copy()
+                nm._conjugate_spin(op, got, spin, np.empty_like(got))
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def coupled_system(n, rng):
+    """n spins, every pair coupled, with seeded offsets and dephasing times."""
+    j = np.zeros((n, n))
+    j[np.triu_indices(n, 1)] = rng.uniform(-200.0, 200.0, size=n * (n - 1) // 2)
+    return nm.SpinSystem(omega=tuple(rng.uniform(1.0, 5.0, size=n)),
+                         j=tuple(map(tuple, j + j.T)),
+                         t2_star=tuple(rng.uniform(0.05, 1.0, size=n)))
+
+
+def pinned_outputs():
+    """Seeded run_sequence and two_bit_experiment outputs: pulses and
+    refocused dephasing delays at 2, 3, 6 and 8 spins, the same under 4-node
+    RF quadrature at 2 and 3 spins, and the storage point with T1."""
+    for n, with_rf in ((2, False), (3, False), (6, False), (8, False),
+                       (2, True), (3, True)):
+        rng = np.random.default_rng(40 + n + with_rf)
+        system = coupled_system(n, rng)
+        events = [nm.pulse(int(rng.integers(n)), str(rng.choice(["x", "y"])),
+                           float(rng.uniform(-math.pi, math.pi)),
+                           scale_sensitive=bool(rng.random() < 0.8))
+                  for _ in range(12)]
+        events += [nm.delay(float(rng.uniform(1e-3, 2e-2)), dephase=True,
+                            refocus=[int(s) for s in rng.choice(n, 2, replace=False)])
+                   for _ in range(4)]
+        events = [events[i] for i in rng.permutation(len(events))]
+        rf = nm.RfModel(kind="lorentzian", nodes=4,
+                        widths=tuple(rng.uniform(0.02, 0.2, size=n))) if with_rf else None
+        yield nm.run_sequence(system, rand_deviation(n, rng), events, rf=rf)
+    for mode in ("coded", "control"):
+        for rf in (None, nm.RfModel.lorentzian(nodes=4)):
+            out = nm.two_bit_experiment(0.3 * math.pi, 0.05, mode=mode, rf=rf,
+                                        system=nm.chloroform_system(), t1_relax=True)
+            yield np.array(out["accepted"] + out["rejected"])
+
+
+def test_outputs_are_pinned_to_the_byte():
+    # every event writes into the stack in place with the same floating-point
+    # operations, in the same order, as the out-of-place evolution these
+    # bytes were recorded from (numpy 2.4, OpenBLAS 0.3.31, x86-64)
+    digest = hashlib.sha256()
+    for out in pinned_outputs():
+        digest.update(np.ascontiguousarray(out).tobytes())
+    assert digest.hexdigest() == (
+        "5136125b3a8c051e0fbde08c647c199630240bda6ba17c06aea49b7ccabe5d71")
+
+
+def test_run_sequence_leaves_the_input_alone():
+    rng = np.random.default_rng(8)
+    system = coupled_system(3, rng)
+    rho = rand_deviation(3, rng)
+    before = rho.copy()
+    nm.run_sequence(system, rho, [nm.pulse(1, "x", 0.4),
+                                  nm.delay(0.01, dephase=True, refocus=(0, 2))])
+    assert rho.tobytes() == before.tobytes()
+
+
+def test_delay_only_is_unital_at_eight_spins():
+    system = coupled_system(8, np.random.default_rng(9))
+    events = [nm.delay(0.013, dephase=True), nm.delay(0.02, dephase=True)]
+    assert nm.identity_offset(system, events) == 0.0
+
+
+@pytest.mark.parametrize("rho, match", [
+    (np.eye(8), r"rho must be 4 x 4 for 2 spins, got shape \(8, 8\)"),
+    (np.eye(4)[None], r"rho must be 4 x 4"),
+    (np.full((4, 4), math.nan), "rho must be finite"),
+    (np.diag([1.0, math.inf, 0.0, 0.0]), "rho must be finite"),
+], ids=["8x8", "stack", "nan", "inf"])
+def test_run_sequence_rejects_bad_rho(rho, match):
+    with pytest.raises(ValueError, match=match):
+        nm.run_sequence(nm.formate_system(), rho, [nm.pulse(0, "x", 0.3)])
+
+
+@pytest.mark.parametrize("event, match", [
+    (nm.pulse(2, "x", 0.3), r"pulse spin 2 outside 0\.\.1"),
+    (nm.delay(0.01, refocus=(1, 5)), r"delay refocus 5 outside 0\.\.1"),
+], ids=["spin", "refocus"])
+def test_run_sequence_rejects_spins_outside_the_system(event, match):
+    with pytest.raises(ValueError, match=match):
+        nm.run_sequence(nm.formate_system(), np.eye(4), [event])
+    with pytest.raises(ValueError, match=match):
+        nm.identity_offset(nm.formate_system(), [event])
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: nm.pulse(-1, "x", 0.3), "spin"),
+    (lambda: nm.pulse(1.7, "x", 0.3), "spin"),
+    (lambda: nm.pulse(math.nan, "y", 0.3), "spin"),
+    (lambda: nm.delay(0.01, refocus=(-1,)), "refocus"),
+    (lambda: nm.delay(0.01, refocus=(0, 1.5)), "refocus"),
+], ids=["spin-negative", "spin-fraction", "spin-nan", "refocus-negative",
+        "refocus-fraction"])
+def test_event_spins_must_be_integers(make, name):
+    with pytest.raises(ValueError, match=rf"need {name} >= 0 as an integer"):
+        make()

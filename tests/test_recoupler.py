@@ -526,6 +526,12 @@ def test_zeeman_free_plan_at_the_order_cap_is_rejected():
         rc.plan_decouple(rc.MAX_ORDER, remove_zeeman=True)
 
 
+def test_chain_plan_length_is_capped():
+    with pytest.raises(ValueError, match=r"n=1000000000000 exceeds MAX_ORDER"):
+        rc.plan_chain_decouple(10 ** 12, 2)
+    assert rc.plan_chain_decouple(rc.MAX_ORDER, 2).entries.shape == (rc.MAX_ORDER, 2)
+
+
 def test_non_integer_pair_is_rejected():
     with pytest.raises(ValueError, match=r"got pair \(1.5,2\)"):
         rc.plan_recouple(4, 1.5, 2)
@@ -539,8 +545,7 @@ def test_numpy_integer_counts_pass():
 
 
 # finite, non-finite, non-integer and out-of-range counts; valid ones stay
-# small, and the out-of-range ones stop short of sizes a chain plan, which
-# has no cap on n, could not allocate
+# small
 COUNTS = st.one_of(
     st.integers(-3, 40),
     st.integers(2, 40).map(np.int64),
