@@ -309,8 +309,9 @@ def _check_loss(t, gamma=0.0):
     checks it)."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma} out of [0, 1]")
-    if not t >= 0:
-        raise ValueError(f"loss order t must be nonnegative, got {t!r}")
+    if not (isinstance(t, numbers.Integral) and t >= 0):
+        raise ValueError(f"loss order t must be a nonnegative integer, "
+                         f"got {t!r}")
 
 
 def code_fidelity(n_total, t, gamma):

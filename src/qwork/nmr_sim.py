@@ -208,6 +208,9 @@ def delay(duration, dephase=False, refocus=(), t1_relax=False):
 
 def dephase_probability(t, t2_star):
     """Phase-flip probability accumulated over a delay of length t."""
+    if not (t >= 0 and t2_star > 0):
+        raise ValueError(f"need t >= 0 and t2_star > 0, got t={t!r}, "
+                         f"t2_star={t2_star!r}")
     return (1.0 - math.exp(-t / t2_star)) / 2.0
 
 
@@ -366,6 +369,9 @@ def thermal_state(system):
 
 def thermal_scale(system, temperature=298.0):
     """Weight of the deviation relative to the unit identity component."""
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, "
+                         f"got {temperature!r}")
     return _HBAR / (2 ** system.n * _K_B * temperature)
 
 
@@ -663,8 +669,8 @@ class RfModel:
             raise ValueError(f"unknown RF model kind {self.kind!r}")
         if self.integration not in ("quadrature", "monte-carlo"):
             raise ValueError(f"unknown integration {self.integration!r}")
-        _check_count("nodes", self.nodes)
-        _check_count("shots", self.shots)
+        check_int("nodes", self.nodes, 1)
+        check_int("shots", self.shots, 1)
         if not all(0 < w < math.inf for w in self.widths):
             raise ValueError(f"RF widths must be positive and finite: {self.widths!r}")
 
@@ -678,11 +684,6 @@ class RfModel:
         widths = tuple(calibrate_width(a, nodes) for a in attenuations)
         return cls(kind="lorentzian", widths=widths, integration=integration,
                    nodes=nodes, shots=shots, seed=seed)
-
-
-def _check_count(name, value):
-    if not value >= 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def _lorentz_nodes(width, nodes):
@@ -704,7 +705,7 @@ def calibrate_width(target, nodes=32):
 
     if not 0.0 < target < 1.0:
         raise ValueError("attenuation target must be in (0, 1)")
-    _check_count("nodes", nodes)
+    check_int("nodes", nodes, 1)
     lo, hi = 1e-6, 0.8
     if averaged(hi) > target:
         raise ValueError("attenuation target too small to calibrate")

@@ -407,9 +407,8 @@ def standard_channel(kind, **params):
         ])
     if kind == "bosonic_ad":
         g = prob(need("gamma"), "gamma")
-        cutoff = int(need("cutoff"))
-        if cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+        cutoff = need("cutoff")
+        check_int("cutoff", cutoff, 0)
         d = cutoff + 1
         kraus = []
         for k in range(d):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop_core import (CNOT, DEFAULT_TOL, I2, SX, SY, SZ, apply_local, dagger,
-                       kron_all, pauli_product_basis, z_signs)
+from .qop_core import (CNOT, DEFAULT_TOL, I2, SX, SY, SZ, apply_local,
+                       check_int, dagger, kron_all, pauli_product_basis)
 
 _LETTER = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
 
@@ -37,9 +37,9 @@ def _parities(v):
     return v & 1
 
 
-def _bit_parities(z, n):
-    """(-1)^(i.z) for all basis indices i."""
-    return z_signs(n)[[q for q in range(n) if (z >> q) & 1]].prod(axis=0)
+def _reversed_bits(mask, n):
+    """mask with bit q moved to bit n - 1 - q, qubit q's bit in an index."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,6 @@ class PauliWord:
         return bin(self.x | self.z).count("1")
 
     @property
-    def is_identity(self):
-        return self.x == 0 and self.z == 0
-
-    @property
     def is_hermitian(self):
         sign = self.phase.conjugate() * (-1 if _parity(self.x & self.z) else 1)
         return sign == self.phase
@@ -136,21 +132,14 @@ class PauliWord:
         vec = np.asarray(vec, dtype=complex)
         n = self.n
         idx = np.arange(1 << n)
-        xperm = 0
-        for q in range(n):
-            if (self.x >> q) & 1:
-                xperm |= 1 << (n - 1 - q)
+        xperm, zperm = _reversed_bits(self.x, n), _reversed_bits(self.z, n)
         out = np.zeros_like(vec)
-        scale = self.phase * _bit_parities(self.z, n)
+        scale = self.phase * (1 - 2 * _parities(idx & zperm))
         out[idx ^ xperm] = scale.reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
         return out
 
     def matrix(self):
         return self.apply(np.eye(1 << self.n))
-
-
-def commutes(p, q):
-    return p.commutes(q)
 
 
 def identity_word(n):
@@ -161,29 +150,6 @@ def single_qubit_word(n, q, letter):
     s = ["I"] * n
     s[q] = letter
     return PauliWord.from_string("".join(s))
-
-
-# ---------------------------------------------------------------------------
-# GF(2) rank, for generator independence
-
-
-def _gf2_rank(rows):
-    rows = list(rows)
-    rank = 0
-    for bit in range(max(rows).bit_length() if rows else 0):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if (rows[i] >> bit) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> bit) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +182,7 @@ class StabilizerCode:
         for g in self.generators:
             if g.n != self.n or not g.is_hermitian:
                 raise ValueError(f"bad generator {g}")
-        vecs = [(g.x << self.n) | g.z for g in self.generators]
-        if _gf2_rank(vecs) != len(vecs):
+        if len(_echelon(self)) != len(self.generators):
             raise ValueError("generators are not independent")
         for a, b in itertools.combinations(self.generators, 2):
             if not a.commutes(b):
@@ -360,40 +325,50 @@ def _word_arrays(words):
             np.array([int(w.phase.real) for w in words], dtype=np.int64))
 
 
-def _group_arrays(code):
-    """code.stabilizer_group() followed by its _word_arrays.  Masks hold
-    bit q for qubit q in an int64, so the bit-array checks stop at 63
-    qubits."""
+def _check_masks(code):
+    """Masks hold bit q for qubit q in an int64, so the bit-array checks
+    stop at 63 qubits."""
     if code.n > 63:
         raise ValueError(f"bit-array checks hold at most 63 qubits, "
                          f"got n={code.n}")
-    group = code.stabilizer_group()
-    return (group, *_word_arrays(group))
 
 
-def _keys(x, z):
-    keys = np.empty(np.shape(x), dtype=[("x", np.int64), ("z", np.int64)])
-    keys["x"], keys["z"] = x, z
-    return keys
+def _echelon(code):
+    """Generators packed as (x << n) | z, reduced to (row, pivot) pairs: the
+    pivot is its row's top bit and is clear in every other row, so a word
+    lies in their span when xoring in the row of each set pivot clears it."""
+    rows = []
+    for g in code.generators:
+        v = (g.x << code.n) | g.z
+        for row, bit in rows:
+            if (v >> bit) & 1:
+                v ^= row
+        if v:
+            top = v.bit_length() - 1
+            rows = [(row ^ v if (row >> top) & 1 else row, bit)
+                    for row, bit in rows] + [(v, top)]
+    return rows
 
 
 _KINDS = ("detected", "stabilizer", "logical")
 _LOGICAL = _KINDS.index("logical")
 
 
-def _quotient_kinds(code, group_x, group_z, x, z):
+def _quotient_kinds(code, x, z):
     """Index into _KINDS for each Pauli word (x, z): "detected" when it
-    anticommutes with a generator, else "stabilizer" when it is a group
-    element (masks group_x, group_z) up to sign, else "logical": an
+    anticommutes with a generator, else "stabilizer" when the echelon rows
+    reduce it to nothing (a group element up to sign), else "logical": an
     undetected word acting on the code space."""
     undetected = np.ones(np.shape(x), dtype=bool)
     for g in code.generators:
         undetected &= _parities((x & g.z) ^ (z & g.x)) == 0
-    members = np.sort(_keys(group_x, group_z))
-    words = _keys(x[undetected], z[undetected])
-    at = np.searchsorted(members, words).clip(max=len(members) - 1)
+    n, ux, uz = code.n, x[undetected], z[undetected]
+    for row, bit in _echelon(code):
+        hit = ((ux if bit >= n else uz) >> (bit % n)) & 1
+        ux ^= hit * (row >> n)
+        uz ^= hit * (row & ((1 << n) - 1))
     kinds = np.zeros(np.shape(x), dtype=np.int64)
-    kinds[undetected] = np.where(members[at] == words, 1, 2)
+    kinds[undetected] = np.where((ux | uz) == 0, 1, 2)
     return kinds
 
 
@@ -402,10 +377,9 @@ def pauli_correctable(code, errors):
     must be detected by anticommutation or lie inside the stabilizer."""
     if any(e.n != code.n for e in errors):
         raise ValueError("qubit counts differ")
-    _, group_x, group_z, _ = _group_arrays(code)
+    _check_masks(code)
     ex, ez, _ = _word_arrays(errors)
-    kinds = _quotient_kinds(code, group_x, group_z,
-                            ex[:, None] ^ ex, ez[:, None] ^ ez)
+    kinds = _quotient_kinds(code, ex[:, None] ^ ex, ez[:, None] ^ ez)
     verdicts, violations = {}, []
     degenerate = False
     for (i, j), index in np.ndenumerate(kinds):
@@ -419,16 +393,21 @@ def pauli_correctable(code, errors):
     return PauliCheck(not violations, degenerate, verdicts, violations)
 
 
+def _weight_masks(n, w):
+    """int64 x and z masks of the weight-w words: qubit sets in combinations
+    order, then letters 0, 1, 2 (X, Y, Z) in product order."""
+    qubits = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
+    bits = np.int64(1) << qubits.reshape(len(qubits), 1, w)
+    letters = np.array(list(itertools.product(range(3), repeat=w)))
+    return (((letters < 2) * bits).sum(axis=2).ravel(),
+            ((letters > 0) * bits).sum(axis=2).ravel())
+
+
 def weight_words(n, w):
     """All Pauli words of exact weight w (no phase prefix)."""
-    out = []
-    for qubits in itertools.combinations(range(n), w):
-        for letters in itertools.product("XYZ", repeat=w):
-            s = ["I"] * n
-            for q, c in zip(qubits, letters):
-                s[q] = c
-            out.append(PauliWord.from_string("".join(s)))
-    return out
+    x, z = _weight_masks(n, w)
+    return [PauliWord(n, a, b, 1j ** bin(a & b).count("1"))
+            for a, b in zip(x.tolist(), z.tolist())]
 
 
 def pauli_distance(code, max_weight=None):
@@ -437,10 +416,9 @@ def pauli_distance(code, max_weight=None):
     if not (isinstance(top, numbers.Integral) and top >= 1):
         raise ValueError(f"max_weight must be a positive integer, "
                          f"got {max_weight!r}")
-    _, group_x, group_z, _ = _group_arrays(code)
+    _check_masks(code)
     for w in range(1, top + 1):
-        x, z, _ = _word_arrays(weight_words(code.n, w))
-        if (_quotient_kinds(code, group_x, group_z, x, z) == _LOGICAL).any():
+        if (_quotient_kinds(code, *_weight_masks(code.n, w)) == _LOGICAL).any():
             return w
     raise ValueError("no logical operator found up to the weight cap")
 
@@ -612,11 +590,14 @@ def ad_correctable(code, t):
     are checked as int64 bit masks, so codes of more than 63 qubits are
     refused.
     """
-    codes = _ad_codes(code.n, t)   # rejects a bad n or t before any group work
-    group, group_x, group_z, group_sign = _group_arrays(code)
+    codes = _ad_codes(code.n, t)   # rejects a bad n or t before any mask work
+    _check_masks(code)
     row, x, z, _ = _ad_terms(codes)
-    kinds = _quotient_kinds(code, group_x, group_z, x, z)
-    failing = np.unique(row[kinds == _LOGICAL])
+    failing = np.unique(row[_quotient_kinds(code, x, z) == _LOGICAL])
+    if not len(failing):
+        return AdReport(True, t, len(codes), [], [])
+    group = code.stabilizer_group()
+    group_x, group_z, group_sign = _word_arrays(group)
     _, support, ab = _ad_masks(codes[failing])
     # the identity element never negates, so the first hit is nontrivial
     hits = _negation_signs(support[:, None], ab[:, None], group_x, group_z,
@@ -870,6 +851,7 @@ def hierarchy_level(u, k_max=4):
     all sit in level k-1.  Membership is tested on those generators
     (products stay inside because level 2 is a group).
     """
+    check_int("k_max", k_max, 1)
     u = np.asarray(u, dtype=complex)
     dim = len(u)
     # a NaN entry fails this comparison, so a NaN matrix is rejected
@@ -905,8 +887,9 @@ def hierarchy_level(u, k_max=4):
 
 
 def _check_states(states, least=1):
-    if not states >= least:
-        raise ValueError(f"states must be at least {least}, got {states!r}")
+    if not (isinstance(states, numbers.Integral) and states >= least):
+        raise ValueError(f"states must be at least {least} and an integer, "
+                         f"got {states!r}")
 
 
 def _random_state(ndim, rng):

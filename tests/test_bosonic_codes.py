@@ -334,3 +334,11 @@ def test_qcs_helpers():
     assert q.scaled(3).occupations == (3, 6, 0)
     assert list(q) == [1, 2, 0]
     assert q[1] == 2
+
+
+@pytest.mark.parametrize("call", [lambda: bc.code_fidelity(5, 1.5, 0.1),
+                                  lambda: bc.leading_term(5, 1.5)],
+                         ids=["code_fidelity", "leading_term"])
+def test_loss_order_must_be_integer(call):
+    with pytest.raises(ValueError, match="t must"):
+        call()

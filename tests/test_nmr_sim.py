@@ -829,3 +829,23 @@ def test_run_sequence_rejects_spins_outside_the_system(event, match):
 def test_event_spins_must_be_integers(make, name):
     with pytest.raises(ValueError, match=rf"need {name} >= 0 as an integer"):
         make()
+
+
+@pytest.mark.parametrize("kw,name", [(dict(nodes=2.5), "nodes"),
+                                     (dict(integration="monte-carlo", shots=2.5),
+                                      "shots")])
+def test_rf_counts_must_be_integers(kw, name):
+    with pytest.raises(ValueError, match=name):
+        nm.RfModel.lorentzian(**kw)
+
+
+@pytest.mark.parametrize("t2_star", [0.0, -0.3, math.nan])
+def test_dephase_probability_needs_positive_t2_star(t2_star):
+    with pytest.raises(ValueError, match="t2_star"):
+        nm.dephase_probability(1.0, t2_star)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -5.0, math.nan, math.inf])
+def test_thermal_scale_needs_positive_finite_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        nm.thermal_scale(nm.formate_system(), temperature)

@@ -450,3 +450,9 @@ def test_density_matrix_validation():
 def test_channel_rejects_overcomplete_kraus():
     with pytest.raises(ValueError):
         qc.QuantumChannel([np.eye(2), 0.5 * qc.SX])
+
+
+@pytest.mark.parametrize("cutoff", [2.5, -1])
+def test_bosonic_ad_cutoff_must_be_nonnegative_integer(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        qc.standard_channel("bosonic_ad", gamma=0.1, cutoff=cutoff)

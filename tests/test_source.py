@@ -172,3 +172,41 @@ def test_no_unread_parameters():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             found += [f"{path.name} {name}: {p}" for p in params if p not in read]
     assert found == []
+
+
+def _reads(node):
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)]
+
+
+def _called_by_click(node):
+    # a @group.command(...) or @click.group(...) function, or a class with a
+    # click base such as click.ParamType, whose methods click calls
+    if isinstance(node, ast.ClassDef):
+        return any(isinstance(b, ast.Attribute) and isinstance(b.value, ast.Name)
+                   and b.value.id == "click" for b in node.bases)
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def test_no_unread_public_names():
+    # a public function, method or property of the package that nothing in
+    # src, tests or perfbench reads is dead code; reads inside its own
+    # definition (recursion) do not count
+    root = Path(qwork.__file__).resolve().parents[2]
+    everywhere = [name for top in ("src", "tests", "perfbench")
+                  for path in sorted((root / top).rglob("*.py"))
+                  for name in _reads(ast.parse(path.read_text(), filename=str(path)))]
+    found = []
+    for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [("", tree)] + [(node.name + ".", node) for node in tree.body
+                                 if isinstance(node, ast.ClassDef)
+                                 and not _called_by_click(node)]
+        found += [f"{path.name}:{node.lineno} {prefix}{node.name}"
+                  for prefix, scope in scopes for node in scope.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and not _called_by_click(node)
+                  and everywhere.count(node.name) == _reads(node).count(node.name)]
+    assert found == []

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -546,3 +547,134 @@ def test_verifiers_check_at_least_one_state(verify, states):
 def test_c3_unknown_gate():
     with pytest.raises(ValueError):
         st.verify_c3_construction("CZ")
+
+
+# ------------------------------------------------- membership by elimination
+
+FIXTURES = ("shor9", "steane7", "five_qubit", "ad4", "ad7")
+
+
+def _reference_kinds(code, words):
+    # the definition: detected by a generator, else a group element up to
+    # sign, else a logical
+    members = {(g.x, g.z) for g in code.stabilizer_group()}
+    return ["detected" if not all(w.commutes(g) for g in code.generators)
+            else "stabilizer" if (w.x, w.z) in members else "logical"
+            for w in words]
+
+
+def _kinds(code, words):
+    x, z, _ = st._word_arrays(words)
+    return [st._KINDS[k] for k in st._quotient_kinds(code, x, z)]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_quotient_kinds_match_group_on_low_weight_words(name):
+    code = getattr(st, name)()
+    words = ([st.identity_word(code.n)] + st.weight_words(code.n, 1)
+             + st.weight_words(code.n, 2))
+    assert _kinds(code, words) == _reference_kinds(code, words)
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "ad4"])
+def test_quotient_kinds_match_group_on_every_word(name):
+    code = getattr(st, name)()
+    words = [st.PauliWord(code.n, x, z) for x in range(1 << code.n)
+             for z in range(1 << code.n)]
+    kinds = _kinds(code, words)
+    assert kinds == _reference_kinds(code, words)
+    assert kinds.count("stabilizer") == 1 << len(code.generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from(FIXTURES), hst.integers(0, 255), hst.integers(0, 8),
+       hst.sampled_from("IXYZ"))
+def test_quotient_kinds_of_generator_products(name, subset, q, letter):
+    # a product of generators is a stabilizer; times one more letter it
+    # is whatever the group says
+    code = getattr(st, name)()
+    word = st.identity_word(code.n)
+    for i, g in enumerate(code.generators):
+        if (subset >> i) & 1:
+            word = word * g
+    words = [word, word * st.single_qubit_word(code.n, q % code.n, letter)]
+    kinds = _kinds(code, words)
+    assert kinds[0] == "stabilizer"
+    assert kinds == _reference_kinds(code, words)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_echelon_is_reduced(name):
+    code = getattr(st, name)()
+    rows = st._echelon(code)
+    assert len(rows) == len(code.generators)
+    for row, bit in rows:
+        assert row.bit_length() - 1 == bit
+        assert all(not (other >> bit) & 1 for other, b in rows if b != bit)
+
+
+def test_dependent_generators_rejected():
+    with pytest.raises(ValueError, match="not independent"):
+        st.StabilizerCode.from_strings(["ZZI", "IZZ", "ZIZ"])
+
+
+def test_forty_qubit_repetition_code_without_group(monkeypatch):
+    # 2^39 elements: the Pauli checks must never enumerate the group
+    n = 40
+    code = st.StabilizerCode.from_strings(
+        ["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1)])
+
+    def no_group(self):
+        raise AssertionError("stabilizer_group() called")
+
+    monkeypatch.setattr(st.StabilizerCode, "stabilizer_group", no_group)
+    assert st.pauli_distance(code) == 1
+    errs = [st.identity_word(n)] + st.weight_words(n, 1)
+    check = st.pauli_correctable(code, errs)
+    for (i, j), kind in check.verdicts.items():
+        x, z = errs[i].x ^ errs[j].x, errs[i].z ^ errs[j].z
+        # an X part of weight 1 or 2 always meets a ZZ on one qubit only;
+        # Z-only quotients are group elements exactly at even weight
+        want = ("detected" if x else "stabilizer"
+                if bin(z).count("1") % 2 == 0 else "violation")
+        assert kind == want, (i, j)
+    assert not check.correctable and check.degenerate
+
+
+@pytest.mark.parametrize("n,w", [(1, 0), (3, 1), (4, 2), (5, 3), (3, 3), (2, 3)])
+def test_weight_words_match_letter_strings(n, w):
+    want = []
+    for qubits in itertools.combinations(range(n), w):
+        for letters in itertools.product("XYZ", repeat=w):
+            s = ["I"] * n
+            for q, c in zip(qubits, letters):
+                s[q] = c
+            want.append(st.PauliWord.from_string("".join(s)))
+    assert st.weight_words(n, w) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_is_phase_times_letter_product(n):
+    for x in range(1 << n):
+        for z in range(1 << n):
+            for phase in (1, -1, 1j, -1j):
+                w = st.PauliWord(n, x, z, phase)
+                want = phase * st.kron_all(*(
+                    np.linalg.matrix_power(st.SX, (x >> q) & 1)
+                    @ np.linalg.matrix_power(st.SZ, (z >> q) & 1)
+                    for q in range(n)))
+                assert np.array_equal(w.matrix(), want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: st.verify_teleport_identity("z", states=2.5),
+    lambda: st.verify_c3_construction("T", states=1.5),
+], ids=["teleport", "c3"])
+def test_state_counts_must_be_integers(call):
+    with pytest.raises(ValueError, match="states must be at least"):
+        call()
+
+
+def test_hierarchy_level_cap_must_be_integer():
+    with pytest.raises(ValueError, match="k_max"):
+        st.hierarchy_level(np.eye(2), k_max=2.5)
