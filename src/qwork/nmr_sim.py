@@ -17,10 +17,10 @@ units, so the thermal deviation is sum_i omega_i Z_i / 2.
 The RF ensemble is a leading array axis: ``rf_scale_sets`` gives S rows of
 per-channel pulse scales with their weights (one row of ones when RF is
 off), ``_run_pure`` evolves an (S, 2^n, 2^n) stack with one deviation per
-row, and every average is weights @ stack.  The evolution holds the stack
-and one scratch array of the same size, S * 4^n * 16 bytes each (256 KB for
-32 x 32 quadrature nodes on two spins), and writes into them in place: no
-event allocates a 2^n x 2^n array.
+row, and every average is weights @ stack.  The evolution holds two
+buffers of the stack's size, S * 4^n * 16 bytes each (256 KB for 32 x 32
+quadrature nodes on two spins), and writes into them in place; each delay
+builds one 2^n x 2^n factor, kept only while that delay runs.
 """
 
 import csv
@@ -164,6 +164,8 @@ def _coupling_period(system):
 def storage_grid(system, multiples=STORAGE_MULTIPLES):
     """Storage delays at even multiples of the coupling period."""
     _coupling_period(system)  # rejects an uncoupled pair
+    if not all(0 <= m < math.inf for m in multiples):
+        raise ValueError(f"multiples must be finite and nonnegative, got {multiples!r}")
     # m / J01 (2m periods) rounds once, where 2m times the period rounds twice
     return tuple(m / system.j[0][1] for m in multiples)
 
@@ -218,11 +220,12 @@ def dephase_probability(t, t2_star):
 # sequence evolution
 
 def _rot2(axis, angle):
-    """exp(-i angle/2 sigma_axis); an (S, 2, 2) stack for an (S,) angle array."""
+    """exp(-i angle/2 sigma_axis); an (S, 2, 2) stack for an (S,) angle array,
+    real for a y rotation."""
     half = np.asarray(angle) / 2.0
     c, s = np.cos(half), np.sin(half)
     # filled entry by entry: cheaper than summing broadcast products
-    out = np.empty(half.shape + (2, 2), dtype=complex)
+    out = np.empty(half.shape + (2, 2), dtype=complex if axis == "x" else float)
     out[..., 0, 0] = out[..., 1, 1] = c
     if axis == "x":
         out[..., 0, 1] = out[..., 1, 0] = -1j * s
@@ -231,62 +234,41 @@ def _rot2(axis, angle):
     return out
 
 
-def _conjugate_spin(op, rho, spin, scratch):
-    """qop_core.conjugate_local(op, rho, (spin,)) in place on a C-contiguous
-    (S, 2^n, 2^n) stack under an (S, 2, 2) op: the same two matmuls on the
-    same shapes, each written into scratch, whose transpose goes back to rho."""
-    if len(rho) == 1:   # as apply_local: one op for a one-row stack
+def _rotate_rows(op, src, dst, spin):
+    """dst = op on spin's row bit times src, for an (S, 2, 2) op and
+    C-contiguous (S, 2^n, 2^n) stacks; a real op mixes the real and imaginary
+    parts alike, so it acts on the float views in half the flops."""
+    if not np.iscomplexobj(op):
+        src, dst = src.view(float), dst.view(float)
+    if len(src) == 1:   # as apply_local: one op for a one-row stack
         op, shape = op[0], (1 << spin, 2, -1)
     else:
-        op, shape = op[:, None], (len(rho), 1 << spin, 2, -1)
-    for u in (op, np.conj(op)):
-        np.matmul(u, rho.reshape(shape), out=scratch.reshape(shape))
-        np.copyto(rho, scratch.swapaxes(-1, -2))
+        op, shape = op[:, None], (len(src), 1 << spin, 2, -1)
+    np.matmul(op, src.reshape(shape), out=dst.reshape(shape))
 
 
-def _apply_pulse(rho, ev, scales, scratch):
-    scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
-    _conjugate_spin(_rot2(ev.axis, ev.angle * scale), rho, ev.spin, scratch)
-
-
-def _apply_delay(system, rho, ev, scales, scratch):
-    # free evolution multiplies rho elementwise by the scalar-coupling phases
-    # (a diagonal conjugation) and each spin's dephasing mask; a refocused
-    # delay is two halves, each followed by pi_y flips of the refocused spins
-    if ev.duration == 0.0:
-        return
-    n = system.n
-    halves = 2 if ev.refocus else 1
-    t = ev.duration / halves
-    total = ising_diagonal(np.zeros(n), math.pi * np.array(system.j) / 2.0 * t)
-    phase = None
+def _delay_factor(system, t, dephase):
+    """Elementwise factor of a free evolution over t, or None for all ones:
+    the coupling phases ph ⊗ ph* times each spin's dephasing mask, (1 - p) - p
+    where that spin's row and column bits differ and 1 where they agree."""
+    total = ising_diagonal(np.zeros(system.n), math.pi * np.array(system.j) / 2.0 * t)
+    if not (dephase or total.any()):
+        return None
+    factor = np.ones((1, 1))
+    for t2 in reversed(system.t2_star) if dephase else ():   # spin 0 ends high
+        p, d = dephase_probability(t, t2), len(factor)
+        doubled = np.empty((2 * d, 2 * d))
+        doubled[:d, :d] = doubled[d:, d:] = factor
+        doubled[:d, d:] = doubled[d:, :d] = ((1.0 - p) - p) * factor
+        factor = doubled
     if total.any():
         ph = np.exp(-1j * total)
         phase = ph[:, None] * ph.conj()[None, :]
-        # the phases do not touch populations; pin those so the identity
-        # component is preserved exactly, not just to rounding
-        np.fill_diagonal(phase, 1.0)
-    # spin i's dephasing mask is (1 - p) + p where its row and column bits
-    # agree, which rounds to exactly 1 for p <= 1/2, and (1 - p) - p where
-    # they differ: only the differing quarters are scaled
-    keep = []
-    if ev.dephase:
-        for t2 in system.t2_star:
-            p = dephase_probability(t, t2)
-            keep.append((1.0 - p) - p)
-    flips = [(s, _rot2("y", math.pi * scales[:, s])) for s in ev.refocus]
-    for _ in range(halves):
-        if phase is not None:
-            rho *= phase
-        for i, k in enumerate(keep):
-            high, low = 1 << i, 1 << (n - 1 - i)
-            r = rho.reshape(-1, high, 2, low, high, 2, low)
-            r[:, :, 0, :, :, 1] *= k
-            r[:, :, 1, :, :, 0] *= k
-        if ev.t1_relax:
-            _t1_step(system, rho, t)
-        for s, op in flips:
-            _conjugate_spin(op, rho, s, scratch)
+        factor = np.multiply(phase, factor, out=phase)
+    # the phases do not touch populations; pin those so the identity
+    # component is preserved exactly, not just to rounding
+    np.fill_diagonal(factor, 1.0)
+    return factor
 
 
 def _t1_step(system, rho, t):
@@ -312,20 +294,63 @@ def _t1_step(system, rho, t):
         r2[:, 1, 1] = even - zpart
 
 
+def _settle(run, cur, other, flipped):
+    """Apply a run of (spin, U) rotations to a stack in buffers cur and other
+    that holds each rho or, when flipped, its transpose, which evolves under
+    conj(U): the row sides, each one matmul into the other buffer, then one
+    transpose and the owed column sides as row sides in the same order."""
+    for side in range(2 if run else 0):
+        if side:
+            np.copyto(other, cur.swapaxes(-1, -2))
+            cur, other, flipped = other, cur, not flipped
+        for spin, op in run:
+            _rotate_rows(np.conj(op) if flipped else op, cur, other, spin)
+            cur, other = other, cur
+    return cur, other, flipped
+
+
 def _run_pure(system, rho, events, scales):
     """Evolve rho (or an (S, 2^n, 2^n) stack) once per row of the (S, n)
-    scales; returns the (S, 2^n, 2^n) stack."""
-    stack = np.empty((len(scales),) + np.shape(rho)[-2:], dtype=complex)
-    stack[...] = rho
-    scratch = np.empty_like(stack)
+    scales; returns the (S, 2^n, 2^n) stack.
+
+    Pulses and refocusing flips are one-spin rotations, applied in runs
+    broken only by the elementwise steps of a delay half: its factor F, or
+    F^T = conj(F) while the stack is flipped, then the T1 step, which is
+    symmetric under transposition.
+    """
+    cur = np.empty((len(scales),) + np.shape(rho)[-2:], dtype=complex)
+    cur[...] = rho
+    other, flipped, run = np.empty_like(cur), False, []
     for ev in events:
         if ev.kind == "pulse":
-            _apply_pulse(stack, ev, scales, scratch)
-        elif ev.kind == "delay":
-            _apply_delay(system, stack, ev, scales, scratch)
-        else:
-            raise ValueError(f"unknown event kind {ev.kind!r}")
-    return stack
+            scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
+            run.append((ev.spin, _rot2(ev.axis, ev.angle * scale)))
+            continue
+        if ev.duration == 0.0:
+            continue
+        # a refocused delay is two halves, each followed by pi_y flips of
+        # the refocused spins, which carry the RF scales
+        halves = 2 if ev.refocus else 1
+        t = ev.duration / halves
+        factor, factor_flipped = _delay_factor(system, t, ev.dephase), False
+        flips = [(s, _rot2("y", math.pi * scales[:, s])) for s in ev.refocus]
+        for _ in range(halves):
+            if factor is not None or ev.t1_relax:
+                cur, other, flipped = _settle(run, cur, other, flipped)
+                run = []
+            if factor is not None:
+                if factor_flipped != flipped:
+                    np.conjugate(factor, out=factor)
+                    factor_flipped = flipped
+                cur *= factor
+            if ev.t1_relax:
+                _t1_step(system, cur, t)
+            run += flips
+        del factor   # one factor at a time: the next delay builds its own
+    cur, other, flipped = _settle(run, cur, other, flipped)
+    if flipped:
+        np.copyto(other, cur.swapaxes(-1, -2))
+    return other if flipped else cur
 
 
 def run_sequence(system, rho, events, rf=None):
@@ -342,6 +367,8 @@ def run_sequence(system, rho, events, rf=None):
     if not np.isfinite(rho).all():
         raise ValueError("rho must be finite")
     for ev in events:
+        if not (isinstance(ev, Event) and ev.kind in ("pulse", "delay")):
+            raise ValueError(f"events must hold pulse and delay Events, got {ev!r}")
         name, spins = (("spin", (ev.spin,)) if ev.kind == "pulse"
                        else ("refocus", ev.refocus))
         for s in spins:
@@ -837,6 +864,11 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
 
 def ideal_outputs(theta, p_a, p_b, mode="coded"):
     """Closed-form decoded components under pure dephasing."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    for name, p in (("p_a", p_a), ("p_b", p_b)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} must be a probability in [0, 1], got {p!r}")
     if mode == "control":
         return {
             "accepted": ((1 - 2 * p_a) * math.sin(theta), math.cos(theta)),

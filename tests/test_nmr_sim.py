@@ -1,6 +1,9 @@
 import hashlib
 import io
+import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -717,21 +720,84 @@ def test_sweep_deterministic():
     assert nm.two_bit_sweep(**kw) == nm.two_bit_sweep(**kw)
 
 
-# ------------------------------------------------------ in-place evolution
+# ------------------------------------------------------ evolution in runs
+
+def close(got, want, rel=1e-13):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_conjugate_spin_matches_conjugate_local_bytes(n):
+def test_a_run_of_rotations_matches_successive_conjugations(n):
+    assert nm._rot2("y", 0.3).dtype == float
     rng = np.random.default_rng(70 + n)
-    for rows in (1, 3):
+    for rows, flipped in itertools.product((1, 3), (False, True)):
         rho = (rng.normal(size=(rows, 2 ** n, 2 ** n))
                + 1j * rng.normal(size=(rows, 2 ** n, 2 ** n)))
-        for spin in range(n):
-            for axis in ("x", "y"):
-                op = nm._rot2(axis, rng.uniform(-math.pi, math.pi, size=rows))
-                want = qc.conjugate_local(op, rho, (spin,))
-                got = rho.copy()
-                nm._conjugate_spin(op, got, spin, np.empty_like(got))
-                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        spins = [int(s) for s in rng.integers(n, size=n + 2)]
+        spins.insert(1, spins[0])   # an x then a y rotation of one spin
+        run = [(s, nm._rot2("xy"[k % 2], rng.uniform(-math.pi, math.pi, size=rows)))
+               for k, s in enumerate(spins)]
+        want = rho
+        for s, op in run:
+            want = qc.conjugate_local(op, want, (s,))
+        start = np.ascontiguousarray(rho.swapaxes(-1, -2) if flipped else rho)
+        got, _, now = nm._settle(run, start, np.empty_like(start), flipped)
+        assert now != flipped
+        assert close(got.swapaxes(-1, -2) if now else got, want)
+
+
+def reference_rot2(axis, angle):
+    half = np.asarray(angle)[..., None, None] / 2.0
+    sigma = qc.SX if axis == "x" else qc.SY
+    return np.cos(half) * qc.I2 - 1j * np.sin(half) * sigma
+
+
+def reference_conjugate_spin(op, rho, spin, scratch):
+    if len(rho) == 1:
+        op, shape = op[0], (1 << spin, 2, -1)
+    else:
+        op, shape = op[:, None], (len(rho), 1 << spin, 2, -1)
+    for u in (op, np.conj(op)):
+        np.matmul(u, rho.reshape(shape), out=scratch.reshape(shape))
+        np.copyto(rho, scratch.swapaxes(-1, -2))
+
+
+def reference_run_pure(system, rho, events, scales):
+    """The in-place evolution that evolution in runs replaced: every
+    rotation is two complex matmuls, each copied back transposed, and each
+    delay half multiplies by the phases, then by every spin's dephasing
+    factor on the quarter views where that spin's bits differ."""
+    n = system.n
+    stack = np.empty((len(scales),) + np.shape(rho)[-2:], dtype=complex)
+    stack[...] = rho
+    scratch = np.empty_like(stack)
+    for ev in events:
+        if ev.kind == "pulse":
+            scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
+            reference_conjugate_spin(reference_rot2(ev.axis, ev.angle * scale),
+                                     stack, ev.spin, scratch)
+            continue
+        if ev.duration == 0.0:
+            continue
+        halves = 2 if ev.refocus else 1
+        t = ev.duration / halves
+        ph = np.exp(-1j * qc.ising_diagonal(np.zeros(n), math.pi * np.array(system.j) / 2.0 * t))
+        phase = ph[:, None] * ph.conj()[None, :]
+        np.fill_diagonal(phase, 1.0)
+        keep = [(1.0 - p) - p for p in
+                (nm.dephase_probability(t, t2) for t2 in system.t2_star)]
+        for _ in range(halves):
+            stack *= phase
+            for i, k in enumerate(keep if ev.dephase else ()):
+                r = stack.reshape(-1, 1 << i, 2, 1 << (n - 1 - i), 1 << i, 2, 1 << (n - 1 - i))
+                r[:, :, 0, :, :, 1] *= k
+                r[:, :, 1, :, :, 0] *= k
+            if ev.t1_relax:
+                nm._t1_step(system, stack, t)
+            for s in ev.refocus:
+                reference_conjugate_spin(reference_rot2("y", math.pi * scales[:, s]),
+                                         stack, s, scratch)
+    return stack
 
 
 def coupled_system(n, rng):
@@ -770,14 +836,72 @@ def pinned_outputs():
 
 
 def test_outputs_are_pinned_to_the_byte():
-    # every event writes into the stack in place with the same floating-point
-    # operations, in the same order, as the out-of-place evolution these
-    # bytes were recorded from (numpy 2.4, OpenBLAS 0.3.31, x86-64)
+    # the bytes of evolution in runs, recorded with numpy 2.4, OpenBLAS
+    # 0.3.31 on x86-64; the test below bounds them against the reference
     digest = hashlib.sha256()
     for out in pinned_outputs():
         digest.update(np.ascontiguousarray(out).tobytes())
     assert digest.hexdigest() == (
+        "4aff070a68e4b0b289fc210a6af0d12e36ff1c83c7fb745f6aefe2c1bfaddb9c")
+
+
+def test_pinned_outputs_match_the_reference_kernel(monkeypatch):
+    got = list(pinned_outputs())
+    monkeypatch.setattr(nm, "_run_pure", reference_run_pure)
+    digest = hashlib.sha256()
+    for g, want in zip(got, pinned_outputs(), strict=True):
+        assert close(g, want)
+        digest.update(np.ascontiguousarray(want).tobytes())
+    # the reference reproduces the bytes pinned before evolution in runs
+    assert digest.hexdigest() == (
         "5136125b3a8c051e0fbde08c647c199630240bda6ba17c06aea49b7ccabe5d71")
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=4), st.booleans(), st.data())
+def test_run_sequence_matches_the_reference_kernel(n, with_rf, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    system = replace(coupled_system(n, rng), t1=tuple(rng.uniform(0.05, 1.0, size=n)))
+    events = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
+        if data.draw(st.booleans()):
+            events.append(nm.pulse(
+                data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from("xy")),
+                float(rng.uniform(-math.pi, math.pi)),
+                scale_sensitive=data.draw(st.booleans())))
+        else:
+            events.append(nm.delay(
+                data.draw(st.sampled_from([0.0, float(rng.uniform(1e-4, 2e-2))])),
+                dephase=data.draw(st.booleans()),
+                refocus=[q for q in range(n) if data.draw(st.booleans())],
+                t1_relax=data.draw(st.booleans())))
+    rf = nm.RfModel(kind="lorentzian", nodes=4,
+                    widths=tuple(rng.uniform(0.02, 0.2, size=n))) if with_rf else None
+    rho = rand_deviation(n, rng)
+    scales, weights = nm.rf_scale_sets(rf, n)
+    want = np.einsum("s,sij->ij", weights, reference_run_pure(system, rho, events, scales))
+    assert close(nm.run_sequence(system, rho, events, rf=rf), want)
+
+
+def test_eight_spin_run_sequence_peaks_under_five_mib():
+    # each delay builds its 2^n x 2^n factor and drops it after its halves:
+    # kept across events, every distinct delay would hold another MiB
+    rng = np.random.default_rng(12)
+    system = coupled_system(8, rng)
+    events = [nm.pulse(int(rng.integers(8)), str(rng.choice(["x", "y"])),
+                       float(rng.uniform(-math.pi, math.pi))) for _ in range(48)]
+    events += [nm.delay(float(rng.uniform(1e-3, 2e-2)), dephase=True,
+                        refocus=[int(s) for s in rng.choice(8, 2, replace=False)])
+               for _ in range(16)]
+    events = [events[i] for i in rng.permutation(len(events))]
+    rho = nm.thermal_state(system) / max(system.omega)
+    tracemalloc.start()
+    try:
+        nm.run_sequence(system, rho, events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_run_sequence_leaves_the_input_alone():
@@ -849,3 +973,29 @@ def test_dephase_probability_needs_positive_t2_star(t2_star):
 def test_thermal_scale_needs_positive_finite_temperature(temperature):
     with pytest.raises(ValueError, match="temperature"):
         nm.thermal_scale(nm.formate_system(), temperature)
+
+
+@pytest.mark.parametrize("events", [["x"], [nm.pulse(0, "x", 0.3), nm.Event("wait")]],
+                         ids=["not-an-event", "unknown-kind"])
+def test_run_sequence_rejects_what_is_not_an_event(events):
+    with pytest.raises(ValueError, match="events must hold pulse and delay Events"):
+        nm.run_sequence(nm.formate_system(), np.eye(4), events)
+    with pytest.raises(ValueError, match="events must hold pulse and delay Events"):
+        nm.identity_offset(nm.formate_system(), events)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 0.1, 0.1), "theta"), ((math.inf, 0.1, 0.1), "theta"),
+    ((0.3, 2.0, 0.1), "p_a"), ((0.3, -0.1, 0.1), "p_a"), ((0.3, math.nan, 0.1), "p_a"),
+    ((0.3, 0.1, 1.5), "p_b"), ((0.3, 0.1, math.nan), "p_b"),
+])
+@pytest.mark.parametrize("mode", ["coded", "control"])
+def test_ideal_outputs_rejects_what_it_cannot_mean(args, name, mode):
+    with pytest.raises(ValueError, match=name):
+        nm.ideal_outputs(*args, mode=mode)
+
+
+@pytest.mark.parametrize("multiples", [(math.nan,), (0, math.inf), (12, -12)])
+def test_storage_grid_rejects_bad_multiples(multiples):
+    with pytest.raises(ValueError, match="multiples"):
+        nm.storage_grid(nm.formate_system(), multiples=multiples)
