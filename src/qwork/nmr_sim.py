@@ -614,8 +614,12 @@ def dj_thermal(n, f, p):
     p gives each qubit's probability of starting in its nominal basis state
     (length n, or n+1 with the work bit last).  Returns the per-qubit
     longitudinal outputs, the pure-register reference, and the decision:
-    "constant", "balanced", or "undecided" when the register carries no
-    signal (every register qubit at p = 0.5, or the work bit at p = 0).
+    "constant", "balanced", or "undecided" when the outputs cannot tell the
+    two apart: the register carries no signal (every register qubit at
+    p = 0.5, or the work bit at p = 0), or the outputs look constant while
+    some register qubit is at p = 0.5, since a balanced oracle that kicks
+    back only onto that qubit gives the same outputs.  A signal within
+    rounding (n * 1e-9) of these cases counts as none.
     """
     if n < 1 or n > 12:
         raise ValueError("register size limited to 1..12 for dense simulation")
@@ -655,18 +659,25 @@ def dj_thermal(n, f, p):
         raise RuntimeError("thermal outputs break the scaling identity "
                            f"E = (2p - 1) E_pure (error {scaling_error:.3e})")
     # E = s E_pure with s = 2p - 1: a constant oracle reaches Σ|s| in
-    # Σ sign(s)·E, a balanced one flips some register bit and falls at
-    # least p_work·min|s| short
+    # Σ sign(s)·E, a balanced one flips some register bit and falls
+    # 2·p_work·|s| short for that bit; each E passed the scaling check to
+    # 1e-9, so the total is known to within tol
     total = float((np.sign(scale) * e_thermal).sum())
+    mags, tol = np.abs(scale), n * 1e-9
     if not np.any(scale):
         threshold = 0.0
     else:
-        threshold = float(np.abs(scale).sum() - p_work * np.abs(scale[scale != 0]).min())
-    if p_work == 0.0 or not np.any(scale):
-        # the outputs are the same for every oracle: nothing to decide on
-        decision = "undecided"
+        threshold = float(mags.sum() - p_work * mags[scale != 0].min())
+    if total < min(threshold, mags.sum() - tol):
+        decision = "balanced"
+    elif total >= threshold and p_work * mags.min() > tol:
+        decision = "constant"
     else:
-        decision = "constant" if total >= threshold else "balanced"
+        # no oracle is ruled out: every oracle gives these outputs when the
+        # work bit never kicks back or the register is at p = 0.5, and a
+        # balanced one kicking back only onto a qubit at p = 0.5 gives the
+        # constant outputs
+        decision = "undecided"
     return {
         "E": [float(x) for x in e_thermal],
         "E_pure": [float(x) for x in e_pure_reg],
@@ -698,6 +709,8 @@ class RfModel:
             raise ValueError(f"unknown integration {self.integration!r}")
         check_int("nodes", self.nodes, 1)
         check_int("shots", self.shots, 1)
+        # a tuple keeps the model hashable, as rf_scale_sets' cache needs
+        object.__setattr__(self, "widths", tuple(self.widths))
         if not all(0 < w < math.inf for w in self.widths):
             raise ValueError(f"RF widths must be positive and finite: {self.widths!r}")
 
@@ -713,51 +726,105 @@ class RfModel:
                    nodes=nodes, shots=shots, seed=seed)
 
 
-def _lorentz_nodes(width, nodes):
-    # quadrature over the distribution truncated at five half-widths
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _lorentz_nodes(width, rule):
+    # quadrature over the distribution truncated at five half-widths, on a
+    # Gauss-Legendre rule (x, w) over [-1, 1]
+    x, w = rule
     s = 1.0 + 5.0 * width * x
     density = 1.0 / (1.0 + ((s - 1.0) / width) ** 2)
     wt = w * density
     return s, wt / wt.sum()
 
 
+def _brentq(f, xa, xb, xtol, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), step for
+    step as scipy.optimize.brentq with its default rtol, so it returns the
+    same float."""
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise RuntimeError(f"root search did not converge in {maxiter} iterations")
+
+
 def calibrate_width(target, nodes=32):
     """Half-width whose averaged quarter-turn signal equals the target."""
-    from scipy.optimize import brentq
-
-    def averaged(width):
-        s, wt = _lorentz_nodes(width, nodes)
-        return float(np.sum(wt * np.sin(s * math.pi / 2.0)))
-
     if not 0.0 < target < 1.0:
         raise ValueError("attenuation target must be in (0, 1)")
     check_int("nodes", nodes, 1)
+    rule = np.polynomial.legendre.leggauss(nodes)
+
+    def averaged(width):
+        s, wt = _lorentz_nodes(width, rule)
+        return float(np.sum(wt * np.sin(s * math.pi / 2.0)))
+
     lo, hi = 1e-6, 0.8
     if averaged(hi) > target:
         raise ValueError("attenuation target too small to calibrate")
-    return brentq(lambda w: averaged(w) - target, lo, hi, xtol=1e-14)
+    return _brentq(lambda w: averaged(w) - target, lo, hi, xtol=1e-14)
 
 
+@lru_cache(maxsize=8)
 def rf_scale_sets(rf, channels):
     """(S, channels) pulse scales and (S,) weights of the ensemble; one row
     of ones when RF is off.  Quadrature rows run over every node combination
-    with the last channel fastest."""
+    with the last channel fastest.  Built once per (rf, channels) and
+    returned read-only, since every call shares them."""
     if rf is None or rf.kind == "none":
-        return np.ones((1, channels)), np.ones(1)
-    if len(rf.widths) < channels:
+        scales, weights = np.ones((1, channels)), np.ones(1)
+    elif len(rf.widths) < channels:
         raise ValueError("need one width per channel")
-    if rf.integration == "quadrature":
-        nodes = [_lorentz_nodes(w, rf.nodes) for w in rf.widths[:channels]]
+    elif rf.integration == "quadrature":
+        rule = np.polynomial.legendre.leggauss(rf.nodes)
+        nodes = [_lorentz_nodes(w, rule) for w in rf.widths[:channels]]
         grid = np.meshgrid(*[s for s, _ in nodes], indexing="ij")
         wgrid = np.meshgrid(*[w for _, w in nodes], indexing="ij")
-        return (np.stack([g.ravel() for g in grid], axis=-1),
-                np.prod([g.ravel() for g in wgrid], axis=0))
-    rng = np.random.default_rng(rf.seed)
-    edge = math.atan(5.0)
-    draws = [1.0 + w * np.tan(rng.uniform(-edge, edge, size=rf.shots))
-             for w in rf.widths[:channels]]
-    return np.stack(draws, axis=-1), np.full(rf.shots, 1.0 / rf.shots)
+        scales = np.stack([g.ravel() for g in grid], axis=-1)
+        weights = np.prod([g.ravel() for g in wgrid], axis=0)
+    else:
+        rng = np.random.default_rng(rf.seed)
+        edge = math.atan(5.0)
+        draws = [1.0 + w * np.tan(rng.uniform(-edge, edge, size=rf.shots))
+                 for w in rf.widths[:channels]]
+        scales, weights = np.stack(draws, axis=-1), np.full(rf.shots, 1.0 / rf.shots)
+    scales.setflags(write=False)
+    weights.setflags(write=False)
+    return scales, weights
 
 
 # ---------------------------------------------------------------------------
@@ -920,45 +987,86 @@ def sweep_to_csv(rows, stream):
 # ---------------------------------------------------------------------------
 # analysis
 
-def _ellipse_model(params, theta):
+def _ellipse_terms(params, theta):
+    """Model (A + B sin^2 u)(1 - C u), u = theta + D, and its (len(theta), 4)
+    Jacobian in (A, B, C, D)."""
     a, b, c, d = params
-    return (a + b * np.sin(theta + d) ** 2) * (1.0 - c * (theta + d))
+    u = theta + d
+    s2 = np.sin(u) ** 2
+    ellipse, loss = a + b * s2, 1.0 - c * u
+    jac = np.stack([loss, s2 * loss, -ellipse * u,
+                    b * np.sin(2.0 * u) * loss - c * ellipse], axis=-1)
+    return ellipse * loss, jac
+
+
+def _fit_ellipse(theta, intensity, params, max_iter=200):
+    """Least-squares fit of _ellipse_terms to intensity by Levenberg-Marquardt
+    (Moré 1978): each trial step solves (J^T J + lam diag) dq = -J^T r, where
+    diag holds the largest diagonal of J^T J seen so far (1 for a column that
+    has been zero throughout).  lam falls tenfold after a step that lowers the
+    cost and rises tenfold after one that does not.  Converged when a step
+    lowers the cost by at most 1e-15 relative, or is at most 1e-15 relative
+    to the parameters; returns (params, residual vector)."""
+    tol = 1e-15
+    model, jac = _ellipse_terms(params, theta)
+    res = model - intensity
+    cost, lam, diag = res @ res, 1e-3, np.zeros(4)
+    grad, normal = jac.T @ res, jac.T @ jac
+    for _ in range(max_iter):
+        if cost == 0.0 or not grad.any():
+            return params, res
+        diag = np.maximum(diag, np.diag(normal))
+        step = np.linalg.solve(normal + lam * np.diag(np.where(diag > 0.0, diag, 1.0)),
+                               -grad)
+        small = np.linalg.norm(step) <= tol * (tol + np.linalg.norm(params))
+        model, jac = _ellipse_terms(params + step, theta)
+        trial_res = model - intensity
+        trial_cost = trial_res @ trial_res
+        if trial_cost < cost:
+            drop = cost - trial_cost
+            params, res, cost = params + step, trial_res, trial_cost
+            if small or drop <= tol * (cost + drop):
+                return params, res
+            grad, normal, lam = jac.T @ res, jac.T @ jac, lam / 10.0
+        elif small:     # no step lowers the cost: at the minimum to rounding
+            return params, res
+        else:
+            lam *= 10.0
+    raise ValueError(f"ellipse fit did not converge in {max_iter} iterations "
+                     f"(residual {math.sqrt(cost):.3g})")
 
 
 def ellipse_analysis(points):
     """Fit intensity (A + B sin^2(th+D))(1 - C(th+D)) and report distortion.
 
-    points: sequence of (theta, x, z).  The reported ellipticity is
+    points: sequence of (theta, x, z).  The fit is a Levenberg-Marquardt
+    least-squares fit with the analytic Jacobian, started from A = I(0),
+    B = I(pi/2) - I(0), C = D = 0.  The reported ellipticity is
     sqrt(I(0)/I(pi/2)) evaluated on the ellipse component A + B sin^2(th+D)
     of the fit; the (1 - C(th+D)) factor models a pulse-length-dependent
     signal loss, which is a separate effect from the shape of the ellipse,
     so it is divided out before the axis ratio is taken.
     """
-    from scipy.optimize import least_squares
-
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 6:
-        raise ValueError("need at least six (theta, x, z) samples")
+        raise ValueError("points must hold at least six (theta, x, z) samples")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     theta = pts[:, 0]
     intensity = pts[:, 1] ** 2 + pts[:, 2] ** 2
     i0 = intensity[np.argmin(np.abs(theta))]
     i90 = intensity[np.argmin(np.abs(theta - math.pi / 2))]
-    start = np.array([i0, i90 - i0, 0.0, 0.0])
-    fit = least_squares(lambda q: _ellipse_model(q, theta) - intensity,
-                        start, method="lm")
-    residual = float(np.linalg.norm(fit.fun))
-    if not fit.success:
-        raise ValueError(f"ellipse fit did not converge (residual {residual:.3g})")
-    a, b, _, d = fit.x
-    top = float(a + b * math.sin(d) ** 2)
-    bottom = float(a + b * math.sin(math.pi / 2.0 + d) ** 2)
+    params, res = _fit_ellipse(theta, intensity, np.array([i0, i90 - i0, 0.0, 0.0]))
+    residual = float(np.linalg.norm(res))
+    a, b, c, d = (float(x) for x in params)
+    top = a + b * math.sin(d) ** 2
+    bottom = a + b * math.sin(math.pi / 2.0 + d) ** 2
     if top <= 0 or bottom <= 0:
         raise ValueError(f"fitted intensity not positive (residual {residual:.3g})")
     eps = math.sqrt(top / bottom)
     p_eps = (1.0 - 1.0 / eps) / 2.0
     return {
-        "A": float(fit.x[0]), "B": float(fit.x[1]),
-        "C": float(fit.x[2]), "D": float(fit.x[3]),
+        "A": a, "B": b, "C": c, "D": d,
         "ellipticity": eps, "p_eps": p_eps, "f_eps": 1.0 - p_eps,
         "residual": residual,
     }

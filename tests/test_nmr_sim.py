@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, least_squares
 
 from qwork import nmr_sim as nm
 from qwork import qop_core as qc
@@ -399,11 +400,13 @@ def test_dj_decision_at_sixty_percent():
 
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.4, [0.9, 0.5, 0.9]])
 def test_dj_decides_with_registers_below_one_half(p):
-    # 2p - 1 <= 0 flips a qubit's outputs; the decision reads through it
+    # 2p - 1 <= 0 flips a qubit's outputs; the decision reads through it,
+    # except that a qubit at p = 0.5 leaves constant-looking outputs undecided
     parity = lambda x: bin(x).count("1") & 1
     const = nm.dj_thermal(3, lambda x: 0, p)
     bal = nm.dj_thermal(3, parity, p)
-    assert const["decision"] == "constant"
+    assert const["decision"] == ("undecided" if 0.5 in np.atleast_1d(p)
+                                 else "constant")
     assert bal["decision"] == "balanced"
     assert bal["sum"] < const["threshold"] < const["sum"]
 
@@ -415,10 +418,27 @@ def test_dj_undecided_without_signal():
     for p in (0.5, [0.5] * 3, [1.0, 0.9, 0.8, 0.0]):
         for f in (lambda x: 0, lambda x: table[x]):
             assert nm.dj_thermal(3, f, p)["decision"] == "undecided"
-    # one informative qubit is enough to decide
-    assert nm.dj_thermal(2, lambda x: 0, [0.5, 1.0])["decision"] == "constant"
+    # one informative qubit is enough to see a balanced oracle, but not to
+    # call one constant: f(x) = bit of the p = 0.5 qubit gives the same
+    # outputs as a constant oracle
     assert nm.dj_thermal(2, lambda x: x & 1,
                          [0.5, 1.0])["decision"] == "balanced"
+    for f in (lambda x: 0, lambda x: (x >> 1) & 1):
+        out = nm.dj_thermal(2, f, [0.5, 1.0])
+        assert out["E"] == [0.0, 1.0] and out["decision"] == "undecided"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_dj_never_calls_a_balanced_oracle_constant(n, data):
+    dim = 2 ** n
+    ones = data.draw(st.lists(st.integers(0, dim - 1), min_size=dim // 2,
+                              max_size=dim // 2, unique=True))
+    table = [int(x in ones) for x in range(dim)]
+    prob = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                     st.floats(0.0, 1.0, allow_nan=False))
+    p = data.draw(st.lists(prob, min_size=n, max_size=n + 1))
+    assert nm.dj_thermal(n, lambda x: table[x], p)["decision"] != "constant"
 
 
 def test_dj_rejects_other_oracles():
@@ -542,6 +562,57 @@ def test_calibrate_width_input_checks():
         nm.calibrate_width(1.5)
     with pytest.raises(ValueError):
         nm.calibrate_width(0.05)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 4, 8, 12, 16, 32, 64])
+def test_calibrate_width_matches_scipy_brentq_bit_for_bit(nodes):
+    rule = np.polynomial.legendre.leggauss(nodes)
+
+    def averaged(width):
+        s, wt = nm._lorentz_nodes(width, rule)
+        return float(np.sum(wt * np.sin(s * math.pi / 2.0)))
+
+    for target in np.linspace(0.3, 0.995, 15):
+        target = float(target)
+        if averaged(0.8) > target:
+            with pytest.raises(ValueError, match="too small"):
+                nm.calibrate_width(target, nodes)
+            continue
+        want = brentq(lambda w: averaged(w) - target, 1e-6, 0.8, xtol=1e-14)
+        assert nm.calibrate_width(target, nodes) == want
+
+
+def test_brentq_failures():
+    with pytest.raises(ValueError, match="different signs"):
+        nm._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14)
+    with pytest.raises(RuntimeError, match="did not converge in 2"):
+        nm._brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, xtol=1e-14, maxiter=2)
+    assert nm._brentq(lambda x: x - 0.25, 0.25, 1.0, xtol=1e-14) == 0.25
+
+
+def test_lorentzian_widths_pinned():
+    assert nm.RfModel.lorentzian((0.96, 0.92), nodes=32).widths == (
+        0.11232244190413299, 0.16113331777243264)
+
+
+def test_rf_scale_sets_built_once_and_read_only():
+    rf = nm.RfModel.lorentzian((0.96, 0.92), nodes=6)
+    scales, weights = nm.rf_scale_sets(rf, 2)
+    again = nm.rf_scale_sets(nm.RfModel(**vars(rf)), 2)
+    assert again[0] is scales and again[1] is weights
+    for arr in (scales, weights, *nm.rf_scale_sets(None, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # the quadrature grid as built per call before the cache
+    s, w = zip(*(nm._lorentz_nodes(width, np.polynomial.legendre.leggauss(6))
+                 for width in rf.widths))
+    assert scales.tobytes() == np.stack(
+        [g.ravel() for g in np.meshgrid(*s, indexing="ij")], axis=-1).tobytes()
+    assert weights.tobytes() == np.prod(
+        [g.ravel() for g in np.meshgrid(*w, indexing="ij")], axis=0).tobytes()
+    # widths given as a list are kept as a tuple, so the model stays hashable
+    listed = nm.RfModel(kind="lorentzian", widths=list(rf.widths), nodes=6)
+    assert listed == rf and nm.rf_scale_sets(listed, 2)[0] is scales
 
 
 # ----------------------------------------------- two-spin storage pipeline
@@ -683,6 +754,75 @@ def test_noisy_coded_ellipticity_window():
     # pulse-length attenuation comes out positive: weaker signal at larger
     # preparation angles
     assert fit["C"] > 0
+
+
+def _scipy_ellipse(points):
+    # the fit as scipy's MINPACK Levenberg-Marquardt does it: (ellipticity,
+    # residual norm)
+    pts = np.asarray(points, dtype=float)
+    theta, intensity = pts[:, 0], pts[:, 1] ** 2 + pts[:, 2] ** 2
+    i0 = intensity[np.argmin(np.abs(theta))]
+    i90 = intensity[np.argmin(np.abs(theta - math.pi / 2))]
+
+    def res(q):
+        a, b, c, d = q
+        return (a + b * np.sin(theta + d) ** 2) * (1.0 - c * (theta + d)) - intensity
+
+    fit = least_squares(res, [i0, i90 - i0, 0.0, 0.0], method="lm")
+    assert fit.success
+    a, b, _, d = fit.x
+    eps = math.sqrt((a + b * math.sin(d) ** 2) / (a + b * math.sin(math.pi / 2 + d) ** 2))
+    return eps, float(np.linalg.norm(fit.fun))
+
+
+def _ellipse_cases():
+    s = nm.formate_system()
+    yield "circle", [(th, math.sin(th), math.cos(th)) for th in nm.THETA_GRID]
+    td = nm.storage_grid(s)[2]
+    for mode in ("control", "coded"):
+        yield mode, [(th, *nm.two_bit_experiment(th, td, mode=mode)["accepted"])
+                     for th in nm.THETA_GRID]
+    for nodes in (12, 32):
+        rf = nm.RfModel.lorentzian((0.96, 0.92), nodes=nodes)
+        for td in nm.storage_grid(s)[:2]:
+            yield f"rf{nodes}", [
+                (th, *nm.two_bit_experiment(th, td, mode="coded", rf=rf)["accepted"])
+                for th in nm.THETA_GRID]
+
+
+def test_ellipse_fit_matches_scipy_least_squares():
+    for label, pts in _ellipse_cases():
+        want_eps, want_res = _scipy_ellipse(pts)
+        fit = nm.ellipse_analysis(pts)
+        assert abs(fit["ellipticity"] - want_eps) <= 1e-8, label
+        assert fit["residual"] <= want_res * (1 + 1e-12), label
+        # the analytic Jacobian against central differences
+        q, theta = np.array([fit[name] for name in "ABCD"]), np.array(pts)[:, 0]
+        jac = nm._ellipse_terms(q, theta)[1]
+        for k, h in enumerate(1e-6 * np.eye(4)):
+            diff = (nm._ellipse_terms(q + h, theta)[0]
+                    - nm._ellipse_terms(q - h, theta)[0]) / 2e-6
+            assert np.max(np.abs(diff - jac[:, k])) < 1e-8, (label, k)
+
+
+def test_ellipse_rejects_bad_points():
+    pts = [(th, math.sin(th), math.cos(th)) for th in nm.THETA_GRID]
+    for bad in (math.nan, math.inf):
+        broken = [list(p) for p in pts]
+        broken[3][1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            nm.ellipse_analysis(broken)
+    for short in (pts[:5], [], [(0.0, 1.0)] * 8):
+        with pytest.raises(ValueError, match="points must hold at least six"):
+            nm.ellipse_analysis(short)
+
+
+def test_ellipse_fit_iteration_cap():
+    pts = np.array(next(pts for label, pts in _ellipse_cases() if label == "rf12"))
+    intensity = pts[:, 1] ** 2 + pts[:, 2] ** 2
+    with pytest.raises(ValueError, match="did not converge in 1 iterations"):
+        nm._fit_ellipse(pts[:, 0], intensity, np.array([1.0, 0.0, 0.0, 0.0]),
+                        max_iter=1)
 
 
 def test_fidelity_delta_perfect_run():

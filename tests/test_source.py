@@ -109,20 +109,40 @@ def test_no_module_level_scipy_import():
     assert found == []
 
 
-@pytest.mark.parametrize("argv", [None, ["qec", "four-bit", "--gamma", "0.01"],
-                                  ["nmr", "thermal"]],
-                         ids=["import", "qec four-bit", "nmr thermal"])
-def test_cli_runs_without_importing_scipy(argv):
-    script = "\n".join([
-        "import sys", "import qwork.cli",
-        f"rc = qwork.cli.main({argv!r})" if argv else "rc = 0",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
-        " rc, file=sys.stderr)"])
+def _scipy_modules_after(*lines):
+    # runs lines in a fresh process that ends by printing the scipy modules
+    # it loaded and rc to stderr; returns that last stderr line and stderr
+    script = "\n".join(["import sys", *lines,
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+                        " rc, file=sys.stderr)"])
     src = str(Path(qwork.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
-    assert proc.stderr.splitlines()[-1] == "[] 0", proc.stderr
+    return proc.stderr.splitlines()[-1], proc.stderr
+
+
+@pytest.mark.parametrize("argv", [None, ["qec", "four-bit", "--gamma", "0.01"],
+                                  ["nmr", "thermal"],
+                                  ["nmr", "two-bit", "--theta", "0.5", "--td", "0",
+                                   "--mode", "coded", "--rf", "lorentzian",
+                                   "--nodes", "4"]],
+                         ids=["import", "qec four-bit", "nmr thermal",
+                              "nmr two-bit rf"])
+def test_cli_runs_without_importing_scipy(argv):
+    last, stderr = _scipy_modules_after(
+        "import qwork.cli", f"rc = qwork.cli.main({argv!r})" if argv else "rc = 0")
+    assert last == "[] 0", stderr
+
+
+def test_rf_storage_analysis_runs_without_importing_scipy():
+    last, stderr = _scipy_modules_after(
+        "from qwork import nmr_sim as nm",
+        "rf = nm.RfModel.lorentzian((0.96, 0.92), nodes=4)",
+        "pts = [(th, *nm.two_bit_experiment(th, 0.0, rf=rf)['accepted'])"
+        " for th in nm.THETA_GRID]",
+        "rc = round(nm.ellipse_analysis(pts)['ellipticity'], 2)")
+    assert last == "[] 1.05", stderr
 
 
 def test_no_unread_private_names():
