@@ -250,10 +250,13 @@ def plan_recouple(n, i, j, remove_zeeman=False):
 def plan_recouple_parallel(n, pairs, remove_zeeman=False):
     """Recouple several disjoint 1-based pairs in one schedule."""
     check_int("n", n, 2)
+    if not pairs:
+        raise ValueError("pairs must name at least one pair to recouple "
+                         "(plan_decouple plans none)")
     _check_pairs(pairs, n)
-    # the all-plus row 0 is never assigned, so n spins without a shared row
-    # need an order above n; remove_zeeman asks for one too
-    order = achievable_order(n + 1 if remove_zeeman or not pairs else n)
+    # the all-plus row 0 is never assigned, but a pair shares one row, so
+    # the n spins fit order n; remove_zeeman asks for an order above n
+    order = achievable_order(n + 1 if remove_zeeman else n)
     rows = _assign_pairs(_normalized_rows(order), n, pairs)
     return SignMatrix(rows, "recouple", tuple(tuple(p) for p in pairs))
 

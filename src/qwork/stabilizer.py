@@ -52,6 +52,13 @@ class PauliWord:
     phase: complex = 1 + 0j
 
     def __post_init__(self):
+        check_int("n", self.n, 1)
+        for name, mask in (("x", self.x), ("z", self.z)):
+            if not (isinstance(mask, numbers.Integral) and mask >= 0
+                    and not mask >> self.n):
+                raise ValueError(f"{name} mask must be an integer in "
+                                 f"0..2^n - 1 for n={self.n}, "
+                                 f"got {name}={mask!r}")
         if self.phase not in (1, -1, 1j, -1j):
             raise ValueError("phase must be one of +1, -1, +i, -i")
 
@@ -147,6 +154,12 @@ def identity_word(n):
 
 
 def single_qubit_word(n, q, letter):
+    check_int("n", n, 1)
+    check_int("q", q, 0)
+    if q >= n:
+        raise ValueError(f"qubit q must be below n={n}, got q={q!r}")
+    if letter not in _LETTER:
+        raise ValueError(f"letter must be one of I, X, Y, Z, got {letter!r}")
     s = ["I"] * n
     s[q] = letter
     return PauliWord.from_string("".join(s))
@@ -182,7 +195,8 @@ class StabilizerCode:
         for g in self.generators:
             if g.n != self.n or not g.is_hermitian:
                 raise ValueError(f"bad generator {g}")
-        if len(_echelon(self)) != len(self.generators):
+        packed = [(g.x << self.n) | g.z for g in self.generators]
+        if len(_echelon(packed)) != len(packed):
             raise ValueError("generators are not independent")
         for a, b in itertools.combinations(self.generators, 2):
             if not a.commutes(b):
@@ -232,6 +246,7 @@ class StabilizerCode:
 
 def code_projector(code, max_qubits=12):
     """Dense projector onto the joint +1 eigenspace of the generators."""
+    check_int("max_qubits", max_qubits, 1)
     if code.n > max_qubits:
         raise ValueError(f"projector capped at {max_qubits} qubits")
     dim = 1 << code.n
@@ -244,6 +259,7 @@ def code_projector(code, max_qubits=12):
 def codewords(code, tol=DEFAULT_TOL):
     """Basis |b>_L: joint +1 states of the generators with logical-Z
     eigenvalues (-1)^(b_i); phases pinned at the largest amplitude."""
+    _check_tol(tol)
     dim = 1 << code.n
     out = []
     for bits in itertools.product((0, 1), repeat=code.k):
@@ -318,28 +334,26 @@ class PauliCheck:
 
 
 def _word_arrays(words):
-    """x masks, z masks and real phase signs (0 for an imaginary phase) of
-    Pauli words, as int64 arrays."""
+    """x masks and z masks of Pauli words, as int64 arrays."""
     return (np.array([w.x for w in words], dtype=np.int64),
-            np.array([w.z for w in words], dtype=np.int64),
-            np.array([int(w.phase.real) for w in words], dtype=np.int64))
+            np.array([w.z for w in words], dtype=np.int64))
 
 
-def _check_masks(code):
+def _check_masks(n):
     """Masks hold bit q for qubit q in an int64, so the bit-array checks
     stop at 63 qubits."""
-    if code.n > 63:
+    if n > 63:
         raise ValueError(f"bit-array checks hold at most 63 qubits, "
-                         f"got n={code.n}")
+                         f"got n={n}")
 
 
-def _echelon(code):
-    """Generators packed as (x << n) | z, reduced to (row, pivot) pairs: the
-    pivot is its row's top bit and is clear in every other row, so a word
-    lies in their span when xoring in the row of each set pivot clears it."""
+def _echelon(vectors):
+    """GF(2) vectors held as ints (a generator packs as (x << n) | z),
+    reduced to (row, pivot) pairs: the pivot is its row's top bit and is
+    clear in every other row, so a vector lies in their span when xoring
+    in the row of each set pivot clears it."""
     rows = []
-    for g in code.generators:
-        v = (g.x << code.n) | g.z
+    for v in vectors:
         for row, bit in rows:
             if (v >> bit) & 1:
                 v ^= row
@@ -363,7 +377,7 @@ def _quotient_kinds(code, x, z):
     for g in code.generators:
         undetected &= _parities((x & g.z) ^ (z & g.x)) == 0
     n, ux, uz = code.n, x[undetected], z[undetected]
-    for row, bit in _echelon(code):
+    for row, bit in _echelon((g.x << n) | g.z for g in code.generators):
         hit = ((ux if bit >= n else uz) >> (bit % n)) & 1
         ux ^= hit * (row >> n)
         uz ^= hit * (row & ((1 << n) - 1))
@@ -377,8 +391,8 @@ def pauli_correctable(code, errors):
     must be detected by anticommutation or lie inside the stabilizer."""
     if any(e.n != code.n for e in errors):
         raise ValueError("qubit counts differ")
-    _check_masks(code)
-    ex, ez, _ = _word_arrays(errors)
+    _check_masks(code.n)
+    ex, ez = _word_arrays(errors)
     kinds = _quotient_kinds(code, ex[:, None] ^ ex, ez[:, None] ^ ez)
     verdicts, violations = {}, []
     degenerate = False
@@ -396,6 +410,8 @@ def pauli_correctable(code, errors):
 def _weight_masks(n, w):
     """int64 x and z masks of the weight-w words: qubit sets in combinations
     order, then letters 0, 1, 2 (X, Y, Z) in product order."""
+    if w > n:
+        return np.zeros((2, 0), dtype=np.int64)
     qubits = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
     bits = np.int64(1) << qubits.reshape(len(qubits), 1, w)
     letters = np.array(list(itertools.product(range(3), repeat=w)))
@@ -405,6 +421,9 @@ def _weight_masks(n, w):
 
 def weight_words(n, w):
     """All Pauli words of exact weight w (no phase prefix)."""
+    check_int("n", n, 1)
+    check_int("w", w, 0)
+    _check_masks(n)
     x, z = _weight_masks(n, w)
     return [PauliWord(n, a, b, 1j ** bin(a & b).count("1"))
             for a, b in zip(x.tolist(), z.tolist())]
@@ -416,7 +435,7 @@ def pauli_distance(code, max_weight=None):
     if not (isinstance(top, numbers.Integral) and top >= 1):
         raise ValueError(f"max_weight must be a positive integer, "
                          f"got {max_weight!r}")
-    _check_masks(code)
+    _check_masks(code.n)
     for w in range(1, top + 1):
         if (_quotient_kinds(code, *_weight_masks(code.n, w)) == _LOGICAL).any():
             return w
@@ -458,7 +477,11 @@ class AdWord:
         return sum(1 for c in self.letters if c == "B")
 
     def relevant(self, t):
-        return self.r + 2 * self.s <= 2 * t
+        """Whether ad_words(n, t) lists this word: r + 2s <= 2t, with at
+        most t plain and at most t raised letters."""
+        check_int("t", t, 0)
+        return (self.r + 2 * self.s <= 2 * t and self.letters.count("A") <= t
+                and self.letters.count("Ad") <= t)
 
     def __str__(self):
         return "".join(c if c != "Ad" else "A'" for c in self.letters)
@@ -478,9 +501,7 @@ class AdWord:
         """Sign c with (self * word) = c * self, or None when the product
         changes letters.  Only Z letters can be absorbed."""
         _, support, ab = _ad_masks(self._codes())
-        sign = _negation_signs(support, ab, word.x, word.z,
-                               int(word.phase.real))[0]
-        return int(sign) if sign else None
+        return _negation_sign(int(support[0]), int(ab[0]), word) or None
 
     def matrix(self):
         return kron_all(np.eye(1), *(_AD_MATRIX[letter] for letter in self.letters))
@@ -562,13 +583,43 @@ def _ad_terms(codes):
     return row, x[row], z, 1 - 2 * _parities(z & ab[row])
 
 
-def _negation_signs(support, ab, mx, mz, msign):
-    """c with W * m = c * W, broadcast over damping words W (masks support
-    and ab) and Pauli words m (masks mx, mz, real sign msign); 0 where the
-    product changes letters.  Only Z letters on non-I letters are absorbed,
-    taking -1 on A and B."""
-    absorbed = (mx == 0) & ((mz & ~support) == 0)
-    return np.where(absorbed, msign * (1 - 2 * _parities(mz & ab)), 0)
+def _negation_sign(support, ab, word):
+    """c with W * word = c * W for the damping word W with masks support and
+    ab, or 0 when the product changes letters.  Only Z letters on non-I
+    letters are absorbed, taking -1 on A and B."""
+    if word.x or word.z & ~support:
+        return 0
+    return int(word.phase.real) * (-1) ** _parity(word.z & ab)
+
+
+def _group_element(code, i):
+    """Element i of stabilizer_group(): the product, in generator order, of
+    the generators whose bits are set in i."""
+    word = identity_word(code.n)
+    for j, g in enumerate(code.generators):
+        if (i >> j) & 1:
+            word = word * g
+    return word
+
+
+def _first_negating(code, support, ab):
+    """The first element of stabilizer_group() that negates the damping
+    word with masks support and ab, or None.
+
+    The indices whose element has no X part and no Z off the support form
+    a GF(2) kernel K, spanned by the echelon rows whose pivots are index
+    bits.  Its elements are +-Z^z, so an index in K negates exactly when it xors
+    an odd number of negating rows; the rows are reduced, so the smallest
+    such index is the smallest negating row.
+    """
+    r = len(code.generators)
+    kernel = [row for row, bit in _echelon(
+        (((g.x << code.n) | (g.z & ~support)) << r) | (1 << j)
+        for j, g in enumerate(code.generators)) if bit < r]
+    elements = {i: _group_element(code, i) for i in kernel}
+    negating = [i for i, word in elements.items()
+                if _negation_sign(support, ab, word) == -1]
+    return elements[min(negating)] if negating else None
 
 
 @dataclass
@@ -589,26 +640,27 @@ def ad_correctable(code, t):
     multiplication, which zeroes it on the code space.  Words and terms
     are checked as int64 bit masks, so codes of more than 63 qubits are
     refused.
+
+    A failing word's negated pair names the first negating element in
+    stabilizer_group() order, found without building the group.  The
+    group indices whose element has no X part and no Z on an I letter
+    form a GF(2) kernel K, and the negation sign is linear on K, so the
+    negating indices are a coset of a hyperplane of K; its smallest member
+    is the smallest negating row of K's reduced echelon basis.
     """
     codes = _ad_codes(code.n, t)   # rejects a bad n or t before any mask work
-    _check_masks(code)
+    _check_masks(code.n)
     row, x, z, _ = _ad_terms(codes)
     failing = np.unique(row[_quotient_kinds(code, x, z) == _LOGICAL])
-    if not len(failing):
-        return AdReport(True, t, len(codes), [], [])
-    group = code.stabilizer_group()
-    group_x, group_z, group_sign = _word_arrays(group)
     _, support, ab = _ad_masks(codes[failing])
-    # the identity element never negates, so the first hit is nontrivial
-    hits = _negation_signs(support[:, None], ab[:, None], group_x, group_z,
-                           group_sign) == -1
     rejections, negated = [], []
-    for i, hit in zip(failing, hits):
+    for i, s, a in zip(failing, support.tolist(), ab.tolist()):
         word = _ad_word(codes[i])
-        if hit.any():
-            negated.append((word, group[hit.argmax()]))
-        else:
+        element = _first_negating(code, s, a)
+        if element is None:
             rejections.append(word)
+        else:
+            negated.append((word, element))
     return AdReport(not rejections, t, len(codes), rejections, negated)
 
 
@@ -770,6 +822,8 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
     collapse exactly onto the ideal projection -- identically for every
     ancilla record of equal parity.
     """
+    check_int("n", n, 1)
+    _check_tol(tol)
     if not (len(subset) and len(set(subset)) == len(subset) and all(
             isinstance(q, numbers.Integral) and 0 <= q < n for q in subset)):
         raise ValueError(f"subset must list distinct qubits in 0..{n - 1}, "
@@ -892,6 +946,13 @@ def _check_states(states, least=1):
                          f"got {states!r}")
 
 
+def _check_tol(tol):
+    # a NaN tolerance fails every comparison, so it would pass or fail a
+    # check whatever the state
+    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got tol={tol!r}")
+
+
 def _random_state(ndim, rng):
     v = rng.normal(size=ndim) + 1j * rng.normal(size=ndim)
     return v / np.linalg.norm(v)
@@ -961,6 +1022,7 @@ def verify_teleport_identity(kind, states=100, tol=1e-10, rng=None):
     branch must relocate the state exactly.
     """
     _check_states(states)
+    _check_tol(tol)
     if kind not in ("z", "x", "swap"):
         raise ValueError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(0x7E1E) if rng is None else rng
@@ -1013,6 +1075,7 @@ def verify_c3_construction(gate, states=100, tol=1e-10, rng=None):
     measurement branch must induce the ideal gate.
     """
     _check_states(states)
+    _check_tol(tol)
     rng = np.random.default_rng(0xC3) if rng is None else rng
     if gate == "T":
         u, kinds, prep = T_GATE, "x", "z"

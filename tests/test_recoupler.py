@@ -197,6 +197,10 @@ def test_plan_recouple_rejects_bad_pairs():
         rc.plan_recouple(5, 0, 2)
     with pytest.raises(ValueError):
         rc.plan_recouple_parallel(6, [(1, 2), (2, 3)])
+    # an empty list once planned a "recouple" target that verify_schedule
+    # refuses
+    with pytest.raises(ValueError, match="pairs"):
+        rc.plan_recouple_parallel(4, [])
 
 
 # -------------------------------------------------------------------- pulses

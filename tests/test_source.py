@@ -109,6 +109,20 @@ def test_no_module_level_scipy_import():
     assert found == []
 
 
+def test_no_stabilizer_group_call_in_package():
+    # stabilizer_group() builds all 2^(n-k) elements; the package decides
+    # every verdict by GF(2) elimination and keeps the group only as the
+    # tests' reference
+    found = []
+    for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "stabilizer_group" in (
+                      getattr(node.func, "attr", None),
+                      getattr(node.func, "id", None))]
+    assert found == []
+
+
 def _scipy_modules_after(*lines):
     # runs lines in a fresh process that ends by printing the scipy modules
     # it loaded and rc to stderr; returns that last stderr line and stderr

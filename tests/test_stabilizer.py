@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import assume, example, given, settings, strategies as hst
 
 from qwork import stabilizer as st
 from qwork.qec_engine import four_bit_code
@@ -228,6 +228,17 @@ def test_ad_word_counts():
     assert not st.AdWord(("A", "A", "B", "I")).relevant(1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_relevant_matches_ad_words(n):
+    words = [st.AdWord(letters) for letters in
+             itertools.product(("I", "A", "Ad", "B"), repeat=n)]
+    for t in range(4):
+        assert ({w for w in words if w.relevant(t)}
+                == set(st.ad_words(n, t))), t
+    # two plain letters are order 1, but no quotient of two single losses
+    assert not st.AdWord(("A", "A", "I", "I")).relevant(1)
+
+
 def test_ad_expansion_matches_dense():
     rng = np.random.default_rng(3)
     for letters in [("A", "I"), ("Ad", "B"), ("B", "I", "A"),
@@ -340,6 +351,7 @@ def test_bit_array_checks_stop_at_63_qubits():
     wide = st.StabilizerCode.from_strings(["Z" * 64])
     for check in (lambda: st.ad_correctable(wide, 1),
                   lambda: st.pauli_distance(wide),
+                  lambda: st.weight_words(64, 1),
                   lambda: st.pauli_correctable(wide, [st.identity_word(64)])):
         with pytest.raises(ValueError, match="n=64"):
             check()
@@ -564,7 +576,7 @@ def _reference_kinds(code, words):
 
 
 def _kinds(code, words):
-    x, z, _ = st._word_arrays(words)
+    x, z = st._word_arrays(words)
     return [st._KINDS[k] for k in st._quotient_kinds(code, x, z)]
 
 
@@ -606,7 +618,7 @@ def test_quotient_kinds_of_generator_products(name, subset, q, letter):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_echelon_is_reduced(name):
     code = getattr(st, name)()
-    rows = st._echelon(code)
+    rows = st._echelon((g.x << code.n) | g.z for g in code.generators)
     assert len(rows) == len(code.generators)
     for row, bit in rows:
         assert row.bit_length() - 1 == bit
@@ -639,6 +651,13 @@ def test_forty_qubit_repetition_code_without_group(monkeypatch):
                 if bin(z).count("1") % 2 == 0 else "violation")
         assert kind == want, (i, j)
     assert not check.correctable and check.degenerate
+    rep = st.ad_correctable(code, 1)
+    assert rep.checked == len(st.ad_words(n, 1))
+    # a lone Z commutes with every ZZ and has odd weight, so exactly the
+    # single-B words fail, and no group element is a single Z to negate them
+    assert ({str(w) for w in rep.rejections}
+            == {"I" * q + "B" + "I" * (n - 1 - q) for q in range(n)})
+    assert len(rep.rejections) == n and rep.negated == []
 
 
 @pytest.mark.parametrize("n,w", [(1, 0), (3, 1), (4, 2), (5, 3), (3, 3), (2, 3)])
@@ -678,3 +697,149 @@ def test_state_counts_must_be_integers(call):
 def test_hierarchy_level_cap_must_be_integer():
     with pytest.raises(ValueError, match="k_max"):
         st.hierarchy_level(np.eye(2), k_max=2.5)
+
+
+# ------------------------------------------- negating elements without a group
+
+def _negates(word, g):
+    # g * W = -W: g has no X part, its Z letters sit on W's non-I letters,
+    # and its sign times -1 for each Z on an A or a B letter is -1
+    zs = [q for q in range(word.n) if (g.z >> q) & 1]
+    if g.x or any(word.letters[q] == "I" for q in zs):
+        return False
+    return g.phase * (-1) ** sum(word.letters[q] in ("A", "B") for q in zs) == -1
+
+
+def _reference_ad(code, t):
+    # rejections and negated pairs by searching stabilizer_group() in order
+    # for the first element that negates each failing word
+    group = code.stabilizer_group()
+    row, x, z, _ = st._ad_terms(st._ad_codes(code.n, t))
+    failing = set(row[st._quotient_kinds(code, x, z) == st._LOGICAL].tolist())
+    rejections, negated = [], []
+    for i, word in enumerate(st.ad_words(code.n, t)):
+        if i in failing:
+            hit = next((g for g in group if _negates(word, g)), None)
+            if hit is None:
+                rejections.append(word)
+            else:
+                negated.append((word, hit))
+    return rejections, negated
+
+
+def _assert_matches_group_search(code, t):
+    rep = st.ad_correctable(code, t)
+    rejections, negated = _reference_ad(code, t)
+    assert rep.rejections == rejections
+    assert rep.negated == negated
+    assert rep.correctable == (not rejections)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_negated_pairs_match_group_search(name, t):
+    _assert_matches_group_search(getattr(st, name)(), t)
+
+
+@hst.composite
+def _codes(draw):
+    # independent commuting hermitian words, general or Z-type, random signs
+    n = draw(hst.integers(2, 8))
+    z_type = draw(hst.booleans())
+    gens = []
+    for _ in range(draw(hst.integers(1, 2 * n))):
+        x = 0 if z_type else draw(hst.integers(0, (1 << n) - 1))
+        z = draw(hst.integers(0, (1 << n) - 1))
+        sign = draw(hst.sampled_from((1, -1)))
+        word = st.PauliWord(n, x, z, sign * 1j ** bin(x & z).count("1"))
+        try:
+            st.StabilizerCode(n, gens + [word]).validate()
+        except ValueError:
+            continue
+        gens.append(word)
+    assume(gens)
+    return st.StabilizerCode(n, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_codes(), hst.integers(1, 2))
+def test_negated_pairs_match_group_search_on_random_codes(code, t):
+    _assert_matches_group_search(code, t)
+
+
+# ------------------------------------------------------- scalar entry checks
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: st.single_qubit_word(5, -1, "X"), "q"),
+    (lambda: st.single_qubit_word(5, 7, "X"), "q"),
+    (lambda: st.single_qubit_word(5, 1.5, "X"), "q"),
+    (lambda: st.weight_words(5, 2.5), "w"),
+    (lambda: st.weight_words(5, math.nan), "w"),
+    (lambda: st.weight_words(2.5, 1), "n"),
+    (lambda: st.verify_parity_measurement([0], 1.5), "n"),
+    (lambda: st.verify_parity_measurement([0, 1], 2, tol=math.nan), "tol"),
+    (lambda: st.verify_teleport_identity("z", tol=math.nan), "tol"),
+    (lambda: st.PauliWord(2, 8, 0), "x"),
+    (lambda: st.PauliWord(2, 0, -1), "z"),
+    (lambda: st.identity_word(math.nan), "n"),
+], ids=["qubit-negative", "qubit-too-high", "qubit-fractional",
+        "weight-fractional", "weight-nan", "count-fractional",
+        "parity-fractional-n", "parity-nan-tol", "teleport-nan-tol",
+        "x-mask-too-wide", "z-mask-negative", "identity-nan-n"])
+def test_bad_scalar_raises_value_error_naming_it(call, name):
+    # each of these once returned a wrong word or verdict, or raised
+    # TypeError or IndexError
+    with pytest.raises(ValueError, match=rf"\b{name}="):
+        call()
+
+
+# finite, non-finite, non-integer and out-of-range scalars; valid ones stay
+# small, since the dense checks hold 2^n amplitudes
+SCALARS = hst.one_of(
+    hst.integers(-3, 9),
+    hst.integers(-3, 9).map(np.int64),
+    hst.integers(-3, 9).map(float),
+    hst.floats(allow_nan=True, allow_infinity=True),
+)
+
+ENTRY_POINTS = {
+    "PauliWord.n": lambda v: st.PauliWord(v),
+    "PauliWord.x": lambda v: st.PauliWord(3, v, 0),
+    "PauliWord.z": lambda v: st.PauliWord(3, 0, v),
+    "identity_word": lambda v: st.identity_word(v),
+    "single_qubit_word.n": lambda v: st.single_qubit_word(v, 0, "X"),
+    "single_qubit_word.q": lambda v: st.single_qubit_word(5, v, "X"),
+    "weight_words.n": lambda v: st.weight_words(v, 1),
+    "weight_words.w": lambda v: st.weight_words(5, v),
+    "pauli_distance": lambda v: st.pauli_distance(st.ad4(), v),
+    "code_projector": lambda v: st.code_projector(st.ad4(), v),
+    "codewords": lambda v: st.codewords(st.ad4(), v),
+    "ad_words": lambda v: st.ad_words(4, v),
+    "AdWord.relevant": lambda v: st.AdWord(("A", "B", "I")).relevant(v),
+    "ad_correctable": lambda v: st.ad_correctable(st.ad4(), v),
+    "ad_dense_check": lambda v: st.ad_dense_check(st.ad4(), v),
+    "hierarchy_level": lambda v: st.hierarchy_level(np.eye(2), v),
+    "parity.n": lambda v: st.verify_parity_measurement([0], v, states=1),
+    "parity.subset": lambda v: st.verify_parity_measurement([v], 3, states=1),
+    "parity.states": lambda v: st.verify_parity_measurement([0, 1], 2, states=v),
+    "parity.tol": lambda v: st.verify_parity_measurement([0, 1], 2, states=1,
+                                                         tol=v),
+    "teleport.states": lambda v: st.verify_teleport_identity("z", states=v),
+    "teleport.tol": lambda v: st.verify_teleport_identity("z", states=1, tol=v),
+    "c3.states": lambda v: st.verify_c3_construction("T", states=v),
+    "c3.tol": lambda v: st.verify_c3_construction("T", states=1, tol=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(deadline=None, max_examples=40)
+@given(v=SCALARS)
+@example(v=math.nan)
+@example(v=math.inf)
+@example(v=-1)
+@example(v=2.5)
+def test_entry_points_return_or_raise_value_error(name, v):
+    try:
+        ENTRY_POINTS[name](v)
+    except ValueError:
+        pass
