@@ -6,9 +6,14 @@ values, fixture directory and seed; ``qwork run --config file.json`` replays
 an ExperimentConfig holding them through the same click command and option
 types, so it prints what the command line prints.
 
+Each command imports only the library modules it runs, inside its own body:
+a fresh process compiles every module it imports, so ``qec four-bit`` does
+not pay for ``nmr_sim`` or ``stabilizer``.
+
 Exit codes: 0 = pass, 2 = a verdict check failed, 3 = input/config error.
 """
 
+import functools
 import json
 import math
 import os
@@ -17,13 +22,6 @@ from dataclasses import dataclass, field
 
 import click
 import numpy as np
-
-from . import bosonic_codes
-from . import nmr_sim
-from . import qec_engine
-from . import qop_core
-from . import recoupler
-from . import stabilizer
 
 FIXTURE_DIR_ENV = "QWORK_FIXTURE_DIR"
 
@@ -115,19 +113,29 @@ _CHANNEL_KINDS = {
     "bosonic_ad": ("cutoff", "gamma"),
 }
 
-_CODE_BUILDERS = {
-    "shor9": stabilizer.shor9,
-    "steane7": stabilizer.steane7,
-    "five_qubit": stabilizer.five_qubit,
-    "ad4": stabilizer.ad4,
-    "ad7": stabilizer.ad7,
-}
 
-_SYSTEM_BUILDERS = {
-    "formate": nmr_sim.formate_system,
-    "chloroform_carbon": lambda: nmr_sim.chloroform_system("carbon"),
-    "chloroform_proton": lambda: nmr_sim.chloroform_system("proton"),
-}
+def _built_in_codes():
+    from . import stabilizer
+    codes = {}
+    for name in ("shor9", "steane7", "five_qubit", "ad4", "ad7"):
+        codes[name] = getattr(stabilizer, name)()
+        codes[name].validate()
+    return codes
+
+
+def _built_in_systems():
+    from . import nmr_sim   # the SpinSystem constructor validates
+    return {"formate": nmr_sim.formate_system(),
+            "chloroform_carbon": nmr_sim.chloroform_system("carbon"),
+            "chloroform_proton": nmr_sim.chloroform_system("proton")}
+
+
+def _built_in_bosonic():
+    from . import bosonic_codes
+    codes = bosonic_codes.example_codes()
+    for code in codes.values():
+        code.validate()
+    return codes
 
 
 class FixtureRegistry:
@@ -135,25 +143,26 @@ class FixtureRegistry:
 
     Built-ins are always present; a directory of ``*.json`` files (from
     --fixture-dir or the QWORK_FIXTURE_DIR environment variable) can add
-    custom stabilizer codes and spin systems.  Every fixture is checked on
-    load and a broken one is rejected with the offending file named.
+    custom stabilizer codes and spin systems.  Every file in the directory
+    is checked when the registry is made and a broken one is rejected with
+    the offending file named.  Each kind of fixture (``codes``, ``systems``,
+    ``bosonic``) is built, and its library module imported, the first time
+    it is read, so a command loads only the kind it uses.
     """
 
     def __init__(self, extra_dir=None):
-        self.codes = {}
-        self.systems = {}
-        self.bosonic = {}
-        for name, build in _CODE_BUILDERS.items():
-            code = build()
-            code.validate()
-            self.codes[name] = code
-        for name, build in _SYSTEM_BUILDERS.items():
-            self.systems[name] = build()   # constructor validates
-        for name, code in bosonic_codes.example_codes().items():
-            code.validate()
-            self.bosonic[name] = code
+        self._custom_codes = {}
+        self._custom_systems = {}
         if extra_dir:
             self._load_dir(extra_dir)
+
+    # built on first read; the directory's fixtures replace built-ins of
+    # the same name
+    codes = functools.cached_property(
+        lambda self: {**_built_in_codes(), **self._custom_codes})
+    systems = functools.cached_property(
+        lambda self: {**_built_in_systems(), **self._custom_systems})
+    bosonic = functools.cached_property(lambda self: _built_in_bosonic())
 
     def _load_dir(self, path):
         if not os.path.isdir(path):
@@ -169,11 +178,14 @@ class FixtureRegistry:
                 name = data["name"]
                 payload = json.dumps(data["payload"])
                 if kind == "stabilizer_code":
+                    from . import stabilizer
                     code = stabilizer.StabilizerCode.from_json(payload)
                     code.validate()
-                    self.codes[name] = code
+                    self._custom_codes[name] = code
                 elif kind == "spin_system":
-                    self.systems[name] = nmr_sim.SpinSystem.from_json(payload)
+                    from . import nmr_sim
+                    self._custom_systems[name] = nmr_sim.SpinSystem.from_json(
+                        payload)
                 else:
                     raise ValueError(f"unknown fixture kind {kind!r}")
             except InputError:
@@ -379,6 +391,7 @@ def channel():
               type=click.IntRange(min=0))
 def cmd_channel_roundtrip(count, dims, tol, seed):
     """Random-channel Choi/Kraus round-trip check."""
+    from . import qop_core
     if not count >= 1:
         raise InputError(f"--count must be at least 1, got {count!r}")
     _check_tolerance(tol)
@@ -404,6 +417,7 @@ def cmd_channel_roundtrip(count, dims, tol, seed):
 @click.option("--cutoff", type=int, default=None)
 def cmd_channel_show(kind, **given):
     """Print the Choi spectrum and unitality of a named channel."""
+    from . import qop_core
     if kind not in _CHANNEL_KINDS:
         raise InputError(f"unknown channel kind {kind!r} "
                          f"(have: {', '.join(sorted(_CHANNEL_KINDS))})")
@@ -435,6 +449,7 @@ def qec():
 @click.option("--gamma", default=0.01, show_default=True)
 def cmd_qec_four_bit(gamma):
     """Run the four-qubit loss-code recovery pipeline."""
+    from . import qec_engine
     if not 0 < gamma < 0.5:
         raise InputError("gamma must be in (0, 0.5)")
     report = qec_engine.four_bit_pipeline(gamma)
@@ -461,6 +476,7 @@ def bosonic():
 @click.pass_obj
 def cmd_bosonic_verify(fixture_dir, fixture, gamma):
     """Check a named bosonic code structurally and against the channel."""
+    from . import bosonic_codes
     code = FixtureRegistry(fixture_dir).bosonic_code(fixture)
     exact = bosonic_codes.check_nondeformation(code)
     click.echo(f"fixture={fixture} order={code.t} registers={code.m}")
@@ -488,6 +504,7 @@ def stab():
 @click.pass_obj
 def cmd_stab_check(fixture_dir, code, t, distance):
     """Check loss-error correctability of a named stabilizer code."""
+    from . import stabilizer
     stab_code = FixtureRegistry(fixture_dir).code(code)
     report = stabilizer.ad_correctable(stab_code, t)
     click.echo(f"code={code} n={stab_code.n} k={stab_code.k} t={t}")
@@ -510,6 +527,7 @@ def recouple():
 def _reduced_schedule(sign, dt):
     """Restrict a sign matrix to 8 spins (keeping recoupled pairs) so the
     dense verifier can run; returns (schedule, kept 1-based spins)."""
+    from . import recoupler
     keep = []
     for pair in sign.pairs:
         keep.extend(pair)
@@ -543,6 +561,7 @@ def _unit_couplings(n):
 @click.option("--out", default=None, type=click.Path())
 def cmd_recouple_plan(n, pairs, zeeman_free, dt, verify, out):
     """Print (and optionally verify / save) a pulse schedule."""
+    from . import recoupler
     if n < 2:
         raise InputError("need at least two spins")
     if not pairs:
@@ -586,6 +605,7 @@ def nmr():
 
 
 def _events_from_spec(items):
+    from . import nmr_sim
     events = []
     try:
         for item in items:
@@ -609,6 +629,7 @@ def _events_from_spec(items):
 
 def _rf_model(rf, **settings):
     """The RF-inhomogeneity model --rf names, or None for "none"."""
+    from . import nmr_sim
     if rf == "none":
         return None
     if rf != "lorentzian":
@@ -621,6 +642,7 @@ def _rf_model(rf, **settings):
 @click.pass_obj
 def cmd_nmr_thermal(fixture_dir, system):
     """Print the equilibrium deviation of a named spin system."""
+    from . import nmr_sim
     spins = FixtureRegistry(fixture_dir).system(system)
     rho = nmr_sim.thermal_state(spins)
     click.echo(f"system={system} spins={spins.n}")
@@ -637,6 +659,7 @@ def cmd_nmr_thermal(fixture_dir, system):
 @click.pass_obj
 def cmd_nmr_sequence(fixture_dir, system, events_file, rf, nodes):
     """Run an event list on the thermal state and print the spectrum."""
+    from . import nmr_sim
     spins = FixtureRegistry(fixture_dir).system(system)
     try:
         with open(events_file) as fh:
@@ -661,6 +684,7 @@ def cmd_nmr_sequence(fixture_dir, system, events_file, rf, nodes):
 @click.option("--tol", default=1e-8, show_default=True)
 def cmd_nmr_tomo(seed, tol):
     """Round-trip a random deviation through simulated readout."""
+    from . import nmr_sim
     _check_tolerance(tol)
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -682,6 +706,7 @@ def cmd_nmr_tomo(seed, tol):
 @click.pass_obj
 def cmd_nmr_label(fixture_dir, scheme, system, omegas):
     """Build an effective-pure input state."""
+    from . import nmr_sim
     if scheme == "temporal":
         spins = FixtureRegistry(fixture_dir).system(system)
         lab = nmr_sim.temporal_label(
@@ -708,6 +733,7 @@ def cmd_nmr_label(fixture_dir, scheme, system, omegas):
               help="Scalar or comma-separated per-qubit probabilities.")
 def cmd_nmr_dj(n, oracle, p):
     """Constant-vs-balanced decision on a thermal register."""
+    from . import nmr_sim
     if oracle == "constant":
         f = lambda x: 0
     elif oracle == "balanced":
@@ -744,6 +770,7 @@ def cmd_nmr_dj(n, oracle, p):
 def cmd_nmr_two_bit(fixture_dir, sweep, theta, td, mode, rf, nodes,
                     integration, shots, seed, system, t1, out):
     """Run the two-spin storage experiment (single point or full sweep)."""
+    from . import nmr_sim
     spins = FixtureRegistry(fixture_dir).system(system)
     model = _rf_model(rf, nodes=nodes, integration=integration, shots=shots,
                       seed=seed)

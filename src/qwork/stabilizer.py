@@ -244,7 +244,11 @@ class StabilizerCode:
                                 d.get("logical_z", ()))
 
 
-def code_projector(code, max_qubits=12):
+# the dense checks build complex 2^n x 2^n matrices, 1 GiB at n = 13
+_DENSE_QUBITS = 12
+
+
+def code_projector(code, max_qubits=_DENSE_QUBITS):
     """Dense projector onto the joint +1 eigenspace of the generators."""
     check_int("max_qubits", max_qubits, 1)
     if code.n > max_qubits:
@@ -529,8 +533,9 @@ def _ad_codes(n, t):
                          f"got {t!r}")
     lower, raised, diag = (_AD_LETTERS.index(c) for c in ("A", "Ad", "B"))
     rows = []
-    for r in range(0, 2 * t + 1):
-        for s in range(0, t - (r + 1) // 2 + 1):   # so r + 2s <= 2t
+    # r + 2s <= 2t, and r + s <= n: larger r or s have no qubits to fill
+    for r in range(0, min(2 * t, n) + 1):
+        for s in range(0, min(t - (r + 1) // 2, n - r) + 1):
             for a_pos in itertools.combinations(range(n), r):
                 others = [q for q in range(n) if q not in a_pos]
                 for b_pos in itertools.combinations(others, s):
@@ -823,6 +828,9 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
     ancilla record of equal parity.
     """
     check_int("n", n, 1)
+    if n > _DENSE_QUBITS:
+        raise ValueError(f"parity check capped at {_DENSE_QUBITS} qubits, "
+                         f"got n={n}")
     _check_tol(tol)
     if not (len(subset) and len(set(subset)) == len(subset) and all(
             isinstance(q, numbers.Integral) and 0 <= q < n for q in subset)):

@@ -81,6 +81,23 @@ def test_malformed_code_fixture_exits_3(tmp_path, capsys, payload):
     assert "odd.json" in err and ("generators" in err or "logical_x" in err)
 
 
+@pytest.mark.parametrize("args", [
+    ("nmr", "thermal"),
+    ("nmr", "two-bit", "--theta", "0", "--td", "0", "--mode", "coded"),
+], ids=["thermal", "two-bit"])
+def test_broken_code_fixture_fails_commands_that_read_no_code(tmp_path,
+                                                              capsys, args):
+    # the directory is checked in full when the registry is made, not when
+    # the command first reads a code
+    (tmp_path / "broken.json").write_text(json.dumps({
+        "kind": "stabilizer_code", "name": "broken",
+        "payload": {"n": 3, "generators": ["ZZI", "XIZ"],
+                    "logical_x": ["XXX"], "logical_z": ["ZII"]}}))
+    code, out, err = run_cli(capsys, "--fixture-dir", str(tmp_path), *args)
+    assert code == 3 and out == ""
+    assert "broken.json" in err
+
+
 def test_fixture_dir_env_var(tmp_path, capsys, monkeypatch):
     (tmp_path / "sys.json").write_text(json.dumps({
         "kind": "spin_system", "name": "envsys",

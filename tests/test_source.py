@@ -1,6 +1,7 @@
 """Rules that hold for every module of the qwork package."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -123,11 +124,12 @@ def test_no_stabilizer_group_call_in_package():
     assert found == []
 
 
-def _scipy_modules_after(*lines):
-    # runs lines in a fresh process that ends by printing the scipy modules
-    # it loaded and rc to stderr; returns that last stderr line and stderr
+def _modules_after(package, *lines):
+    # runs lines in a fresh process that ends by printing the modules of
+    # package it loaded and rc to stderr; returns that last stderr line and
+    # stderr
     script = "\n".join(["import sys", *lines,
-                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+                        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}),"
                         " rc, file=sys.stderr)"])
     src = str(Path(qwork.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script],
@@ -144,19 +146,79 @@ def _scipy_modules_after(*lines):
                          ids=["import", "qec four-bit", "nmr thermal",
                               "nmr two-bit rf"])
 def test_cli_runs_without_importing_scipy(argv):
-    last, stderr = _scipy_modules_after(
-        "import qwork.cli", f"rc = qwork.cli.main({argv!r})" if argv else "rc = 0")
+    last, stderr = _modules_after(
+        "scipy", "import qwork.cli", f"rc = qwork.cli.main({argv!r})" if argv else "rc = 0")
     assert last == "[] 0", stderr
 
 
 def test_rf_storage_analysis_runs_without_importing_scipy():
-    last, stderr = _scipy_modules_after(
-        "from qwork import nmr_sim as nm",
+    last, stderr = _modules_after(
+        "scipy", "from qwork import nmr_sim as nm",
         "rf = nm.RfModel.lorentzian((0.96, 0.92), nodes=4)",
         "pts = [(th, *nm.two_bit_experiment(th, 0.0, rf=rf)['accepted'])"
         " for th in nm.THETA_GRID]",
         "rc = round(nm.ellipse_analysis(pts)['ellipticity'], 2)")
     assert last == "[] 1.05", stderr
+
+
+def test_cli_imports_no_library_module_at_module_level():
+    # without cached bytecode a fresh process compiles every module it
+    # imports, so each command imports only the library modules it runs
+    path = Path(qwork.__file__).parent / "cli.py"
+    found = []
+    for node in _module_level(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["qwork" if node.level else node.module or ""]
+        else:
+            continue
+        found += [f"cli.py:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] == "qwork"]
+    assert found == []
+
+
+def _replay_config(tmp_path):
+    path = tmp_path / "two-bit.json"
+    path.write_text(json.dumps({"command": ["nmr", "two-bit"],
+                                "params": {"theta": 0.5, "mode": "coded"}}))
+    return ["run", "--config", str(path)]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["--help"], []),
+    (["channel", "show", "--kind", "depolarizing", "--p", "0.1"],
+     ["qop_core"]),
+    (["qec", "four-bit"], ["qec_engine", "qop_core"]),
+    (["bosonic", "verify", "--fixture", "ex1"],
+     ["bosonic_codes", "qec_engine", "qop_core"]),
+    (["stab", "check", "--code", "ad4"], ["qop_core", "stabilizer"]),
+    (["recouple", "plan", "--n", "6", "--verify"], ["qop_core", "recoupler"]),
+    (["nmr", "thermal"], ["nmr_sim", "qop_core"]),
+    (_replay_config, ["nmr_sim", "qop_core"]),
+], ids=["import", "help", "channel show", "qec four-bit", "bosonic verify",
+        "stab check", "recouple plan", "nmr thermal", "run config"])
+def test_cli_command_loads_only_its_library_modules(argv, loaded, tmp_path):
+    if callable(argv):
+        argv = argv(tmp_path)
+    last, stderr = _modules_after(
+        "qwork", "import qwork.cli",
+        f"rc = qwork.cli.main({argv!r})" if argv else "rc = 0")
+    want = sorted(["qwork", "qwork.cli"] + [f"qwork.{m}" for m in loaded])
+    assert last == f"{want} 0", stderr
+
+
+def test_spin_system_fixture_dir_serves_nmr_without_stabilizer(tmp_path):
+    (tmp_path / "sys.json").write_text(json.dumps({
+        "kind": "spin_system", "name": "toy",
+        "payload": {"omega_hz": [10.0, 5.0], "J_hz": [[0.0, 2.0], [2.0, 0.0]],
+                    "t2_star_s": [1.0, 1.0]}}))
+    argv = ["--fixture-dir", str(tmp_path), "nmr", "thermal", "--system", "toy"]
+    last, stderr = _modules_after("qwork", "import qwork.cli",
+                                  f"rc = qwork.cli.main({argv!r})")
+    assert last == "['qwork', 'qwork.cli', 'qwork.nmr_sim', 'qwork.qop_core'] 0", \
+        stderr
 
 
 def test_no_unread_private_names():

@@ -347,6 +347,23 @@ def test_ad_words_qubit_count_must_be_positive_integer(n):
         st.ad_words(n, 1)
 
 
+def test_ad_words_stop_when_no_qubits_are_left(monkeypatch):
+    # an order past the qubit count adds no word; the loops ran to 2t
+    # anyway, 0.69 s for t = 1000 and without end for t = 10**6
+    want = st.ad_words(4, 4)
+    combinations, calls = itertools.combinations, []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 1000:
+            raise RuntimeError("ad_words loops past the qubit count")
+        return combinations(*args)
+
+    monkeypatch.setattr(itertools, "combinations", counted)
+    assert st.ad_words(4, 10**6) == want
+    assert len(want) == 256
+
+
 def test_bit_array_checks_stop_at_63_qubits():
     wide = st.StabilizerCode.from_strings(["Z" * 64])
     for check in (lambda: st.ad_correctable(wide, 1),
@@ -489,6 +506,17 @@ def test_parity_measurement_pairs_letters_with_subset_in_given_order(monkeypatch
     monkeypatch.setattr(st.PauliWord, "from_string", spy)
     assert st.verify_parity_measurement([2, 0], 3, letters="XZ")
     assert words == ["ZIX"]   # X on qubit 2, Z on qubit 0
+
+
+def test_parity_measurement_caps_n_before_allocating(monkeypatch):
+    # n = 14 built the 2^14 x 2^14 matrix of the measured word, gigabytes,
+    # before anything looked at n
+    def no_word(text):
+        raise AssertionError(f"built {text} before checking n")
+
+    monkeypatch.setattr(st.PauliWord, "from_string", no_word)
+    with pytest.raises(ValueError, match=r"capped at 12 qubits, got n=14"):
+        st.verify_parity_measurement([0], 14, states=1)
 
 
 # ---------------------------------------------------------------- hierarchy
