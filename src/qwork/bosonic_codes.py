@@ -14,14 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import qec_engine
-from .qop_core import DEFAULT_TOL, check_int, standard_channel
+from .qop_core import (DEFAULT_TOL, check_int, check_positive, check_real,
+                       standard_channel)
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,9 @@ class BosonicCode:
                          for states in self.logicals]
 
     def validate(self, tol=DEFAULT_TOL):
-        if self.m < 1:
-            raise ValueError("need at least one register")
-        if not (isinstance(self.t, numbers.Integral) and self.t >= 0):
-            raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
+        check_int("m", self.m, 1)
+        check_int("t", self.t, 0)
+        check_positive("tol", tol)
         if not self.logicals:
             raise ValueError("no logical states")
         for states in self.logicals:
@@ -121,8 +120,7 @@ class BosonicCode:
                 if q.occupations in seen:
                     raise ValueError(f"repeated basis state {q.occupations}")
                 seen.add(q.occupations)
-                if not (mu > 0 and math.isfinite(mu)):
-                    raise ValueError(f"weights must be positive and finite, got {mu!r}")
+                check_positive("weights", mu)
                 total += mu
             if abs(float(total) - 1.0) > tol:
                 raise ValueError(f"weights sum to {float(total)}, not 1")
@@ -202,6 +200,8 @@ def check_nondeformation(code, t=None, tol=DEFAULT_TOL):
     no recovery can undo that.
     """
     t = code.t if t is None else t
+    check_int("t", t, 0)
+    check_positive("tol", tol)
     totals = [sorted({q.total for q, _ in states}) for states in code.logicals]
     uniform = len({x for ts in totals for x in ts}) == 1
 
@@ -280,12 +280,12 @@ def construct_t2(x):
     Lagged products of a sequence and of its reversal agree, which is
     exactly the second-moment matching; tripling keeps all distances > 2.
     """
+    for v in x:
+        check_int("x", v, 0)
     x = tuple(int(v) for v in x)
     m = len(x)
     if m <= 2:
         raise ValueError("need more than two registers")
-    if any(v < 0 for v in x):
-        raise ValueError("occupations must be non-negative")
     rots = _rotations(x)
     if len(set(rots)) < m:
         raise ValueError("rotation orbit of x is degenerate")
@@ -304,30 +304,24 @@ def construct_t2(x):
 # fidelity
 
 
-def _check_loss(t, gamma=0.0):
-    """t is a loss order and gamma a loss probability (as standard_channel
-    checks it)."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma} out of [0, 1]")
-    if not (isinstance(t, numbers.Integral) and t >= 0):
-        raise ValueError(f"loss order t must be a nonnegative integer, "
-                         f"got {t!r}")
-
-
 def code_fidelity(n_total, t, gamma):
     """Success probability when every loss of up to t quanta is repaired.
 
     Includes the no-loss term s = 0, so the small-gamma expansion reads
     1 - comb(n_total, t+1) * gamma^(t+1) + ...
     """
-    _check_loss(t, gamma)
+    check_int("n_total", n_total, 0)
+    check_int("t", t, 0)
+    check_real("gamma", gamma, 0, 1)
+    # terms past s = n_total are zero, and would divide by zero at gamma = 1
     return sum(math.comb(n_total, s) * (1 - gamma) ** (n_total - s) * gamma ** s
-               for s in range(t + 1))
+               for s in range(min(t, n_total) + 1))
 
 
 def leading_term(n_total, t):
     """Coefficient of the first uncorrected order gamma^(t+1)."""
-    _check_loss(t)
+    check_int("n_total", n_total, 0)
+    check_int("t", t, 0)
     return math.comb(n_total, t + 1)
 
 
@@ -343,6 +337,7 @@ def loss_weight_identity(code, s):
     telescopes to C(N_T, s) whenever every basis state carries N_T quanta;
     returns (per-logical values, target).
     """
+    check_int("s", s, 0)
     target = math.comb(code.n_total, s) if code.n_total is not None else None
     values = []
     for states in code.logicals:
@@ -383,6 +378,8 @@ def verify_by_channel(code, gamma, t=None, max_amplitudes=20000):
     land in orthogonal sectors.
     """
     t = code.t if t is None else t
+    check_int("t", t, 0)
+    check_int("max_amplitudes", max_amplitudes, 1)
     code.validate()
     if code.n_total is None:
         raise ValueError("basis-state totals differ; the formula does not apply")
@@ -452,6 +449,8 @@ def balance_weights(qcs_lists, t, tol=DEFAULT_TOL):
     against the first logical); raises when no assignment fits or the best
     one needs negative weight.  Returns one weight array per logical.
     """
+    check_int("t", t, 0)
+    check_positive("tol", tol)
     lists = [[as_qcs(q) for q in states] for states in qcs_lists]
     m = lists[0][0].m
     sizes = [len(states) for states in lists]

@@ -43,13 +43,6 @@ def fmt_vec(values):
     return " ".join(fmt(v) for v in values)
 
 
-def _check_tolerance(tol):
-    """A verdict tolerance; NaN or a non-positive one would pass anything
-    or nothing."""
-    if not 0 < tol < math.inf:
-        raise InputError(f"--tol must be positive and finite, got {tol!r}")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -383,7 +376,7 @@ def channel():
 
 
 @channel.command("roundtrip")
-@click.option("--count", default=60, show_default=True)
+@click.option("--count", default=60, show_default=True, type=click.IntRange(min=1))
 @click.option("--dims", type=Numbers(click.INT), default="2,3,4",
               show_default=True)
 @click.option("--tol", default=1e-9, show_default=True)
@@ -392,9 +385,7 @@ def channel():
 def cmd_channel_roundtrip(count, dims, tol, seed):
     """Random-channel Choi/Kraus round-trip check."""
     from . import qop_core
-    if not count >= 1:
-        raise InputError(f"--count must be at least 1, got {count!r}")
-    _check_tolerance(tol)
+    qop_core.check_positive("tol", tol)   # the verdict's own tolerance
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(count):
@@ -562,8 +553,6 @@ def _unit_couplings(n):
 def cmd_recouple_plan(n, pairs, zeeman_free, dt, verify, out):
     """Print (and optionally verify / save) a pulse schedule."""
     from . import recoupler
-    if n < 2:
-        raise InputError("need at least two spins")
     if not pairs:
         sign = recoupler.plan_decouple(n, remove_zeeman=zeeman_free)
     elif len(pairs) == 1:
@@ -655,7 +644,7 @@ def cmd_nmr_thermal(fixture_dir, system):
 @click.option("--events", "events_file", required=True, type=click.Path(),
               help="JSON list of pulse/delay events.")
 @click.option("--rf", default="none", show_default=True)
-@click.option("--nodes", default=32, show_default=True)
+@click.option("--nodes", default=32, show_default=True, type=click.IntRange(min=1))
 @click.pass_obj
 def cmd_nmr_sequence(fixture_dir, system, events_file, rf, nodes):
     """Run an event list on the thermal state and print the spectrum."""
@@ -684,8 +673,8 @@ def cmd_nmr_sequence(fixture_dir, system, events_file, rf, nodes):
 @click.option("--tol", default=1e-8, show_default=True)
 def cmd_nmr_tomo(seed, tol):
     """Round-trip a random deviation through simulated readout."""
-    from . import nmr_sim
-    _check_tolerance(tol)
+    from . import nmr_sim, qop_core
+    qop_core.check_positive("tol", tol)   # the verdict's own tolerance
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m + m.conj().T
@@ -758,9 +747,9 @@ def cmd_nmr_dj(n, oracle, p):
 @click.option("--mode", default="both", show_default=True,
               type=click.Choice(["coded", "control", "both"]))
 @click.option("--rf", default="none", show_default=True)
-@click.option("--nodes", default=32, show_default=True)
+@click.option("--nodes", default=32, show_default=True, type=click.IntRange(min=1))
 @click.option("--integration", default="quadrature", show_default=True)
-@click.option("--shots", default=512, show_default=True)
+@click.option("--shots", default=512, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--system", default="formate", show_default=True)

@@ -32,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop_core import (PAULIS, check_int, ising_diagonal, pauli_components,
-                       z_signs)
+from .qop_core import (PAULIS, check_int, check_positive, check_real, ising_diagonal,
+                       pauli_components, z_signs)
 
 # exact SI-2019 values: reduced Planck constant (J s) and Boltzmann (J/K)
 _HBAR = 6.62607015e-34 / (2 * math.pi)
@@ -63,29 +63,27 @@ class SpinSystem:
     def __post_init__(self):
         n = len(self.omega)
         object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
-        if not all(math.isfinite(w) for w in self.omega):
-            raise ValueError("omega must be finite")
+        for w in self.omega:
+            check_real("omega", w)
         jm = tuple(tuple(float(x) for x in row) for row in self.j)
         if len(jm) != n or any(len(row) != n for row in jm):
             raise ValueError("coupling matrix must be n x n")
-        if not all(math.isfinite(x) for row in jm for x in row):
-            raise ValueError("couplings must be finite")
-        for i in range(n):
-            if jm[i][i] != 0.0:
-                raise ValueError("self-coupling must be zero")
-            for k in range(n):
-                if jm[i][k] != jm[k][i]:
-                    raise ValueError("coupling matrix must be symmetric")
+        for x in itertools.chain(*jm):
+            check_real("j", x)
+        if any(jm[i][i] for i in range(n)):
+            raise ValueError("self-coupling must be zero")
+        if any(jm[i][k] != jm[k][i] for i in range(n) for k in range(i)):
+            raise ValueError("coupling matrix must be symmetric")
         object.__setattr__(self, "j", jm)
-        t2 = tuple(float(t) for t in self.t2_star)
-        if len(t2) != n or not all(0 < t < math.inf for t in t2):
-            raise ValueError("each spin needs a positive finite dephasing time")
-        object.__setattr__(self, "t2_star", t2)
-        if self.t1 is not None:
-            t1 = tuple(float(t) for t in self.t1)
-            if len(t1) != n or not all(0 < t < math.inf for t in t1):
-                raise ValueError("t1 times must be positive and finite for every spin")
-            object.__setattr__(self, "t1", t1)
+        for name in ("t2_star", "t1"):
+            if getattr(self, name) is None:   # t1 is optional
+                continue
+            times = tuple(float(t) for t in getattr(self, name))
+            if len(times) != n:
+                raise ValueError(f"need one {name} time per spin, got {len(times)}")
+            for t in times:
+                check_positive(name, t)
+            object.__setattr__(self, name, times)
 
     @property
     def n(self):
@@ -156,16 +154,16 @@ def _coupling_period(system):
     if system.n < 2:
         raise ValueError(f"the input pair needs two spins, got {system.n}")
     j = system.j[0][1]
-    if not (math.isfinite(j) and j != 0.0):
-        raise ValueError(f"the input pair needs a nonzero finite J01, got {j!r}")
+    if j == 0.0:   # a SpinSystem's couplings are finite
+        raise ValueError(f"the input pair needs a nonzero J01, got {j!r}")
     return 1.0 / (2.0 * j)
 
 
 def storage_grid(system, multiples=STORAGE_MULTIPLES):
     """Storage delays at even multiples of the coupling period."""
     _coupling_period(system)  # rejects an uncoupled pair
-    if not all(0 <= m < math.inf for m in multiples):
-        raise ValueError(f"multiples must be finite and nonnegative, got {multiples!r}")
+    for m in multiples:
+        check_real("multiples", m, 0)
     # m / J01 (2m periods) rounds once, where 2m times the period rounds twice
     return tuple(m / system.j[0][1] for m in multiples)
 
@@ -189,18 +187,14 @@ class Event:
 def pulse(spin, axis, angle, scale_sensitive=True):
     if axis not in ("x", "y"):
         raise ValueError("pulse axis must be 'x' or 'y'")
-    if not math.isfinite(angle):
-        raise ValueError("pulse angle must be finite")
+    check_real("angle", angle)
     check_int("spin", spin, 0)
     return Event("pulse", spin=int(spin), axis=axis, angle=float(angle),
                  scale_sensitive=bool(scale_sensitive))
 
 
 def delay(duration, dephase=False, refocus=(), t1_relax=False):
-    if not math.isfinite(duration):
-        raise ValueError("delay duration must be finite")
-    if duration < 0:
-        raise ValueError("delay duration must be nonnegative")
+    check_real("duration", duration, 0)
     for s in refocus:
         check_int("refocus", s, 0)
     return Event("delay", duration=float(duration), dephase=bool(dephase),
@@ -210,9 +204,8 @@ def delay(duration, dephase=False, refocus=(), t1_relax=False):
 
 def dephase_probability(t, t2_star):
     """Phase-flip probability accumulated over a delay of length t."""
-    if not (t >= 0 and t2_star > 0):
-        raise ValueError(f"need t >= 0 and t2_star > 0, got t={t!r}, "
-                         f"t2_star={t2_star!r}")
+    check_real("t", t, 0)
+    check_positive("t2_star", t2_star)
     return (1.0 - math.exp(-t / t2_star)) / 2.0
 
 
@@ -396,10 +389,11 @@ def thermal_state(system):
 
 def thermal_scale(system, temperature=298.0):
     """Weight of the deviation relative to the unit identity component."""
-    if not 0 < temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, "
-                         f"got {temperature!r}")
-    return _HBAR / (2 ** system.n * _K_B * temperature)
+    check_positive("temperature", temperature)
+    weight = 2 ** system.n * _K_B * temperature
+    if not weight:   # k_B T underflows below about 1e-300 K
+        raise ValueError(f"need k_B * temperature > 0, got temperature={temperature!r}")
+    return _HBAR / weight
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +466,7 @@ def state_tomography(prepare, tol=1e-8):
     none/x/y quarter-turn pulses per spin before acquisition.  Raises if the
     overdetermined line data are inconsistent beyond tol.
     """
+    check_positive("tol", tol)
     tables = {axis: _rotation_table(axis) for axis in (None, "x", "y")}
     system = SpinSystem(omega=(0.0, 0.0), j=((0.0, 0.0), (0.0, 0.0)),
                         t2_star=(1.0, 1.0))
@@ -541,6 +536,7 @@ def temporal_label(system, preps, rho=None):
 def cyclic_label_ops(dim):
     """Permutations fixing |0> and cycling the rest; summing over all of
     them turns any diagonal state into identity plus a pure |0> deviation."""
+    check_int("dim", dim, 2)
     size = dim - 1
     ops = []
     for k in range(size):
@@ -560,13 +556,12 @@ def hybrid_label(n, omegas):
     CNOTs from spin 1, then flips spin 1 conditioned on all others being |1>.
     Conditioned on spin 1 = |1>, the remaining spins carry a pure deviation.
     """
-    if n < 2:
-        raise ValueError("need at least two spins")
+    check_int("n", n, 2)
     omegas = [float(w) for w in omegas]
     if len(omegas) != n:
         raise ValueError("need one frequency per spin")
-    if not all(math.isfinite(w) for w in omegas):
-        raise ValueError(f"omegas must be finite, got {omegas!r}")
+    for w in omegas:
+        check_real("omegas", w)
     dim = 2 ** n
     half = dim // 2
     diag = ising_diagonal(np.array(omegas) / 2.0, np.zeros((n, n)))
@@ -621,11 +616,12 @@ def dj_thermal(n, f, p):
     back only onto that qubit gives the same outputs.  A signal within
     rounding (n * 1e-9) of these cases counts as none.
     """
-    if n < 1 or n > 12:
-        raise ValueError("register size limited to 1..12 for dense simulation")
+    check_int("n", n, 1)
+    if n > 12:
+        raise ValueError(f"register size capped at 12 for dense simulation, got n={n}")
     probs = [float(x) for x in ([p] if np.isscalar(p) else p)]
-    if not all(0.0 <= x <= 1.0 for x in probs):
-        raise ValueError(f"p must hold probabilities in [0, 1], got {p!r}")
+    for x in probs:
+        check_real("p", x, 0, 1)
     if np.isscalar(p):
         p_reg, p_work = probs * n, 1.0
     elif len(probs) == n:
@@ -711,8 +707,8 @@ class RfModel:
         check_int("shots", self.shots, 1)
         # a tuple keeps the model hashable, as rf_scale_sets' cache needs
         object.__setattr__(self, "widths", tuple(self.widths))
-        if not all(0 < w < math.inf for w in self.widths):
-            raise ValueError(f"RF widths must be positive and finite: {self.widths!r}")
+        for w in self.widths:
+            check_positive("widths", w)
 
     @classmethod
     def none(cls):
@@ -784,8 +780,7 @@ def _brentq(f, xa, xb, xtol, maxiter=100):
 
 def calibrate_width(target, nodes=32):
     """Half-width whose averaged quarter-turn signal equals the target."""
-    if not 0.0 < target < 1.0:
-        raise ValueError("attenuation target must be in (0, 1)")
+    check_real("target", target, 0, 1)
     check_int("nodes", nodes, 1)
     rule = np.polynomial.legendre.leggauss(nodes)
 
@@ -796,6 +791,8 @@ def calibrate_width(target, nodes=32):
     lo, hi = 1e-6, 0.8
     if averaged(hi) > target:
         raise ValueError("attenuation target too small to calibrate")
+    if averaged(lo) < target:
+        raise ValueError("attenuation target too large to calibrate")
     return _brentq(lambda w: averaged(w) - target, lo, hi, xtol=1e-14)
 
 
@@ -903,10 +900,8 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
     if system.n != 2:
         raise ValueError(f"the storage experiment needs a two-spin system, "
                          f"got {system.n} spins")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("preparation angle must lie in [0, pi]")
-    if t_d < 0:
-        raise ValueError("storage time must be nonnegative")
+    check_real("theta", theta, 0, math.pi)
+    check_real("t_d", t_d, 0)
     if mode not in ("coded", "control"):
         raise ValueError("mode must be 'coded' or 'control'")
     if system.omega[0] == 0.0:
@@ -931,11 +926,9 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
 
 def ideal_outputs(theta, p_a, p_b, mode="coded"):
     """Closed-form decoded components under pure dephasing."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    for name, p in (("p_a", p_a), ("p_b", p_b)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must be a probability in [0, 1], got {p!r}")
+    check_real("theta", theta)
+    check_real("p_a", p_a, 0, 1)
+    check_real("p_b", p_b, 0, 1)
     if mode == "control":
         return {
             "accepted": ((1 - 2 * p_a) * math.sin(theta), math.cos(theta)),

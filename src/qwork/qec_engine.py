@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qop_core import (CNOT, DEFAULT_TOL, QuantumChannel, apply, apply_local, dagger,
-                       kron_all, pauli_components, standard_channel)
+from .qop_core import (CNOT, DEFAULT_TOL, QuantumChannel, apply, apply_local, check_int,
+                       check_positive, dagger, kron_all, pauli_components,
+                       standard_channel)
 
 
 @dataclass
@@ -48,6 +49,7 @@ class CodeSpace:
         return np.column_stack(self.logicals)
 
     def validate(self, tol=DEFAULT_TOL):
+        check_positive("tol", tol)
         l = self.matrix
         gram = dagger(l) @ l
         if np.abs(gram - np.eye(self.k)).max() > tol:
@@ -117,6 +119,7 @@ def _thin_polar(ac):
 def check_exact(code, errors, tol=DEFAULT_TOL):
     """Exact correctability: every cross product of errors must act on the
     code as a scalar g_mn times the identity, with no logical mixing."""
+    check_positive("tol", tol)
     code.validate(max(tol, 1e-12))
     ne, k = len(errors), code.k
     cols = np.array([error_columns(code, e) for e in errors])
@@ -156,6 +159,7 @@ def canonicalize_errors(code, errors, g=None, tol=DEFAULT_TOL):
     weights p_l are g's eigenvalues (descending).  Works for lazy errors by
     returning lazy linear combinations.
     """
+    check_positive("tol", tol)
     if g is None:
         g = check_exact(code, errors, tol=tol).g
     w, u = np.linalg.eigh((g + dagger(g)) / 2)
@@ -189,6 +193,8 @@ def build_recovery(code, canonical, tol=1e-8, prune=1e-12):
     projecting the error's image back onto the code and undoing the rotation,
     plus a projector onto everything unreachable.
     """
+    check_positive("tol", tol)
+    check_positive("prune", prune)
     if isinstance(canonical, CanonicalSet):
         errors = canonical.errors
     else:
@@ -264,6 +270,8 @@ def check_approximate(code, errors, order=None, samples=None, tol=DEFAULT_TOL,
     verdict becomes approximate(order) when both fitted slopes clear order+1
     within half an order.
     """
+    check_positive("tol", tol)
+    check_positive("ortho_tol", ortho_tol)
     code.validate(max(tol, 1e-12))
     ws, hs, p, lam, ortho = _approx_quantities(code, errors)
     ne = len(errors)
@@ -477,9 +485,7 @@ def min_overlap_fidelity(channel, sampler=None, dim=None):
     else:
         act = channel
         dim = 2 if dim is None else dim
-        if (isinstance(dim, bool) or not isinstance(dim, (int, np.integer))
-                or dim < 1):
-            raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+        check_int("dim", dim, 1)
 
     def value(psi):
         rho = np.outer(psi, psi.conj())
@@ -632,6 +638,6 @@ def four_bit_pipeline(gamma):
         syn[key] = syn.get(key, 0.0) + p
         if rec:
             worst += abs(np.vdot(amp, vec)) ** 2
-    coeff = loss / gamma ** 2 if gamma > 0 else 0.0
+    coeff = loss / gamma ** 2 if gamma ** 2 > 0 else 0.0   # 0 where gamma² underflows
     return FourBitReport(gamma, worst, amp, syn, branches, coeff,
                          "exact-sphere", residual)

@@ -38,12 +38,29 @@ class NotCompletelyPositiveError(ValueError):
     """Raised when a positivity requirement fails beyond tolerance."""
 
 
+# The package's scalar entry checks; each test is a negation, which a NaN fails.
+
 def check_int(name, value, least):
-    """value is a count of at least least: math.comb, range and slicing
-    need an integer, and a NaN or an infinity passes a bare comparison."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """value is a count of at least least; a bool is a flag, not a count."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
         raise ValueError(f"need {name} >= {least} as an integer, "
                          f"got {name}={value!r}")
+
+
+def check_real(name, value, low=-math.inf, high=math.inf):
+    """value is a finite real in the closed range [low, high]."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and low <= value <= high):
+        raise ValueError(f"need {name} in [{low}, {high}] and finite, "
+                         f"got {name}={value!r}")
+
+
+def check_positive(name, value):
+    """value is a finite real > 0, as a tolerance, time, width, temperature
+    or coupling must be."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"need {name} > 0 and finite, got {name}={value!r}")
 
 
 def kron_all(*mats):
@@ -58,11 +75,13 @@ def dagger(m):
 
 
 def is_hermitian(m, tol=DEFAULT_TOL):
+    check_positive("tol", tol)
     return bool(np.abs(m - dagger(m)).max() <= tol)
 
 
 def unitaries_equal_up_to_phase(u, v, tol=DEFAULT_TOL):
     """Phase-insensitive unitary equality: | tr(U† V) | / d == 1."""
+    check_positive("tol", tol)
     d = u.shape[0]
     return abs(abs(np.trace(dagger(u) @ v)) / d - 1.0) <= tol
 
@@ -203,6 +222,7 @@ class QuantumChannel:
     """
 
     def __init__(self, kraus, tol=DEFAULT_TOL, require_tp=False):
+        check_positive("tol", tol)
         kraus = [np.asarray(a, dtype=complex) for a in kraus]
         if not kraus:
             raise ValueError("channel needs at least one Kraus operator")
@@ -309,6 +329,7 @@ def kraus_from_choi(choi, tol=DEFAULT_TOL):
     """Canonical minimal Kraus set from the eigendecomposition of the Choi
     matrix.  Eigenvalues in [-tol, 0) are clamped to zero; anything more
     negative raises NotCompletelyPositiveError."""
+    check_positive("tol", tol)
     c = choi.as_unnormalized()
     w, v = np.linalg.eigh((c.mat + dagger(c.mat)) / 2)
     if w.min() < -tol:
@@ -325,6 +346,7 @@ def kraus_from_choi(choi, tol=DEFAULT_TOL):
 
 
 def channels_equal(a, b, tol=DEFAULT_TOL):
+    check_positive("tol", tol)
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise ValueError("channel dimensions differ")
     ca, cb = choi_of(a).mat, choi_of(b).mat
@@ -372,33 +394,31 @@ def standard_channel(kind, **params):
             raise ValueError(f"{kind} needs parameter {name!r}")
         return params[name]
 
-    def prob(x, name):
-        x = float(x)
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"{name}={x} out of [0, 1]")
-        return x
+    for name in ("p", "gamma"):
+        if name in params:
+            check_real(name, params[name], 0, 1)
 
     if kind == "phase_damping":
-        p = prob(need("p"), "p")
+        p = float(need("p"))
         return QuantumChannel([math.sqrt(1 - p) * I2, math.sqrt(p) * SZ])
     if kind == "depolarizing":
-        p = prob(need("p"), "p")
+        p = float(need("p"))
         return QuantumChannel([math.sqrt(1 - p) * I2,
                                math.sqrt(p / 3) * SX,
                                math.sqrt(p / 3) * SY,
                                math.sqrt(p / 3) * SZ])
     if kind == "bit_flip":
         # rho -> p rho + (1-p) X rho X
-        p = prob(need("p"), "p")
+        p = float(need("p"))
         return QuantumChannel([math.sqrt(p) * I2, math.sqrt(1 - p) * SX])
     if kind == "amplitude_damping":
-        g = prob(need("gamma"), "gamma")
+        g = float(need("gamma"))
         a0 = np.array([[1, 0], [0, math.sqrt(1 - g)]], dtype=complex)
         a1 = np.array([[0, math.sqrt(g)], [0, 0]], dtype=complex)
         return QuantumChannel([a0, a1])
     if kind == "generalized_amplitude_damping":
-        g = prob(need("gamma"), "gamma")
-        p = prob(need("p"), "p")
+        g = float(need("gamma"))
+        p = float(need("p"))
         base = standard_channel("amplitude_damping", gamma=g)
         a0, a1 = base.kraus
         return QuantumChannel([
@@ -406,7 +426,7 @@ def standard_channel(kind, **params):
             math.sqrt(1 - p) * (SX @ a0 @ SX), math.sqrt(1 - p) * (SX @ a1 @ SX),
         ])
     if kind == "bosonic_ad":
-        g = prob(need("gamma"), "gamma")
+        g = float(need("gamma"))
         cutoff = need("cutoff")
         check_int("cutoff", cutoff, 0)
         d = cutoff + 1
@@ -427,6 +447,7 @@ def standard_channel(kind, **params):
 
 def pauli_product_basis(n_qubits):
     """Normalized n-qubit Pauli products (orthonormal under <A,B>=tr(A†B))."""
+    check_int("n_qubits", n_qubits, 1)
     d = 2 ** n_qubits
     out = []
     for idx in np.ndindex(*(4,) * n_qubits):
@@ -436,6 +457,7 @@ def pauli_product_basis(n_qubits):
 
 def default_state_basis(dim):
     """d² spanning input states: |i><i|, and the +|j> / +i|j> superpositions."""
+    check_int("dim", dim, 1)
     states = []
     for i in range(dim):
         e = np.zeros(dim, dtype=complex)
@@ -481,6 +503,8 @@ def tomography_method1(oracle, dim, input_basis=None, op_basis=None,
     solved from lambda = kappa · chi and diagonalized; the returned Kraus set
     is the canonical one built from the operator basis.
     """
+    check_int("dim", dim, 1)
+    check_positive("tol", tol)
     if op_basis is None:
         n = round(math.log2(dim))
         if 2 ** n != dim:
@@ -518,6 +542,7 @@ def tomography_method2(oracle=None, dim=None, joint_state=None, tol=DEFAULT_TOL)
     channel's Choi matrix in its "state" normalization, and the result is
     kraus_from_choi on it.
     """
+    check_positive("tol", tol)
     if joint_state is None:
         if oracle is None or dim is None:
             raise ValueError("need either joint_state or (oracle, dim)")
@@ -612,6 +637,7 @@ def channel_from_linear_rep(rep):
 
 def choi_of_map(act, dim):
     """Choi matrix of an arbitrary linear map given as a function on matrices."""
+    check_int("dim", dim, 1)
     c = np.zeros((dim * dim, dim * dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):
@@ -623,6 +649,7 @@ def choi_of_map(act, dim):
 
 def is_cp(rep_or_act, dim=2, tol=DEFAULT_TOL):
     """Complete positivity by rebuilding the Choi matrix and testing it."""
+    check_positive("tol", tol)
     if isinstance(rep_or_act, LinearRep):
         act = channel_from_linear_rep(rep_or_act)
     else:
@@ -679,6 +706,7 @@ def unital_qubit_decompose(channel_or_rep, tol=DEFAULT_TOL):
     A diagonal outside the doubly-stochastic simplex (e.g. a reflection)
     raises NotCompletelyPositiveError.
     """
+    check_positive("tol", tol)
     if isinstance(channel_or_rep, LinearRep):
         rep = channel_or_rep
     else:
@@ -748,6 +776,7 @@ def qutrit_extreme_channel():
 
 
 def random_unitary(dim, rng):
+    check_int("dim", dim, 1)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -757,7 +786,10 @@ def random_channel(dim_in, dim_out=None, n_kraus=None, rng=None):
     """Random trace-preserving channel from a Haar-ish random isometry."""
     rng = np.random.default_rng() if rng is None else rng
     dim_out = dim_in if dim_out is None else dim_out
+    for name, count in (("dim_in", dim_in), ("dim_out", dim_out)):
+        check_int(name, count, 1)
     n_kraus = dim_in * dim_out if n_kraus is None else n_kraus
+    check_int("n_kraus", n_kraus, 1)
     z = rng.normal(size=(n_kraus * dim_out, dim_in)) + \
         1j * rng.normal(size=(n_kraus * dim_out, dim_in))
     q, _ = np.linalg.qr(z)

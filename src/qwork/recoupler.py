@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qop_core import check_int, ising_diagonal
+from .qop_core import check_int, check_positive, check_real, ising_diagonal
 
 MAX_ORDER = 2048
 
@@ -292,9 +292,7 @@ class PulseSchedule:
     target: str
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"interval duration dt must be positive and finite, "
-                             f"got {self.dt!r}")
+        check_positive("dt", self.dt)
         if len(self.boundaries) != self.intervals + 1:
             raise ValueError(f"{self.intervals} intervals need {self.intervals + 1} "
                              f"boundaries, got {len(self.boundaries)}")
@@ -346,10 +344,8 @@ def emit_pulses(sign, interval_duration):
 
 def recouple_duration(g_ij, n_bar):
     """Interval length making the surviving coupling accumulate pi/4."""
-    if not (math.isfinite(g_ij) and g_ij > 0):
-        raise ValueError("need a positive finite coupling")
-    if not n_bar >= 1:
-        raise ValueError(f"n_bar must be at least 1, got {n_bar!r}")
+    check_positive("g_ij", g_ij)
+    check_real("n_bar", n_bar, 1)
     return math.pi / (4.0 * g_ij * n_bar)
 
 
@@ -369,12 +365,13 @@ class CouplingSystem:
         self.g = np.asarray(self.g, dtype=float)
         if self.g.ndim != 2 or self.g.shape[0] != self.g.shape[1]:
             raise ValueError("g must be square")
-        if np.abs(self.g - self.g.T).max() > 1e-12:
-            raise ValueError("g must be symmetric")
+        if not (np.isfinite(self.g).all() and np.abs(self.g - self.g.T).max() <= 1e-12):
+            raise ValueError("g must be finite and symmetric")
         if self.omega is not None:
             self.omega = np.asarray(self.omega, dtype=float)
-            if self.omega.shape != (self.g.shape[0],):
-                raise ValueError("omega length mismatch")
+            if not (self.omega.shape == (self.g.shape[0],)
+                    and np.isfinite(self.omega).all()):
+                raise ValueError("omega must hold one finite frequency per spin")
 
     @property
     def n(self):
@@ -407,6 +404,7 @@ def _target_unitary(schedule):
 def verify_schedule(schedule, system, tol=1e-10):
     """Dense product of interval evolutions and pulses against the target
     unitary, up to global phase; reports the operator-norm deviation."""
+    check_positive("tol", tol)
     n = schedule.n
     if n > 8:
         raise ValueError("dense verification capped at 8 spins")

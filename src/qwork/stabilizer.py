@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qop_core import (CNOT, DEFAULT_TOL, I2, SX, SY, SZ, apply_local,
-                       check_int, dagger, kron_all, pauli_product_basis)
+from .qop_core import (CNOT, DEFAULT_TOL, I2, SX, SY, SZ, apply_local, check_int,
+                       check_positive, dagger, kron_all, pauli_product_basis)
 
 _LETTER = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
 
@@ -263,7 +263,7 @@ def code_projector(code, max_qubits=_DENSE_QUBITS):
 def codewords(code, tol=DEFAULT_TOL):
     """Basis |b>_L: joint +1 states of the generators with logical-Z
     eigenvalues (-1)^(b_i); phases pinned at the largest amplitude."""
-    _check_tol(tol)
+    check_positive("tol", tol)
     dim = 1 << code.n
     out = []
     for bits in itertools.product((0, 1), repeat=code.k):
@@ -436,9 +436,7 @@ def weight_words(n, w):
 def pauli_distance(code, max_weight=None):
     """Smallest weight of an undetected non-stabilizer word."""
     top = code.n if max_weight is None else max_weight
-    if not (isinstance(top, numbers.Integral) and top >= 1):
-        raise ValueError(f"max_weight must be a positive integer, "
-                         f"got {max_weight!r}")
+    check_int("max_weight", top, 1)
     _check_masks(code.n)
     for w in range(1, top + 1):
         if (_quotient_kinds(code, *_weight_masks(code.n, w)) == _LOGICAL).any():
@@ -525,12 +523,8 @@ def _ad_word(codes):
 
 def _ad_codes(n, t):
     """Letter codes of ad_words(n, t), one row per word, in its order."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"qubit count n must be a positive integer, "
-                         f"got {n!r}")
-    if not (isinstance(t, numbers.Integral) and t >= 0):
-        raise ValueError(f"damping order t must be a nonnegative integer, "
-                         f"got {t!r}")
+    check_int("n", n, 1)
+    check_int("t", t, 0)
     lower, raised, diag = (_AD_LETTERS.index(c) for c in ("A", "Ad", "B"))
     rows = []
     # r + 2s <= 2t, and r + s <= n: larger r or s have no qubits to fill
@@ -831,7 +825,7 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
     if n > _DENSE_QUBITS:
         raise ValueError(f"parity check capped at {_DENSE_QUBITS} qubits, "
                          f"got n={n}")
-    _check_tol(tol)
+    check_positive("tol", tol)
     if not (len(subset) and len(set(subset)) == len(subset) and all(
             isinstance(q, numbers.Integral) and 0 <= q < n for q in subset)):
         raise ValueError(f"subset must list distinct qubits in 0..{n - 1}, "
@@ -842,7 +836,7 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
     if len(letters) != a or not set(letters) <= set(_LETTER):
         raise ValueError(f"letters must give one of I, X, Y, Z for each of "
                          f"the {a} subset qubits, got {letters!r}")
-    _check_states(states, 0 if len(special_inputs) else 1)
+    check_int("states", states, 0 if len(special_inputs) else 1)
     rng = np.random.default_rng(0xCA7) if rng is None else rng
     word = ["I"] * n
     for q, c in zip(subset, letters):
@@ -948,19 +942,6 @@ def hierarchy_level(u, k_max=4):
 # one-bit teleportation and gate constructions
 
 
-def _check_states(states, least=1):
-    if not (isinstance(states, numbers.Integral) and states >= least):
-        raise ValueError(f"states must be at least {least} and an integer, "
-                         f"got {states!r}")
-
-
-def _check_tol(tol):
-    # a NaN tolerance fails every comparison, so it would pass or fail a
-    # check whatever the state
-    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
-        raise ValueError(f"tol must be positive and finite, got tol={tol!r}")
-
-
 def _random_state(ndim, rng):
     v = rng.normal(size=ndim) + 1j * rng.normal(size=ndim)
     return v / np.linalg.norm(v)
@@ -1029,8 +1010,8 @@ def verify_teleport_identity(kind, states=100, tol=1e-10, rng=None):
     the two-CNOT identity moving the input onto the |0> wire.  Every
     branch must relocate the state exactly.
     """
-    _check_states(states)
-    _check_tol(tol)
+    check_int("states", states, 1)
+    check_positive("tol", tol)
     if kind not in ("z", "x", "swap"):
         raise ValueError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(0x7E1E) if rng is None else rng
@@ -1082,8 +1063,8 @@ def verify_c3_construction(gate, states=100, tol=1e-10, rng=None):
     teleported through it with conjugated-Pauli fix-ups, and every
     measurement branch must induce the ideal gate.
     """
-    _check_states(states)
-    _check_tol(tol)
+    check_int("states", states, 1)
+    check_positive("tol", tol)
     rng = np.random.default_rng(0xC3) if rng is None else rng
     if gate == "T":
         u, kinds, prep = T_GATE, "x", "z"

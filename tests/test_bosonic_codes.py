@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwork import bosonic_codes as bc
@@ -99,8 +99,8 @@ def test_validation_rejects_bad_codes():
 
 @pytest.mark.parametrize("build,match", [
     (lambda: bc.BosonicCode(2, 1, [[((2, 2), math.nan)]]).validate(), "weights"),
-    (lambda: bc.BosonicCode(2, math.nan, [[((2, 2), 1.0)]]).validate(), "t must"),
-    (lambda: bc.BosonicCode(2, 1.5, [[((2, 2), 1.0)]]).validate(), "t must"),
+    (lambda: bc.BosonicCode(2, math.nan, [[((2, 2), 1.0)]]).validate(), r"\bt="),
+    (lambda: bc.BosonicCode(2, 1.5, [[((2, 2), 1.0)]]).validate(), r"\bt="),
     (lambda: bc.Qcs((1.5, 2)), "occupations"),
     (lambda: bc.Qcs((math.nan, 2)), "occupations"),
     (lambda: bc.occupation_vectors(2, 0), "m >= 1"),
@@ -120,11 +120,13 @@ def test_input_checks_name_the_parameter(build, match):
     (lambda: bc.existence_min_NT(1.5, 2, 1), "t >= 0"),
     (lambda: bc.partitions(2.5, 2), "n >= 0"),
     (lambda: bc.construct_t1(2.5, 2), "n >= 1"),
+    (lambda: bc.construct_t2((2.5, 1, 0)), r"\bx="),
 ], ids=["nan-logicals", "inf-logicals", "fractional-order",
-        "fractional-quanta", "fractional-construct"])
+        "fractional-quanta", "fractional-construct", "fractional-orbit"])
 def test_counts_must_be_integers(build, match):
     # a NaN count returned a plausible bound, an infinite one never
-    # returned, and a fractional one raised TypeError from math.comb
+    # returned, and a fractional one raised TypeError from math.comb or,
+    # in construct_t2, was truncated
     with pytest.raises(ValueError, match=match):
         build()
 
@@ -217,11 +219,13 @@ def test_fidelity_rejects_gamma_outside_unit_interval(gamma):
 
 
 def test_loss_order_must_be_nonnegative():
-    with pytest.raises(ValueError, match="t must"):
+    with pytest.raises(ValueError, match=r"\bt="):
         bc.leading_term(4, -1)
-    with pytest.raises(ValueError, match="t must"):
+    with pytest.raises(ValueError, match=r"\bt="):
         bc.code_fidelity(4, -1, 0.1)
     assert bc.code_fidelity(4, 0, 0.0) == 1.0 and bc.code_fidelity(4, 1, 1.0) == 0.0
+    # an order past n_total repairs every loss; its terms divided by zero
+    assert bc.code_fidelity(2, 5, 1.0) == 1.0
 
 
 def test_loss_weight_identity():
@@ -340,5 +344,59 @@ def test_qcs_helpers():
                                   lambda: bc.leading_term(5, 1.5)],
                          ids=["code_fidelity", "leading_term"])
 def test_loss_order_must_be_integer(call):
-    with pytest.raises(ValueError, match="t must"):
+    with pytest.raises(ValueError, match=r"\bt="):
         call()
+
+
+# finite, non-finite, non-integer and out-of-range scalars; valid counts
+# stay small, since occupation vectors and loss patterns grow combinatorially
+SCALARS = st.one_of(
+    st.integers(-3, 9),
+    st.integers(-3, 9).map(np.int64),
+    st.integers(-3, 9).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+ENTRY_POINTS = {
+    "Qcs": lambda v: bc.Qcs((v, 2)),
+    "partitions.n": lambda v: bc.partitions(v, 2),
+    "partitions.m": lambda v: bc.partitions(3, v),
+    "occupation_vectors.n": lambda v: bc.occupation_vectors(v, 2),
+    "occupation_vectors.m": lambda v: bc.occupation_vectors(2, v),
+    "BosonicCode.m": lambda v: bc.BosonicCode(v, 1, [[((2, 2), 1.0)]]).validate(),
+    "BosonicCode.t": lambda v: bc.BosonicCode(2, v, [[((2, 2), 1.0)]]).validate(),
+    "BosonicCode.weights": lambda v: bc.BosonicCode(2, 1, [[((2, 2), v)]]).validate(),
+    "check_nondeformation.t": lambda v: bc.check_nondeformation(CODES["ex1"], t=v),
+    "check_orthogonality.t": lambda v: bc.check_orthogonality(CODES["ex1"], t=v),
+    "cyclic_orbits": lambda v: bc.cyclic_orbits(v, 3),
+    "construct_t1.n": lambda v: bc.construct_t1(v, 2),
+    "construct_t1.m": lambda v: bc.construct_t1(2, v),
+    "construct_t2": lambda v: bc.construct_t2((v, 1, 0)),
+    "code_fidelity.n_total": lambda v: bc.code_fidelity(v, 1, 0.1),
+    "code_fidelity.t": lambda v: bc.code_fidelity(2, v, 1.0),
+    "code_fidelity.gamma": lambda v: bc.code_fidelity(5, 1, v),
+    "leading_term.n_total": lambda v: bc.leading_term(v, 1),
+    "leading_term.t": lambda v: bc.leading_term(5, v),
+    "loss_weight_identity": lambda v: bc.loss_weight_identity(CODES["ex1"], v),
+    "verify_by_channel.gamma": lambda v: bc.verify_by_channel(CODES["ex1"], v),
+    "verify_by_channel.t": lambda v: bc.verify_by_channel(CODES["ex1"], 0.01, t=v),
+    "verify_by_channel.max_amplitudes":
+        lambda v: bc.verify_by_channel(CODES["ex1"], 0.01, max_amplitudes=v),
+    "existence_min_NT": lambda v: bc.existence_min_NT(1, 2, v),
+    "balance_weights.t": lambda v: bc.balance_weights([[(4, 0), (0, 4)], [(2, 2)]], v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(deadline=None, max_examples=40)
+@given(v=SCALARS)
+@example(v=math.nan)
+@example(v=math.inf)
+@example(v=-1)
+@example(v=2.5)
+@example(v=2.0)
+def test_entry_points_return_or_raise_value_error(name, v):
+    try:
+        ENTRY_POINTS[name](v)
+    except ValueError:
+        pass

@@ -216,11 +216,31 @@ def test_library_value_errors_exit_3(capsys, args):
 @pytest.mark.parametrize("args", [
     ("stab", "check", "--code", "shor9", "--t", "-1"),
     ("nmr", "tomo", "--tol", "nan"),
-    ("channel", "roundtrip", "--count", "0"),
+    ("nmr", "tomo", "--tol", "-1"),
+    ("channel", "roundtrip", "--tol", "0"),
+    ("channel", "roundtrip", "--tol", "inf"),
 ])
 def test_verdicts_never_pass_vacuously(capsys, args):
     code, out, err = run_cli(capsys, *args)
     assert code == 3 and "PASS" not in out and "error:" in err
+
+
+@pytest.mark.parametrize("path, args, option", [
+    (("channel", "roundtrip"), (), "count"),
+    (("nmr", "sequence"), ("--events", "none.json"), "nodes"),
+    (("nmr", "two-bit"), ("--mode", "coded"), "nodes"),
+    (("nmr", "two-bit"), ("--mode", "coded"), "shots"),
+])
+def test_counts_below_one_exit_3_naming_the_option(path, args, option, tmp_path,
+                                                   capsys):
+    # a count of 0 ran nothing: `nmr two-bit --mode coded --nodes 0
+    # --shots 0` (RF off) exited 0
+    code, out, err = run_cli(capsys, *path, *args, f"--{option}", "0")
+    assert code == 3 and out == "" and f"--{option}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(cli.ExperimentConfig(path, {option: 0}).to_json())
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 3 and out == "" and f"'{option}'" in err
 
 
 def test_recouple_decouple_verify(capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from qwork import qec_engine as qe
@@ -554,6 +554,8 @@ def test_pipeline_leading_coefficient_at_small_gamma():
     for g in (1e-4, 1e-3, 5e-3, 0.01):
         rep = qe.four_bit_pipeline(g)
         assert abs(rep.leading_coefficient - (5 - 6 * g + 2 * g * g)) < 1e-10
+    # where g² underflows the coefficient is 0, as at g = 0, not 0/0
+    assert qe.four_bit_pipeline(1e-200).leading_coefficient == 0.0
 
 
 def test_pipeline_runs_the_circuit_once(monkeypatch):
@@ -585,3 +587,35 @@ def test_pipeline_syndrome_probabilities():
     total = sum(rep.syndrome_probs.values())
     assert abs(total - 1.0) < 1e-9
     assert rep.syndrome_probs[(0, 0)] > 0.9
+
+
+# finite, non-finite, non-integer and out-of-range scalars; valid dimensions
+# stay small, since min_overlap_fidelity searches over pure states in C^dim
+SCALARS = st.one_of(
+    st.integers(-3, 4),
+    st.integers(-3, 4).map(np.int64),
+    st.integers(-3, 4).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+ENTRY_POINTS = {
+    "min_overlap_fidelity.dim": lambda v: qe.min_overlap_fidelity(lambda rho: rho, dim=v),
+    "ad_kraus": lambda v: qe.ad_kraus(v),
+    "four_bit_reversible_set": lambda v: qe.four_bit_reversible_set(v),
+    "four_bit_pipeline": lambda v: qe.four_bit_pipeline(v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(deadline=None, max_examples=40)
+@given(v=SCALARS)
+@example(v=math.nan)
+@example(v=math.inf)
+@example(v=-1)
+@example(v=2.5)
+@example(v=2.0)
+def test_entry_points_return_or_raise_value_error(name, v):
+    try:
+        ENTRY_POINTS[name](v)
+    except ValueError:
+        pass

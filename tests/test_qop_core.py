@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qwork import qop_core as qc
 
@@ -210,7 +210,7 @@ def test_json_round_trip():
     ch = qc.standard_channel("generalized_amplitude_damping", gamma=0.3, p=0.7)
     text = ch.to_json()
     back = qc.QuantumChannel.from_json(text)
-    assert qc.channels_equal(ch, back, tol=0)
+    assert np.array_equal(qc.choi_of(back).mat, qc.choi_of(ch).mat)
     d = json.loads(text)
     assert d["dim_in"] == 2 and d["trace_preserving"] is True
 
@@ -456,3 +456,47 @@ def test_channel_rejects_overcomplete_kraus():
 def test_bosonic_ad_cutoff_must_be_nonnegative_integer(cutoff):
     with pytest.raises(ValueError, match="cutoff"):
         qc.standard_channel("bosonic_ad", gamma=0.1, cutoff=cutoff)
+
+
+# finite, non-finite, non-integer and out-of-range scalars; valid dimensions
+# stay small, since a Pauli basis on n qubits holds 4^n matrices
+SCALARS = st.one_of(
+    st.integers(-3, 4),
+    st.integers(-3, 4).map(np.int64),
+    st.integers(-3, 4).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+ENTRY_POINTS = {
+    "standard_channel.p": lambda v: qc.standard_channel("depolarizing", p=v),
+    "standard_channel.gamma": lambda v: qc.standard_channel(
+        "generalized_amplitude_damping", gamma=v, p=0.3),
+    "standard_channel.cutoff": lambda v: qc.standard_channel("bosonic_ad", gamma=0.1,
+                                                             cutoff=v),
+    "pauli_product_basis": lambda v: qc.pauli_product_basis(v),
+    "default_state_basis": lambda v: qc.default_state_basis(v),
+    "choi_of_map": lambda v: qc.choi_of_map(lambda rho: rho, v),
+    "tomography_method1.dim": lambda v: qc.tomography_method1(lambda rho: rho, v),
+    "tomography_method2.dim": lambda v: qc.tomography_method2(lambda rho: rho, v),
+    "is_cp.dim": lambda v: qc.is_cp(lambda rho: rho, v),
+    "random_unitary": lambda v: qc.random_unitary(v, np.random.default_rng(0)),
+    "random_channel.dim_in": lambda v: qc.random_channel(v, rng=np.random.default_rng(0)),
+    "random_channel.dim_out": lambda v: qc.random_channel(2, v, rng=np.random.default_rng(0)),
+    "random_channel.n_kraus":
+        lambda v: qc.random_channel(2, n_kraus=v, rng=np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(deadline=None, max_examples=40)
+@given(v=SCALARS)
+@example(v=math.nan)
+@example(v=math.inf)
+@example(v=-1)
+@example(v=2.5)
+@example(v=2.0)
+def test_entry_points_return_or_raise_value_error(name, v):
+    try:
+        ENTRY_POINTS[name](v)
+    except ValueError:
+        pass

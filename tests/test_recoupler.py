@@ -343,6 +343,17 @@ def test_verification_size_cap():
         rc.verify_schedule(sched, rc.CouplingSystem(np.zeros((9, 9))))
 
 
+@pytest.mark.parametrize("g, omega, name", [
+    (math.nan, None, "g"), (math.inf, None, "g"), (1.0, [0.0, math.nan, 1.0], "omega"),
+], ids=["nan-g", "inf-g", "nan-omega"])
+def test_coupling_system_must_be_finite(g, omega, name):
+    # NaN couplings made verify_schedule raise LinAlgError
+    couplings = np.full((3, 3), g)
+    np.fill_diagonal(couplings, 0.0)
+    with pytest.raises(ValueError, match=rf"{name} must (be|hold one) finite"):
+        rc.CouplingSystem(couplings, omega)
+
+
 @pytest.mark.parametrize("target", ["recouple(0,2)", "recouple(2,9)", "recouple(2,2)"])
 def test_verification_rejects_a_target_pair_outside_the_spins(target):
     # a schedule file carries its target as text; a pair it cannot name
@@ -370,7 +381,8 @@ def test_recouple_duration_rejects_bad_coupling():
 
 
 def test_recouple_duration_rejects_bad_interval_count():
-    for bad in (0, -4, 0.5, math.nan):
+    # an infinite count returned a zero interval
+    for bad in (0, -4, 0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="n_bar"):
             rc.recouple_duration(77.0, bad)
 
@@ -566,6 +578,7 @@ ENTRY_POINTS = {
     "plan_recouple": lambda n, k: rc.plan_recouple(n, 1, k),
     "plan_chain_decouple": lambda n, k: rc.plan_chain_decouple(n, k),
     "efficiency_c": lambda n, k: rc.efficiency_c(n),
+    "recouple_duration": lambda n, k: rc.recouple_duration(1.0, n),
 }
 
 

@@ -7,9 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+
+import numpy as np
 import pytest
 
 import qwork
+from qwork import bosonic_codes as bc
+from qwork import nmr_sim as nm
+from qwork import qec_engine as qe
+from qwork import qop_core as qc
+from qwork import recoupler as rc
+from qwork import stabilizer as st
 
 
 def test_no_assert_statements():
@@ -306,3 +315,112 @@ def test_no_unread_public_names():
                   and not node.name.startswith("_") and not _called_by_click(node)
                   and everywhere.count(node.name) == _reads(node).count(node.name)]
     assert found == []
+
+
+def _is_math_inf(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def test_finiteness_is_checked_only_in_qop_core():
+    # a scalar entry check is one call to qop_core's check_int, check_real
+    # or check_positive, so a hand-written NaN or infinity test elsewhere
+    # is a second wording of the same check
+    found = []
+    for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
+        if path.name == "qop_core.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                hit = any(map(_is_math_inf, [node.left, *node.comparators]))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                hit = (isinstance(func, ast.Attribute) and func.attr == "isfinite"
+                       and isinstance(func.value, ast.Name) and func.value.id == "math")
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}"] if hit else []
+    assert found == []
+
+
+_DEPOL = qc.standard_channel("depolarizing", p=0.1)
+_REP3 = qe.CodeSpace(8, [np.eye(8)[0], np.eye(8)[7]])
+_FLIPS = [np.eye(8)] + [np.eye(8)[np.arange(8) ^ (1 << k)] for k in range(3)]
+
+# one call per public tolerance parameter, each refused at a valid
+# tolerance where it can be: a NaN tolerance let these through
+TOLERANCES = {
+    "qop_core.is_hermitian.tol": lambda v: qc.is_hermitian(np.eye(2), tol=v),
+    "qop_core.unitaries_equal_up_to_phase.tol":
+        lambda v: qc.unitaries_equal_up_to_phase(qc.SX, qc.SX, tol=v),
+    "qop_core.DensityMatrix.validate.tol":
+        lambda v: qc.DensityMatrix(np.eye(2) / 2).validate(tol=v),
+    "qop_core.QuantumChannel.__init__.tol":
+        lambda v: qc.QuantumChannel([2 * qc.I2], tol=v),
+    "qop_core.kraus_from_choi.tol": lambda v: qc.kraus_from_choi(qc.choi_of(_DEPOL), tol=v),
+    "qop_core.channels_equal.tol": lambda v: qc.channels_equal(_DEPOL, _DEPOL, tol=v),
+    "qop_core.tomography_method1.tol": lambda v: qc.tomography_method1(_DEPOL, 2, tol=v),
+    "qop_core.tomography_method2.tol": lambda v: qc.tomography_method2(_DEPOL, 2, tol=v),
+    "qop_core.is_cp.tol": lambda v: qc.is_cp(qc.bloch_inversion(), tol=v),
+    "qop_core.unital_qubit_decompose.tol":
+        lambda v: qc.unital_qubit_decompose(qc.bloch_inversion(), tol=v),
+    "qec_engine.CodeSpace.validate.tol": lambda v: _REP3.validate(tol=v),
+    "qec_engine.check_exact.tol": lambda v: qe.check_exact(_REP3, _FLIPS, tol=v),
+    "qec_engine.canonicalize_errors.tol":
+        lambda v: qe.canonicalize_errors(_REP3, _FLIPS, tol=v),
+    "qec_engine.build_recovery.tol":
+        lambda v: qe.build_recovery(_REP3, [np.diag([1.0] * 7 + [0.5])], tol=v),
+    "qec_engine.build_recovery.prune":
+        lambda v: qe.build_recovery(_REP3, _FLIPS, prune=v),
+    "qec_engine.check_approximate.tol":
+        lambda v: qe.check_approximate(_REP3, _FLIPS, tol=v),
+    "qec_engine.check_approximate.ortho_tol":
+        lambda v: qe.check_approximate(_REP3, _FLIPS[:2], ortho_tol=v),
+    "bosonic_codes.BosonicCode.validate.tol":
+        lambda v: bc.BosonicCode(2, 1, [[((2, 2), 0.6)]]).validate(tol=v),
+    "bosonic_codes.check_nondeformation.tol":
+        lambda v: bc.check_nondeformation(bc.construct_t1(2, 2), tol=v),
+    "bosonic_codes.balance_weights.tol":
+        lambda v: bc.balance_weights([[(4, 0)], [(2, 2)]], 1, tol=v),
+    "nmr_sim.state_tomography.tol":
+        lambda v: nm.state_tomography(lambda: np.triu(np.ones((4, 4))), tol=v),
+    "recoupler.verify_schedule.tol": lambda v: rc.verify_schedule(
+        rc.emit_pulses(rc.plan_decouple(3), 0.1), rc.CouplingSystem(np.ones((3, 3))),
+        tol=v),
+    "stabilizer.codewords.tol": lambda v: st.codewords(st.ad4(), tol=v),
+    "stabilizer.verify_parity_measurement.tol":
+        lambda v: st.verify_parity_measurement([0, 1], 2, states=1, tol=v),
+    "stabilizer.verify_teleport_identity.tol":
+        lambda v: st.verify_teleport_identity("z", states=1, tol=v),
+    "stabilizer.verify_c3_construction.tol":
+        lambda v: st.verify_c3_construction("T", states=1, tol=v),
+}
+
+
+def test_every_public_tolerance_has_a_case():
+    # the click commands' --tol is checked in test_cli
+    found = []
+    for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [("", tree)] + [(node.name + ".", node) for node in tree.body
+                                 if isinstance(node, ast.ClassDef)]
+        found += [f"{path.stem}.{prefix}{node.name}.{arg.arg}"
+                  for prefix, scope in scopes for node in scope.body
+                  if isinstance(node, ast.FunctionDef) and not _called_by_click(node)
+                  and (node.name == "__init__" or not node.name.startswith("_"))
+                  for arg in node.args.args + node.args.kwonlyargs
+                  if arg.arg in ("tol", "ortho_tol", "prune")]
+    assert sorted(found) == sorted(TOLERANCES)
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCES))
+@pytest.mark.parametrize("v", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerances_refuse_what_they_cannot_mean(name, v):
+    # a NaN tolerance switched its check off: build_recovery built a
+    # recovery for any error set, and QuantumChannel accepted 2·I2
+    param = name.rsplit(".", 1)[1]
+    with pytest.raises(ValueError, match=rf"\b{param}="):
+        TOLERANCES[name](v)

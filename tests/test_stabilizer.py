@@ -270,17 +270,17 @@ def test_ad_word_enumeration_counts():
     assert len(st.ad_words(7, 1)) == 64
     assert len(st.ad_words(9, 2)) == 2620
     # a negative order would check nothing and pass
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"\bt="):
         st.ad_words(4, -1)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"\bt="):
         st.ad_correctable(st.shor9(), -1)
 
 
 @pytest.mark.parametrize("t", [1.5, 2.0, float("nan"), "1"])
 def test_damping_order_must_be_an_integer(t):
-    with pytest.raises(ValueError, match="order t"):
+    with pytest.raises(ValueError, match=r"\bt="):
         st.ad_words(4, t)
-    with pytest.raises(ValueError, match="order t"):
+    with pytest.raises(ValueError, match=r"\bt="):
         st.ad_correctable(st.ad4(), t)
 
 
@@ -343,7 +343,7 @@ def test_pauli_distance_cap_below_distance():
 
 @pytest.mark.parametrize("n", [-1, 0, 2.5])
 def test_ad_words_qubit_count_must_be_positive_integer(n):
-    with pytest.raises(ValueError, match="qubit count n"):
+    with pytest.raises(ValueError, match=r"\bn="):
         st.ad_words(n, 1)
 
 
@@ -580,7 +580,7 @@ def test_c3_constructions(gate):
     lambda states: st.verify_parity_measurement([0, 1], 2, states=states),
 ], ids=["c3", "parity"])
 def test_verifiers_check_at_least_one_state(verify, states):
-    with pytest.raises(ValueError, match="states must be at least 1"):
+    with pytest.raises(ValueError, match=r"need states >= 1 as an integer, got states="):
         verify(states)
 
 
@@ -718,7 +718,7 @@ def test_matrix_is_phase_times_letter_product(n):
     lambda: st.verify_c3_construction("T", states=1.5),
 ], ids=["teleport", "c3"])
 def test_state_counts_must_be_integers(call):
-    with pytest.raises(ValueError, match="states must be at least"):
+    with pytest.raises(ValueError, match=r"\bstates="):
         call()
 
 
