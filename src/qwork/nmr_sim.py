@@ -14,13 +14,17 @@ Delays evolve only the scalar coupling (Zeeman precession is absorbed by the
 rotating frame); density matrices are deviation matrices in angular-frequency
 units, so the thermal deviation is sum_i omega_i Z_i / 2.
 
-The RF ensemble is a leading array axis: ``rf_scale_sets`` gives S rows of
+The RF ensemble is a trailing array axis: ``rf_scale_sets`` gives S rows of
 per-channel pulse scales with their weights (one row of ones when RF is
-off), ``_run_pure`` evolves an (S, 2^n, 2^n) stack with one deviation per
-row, and every average is weights @ stack.  The evolution holds two
-buffers of the stack's size, S * 4^n * 16 bytes each (256 KB for 32 x 32
-quadrature nodes on two spins), and writes into them in place; each delay
-builds one 2^n x 2^n factor, kept only while that delay runs.
+off), ``_run_pure`` evolves a (2^n, 2^n, S) stack with one deviation per
+scale set, and every average sums stack * weights over the last axis.  A
+one-spin rotation is then a few broadcast multiplies over contiguous
+S-long rows, or one matmul when S = 1.  The evolution holds two buffers of
+the stack's size, 4^n * S * 16 bytes each (256 KB for 32 x 32 quadrature
+nodes on two spins), and writes into them in place; each delay builds one
+2^n x 2^n factor, kept only while that delay runs.  The storage
+experiment's labeled input, one more stack of that size, is built once per
+(system, RF model) and shared read-only by every point.
 """
 
 import csv
@@ -213,31 +217,38 @@ def dephase_probability(t, t2_star):
 # sequence evolution
 
 def _rot2(axis, angle):
-    """exp(-i angle/2 sigma_axis); an (S, 2, 2) stack for an (S,) angle array,
+    """exp(-i angle/2 sigma_axis); a (2, 2, S) stack for an (S,) angle array,
     real for a y rotation."""
     half = np.asarray(angle) / 2.0
     c, s = np.cos(half), np.sin(half)
     # filled entry by entry: cheaper than summing broadcast products
-    out = np.empty(half.shape + (2, 2), dtype=complex if axis == "x" else float)
-    out[..., 0, 0] = out[..., 1, 1] = c
+    out = np.empty((2, 2) + half.shape, dtype=complex if axis == "x" else float)
+    out[0, 0] = out[1, 1] = c
     if axis == "x":
-        out[..., 0, 1] = out[..., 1, 0] = -1j * s
+        out[0, 1] = out[1, 0] = -1j * s
     else:
-        out[..., 0, 1], out[..., 1, 0] = -s, s
+        out[0, 1], out[1, 0] = -s, s
     return out
 
 
 def _rotate_rows(op, src, dst, spin):
-    """dst = op on spin's row bit times src, for an (S, 2, 2) op and
-    C-contiguous (S, 2^n, 2^n) stacks; a real op mixes the real and imaginary
-    parts alike, so it acts on the float views in half the flops."""
-    if not np.iscomplexobj(op):
-        src, dst = src.view(float), dst.view(float)
-    if len(src) == 1:   # as apply_local: one op for a one-row stack
-        op, shape = op[0], (1 << spin, 2, -1)
-    else:
-        op, shape = op[:, None], (len(src), 1 << spin, 2, -1)
-    np.matmul(op, src.reshape(shape), out=dst.reshape(shape))
+    """dst = op on spin's row bit times src, for a (2, 2, S) op and
+    C-contiguous (2^n, 2^n, S) stacks.  For S = 1 this is one matmul, on the
+    float views when op is real, since a real op mixes the real and
+    imaginary parts alike; for S > 1 each output bit r is
+    op[r, 0] * src_0 + op[r, 1] * src_1, two multiplies broadcast over the
+    contiguous scale axis and one add, with no per-scale-set matmul."""
+    if src.shape[-1] == 1:   # as apply_local: one op for a one-set stack
+        if not np.iscomplexobj(op):
+            src, dst = src.view(float), dst.view(float)
+        shape = (1 << spin, 2, -1)
+        np.matmul(op[..., 0], src.reshape(shape), out=dst.reshape(shape))
+        return
+    shape = (1 << spin, 2, -1, src.shape[-1])
+    src, dst = src.reshape(shape), dst.reshape(shape)
+    for r in range(2):
+        np.multiply(op[r, 0], src[:, 0], out=dst[:, r])
+        dst[:, r] += op[r, 1] * src[:, 1]
 
 
 def _delay_factor(system, t, dephase):
@@ -267,34 +278,35 @@ def _delay_factor(system, t, dephase):
 def _t1_step(system, rho, t):
     # Phenomenological energy relaxation: each spin's longitudinal deviation
     # decays toward its thermal value; transverse parts are left to the
-    # dephasing model.  Relaxes a C-contiguous (S, 2^n, 2^n) stack of
+    # dephasing model.  Relaxes a C-contiguous (2^n, 2^n, S) stack of
     # deviations in the units of system.omega in place, each toward
     # thermal_state(system).
     if system.t1 is None:
         raise ValueError("t1 relaxation requested but no t1 times configured")
     n = system.n
-    r = rho.reshape((-1,) + (2,) * (2 * n))
-    eye = np.eye(2 ** (n - 1)).reshape((2,) * (2 * (n - 1)))
+    r = rho.reshape((2,) * (2 * n) + (-1,))
+    eye = np.eye(2 ** (n - 1)).reshape((2,) * (2 * (n - 1)) + (1,))
     for i in range(n):
         decay = math.exp(-t / system.t1[i])
-        r2 = np.moveaxis(r, (1 + i, 1 + n + i), (1, 2))
-        b00, b11 = r2[:, 0, 0].copy(), r2[:, 1, 1].copy()
+        r2 = np.moveaxis(r, (i, n + i), (0, 1))
+        b00, b11 = r2[0, 0].copy(), r2[1, 1].copy()
         even = (b00 + b11) / 2.0
         zpart = (b00 - b11) / 2.0
         zpart = decay * zpart
         zpart = zpart + (1.0 - decay) * (system.omega[i] / 2.0) * eye
-        r2[:, 0, 0] = even + zpart
-        r2[:, 1, 1] = even - zpart
+        r2[0, 0] = even + zpart
+        r2[1, 1] = even - zpart
 
 
 def _settle(run, cur, other, flipped):
     """Apply a run of (spin, U) rotations to a stack in buffers cur and other
     that holds each rho or, when flipped, its transpose, which evolves under
-    conj(U): the row sides, each one matmul into the other buffer, then one
-    transpose and the owed column sides as row sides in the same order."""
+    conj(U): the row sides, each one _rotate_rows into the other buffer, then
+    one transpose of the two matrix axes and the owed column sides as row
+    sides in the same order."""
     for side in range(2 if run else 0):
         if side:
-            np.copyto(other, cur.swapaxes(-1, -2))
+            np.copyto(other, cur.swapaxes(0, 1))
             cur, other, flipped = other, cur, not flipped
         for spin, op in run:
             _rotate_rows(np.conj(op) if flipped else op, cur, other, spin)
@@ -303,16 +315,17 @@ def _settle(run, cur, other, flipped):
 
 
 def _run_pure(system, rho, events, scales):
-    """Evolve rho (or an (S, 2^n, 2^n) stack) once per row of the (S, n)
-    scales; returns the (S, 2^n, 2^n) stack.
+    """Evolve rho (or a (2^n, 2^n, S) stack) once per row of the (S, n)
+    scales; returns the (2^n, 2^n, S) stack.
 
     Pulses and refocusing flips are one-spin rotations, applied in runs
     broken only by the elementwise steps of a delay half: its factor F, or
     F^T = conj(F) while the stack is flipped, then the T1 step, which is
     symmetric under transposition.
     """
-    cur = np.empty((len(scales),) + np.shape(rho)[-2:], dtype=complex)
-    cur[...] = rho
+    rho = np.asarray(rho)
+    cur = np.empty(rho.shape[:2] + (len(scales),), dtype=complex)
+    cur[...] = rho.reshape(rho.shape[:2] + (-1,))
     other, flipped, run = np.empty_like(cur), False, []
     for ev in events:
         if ev.kind == "pulse":
@@ -335,15 +348,25 @@ def _run_pure(system, rho, events, scales):
                 if factor_flipped != flipped:
                     np.conjugate(factor, out=factor)
                     factor_flipped = flipped
-                cur *= factor
+                cur *= factor[..., None]
             if ev.t1_relax:
                 _t1_step(system, cur, t)
             run += flips
         del factor   # one factor at a time: the next delay builds its own
     cur, other, flipped = _settle(run, cur, other, flipped)
     if flipped:
-        np.copyto(other, cur.swapaxes(-1, -2))
+        np.copyto(other, cur.swapaxes(0, 1))
     return other if flipped else cur
+
+
+def _check_delay_phase(system, name, t):
+    """Refuse a delay whose coupling phase, sum_{i<k} |J_ik| pi/2 t, is not
+    finite: the delay factor would overflow to NaN.  Each term is rounded in
+    the order _delay_factor rounds it."""
+    n = system.n
+    check_real(f"sum|J| pi/2 {name}",
+               sum(abs(system.j[i][k]) * math.pi / 2.0 * t
+                   for i in range(n) for k in range(i + 1, n)))
 
 
 def run_sequence(system, rho, events, rf=None):
@@ -367,8 +390,10 @@ def run_sequence(system, rho, events, rf=None):
         for s in spins:
             if not 0 <= s < n:
                 raise ValueError(f"{ev.kind} {name} {s} outside 0..{n - 1}")
+        if ev.kind == "delay":
+            _check_delay_phase(system, "duration", ev.duration)
     scales, weights = rf_scale_sets(rf, system.n)
-    return np.einsum("s,sij->ij", weights, _run_pure(system, rho, events, scales))
+    return np.einsum("ijs,s->ij", _run_pure(system, rho, events, scales), weights)
 
 
 def identity_offset(system, events):
@@ -880,10 +905,17 @@ def _labeled_units(system):
     return replace(system, omega=tuple(2.0 * w / system.omega[0] for w in system.omega))
 
 
-def _labeled_input(system, scales):
-    # sum of the two labeling runs, plain and flipped, per row of scales
+@lru_cache(maxsize=8)
+def _labeled_input(system, rf):
+    """Sum of the two labeling runs, plain and flipped, per scale set of rf.
+    The same for every storage point, so it is built once per (system, rf)
+    and returned read-only, since every call shares it: 4^n * S * 16
+    bytes, 256 KB at 32 x 32 nodes."""
     rho = thermal_state(system) / system.omega[0]
-    return rho + _run_pure(system, rho, cnot_ba_events(system), scales)
+    scales = rf_scale_sets(rf, system.n)[0]
+    stack = rho[..., None] + _run_pure(system, rho, cnot_ba_events(system), scales)
+    stack.setflags(write=False)
+    return stack
 
 
 def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
@@ -902,6 +934,7 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
                          f"got {system.n} spins")
     check_real("theta", theta, 0, math.pi)
     check_real("t_d", t_d, 0)
+    _check_delay_phase(system, "t_d", t_d)
     if mode not in ("coded", "control"):
         raise ValueError("mode must be 'coded' or 'control'")
     if system.omega[0] == 0.0:
@@ -915,9 +948,9 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
     events.append(pulse(0, "x", math.pi / 2))
 
     scales, weights = rf_scale_sets(rf, system.n)
-    stack = _run_pure(_labeled_units(system), _labeled_input(system, scales),
+    stack = _run_pure(_labeled_units(system), _labeled_input(system, rf),
                       events, scales)
-    peaks = peak_integrals(np.einsum("s,sij->ij", weights, stack))
+    peaks = peak_integrals(np.einsum("ijs,s->ij", stack, weights))
     return {
         "accepted": (-peaks.a_low.imag, peaks.a_low.real),
         "rejected": (-peaks.a_high.imag, peaks.a_high.real),

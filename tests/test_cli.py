@@ -345,6 +345,12 @@ def test_nmr_two_bit_rejects_non_finite_delay(capsys):
     assert code == 3 and "finite" in err
 
 
+def test_nmr_two_bit_rejects_a_delay_whose_phase_overflows(capsys):
+    code, out, err = run_cli(capsys, "nmr", "two-bit", "--td", "1e308",
+                             "--mode", "coded")
+    assert code == 3 and out == "" and "t_d" in err and "Traceback" not in err
+
+
 def test_nmr_two_bit_rejects_three_spin_fixture(tmp_path, capsys):
     (tmp_path / "three.json").write_text(json.dumps({
         "kind": "spin_system", "name": "three",

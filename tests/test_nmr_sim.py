@@ -508,7 +508,7 @@ def test_ensemble_stack_matches_per_row_runs(n, data):
     rho = rand_deviation(n, rng)
     scales, weights = nm.rf_scale_sets(rf, n)
     assert scales.shape == (3 ** n, n)
-    want = sum(w * nm._run_pure(system, rho, events, row[None])[0]
+    want = sum(w * nm._run_pure(system, rho, events, row[None])[..., 0]
                for row, w in zip(scales, weights))
     got = nm.run_sequence(system, rho, events, rf=rf)
     assert np.max(np.abs(got - want)) < 1e-13
@@ -613,6 +613,27 @@ def test_rf_scale_sets_built_once_and_read_only():
     # widths given as a list are kept as a tuple, so the model stays hashable
     listed = nm.RfModel(kind="lorentzian", widths=list(rf.widths), nodes=6)
     assert listed == rf and nm.rf_scale_sets(listed, 2)[0] is scales
+
+
+def test_labeled_input_built_once_per_system_and_rf_model(monkeypatch):
+    rf = nm.RfModel.lorentzian((0.96, 0.92), nodes=6)
+    system = nm.chloroform_system()
+    kw = dict(system=system, thetas=(0.0, 0.4, 1.1), tds=(0.01,), rf=rf)
+    cached = nm._labeled_input
+    cached.cache_clear()
+    try:
+        rows = nm.two_bit_sweep(**kw)
+        info = cached.cache_info()
+        assert (info.misses, info.hits) == (1, len(rows) - 1)
+        stack = cached(system, rf)
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 0.0
+        assert stack.tobytes() == cached.__wrapped__(system, rf).tobytes()
+        # the same rows, to the byte, from an input built for every point
+        monkeypatch.setattr(nm, "_labeled_input", cached.__wrapped__)
+        assert nm.two_bit_sweep(**kw) == rows
+    finally:
+        cached.cache_clear()
 
 
 # ----------------------------------------------- two-spin storage pipeline
@@ -868,6 +889,8 @@ def close(got, want, rel=1e-13):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_run_of_rotations_matches_successive_conjugations(n):
+    # scale-last stacks of one scale set take _rotate_rows' matmul branch,
+    # of three its broadcast branch
     assert nm._rot2("y", 0.3).dtype == float
     rng = np.random.default_rng(70 + n)
     for rows, flipped in itertools.product((1, 3), (False, True)):
@@ -879,11 +902,12 @@ def test_a_run_of_rotations_matches_successive_conjugations(n):
                for k, s in enumerate(spins)]
         want = rho
         for s, op in run:
-            want = qc.conjugate_local(op, want, (s,))
-        start = np.ascontiguousarray(rho.swapaxes(-1, -2) if flipped else rho)
+            want = qc.conjugate_local(np.moveaxis(op, -1, 0), want, (s,))
+        stack = np.moveaxis(rho, 0, -1)
+        start = np.ascontiguousarray(stack.swapaxes(0, 1) if flipped else stack)
         got, _, now = nm._settle(run, start, np.empty_like(start), flipped)
         assert now != flipped
-        assert close(got.swapaxes(-1, -2) if now else got, want)
+        assert close(np.moveaxis(got.swapaxes(0, 1) if now else got, -1, 0), want)
 
 
 def reference_rot2(axis, angle):
@@ -902,14 +926,33 @@ def reference_conjugate_spin(op, rho, spin, scratch):
         np.copyto(rho, scratch.swapaxes(-1, -2))
 
 
-def reference_run_pure(system, rho, events, scales):
-    """The in-place evolution that evolution in runs replaced: every
-    rotation is two complex matmuls, each copied back transposed, and each
-    delay half multiplies by the phases, then by every spin's dephasing
-    factor on the quarter views where that spin's bits differ."""
+def reference_t1_step(system, stack, t):
+    # _t1_step on an (S, 2^n, 2^n) stack, kept here so that the reference
+    # shares no kernel with the library
     n = system.n
-    stack = np.empty((len(scales),) + np.shape(rho)[-2:], dtype=complex)
-    stack[...] = rho
+    r = stack.reshape((-1,) + (2,) * (2 * n))
+    eye = np.eye(2 ** (n - 1)).reshape((2,) * (2 * (n - 1)))
+    for i in range(n):
+        decay = math.exp(-t / system.t1[i])
+        r2 = np.moveaxis(r, (1 + i, 1 + n + i), (1, 2))
+        b00, b11 = r2[:, 0, 0].copy(), r2[:, 1, 1].copy()
+        even = (b00 + b11) / 2.0
+        zpart = decay * ((b00 - b11) / 2.0)
+        zpart = zpart + (1.0 - decay) * (system.omega[i] / 2.0) * eye
+        r2[:, 0, 0] = even + zpart
+        r2[:, 1, 1] = even - zpart
+
+
+def reference_run_pure(system, rho, events, scales):
+    """The in-place evolution that evolution in runs replaced, on an
+    (S, 2^n, 2^n) stack: every rotation is two complex matmuls, each copied
+    back transposed, and each delay half multiplies by the phases, then by
+    every spin's dephasing factor on the quarter views where that spin's
+    bits differ.  Takes and returns _run_pure's (2^n, 2^n, S) layout."""
+    n = system.n
+    rho = np.asarray(rho)
+    stack = np.empty((len(scales),) + rho.shape[:2], dtype=complex)
+    stack[...] = np.moveaxis(rho.reshape(rho.shape[:2] + (-1,)), -1, 0)
     scratch = np.empty_like(stack)
     for ev in events:
         if ev.kind == "pulse":
@@ -933,11 +976,11 @@ def reference_run_pure(system, rho, events, scales):
                 r[:, :, 0, :, :, 1] *= k
                 r[:, :, 1, :, :, 0] *= k
             if ev.t1_relax:
-                nm._t1_step(system, stack, t)
+                reference_t1_step(system, stack, t)
             for s in ev.refocus:
                 reference_conjugate_spin(reference_rot2("y", math.pi * scales[:, s]),
                                          stack, s, scratch)
-    return stack
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
 def coupled_system(n, rng):
@@ -950,9 +993,10 @@ def coupled_system(n, rng):
 
 
 def pinned_outputs():
-    """Seeded run_sequence and two_bit_experiment outputs: pulses and
-    refocused dephasing delays at 2, 3, 6 and 8 spins, the same under 4-node
-    RF quadrature at 2 and 3 spins, and the storage point with T1."""
+    """Seeded run_sequence and two_bit_experiment outputs, each with whether
+    it averages over RF scales: pulses and refocused dephasing delays at 2,
+    3, 6 and 8 spins, the same under 4-node RF quadrature at 2 and 3 spins,
+    and the storage point with T1."""
     for n, with_rf in ((2, False), (3, False), (6, False), (8, False),
                        (2, True), (3, True)):
         rng = np.random.default_rng(40 + n + with_rf)
@@ -967,33 +1011,50 @@ def pinned_outputs():
         events = [events[i] for i in rng.permutation(len(events))]
         rf = nm.RfModel(kind="lorentzian", nodes=4,
                         widths=tuple(rng.uniform(0.02, 0.2, size=n))) if with_rf else None
-        yield nm.run_sequence(system, rand_deviation(n, rng), events, rf=rf)
+        yield with_rf, nm.run_sequence(system, rand_deviation(n, rng), events, rf=rf)
     for mode in ("coded", "control"):
         for rf in (None, nm.RfModel.lorentzian(nodes=4)):
             out = nm.two_bit_experiment(0.3 * math.pi, 0.05, mode=mode, rf=rf,
                                         system=nm.chloroform_system(), t1_relax=True)
-            yield np.array(out["accepted"] + out["rejected"])
+            yield rf is not None, np.array(out["accepted"] + out["rejected"])
+
+
+def digest_of(outputs):
+    digest = hashlib.sha256()
+    for out in outputs:
+        digest.update(np.ascontiguousarray(out).tobytes())
+    return digest.hexdigest()
+
+
+def test_rf_free_outputs_are_pinned_to_the_byte():
+    # one scale set takes the matmul branch of _rotate_rows, unchanged since
+    # these bytes were recorded with numpy 2.4, OpenBLAS 0.3.31 on x86-64
+    assert digest_of(out for with_rf, out in pinned_outputs() if not with_rf) == (
+        "17add8f08b5768ca8f901f6471536c7746b35e638a6e76bdd3972449615560f6")
 
 
 def test_outputs_are_pinned_to_the_byte():
-    # the bytes of evolution in runs, recorded with numpy 2.4, OpenBLAS
-    # 0.3.31 on x86-64; the test below bounds them against the reference
-    digest = hashlib.sha256()
-    for out in pinned_outputs():
-        digest.update(np.ascontiguousarray(out).tobytes())
-    assert digest.hexdigest() == (
-        "4aff070a68e4b0b289fc210a6af0d12e36ff1c83c7fb745f6aefe2c1bfaddb9c")
+    # the bytes of the scale-last stack, recorded as above; its RF outputs
+    # differ from the reference kernel's by rounding, which the test below
+    # bounds at 1e-13 relative
+    assert digest_of(out for _, out in pinned_outputs()) == (
+        "f805fb58eda70497db0997df262bde0e254fcb648fb03fbc7038d4abd47a6ef1")
 
 
 def test_pinned_outputs_match_the_reference_kernel(monkeypatch):
-    got = list(pinned_outputs())
+    got = [out for _, out in pinned_outputs()]
+    # the labeled-input cache would hand the reference run an input that
+    # the library kernel built, and keep one the reference built
+    nm._labeled_input.cache_clear()
     monkeypatch.setattr(nm, "_run_pure", reference_run_pure)
-    digest = hashlib.sha256()
-    for g, want in zip(got, pinned_outputs(), strict=True):
-        assert close(g, want)
-        digest.update(np.ascontiguousarray(want).tobytes())
+    try:
+        want = [out for _, out in pinned_outputs()]
+    finally:
+        nm._labeled_input.cache_clear()
+    for g, w in zip(got, want, strict=True):
+        assert close(g, w)
     # the reference reproduces the bytes pinned before evolution in runs
-    assert digest.hexdigest() == (
+    assert digest_of(want) == (
         "5136125b3a8c051e0fbde08c647c199630240bda6ba17c06aea49b7ccabe5d71")
 
 
@@ -1019,7 +1080,7 @@ def test_run_sequence_matches_the_reference_kernel(n, with_rf, data):
                     widths=tuple(rng.uniform(0.02, 0.2, size=n))) if with_rf else None
     rho = rand_deviation(n, rng)
     scales, weights = nm.rf_scale_sets(rf, n)
-    want = np.einsum("s,sij->ij", weights, reference_run_pure(system, rho, events, scales))
+    want = np.einsum("ijs,s->ij", reference_run_pure(system, rho, events, scales), weights)
     assert close(nm.run_sequence(system, rho, events, rf=rf), want)
 
 
@@ -1115,6 +1176,22 @@ def test_thermal_scale_needs_positive_finite_temperature(temperature):
         nm.thermal_scale(nm.formate_system(), temperature)
 
 
+def test_delays_whose_coupling_phase_overflows_are_refused():
+    # pi J/2 t overflows past about 6e305 s at J = 195 Hz, and the outputs
+    # came out all NaN with only a RuntimeWarning
+    s = nm.formate_system()
+    with pytest.raises(ValueError, match="t_d"):
+        nm.two_bit_experiment(0.3, 1e308)
+    with pytest.raises(ValueError, match="duration"):
+        nm.run_sequence(s, nm.thermal_state(s), [nm.pulse(0, "x", 0.3), nm.delay(1e308)])
+    # the check bounds the phase, not the delay
+    out = nm.two_bit_experiment(0.3, 1e305)
+    assert np.isfinite(out["accepted"] + out["rejected"]).all()
+    free = nm.SpinSystem(s.omega, ((0.0, 0.0), (0.0, 0.0)), s.t2_star)
+    rho = nm.thermal_state(free)
+    assert np.array_equal(nm.run_sequence(free, rho, [nm.delay(1e308)]), rho)
+
+
 @pytest.mark.parametrize("events", [["x"], [nm.pulse(0, "x", 0.3), nm.Event("wait")]],
                          ids=["not-an-event", "unknown-kind"])
 def test_run_sequence_rejects_what_is_not_an_event(events):
@@ -1152,8 +1229,6 @@ SCALARS = st.one_of(
 
 _SPINS = nm.formate_system()
 
-# two_bit_experiment's t_d is not here: a finite t_d above about 6e305
-# overflows the coupling phase of the storage delay, and the outputs are NaN
 ENTRY_POINTS = {
     "SpinSystem.omega": lambda v: nm.SpinSystem((v, 1.0), ((0, 1), (1, 0)), (1, 1)),
     "SpinSystem.j": lambda v: nm.SpinSystem((1.0, 1.0), ((0, v), (v, 0)), (1, 1)),
@@ -1178,6 +1253,7 @@ ENTRY_POINTS = {
     "calibrate_width.target": lambda v: nm.calibrate_width(v, 4),
     "calibrate_width.nodes": lambda v: nm.calibrate_width(0.9, v),
     "two_bit_experiment.theta": lambda v: nm.two_bit_experiment(v, 0.0),
+    "two_bit_experiment.t_d": lambda v: nm.two_bit_experiment(0.3, v),
     "ideal_outputs.theta": lambda v: nm.ideal_outputs(v, 0.1, 0.2),
     "ideal_outputs.p_a": lambda v: nm.ideal_outputs(0.3, v, 0.2),
     "ideal_outputs.p_b": lambda v: nm.ideal_outputs(0.3, 0.1, v, mode="control"),
@@ -1192,6 +1268,7 @@ ENTRY_POINTS = {
 @example(v=-1)
 @example(v=2.5)
 @example(v=2.0)
+@example(v=1e308)
 def test_entry_points_return_or_raise_value_error(name, v):
     try:
         ENTRY_POINTS[name](v)
