@@ -175,15 +175,14 @@ def test_stab_check_verdicts(capsys):
     assert "NOT correctable" in err
 
 
-def test_recouple_plan_with_reduced_verify(capsys, tmp_path):
+def test_recouple_plan_with_full_verify(capsys, tmp_path):
+    # all nine spins are checked, not an 8-spin sub-schedule
     out_file = tmp_path / "sched.json"
     code, out, _ = run_cli(capsys, "recouple", "plan", "--n", "9",
                            "--pair", "3,4", "--verify",
                            "--out", str(out_file))
     assert code == 0
-    assert "PASS dense check" in out
-    dev = float(out.split("deviation=")[1].split()[0])
-    assert dev < 1e-10
+    assert "verify[n=9]: deviation=0\nPASS toggling-frame check under 1e-10" in out
     sched = rc.PulseSchedule.from_json(out_file.read_text())
     assert sched.n == 9
     code, _, err = run_cli(capsys, "recouple", "plan", "--n", "4",
@@ -195,9 +194,18 @@ def test_recouple_plan_with_reduced_verify(capsys, tmp_path):
 def test_recouple_plan_takes_one_based_pairs(capsys, pair):
     code, out, _ = run_cli(capsys, "recouple", "plan", "--n", "12",
                            "--pair", pair, "--verify")
-    assert code == 0 and "PASS dense check" in out
-    kept = out.split("reduced to spins ")[1].split("]")[0].split(",")
-    assert set(pair.split(",")) <= set(kept)
+    assert code == 0
+    assert "verify[n=12]: deviation=0\nPASS toggling-frame check under 1e-10" in out
+
+
+def test_recouple_plan_verify_marks_a_bound(capsys):
+    # seven mistimed pairs put 14 spins in the support, past the exact
+    # evaluation, so the printed deviation is a bound
+    pairs = [a for k in range(1, 15, 2) for a in ("--pair", f"{k},{k + 1}")]
+    code, out, err = run_cli(capsys, "recouple", "plan", "--n", "16", *pairs,
+                             "--dt", "0.25", "--verify")
+    assert code == 2 and "verify[n=16]: deviation<=2\n" in out
+    assert "PASS" not in out and "over tolerance" in err
 
 
 @pytest.mark.parametrize("args", [

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwork import recoupler as rc
+from qwork.qop_core import ising_diagonal
 
 
 def rand_couplings(n, rng, lo=5.0, hi=60.0):
@@ -337,10 +338,150 @@ def test_nearest_neighbor_chain():
     assert chk.passed and chk.max_deviation < 1e-10
 
 
-def test_verification_size_cap():
-    sched = rc.emit_pulses(rc.plan_decouple(9), 1e-3)
-    with pytest.raises(ValueError):
-        rc.verify_schedule(sched, rc.CouplingSystem(np.zeros((9, 9))))
+def _dense_deviation(schedule, system, pairs=()):
+    """Reference: the dense product the toggling-frame check replaced.
+    Every interval evolution and pulse is multiplied into a 2^n x 2^n
+    unitary and compared with exp(-i pi/4 sum_pairs Z_i Z_j), up to the
+    trace overlap's global phase, in the operator norm."""
+    n = schedule.n
+    fields = np.zeros(n) if system.omega is None else 0.5 * system.omega
+    interval = np.exp(-1j * ising_diagonal(fields, system.g) * schedule.dt)
+    idx = np.arange(1 << n)
+    u = np.eye(1 << n, dtype=complex)
+    for b in range(schedule.intervals + 1):
+        if b:
+            u = interval[:, None] * u
+        # X on the listed 1-based spins flips their bits of the row index
+        mask = 0
+        for s in schedule.boundaries[b]:
+            mask |= 1 << (n - s)
+        u = u[idx ^ mask]
+    phase = np.zeros((n, n))
+    for i, j in pairs:
+        phase[i - 1, j - 1] = math.pi / 4.0
+    target = np.diag(np.exp(-1j * ising_diagonal(np.zeros(n), phase)))
+    overlap = np.trace(target.conj().T @ u)
+    if abs(overlap) > 1e-12:
+        u = u * (abs(overlap) / overlap)
+    return float(np.linalg.norm(u - target, 2))
+
+
+def _mutated(schedule, kind):
+    """A copy with one pulse dropped, an extra pulse pair (one spin toggled
+    at two neighbouring boundaries, flipping its frame for one interval)
+    or a 1% longer interval."""
+    bounds = [list(b) for b in schedule.boundaries]
+    dt = schedule.dt
+    if kind == "drop":
+        next(b for b in bounds if b).pop()
+    elif kind == "pair":
+        b = schedule.intervals // 2
+        for k in (b, b + 1):
+            bounds[k] = sorted(set(bounds[k]) ^ {1})
+    elif kind == "dt":
+        dt *= 1.01
+    return rc.PulseSchedule(schedule.n, schedule.intervals, dt, bounds,
+                            schedule.target)
+
+
+def _schedule_cases():
+    """(schedule, system, recoupled pairs) for n = 2..8, with and without
+    offsets: decoupling, zeeman-free, one-pair recoupling and a k = 2
+    chain plan on all-to-all couplings (which leaves errors), each also
+    mutated."""
+    rng = np.random.default_rng(26)
+    for n in range(2, 9):
+        g = rand_couplings(n, rng)
+        for omega in (None, rng.uniform(100, 1000, size=n)):
+            system = rc.CouplingSystem(g, omega)
+            i, j = sorted(int(x) for x in rng.choice(np.arange(1, n + 1), 2, replace=False))
+            sign = rc.plan_recouple(n, i, j)
+            plans = [(rc.plan_decouple(n), 2.3e-3, ()),
+                     (rc.plan_decouple(n, remove_zeeman=True), 2.3e-3, ()),
+                     (sign, rc.recouple_duration(g[i - 1, j - 1], sign.m), ((i, j),)),
+                     (rc.plan_chain_decouple(n, 2), 2.3e-3, ())]
+            for plan, dt, pairs in plans:
+                sched = rc.emit_pulses(plan, dt)
+                for kind in ("none", "drop", "pair", "dt"):
+                    yield _mutated(sched, kind), system, pairs
+
+
+def test_toggling_frame_matches_dense_reference():
+    checks = []
+    for sched, system, pairs in _schedule_cases():
+        chk = rc.verify_schedule(sched, system)
+        assert chk.exact
+        assert abs(chk.max_deviation - _dense_deviation(sched, system, pairs)) <= 1e-12
+        checks.append(chk)
+    # the cases hold both verdicts, and odd pulse counts
+    assert {c.passed for c in checks} == {True, False}
+    assert any(c.odd_spins for c in checks)
+
+
+def test_bound_past_the_exact_support_dominates_the_exact_value(monkeypatch):
+    exact = [rc.verify_schedule(s, sy) for s, sy, _ in _schedule_cases()]
+    monkeypatch.setattr(rc, "MAX_EXACT_SUPPORT", 0)
+    bounds = [rc.verify_schedule(s, sy) for s, sy, _ in _schedule_cases()]
+    assert sum(not b.exact for b in bounds) > len(bounds) // 2
+    for chk, bound in zip(exact, bounds):
+        # only an empty support stays exact, and it deviates by nothing
+        assert bound.max_deviation >= chk.max_deviation
+        assert not bound.exact or bound.max_deviation == chk.max_deviation == 0.0
+
+
+def test_error_coefficients_and_odd_spins_are_reported():
+    sched = rc.emit_pulses(rc.plan_recouple(4, 1, 2), 1e-3)
+    bounds = [sorted(set(b) ^ {3}) if k == 0 else b
+              for k, b in enumerate(sched.boundaries)]
+    sched = rc.PulseSchedule(4, sched.intervals, 1e-3, bounds, sched.target)
+    system = rc.CouplingSystem(np.ones((4, 4)) - np.eye(4), omega=[2.0, 0, 0, 0])
+    chk = rc.verify_schedule(sched, system)
+    assert chk.odd_spins == (3,) and chk.exact and not chk.passed
+    assert chk.max_deviation >= math.sqrt(2)
+    # spin 1's row sums to zero; the (1, 2) pair turns 4 dt against pi/4
+    assert chk.field_errors.tolist() == [0.0] * 4
+    assert chk.pair_errors[0, 1] == pytest.approx(4e-3 - math.pi / 4, abs=1e-15)
+    assert np.array_equal(chk.pair_errors, np.triu(chk.pair_errors, 1))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_full_size_plans_verify_exactly(n):
+    rng = np.random.default_rng(n)
+    g = rand_couplings(n, rng)
+    g[n - 2, n - 1] = g[n - 1, n - 2] = 32.0   # a power of two keeps dt*g*m exact
+    system = rc.CouplingSystem(g, omega=rng.uniform(100, 1000, size=n))
+    sign = rc.plan_recouple(n, n - 1, n)
+    for sched in (rc.emit_pulses(rc.plan_decouple(n), 2.3e-3),
+                  rc.emit_pulses(rc.plan_decouple(n, remove_zeeman=True), 2.3e-3),
+                  rc.emit_pulses(sign, rc.recouple_duration(32.0, sign.m))):
+        # decoupling with offsets leaves the all-plus row's field, which
+        # plan_decouple does not refocus; drop the offsets there
+        sy = system if sched.target != "decouple" else rc.CouplingSystem(g)
+        chk = rc.verify_schedule(sched, sy)
+        assert chk.passed and chk.exact and chk.max_deviation == 0.0
+
+
+def test_twenty_pairs_at_forty_spins_pass_through_the_bound():
+    n = 40
+    pairs = [(k, k + 1) for k in range(1, n, 2)]
+    sign = rc.plan_recouple_parallel(n, pairs)
+    # a 2^-40 timing error on every pair puts all 40 spins in the support
+    dt = rc.recouple_duration(1.0, sign.m) * (1 + 2.0 ** -40)
+    chk = rc.verify_schedule(rc.emit_pulses(sign, dt),
+                             rc.CouplingSystem(np.ones((n, n)) - np.eye(n)))
+    assert not chk.exact and chk.passed
+    assert 0 < chk.max_deviation < 1e-10
+    assert chk.max_deviation == pytest.approx(2 * 20 * math.pi / 4 * 2.0 ** -40)
+
+
+@pytest.mark.parametrize("kind", ["drop", "pair"])
+def test_broken_schedule_at_64_spins_fails(kind):
+    rng = np.random.default_rng(64)
+    system = rc.CouplingSystem(rand_couplings(64, rng))
+    sched = _mutated(rc.emit_pulses(rc.plan_decouple(64), 1e-3), kind)
+    chk = rc.verify_schedule(sched, system)
+    assert not chk.passed and not chk.exact
+    assert chk.max_deviation == 2.0
 
 
 @pytest.mark.parametrize("g, omega, name", [
@@ -397,6 +538,26 @@ def test_pulse_schedule_validates_boundaries():
             rc.PulseSchedule.from_json(json.dumps(
                 {"n": 3, "intervals": 2, "dt": 1e-3,
                  "boundaries": boundaries, "target": "decouple"}))
+
+
+def test_pulse_schedule_rejects_a_spin_pulsed_twice_at_one_boundary():
+    # X X at one boundary is no flip; the dense check ORed the pair into
+    # one X, so this schedule verified as PASS with spin 2 never flipped
+    # at boundary 1
+    bounds = [[], [2, 2], [2, 3], [2], [2, 3]]
+    for make in (lambda: rc.PulseSchedule(3, 4, 1e-3, bounds, "decouple"),
+                 lambda: rc.PulseSchedule.from_json(json.dumps(
+                     {"n": 3, "intervals": 4, "dt": 1e-3, "boundaries": bounds,
+                      "target": "decouple"}))):
+        with pytest.raises(ValueError, match="boundary 1 pulses spin 2 twice"):
+            make()
+
+
+@pytest.mark.parametrize("spin", [2.5, 2.0, "2"])
+def test_pulse_schedule_rejects_a_spin_that_is_not_an_integer(spin):
+    # the frame signs index spins as integers; 2.5 would be read as spin 2
+    with pytest.raises(ValueError, match=rf"boundary 1 pulses spin {spin!r}, not one of 1..3"):
+        rc.PulseSchedule(3, 2, 1e-3, [[1], [spin], [1, 2]], "decouple")
 
 
 def test_pulse_schedule_rejects_bad_dt():
@@ -590,3 +751,40 @@ def test_entry_points_return_or_raise_value_error(name, n, k):
         ENTRY_POINTS[name](n, k)
     except ValueError:
         pass
+
+
+# the couplings, offsets and interval a schedule check turns through; a
+# huge finite one overflowed inside the dense product
+_DECOUPLE3 = rc.plan_decouple(3)
+
+
+def _couplings(v):
+    g = np.full((3, 3), v)
+    np.fill_diagonal(g, 0)
+    return g
+
+
+VERIFY_INPUTS = {
+    "g": lambda v: rc.verify_schedule(rc.emit_pulses(_DECOUPLE3, 1e-3),
+                                      rc.CouplingSystem(_couplings(v))),
+    "omega": lambda v: rc.verify_schedule(
+        rc.emit_pulses(_DECOUPLE3, 1e-3),
+        rc.CouplingSystem(_couplings(1.0), omega=[v, 1.0, 2.0])),
+    "dt": lambda v: rc.verify_schedule(rc.emit_pulses(_DECOUPLE3, v),
+                                       rc.CouplingSystem(_couplings(30.0),
+                                                         omega=[5.0, 1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_INPUTS))
+@settings(deadline=None, max_examples=60)
+@given(v=st.one_of(st.integers(-3, 9), st.floats(allow_nan=True, allow_infinity=True)))
+@example(v=math.nan)
+@example(v=math.inf)
+@example(v=1e308)
+def test_verify_schedule_returns_a_finite_deviation_or_raises_value_error(name, v):
+    try:
+        chk = VERIFY_INPUTS[name](v)
+    except ValueError:
+        return
+    assert math.isfinite(chk.max_deviation)
