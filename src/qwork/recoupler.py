@@ -293,6 +293,8 @@ class PulseSchedule:
     target: str
 
     def __post_init__(self):
+        check_int("n", self.n, 1)
+        check_int("intervals", self.intervals, 1)
         check_positive("dt", self.dt)
         if len(self.boundaries) != self.intervals + 1:
             raise ValueError(f"{self.intervals} intervals need {self.intervals + 1} "

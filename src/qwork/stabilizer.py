@@ -244,8 +244,10 @@ class StabilizerCode:
                                 d.get("logical_z", ()))
 
 
-# the dense checks build complex 2^n x 2^n matrices, 1 GiB at n = 13
+# the dense checks build complex 2^n x 2^n matrices, 1 GiB at n = 13; the
+# exact parity check holds 2^(3a) amplitudes for a subset of a qubits
 _DENSE_QUBITS = 12
+_PARITY_SUBSET = 7
 
 
 def code_projector(code, max_qubits=_DENSE_QUBITS):
@@ -671,9 +673,10 @@ def _ad_blocks(basis, codes):
     each non-I qubit of j holds its letter's input bit, and to zero
     otherwise.  Words with one flip pattern share one table of
     conj(basis[j ^ flip])^T basis[j], and their blocks are one 0/1-mask
-    product with it.
+    product with it.  Only the j where some codeword is nonzero enter: the
+    other rows of the table are exact zeros.
     """
-    dim, k = basis.shape
+    k = basis.shape[1]
     care, need, flip = np.zeros((3, len(_AD_LETTERS)), dtype=np.int64)
     entry = np.ones(len(_AD_LETTERS), dtype=complex)
     for c, letter in enumerate(_AD_LETTERS[1:], 1):
@@ -683,14 +686,14 @@ def _ad_blocks(basis, codes):
     bits = 1 << np.arange(codes.shape[1] - 1, -1, -1)   # qubit 0 is the top bit
     word_care, word_need, word_flip = (table[codes] @ bits
                                        for table in (care, need, flip))
-    index = np.arange(dim)
+    index = np.flatnonzero(np.abs(basis).max(axis=1))
     blocks = np.empty((len(codes), k, k), dtype=complex)
     flips, group = np.unique(word_flip, return_inverse=True)
     for g, f in enumerate(flips):
         rows = np.flatnonzero(group == g)
         mask = (index & word_care[rows, None]) == word_need[rows, None]
-        table = basis[index ^ f].conj()[:, :, None] * basis[:, None, :]
-        blocks[rows] = (mask @ table.reshape(dim, k * k).view(np.float64)
+        table = basis[index ^ f].conj()[:, :, None] * basis[index, None, :]
+        blocks[rows] = (mask @ table.reshape(len(index), k * k).view(np.float64)
                         ).view(complex).reshape(-1, k, k)
     return blocks * entry[codes].prod(axis=1)[:, None, None]
 
@@ -715,9 +718,34 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def controlled(u):
-    out = np.eye(4, dtype=complex)
-    out[2:, 2:] = u
+    """u on the wires after the first, when the first wire is 1."""
+    dim = len(u)
+    out = np.eye(2 * dim, dtype=complex)
+    out[dim:, dim:] = u
     return out
+
+
+def _generator(rng, seed):
+    """rng, or a Generator seeded with seed when rng is None."""
+    if not isinstance(rng, (np.random.Generator, type(None))):
+        raise ValueError(f"need rng as a numpy Generator, got rng={rng!r}")
+    return np.random.default_rng(seed) if rng is None else rng
+
+
+def _random_inputs(dim, states, rng):
+    """states random unit vectors of length dim, as columns."""
+    v = rng.normal(size=(dim, states)) + 1j * rng.normal(size=(dim, states))
+    return v / np.linalg.norm(v, axis=0)
+
+
+def _relocates(out, ideal, weight, tol):
+    """Whether out, (wire, record, ..., column), is c * ideal, (wire, 1, ...,
+    column), within tol for each record and leading index, with |c|^2 =
+    weight (a scalar, or one per record) within tol; a NaN refuses."""
+    c = ((ideal.conj() * out).sum(axis=(0, -1))
+         / (np.abs(ideal) ** 2).sum(axis=(0, -1)))
+    residual = np.abs(out - c[None, ..., None] * ideal).max()
+    return bool(residual <= tol and np.abs(np.abs(c) ** 2 - weight).max() <= tol)
 
 
 def measure_operator(vec, w):
@@ -813,13 +841,14 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
                               rng=None, special_inputs=()):
     """Check the cat-ancilla circuit against the ideal parity measurement.
 
-    Measures the product of the given letters (default Z) over ``subset``,
+    Measures the product M of the given letters (default Z) over ``subset``,
     letters[j] on qubit subset[j], on n data qubits: a cat state of
-    len(subset) ancillas controls the single-qubit operators, ancillas
-    rotate back through Hadamards and are read out; the outcome parity must
-    reproduce the ideal projective statistics and the data register must
-    collapse exactly onto the ideal projection -- identically for every
-    ancilla record of equal parity.
+    a = len(subset) ancillas controls the single-qubit operators, ancillas
+    rotate back through Hadamards and are read out.  Every ancilla record r
+    must apply 2^(-(a-1)/2) (I + (-1)^|r| M)/2 to the data, within tol
+    entry by entry.  The circuit runs once on the subset and the ancillas:
+    on the 2^a subset basis states, then on the columns over the other
+    qubits of states random inputs and of the special_inputs.
     """
     check_int("n", n, 1)
     if n > _DENSE_QUBITS:
@@ -836,53 +865,48 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
     if len(letters) != a or not set(letters) <= set(_LETTER):
         raise ValueError(f"letters must give one of I, X, Y, Z for each of "
                          f"the {a} subset qubits, got {letters!r}")
+    if a > _PARITY_SUBSET:
+        raise ValueError(f"parity check capped at {_PARITY_SUBSET} subset "
+                         f"qubits, got subset={subset!r}")
     check_int("states", states, 0 if len(special_inputs) else 1)
-    rng = np.random.default_rng(0xCA7) if rng is None else rng
+    rng = _generator(rng, 0xCA7)
+    samples = [_random_inputs(1 << n, states, rng)]
+    for v in map(np.asarray, special_inputs):
+        if not (v.shape == (1 << n,) and v.dtype.kind in "iufc"
+                and np.isfinite(v).all() and v.any()):
+            raise ValueError(f"need special_inputs as finite nonzero vectors "
+                             f"of length 2^n = {1 << n}")
+        v = v / np.abs(v.astype(complex).view(float)).max()   # no overflow
+        samples.append(v[:, None] / np.linalg.norm(v))
     word = ["I"] * n
     for q, c in zip(subset, letters):
         word[q] = c
-    m_full = PauliWord.from_string("".join(word)).matrix()
+    m_word = PauliWord.from_string("".join(word))
+    b = np.arange(1 << a)
+    basis = np.zeros((1 << n, 1 << a))   # |b> on the subset, |0> elsewhere
+    basis[sum(((b >> (a - 1 - j)) & 1) << (n - 1 - q)
+              for j, q in enumerate(subset)), b] = 1
+    batch = np.hstack([basis] + samples)
+    # subset qubits (in subset order) by the other qubits and batch column
+    psi, m_psi = (np.moveaxis(v.reshape((2,) * n + (-1,)), subset, range(a))
+                  .reshape(1 << a, -1) for v in (batch, m_word.apply(batch)))
+    keep = psi.any(axis=0)   # a zero column has zero branches
+    psi, m_psi = psi[:, keep], m_psi[:, keep]
 
-    total = n + a
-    inputs = [v for v in special_inputs]
-    for _ in range(states):
-        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        inputs.append(v / np.linalg.norm(v))
-
-    for psi in inputs:
-        state = np.zeros(1 << total, dtype=complex)
-        state.reshape(1 << n, 1 << a)[:, 0] = psi
-        # cat ancilla
-        state = apply_local(HADAMARD, state, (n,))
-        for j in range(1, a):
-            state = apply_local(CNOT, state, (n, n + j))
-        # phase kickback through controlled letters
-        for j, (q, c) in enumerate(zip(subset, letters)):
-            state = apply_local(controlled(_LETTER[c]), state, (n + j, q))
-        for j in range(a):
-            state = apply_local(HADAMARD, state, (n + j,))
-
-        grid = state.reshape(1 << n, 1 << a)
-        ideal = {s: (psi + s * (m_full @ psi)) / 2 for s in (1, -1)}
-        seen_prob = {1: 0.0, -1: 0.0}
-        for rec in range(1 << a):
-            branch = grid[:, rec]
-            p = float(np.vdot(branch, branch).real)
-            sign = -1 if _parity(rec) else 1
-            seen_prob[sign] += p
-            target = ideal[sign]
-            pt = float(np.vdot(target, target).real)
-            if p < 1e-12 and pt < 1e-12:
-                continue
-            if abs(p * (1 << (a - 1)) - pt) > tol:
-                return False
-            if np.linalg.norm(branch * math.sqrt(1 << (a - 1)) - target) > tol:
-                return False
-        for s in (1, -1):
-            pt = float(np.vdot(ideal[s], ideal[s]).real)
-            if abs(seen_prob[s] - pt) > tol:
-                return False
-    return True
+    state = np.kron(psi, np.eye(1 << a, 1))   # ancillas at |0>
+    # cat ancilla
+    state = apply_local(HADAMARD, state, (a,))
+    for j in range(1, a):
+        state = apply_local(CNOT, state, (a, a + j))
+    # phase kickback through controlled letters
+    for j, c in enumerate(letters):
+        state = apply_local(controlled(_LETTER[c]), state, (a + j, j))
+    for j in range(a):
+        state = apply_local(HADAMARD, state, (a + j,))
+    sign = 1 - 2 * _parities(b)
+    ideal = (psi[:, None] + sign[:, None] * m_psi[:, None]) / 2
+    out = state.reshape(1 << a, 1 << a, -1) * math.sqrt(1 << (a - 1))
+    return bool(np.abs(out - ideal).max() <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -942,15 +966,6 @@ def hierarchy_level(u, k_max=4):
 # one-bit teleportation and gate constructions
 
 
-def _random_state(ndim, rng):
-    v = rng.normal(size=ndim) + 1j * rng.normal(size=ndim)
-    return v / np.linalg.norm(v)
-
-
-def _states_equal(a, b, tol):
-    return abs(abs(np.vdot(a, b)) - 1.0) <= tol
-
-
 def _start_state(n, kinds):
     """|0> on each "z" wire and |+> on each "x" wire."""
     v = np.zeros(1 << n, dtype=complex)
@@ -962,72 +977,54 @@ def _start_state(n, kinds):
 
 
 def _teleport(u, kinds, ancillas, states, tol, rng):
-    """Teleport random inputs through each prepared ancilla u|start>.
+    """Teleport inputs through each prepared ancilla u|start>, in one pass.
 
     Ancilla wires come first, input wires follow.  Per input wire, kind "x"
     is a CNOT from the ancilla onto the input and a computational readout;
-    "z" is a CNOT from the input onto the ancilla and a +/- readout.  With
-    the state read as a 2^n x 2^n grid, column rec holds the ancilla wires
-    after readout record rec.  Every record must have probability 2^-n and,
-    after the u-conjugated Pauli fix-up for each of its 1 bits, give u|psi>.
+    "z" is a CNOT from the input onto the ancilla and a +/- readout.  The
+    u-conjugated Pauli fix-up of wire q acts controlled by readout wire q.
+    On the 2^n basis states, then states random inputs, every readout
+    record must give u up to a phase, with probability 2^-n.
     """
     n = len(kinds)
     dim = 1 << n
-    fixups = [_conj(u, single_qubit_word(n, q, kind.upper()).matrix())
-              for q, kind in enumerate(kinds)]
-    for prepared in ancillas:
-        for _ in range(states):
-            psi = _random_state(dim, rng)
-            ideal = u @ psi
-            state = np.kron(prepared, psi)
-            for q, kind in enumerate(kinds):
-                if kind == "x":
-                    state = apply_local(CNOT, state, (q, n + q))
-                else:
-                    state = apply_local(CNOT, state, (n + q, q))
-                    state = apply_local(HADAMARD, state, (n + q,))
-            grid = state.reshape(dim, dim)
-            for rec in range(dim):
-                out = grid[:, rec]
-                p = float(np.vdot(out, out).real)
-                if abs(p - 1 / dim) > 1e-9:
-                    return False
-                out = out / math.sqrt(p)
-                for q in range(n):
-                    if (rec >> (n - 1 - q)) & 1:
-                        out = fixups[q] @ out
-                if not _states_equal(out, ideal, tol):
-                    return False
-    return True
+    psi = np.hstack([np.eye(dim), _random_inputs(dim, states, rng)])
+    state = np.kron(np.transpose(ancillas), psi)
+    for q, kind in enumerate(kinds):
+        if kind == "x":
+            state = apply_local(CNOT, state, (q, n + q))
+        else:
+            state = apply_local(CNOT, state, (n + q, q))
+            state = apply_local(HADAMARD, state, (n + q,))
+    for q, kind in enumerate(kinds):
+        fixup = _conj(u, single_qubit_word(n, q, kind.upper()).matrix())
+        state = apply_local(controlled(fixup), state, (n + q, *range(n)))
+    out = state.reshape(dim, dim, len(ancillas), -1) * math.sqrt(dim)
+    return _relocates(out, (u @ psi)[:, None, None], 1.0, tol)
 
 
 def verify_teleport_identity(kind, states=100, tol=1e-10, rng=None):
-    """Dense check of the one-wire relocation circuits.
+    """Exact check of the one-wire relocation circuits.
 
     "z": ancilla |0> on wire 0, CNOT from the input wire onto it, input
     measured in the +/- basis, Z fix-up.  "x": ancilla |+>, CNOT from the
     ancilla onto the input, input measured directly, X fix-up.  "swap":
-    the two-CNOT identity moving the input onto the |0> wire.  Every
-    branch must relocate the state exactly.
+    the two-CNOT identity moving the input onto the |0> wire; record 1
+    must not occur.  Each runs once, on both basis states and states
+    random inputs, and every branch must relocate them exactly.
     """
     check_int("states", states, 1)
     check_positive("tol", tol)
     if kind not in ("z", "x", "swap"):
         raise ValueError(f"unknown kind {kind!r}")
-    rng = np.random.default_rng(0x7E1E) if rng is None else rng
+    rng = _generator(rng, 0x7E1E)
     if kind != "swap":
         return _teleport(I2, kind, [_start_state(1, kind)], states, tol, rng)
-    for _ in range(states):
-        psi = _random_state(2, rng)
-        state = np.kron(np.array([1, 0], dtype=complex), psi)
-        state = apply_local(CNOT, state, (1, 0))
-        state = apply_local(CNOT, state, (0, 1))
-        grid = state.reshape(2, 2)
-        if np.linalg.norm(grid[:, 1]) > tol:
-            return False
-        if not _states_equal(grid[:, 0], psi, tol):
-            return False
-    return True
+    psi = np.hstack([np.eye(2), _random_inputs(2, states, rng)])
+    state = np.vstack([psi, np.zeros_like(psi)])   # wire 0 starts at |0>
+    state = apply_local(CNOT, state, (1, 0))
+    state = apply_local(CNOT, state, (0, 1))
+    return _relocates(state.reshape(2, 2, -1), psi[:, None], [1.0, 0.0], tol)
 
 
 PHASE_S = np.diag([1, 1j]).astype(complex)
@@ -1065,7 +1062,7 @@ def verify_c3_construction(gate, states=100, tol=1e-10, rng=None):
     """
     check_int("states", states, 1)
     check_positive("tol", tol)
-    rng = np.random.default_rng(0xC3) if rng is None else rng
+    rng = _generator(rng, 0xC3)
     if gate == "T":
         u, kinds, prep = T_GATE, "x", "z"
         presentation = [SZ.astype(complex)]
@@ -1086,6 +1083,6 @@ def verify_c3_construction(gate, states=100, tol=1e-10, rng=None):
     ancillas = _prepared_ancilla_branches(_start_state(n, prep), presentation,
                                           measured)
     target = u @ _start_state(n, kinds)
-    if not all(_states_equal(a, target, 1e-9) for a in ancillas):
+    if not np.abs(np.abs(np.conj(ancillas) @ target) - 1).max() <= 1e-9:
         raise ValueError("ancilla preparation failed")
     return _teleport(u, kinds, ancillas, states, tol, rng)

@@ -560,6 +560,23 @@ def test_pulse_schedule_rejects_a_spin_that_is_not_an_integer(spin):
         rc.PulseSchedule(3, 2, 1e-3, [[1], [spin], [1, 2]], "decouple")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 3.0), ("n", 0), ("n", True), ("intervals", 2.0), ("intervals", 0),
+])
+def test_pulse_schedule_counts_must_be_positive_integers(field, value):
+    # "n": 3.0 or "intervals": 2.0 loaded, and verify_schedule then raised
+    # TypeError; n = 0 was refused only through its boundaries
+    data = dict({"n": 3, "intervals": 2, "dt": 1e-3,
+                 "boundaries": [[1], [], [1]], "target": "decouple"},
+                **{field: value})
+    match = rf"need {field} >= 1 as an integer, got {field}={value!r}"
+    with pytest.raises(ValueError, match=match):
+        rc.verify_schedule(rc.PulseSchedule.from_json(json.dumps(data)),
+                           rc.CouplingSystem(np.ones((3, 3)) - np.eye(3)))
+    with pytest.raises(ValueError, match=match):
+        rc.PulseSchedule(**data)
+
+
 def test_pulse_schedule_rejects_bad_dt():
     for dt in (math.nan, math.inf, 0.0, -1e-3):
         with pytest.raises(ValueError, match="dt"):

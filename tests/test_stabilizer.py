@@ -329,6 +329,18 @@ def test_dense_gather_matches_letter_matrices():
         assert np.abs(block - basis.conj().T @ word.apply(basis)).max() < 1e-14
 
 
+@pytest.mark.parametrize("name,t", [("ad7", 1), ("five_qubit", 1),
+                                    ("steane7", 1), ("shor9", 1)])
+def test_support_gather_matches_letter_matrices(name, t):
+    # the gather runs over the rows where some codeword is nonzero; every
+    # other row of W basis meets only zeros of basis^dagger
+    code = getattr(st, name)()
+    basis = np.column_stack(st.codewords(code))
+    blocks = st._ad_blocks(basis, st._ad_codes(code.n, t))
+    for word, block in zip(st.ad_words(code.n, t), blocks):
+        assert np.abs(block - basis.conj().T @ word.apply(basis)).max() < 1e-14
+
+
 @pytest.mark.parametrize("max_weight", [2.5, 0, -3, float("nan")])
 def test_pauli_distance_weight_cap_must_be_positive_integer(max_weight):
     with pytest.raises(ValueError, match="max_weight"):
@@ -508,6 +520,27 @@ def test_parity_measurement_pairs_letters_with_subset_in_given_order(monkeypatch
     assert words == ["ZIX"]   # X on qubit 2, Z on qubit 0
 
 
+@pytest.mark.parametrize("special", [
+    np.full(8, np.nan), np.zeros(8), np.ones(4), np.ones((8, 1)),
+    np.array([np.inf] + [0] * 7), np.array(["1"] * 8),
+], ids=["nan", "zero", "short", "column", "infinite", "text"])
+def test_parity_measurement_refuses_bad_special_inputs(special):
+    # NaN and zero inputs passed (a NaN comparison is False, and a zero
+    # input has no branch to compare); the rest failed inside numpy
+    with pytest.raises(ValueError, match="special_inputs"):
+        st.verify_parity_measurement([0, 1, 2], 3, special_inputs=[special])
+
+
+def test_parity_measurement_caps_the_subset(monkeypatch):
+    # the exact check pushes 2^(3a) amplitudes through a subset of a qubits
+    def no_word(text):
+        raise AssertionError(f"built {text} before checking the subset")
+
+    monkeypatch.setattr(st.PauliWord, "from_string", no_word)
+    with pytest.raises(ValueError, match=r"capped at 7 subset qubits"):
+        st.verify_parity_measurement(list(range(8)), 12, states=1)
+
+
 def test_parity_measurement_caps_n_before_allocating(monkeypatch):
     # n = 14 built the 2^14 x 2^14 matrix of the measured word, gigabytes,
     # before anything looked at n
@@ -587,6 +620,231 @@ def test_verifiers_check_at_least_one_state(verify, states):
 def test_c3_unknown_gate():
     with pytest.raises(ValueError):
         st.verify_c3_construction("CZ")
+
+
+# ------------------------------------------ exact checks against the sampled
+
+def _random_state(ndim, rng):
+    v = rng.normal(size=ndim) + 1j * rng.normal(size=ndim)
+    return v / np.linalg.norm(v)
+
+
+def _states_equal(a, b, tol):
+    return abs(abs(np.vdot(a, b)) - 1.0) <= tol
+
+
+def _reference_teleport(u, kinds, ancillas, states, tol, rng):
+    # the sampled check: one random input at a time, every readout record
+    # fixed up by hand and compared with u|psi> up to a phase
+    n = len(kinds)
+    dim = 1 << n
+    fixups = [st._conj(u, st.single_qubit_word(n, q, kind.upper()).matrix())
+              for q, kind in enumerate(kinds)]
+    for prepared in ancillas:
+        for _ in range(states):
+            psi = _random_state(dim, rng)
+            ideal = u @ psi
+            state = np.kron(prepared, psi)
+            for q, kind in enumerate(kinds):
+                if kind == "x":
+                    state = st.apply_local(st.CNOT, state, (q, n + q))
+                else:
+                    state = st.apply_local(st.CNOT, state, (n + q, q))
+                    state = st.apply_local(st.HADAMARD, state, (n + q,))
+            grid = state.reshape(dim, dim)
+            for rec in range(dim):
+                out = grid[:, rec]
+                p = float(np.vdot(out, out).real)
+                if abs(p - 1 / dim) > 1e-9:
+                    return False
+                out = out / math.sqrt(p)
+                for q in range(n):
+                    if (rec >> (n - 1 - q)) & 1:
+                        out = fixups[q] @ out
+                if not _states_equal(out, ideal, tol):
+                    return False
+    return True
+
+
+def _reference_swap(states, tol, rng):
+    for _ in range(states):
+        psi = _random_state(2, rng)
+        state = np.kron(np.array([1, 0], dtype=complex), psi)
+        state = st.apply_local(st.CNOT, state, (1, 0))
+        state = st.apply_local(st.CNOT, state, (0, 1))
+        grid = state.reshape(2, 2)
+        if np.linalg.norm(grid[:, 1]) > tol:
+            return False
+        if not _states_equal(grid[:, 0], psi, tol):
+            return False
+    return True
+
+
+def _reference_parity(subset, n, letters, states, tol, rng, special_inputs=()):
+    # the sampled check on the whole register, with the measured word as a
+    # dense 2^n x 2^n matrix
+    a = len(subset)
+    word = ["I"] * n
+    for q, c in zip(subset, letters):
+        word[q] = c
+    m_full = st.PauliWord.from_string("".join(word)).matrix()
+    inputs = list(special_inputs) + [_random_state(1 << n, rng)
+                                     for _ in range(states)]
+    for psi in inputs:
+        state = np.zeros(1 << (n + a), dtype=complex)
+        state.reshape(1 << n, 1 << a)[:, 0] = psi
+        state = st.apply_local(st.HADAMARD, state, (n,))
+        for j in range(1, a):
+            state = st.apply_local(st.CNOT, state, (n, n + j))
+        for j, (q, c) in enumerate(zip(subset, letters)):
+            state = st.apply_local(st.controlled(st._LETTER[c]), state, (n + j, q))
+        for j in range(a):
+            state = st.apply_local(st.HADAMARD, state, (n + j,))
+        grid = state.reshape(1 << n, 1 << a)
+        ideal = {s: (psi + s * (m_full @ psi)) / 2 for s in (1, -1)}
+        seen = {1: 0.0, -1: 0.0}
+        for rec in range(1 << a):
+            branch = grid[:, rec]
+            p = float(np.vdot(branch, branch).real)
+            sign = -1 if bin(rec).count("1") & 1 else 1
+            seen[sign] += p
+            pt = float(np.vdot(ideal[sign], ideal[sign]).real)
+            if p < 1e-12 and pt < 1e-12:
+                continue
+            if abs(p * (1 << (a - 1)) - pt) > tol:
+                return False
+            if np.linalg.norm(branch * math.sqrt(1 << (a - 1)) - ideal[sign]) > tol:
+                return False
+        for s in (1, -1):
+            if abs(seen[s] - float(np.vdot(ideal[s], ideal[s]).real)) > tol:
+                return False
+    return True
+
+
+_GHZ3 = np.zeros(8, dtype=complex)
+_GHZ3[[0, 7]] = 1 / math.sqrt(2)
+
+PARITY_CASES = [
+    ([0, 1, 2], 3, "ZZZ", ()), ([1, 3], 4, "ZZ", ()), ([2], 3, "Z", ()),
+    ([0, 1, 2], 4, "XZX", ()), ([0, 1], 2, "YY", ()), ([2, 0], 3, "XZ", ()),
+    ([0, 1, 2], 3, "ZZZ", (_GHZ3,)), ([0, 1], 2, "II", ()),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["z", "x", "swap"])
+def test_teleport_identity_matches_the_sampled_check(kind, seed, monkeypatch):
+    exact = st.verify_teleport_identity(kind, states=20,
+                                        rng=np.random.default_rng(seed))
+    if kind == "swap":
+        sampled = _reference_swap(20, 1e-10, np.random.default_rng(seed))
+    else:
+        monkeypatch.setattr(st, "_teleport", _reference_teleport)
+        sampled = st.verify_teleport_identity(kind, states=20,
+                                              rng=np.random.default_rng(seed))
+    assert exact is sampled is True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("gate", ["T", "CP", "Toffoli"])
+def test_c3_construction_matches_the_sampled_check(gate, seed, monkeypatch):
+    exact = st.verify_c3_construction(gate, states=20,
+                                      rng=np.random.default_rng(seed))
+    monkeypatch.setattr(st, "_teleport", _reference_teleport)
+    sampled = st.verify_c3_construction(gate, states=20,
+                                        rng=np.random.default_rng(seed))
+    assert exact is sampled is True
+
+
+@pytest.mark.parametrize("subset,n,letters,special", PARITY_CASES)
+def test_parity_measurement_matches_the_sampled_check(subset, n, letters, special):
+    for seed in (0, 1, 2):
+        exact = st.verify_parity_measurement(
+            subset, n, letters, rng=np.random.default_rng(seed),
+            special_inputs=special)
+        sampled = _reference_parity(subset, n, letters, 6, 1e-8,
+                                    np.random.default_rng(seed), special)
+        assert exact is sampled is True
+
+
+def _t_ancilla():
+    return [st.T_GATE @ st._start_state(1, "x")]
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=hst.integers(0, 2 ** 32 - 1), states=hst.integers(1, 8))
+def test_s_gate_through_the_t_ancilla_is_refused(seed, states):
+    rng = np.random.default_rng(seed)
+    assert st._teleport(st.PHASE_S, "x", _t_ancilla(), states, 1e-10, rng) is False
+    # and the true gate through the same ancilla passes
+    assert st._teleport(st.T_GATE, "x", _t_ancilla(), states, 1e-10, rng) is True
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5, 1j])
+def test_teleport_refuses_a_branch_of_the_wrong_weight(scale):
+    # every branch is still u up to a factor, but not of weight 2^-n
+    ancillas = [scale * _t_ancilla()[0]]
+    verdict = st._teleport(st.T_GATE, "x", ancillas, 4, 1e-10,
+                           np.random.default_rng(0))
+    assert verdict is (abs(scale) == 1)
+
+
+def _mutate_controlled(monkeypatch, index, mutate):
+    # the index-th controlled(u) the circuit builds gets mutate(u) instead
+    calls = []
+    build = st.controlled
+
+    def mutant(u):
+        calls.append(u)
+        return build(mutate(u) if len(calls) - 1 == index else u)
+
+    monkeypatch.setattr(st, "controlled", mutant)
+    return calls
+
+
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+@settings(deadline=None, max_examples=10)
+@given(seed=hst.integers(0, 2 ** 32 - 1))
+def test_toffoli_with_a_fixup_dropped_is_refused(dropped, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _mutate_controlled(monkeypatch, dropped,
+                                   lambda u: np.eye(len(u)))
+        assert st.verify_c3_construction(
+            "Toffoli", states=3, rng=np.random.default_rng(seed)) is False
+    assert len(calls) == 3   # one fix-up per input wire
+
+
+_SWAPPED = {"X": st.SZ, "Y": st.SX, "Z": st.SX, "I": st.SZ}
+
+
+@pytest.mark.parametrize("subset,n,letters,special", PARITY_CASES)
+@settings(deadline=None, max_examples=5)
+@given(seed=hst.integers(0, 2 ** 32 - 1), data=hst.data())
+def test_parity_with_a_controlled_letter_swapped_is_refused(
+        subset, n, letters, special, seed, data):
+    j = data.draw(hst.integers(0, len(subset) - 1))
+    letter = {id(m): c for c, m in st._LETTER.items()}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _mutate_controlled(monkeypatch, j,
+                                   lambda u: _SWAPPED[letter[id(u)]])
+        assert st.verify_parity_measurement(
+            subset, n, letters, rng=np.random.default_rng(seed),
+            special_inputs=special) is False
+    assert len(calls) == len(subset)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=hst.integers(0, 2 ** 32 - 1), states=hst.integers(1, 8),
+       case=hst.sampled_from(
+           [lambda s, r, k=k: st.verify_teleport_identity(k, states=s, rng=r)
+            for k in ("z", "x", "swap")]
+           + [lambda s, r, g=g: st.verify_c3_construction(g, states=s, rng=r)
+              for g in ("T", "CP", "Toffoli")]
+           + [lambda s, r, c=c: st.verify_parity_measurement(
+               c[0], c[1], c[2], states=s, rng=r, special_inputs=c[3])
+              for c in PARITY_CASES]))
+def test_verifiers_pass_at_every_seed_and_state_count(seed, states, case):
+    assert case(states, np.random.default_rng(seed)) is True
 
 
 # ------------------------------------------------- membership by elimination
@@ -810,10 +1068,15 @@ def test_negated_pairs_match_group_search_on_random_codes(code, t):
     (lambda: st.PauliWord(2, 8, 0), "x"),
     (lambda: st.PauliWord(2, 0, -1), "z"),
     (lambda: st.identity_word(math.nan), "n"),
+    (lambda: st.verify_teleport_identity("z", rng=5), "rng"),
+    (lambda: st.verify_c3_construction("T", rng=5), "rng"),
+    (lambda: st.verify_parity_measurement([0], 2, rng=np.random.RandomState(5)),
+     "rng"),
 ], ids=["qubit-negative", "qubit-too-high", "qubit-fractional",
         "weight-fractional", "weight-nan", "count-fractional",
         "parity-fractional-n", "parity-nan-tol", "teleport-nan-tol",
-        "x-mask-too-wide", "z-mask-negative", "identity-nan-n"])
+        "x-mask-too-wide", "z-mask-negative", "identity-nan-n",
+        "teleport-int-rng", "c3-int-rng", "parity-legacy-rng"])
 def test_bad_scalar_raises_value_error_naming_it(call, name):
     # each of these once returned a wrong word or verdict, or raised
     # TypeError or IndexError
@@ -852,6 +1115,8 @@ ENTRY_POINTS = {
     "parity.states": lambda v: st.verify_parity_measurement([0, 1], 2, states=v),
     "parity.tol": lambda v: st.verify_parity_measurement([0, 1], 2, states=1,
                                                          tol=v),
+    "parity.special_inputs": lambda v: st.verify_parity_measurement(
+        [0, 1], 2, states=1, special_inputs=[[v, 0, 0, 1]]),
     "teleport.states": lambda v: st.verify_teleport_identity("z", states=v),
     "teleport.tol": lambda v: st.verify_teleport_identity("z", states=1, tol=v),
     "c3.states": lambda v: st.verify_c3_construction("T", states=v),
