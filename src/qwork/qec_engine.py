@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qop_core import (CNOT, DEFAULT_TOL, QuantumChannel, apply, apply_local, check_int,
-                       check_positive, dagger, kron_all, pauli_components,
-                       standard_channel)
+from .qop_core import (CNOT, DEFAULT_TOL, PAULIS, QuantumChannel, apply_local, check_int,
+                       check_positive, check_real, choi_of_map, dagger, kron_all, standard_channel)
 
 
 @dataclass
@@ -324,32 +323,6 @@ def bloch_state(r):
                      complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)])
 
 
-# Bloch vectors at which a qubit objective's coefficients are read: ±x̂, ±ŷ,
-# ±ẑ, then (êᵢ + êⱼ)/√2 for the pairs in _PAIRS, then one generic state
-# that checks the objective is quadratic at all
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-_READ = np.vstack([np.eye(3), -np.eye(3),
-                   [(np.eye(3)[i] + np.eye(3)[j]) / math.sqrt(2) for i, j in _PAIRS],
-                   np.array([1.0, 2.0, 3.0]) / math.sqrt(14)])
-
-
-def _bloch_coefficients(f):
-    """(b, q) with f(r) = b·r + rᵀqr on the unit sphere, read exactly from
-    f at the ten _READ states (a constant term folds into q's diagonal
-    because rᵀr = 1); ValueError if the check state disagrees."""
-    f = np.asarray(f, dtype=float)
-    b = (f[:3] - f[3:6]) / 2
-    q = np.diag((f[:3] + f[3:6]) / 2)
-    for (i, j), fij in zip(_PAIRS, f[6:9]):
-        q[i, j] = q[j, i] = fij - (b[i] + b[j]) / math.sqrt(2) - (q[i, i] + q[j, j]) / 2
-    r = _READ[9]
-    residual = abs(b @ r + r @ q @ r - f[9])
-    if not residual <= 1e-9 * max(1.0, float(np.abs(f).max())):
-        raise ValueError(f"objective is not quadratic in the Bloch vector "
-                         f"(check-state residual {residual:.3e}); is the channel linear?")
-    return b, q
-
-
 # far from the root, Newton from the right end of the bracket gains a factor
 # of about 1.5 per step, so 100 steps cover any bracket in double precision
 _SECULAR_STEPS = 100
@@ -413,40 +386,64 @@ def _sphere_argmin(b, q):
                        f"steps (bracket [{lo!r}, {hi!r}] around λ₀)")
 
 
-def _bloch_argmin(b, q):
-    """Pure qubit state minimizing b·r + rᵀqr over unit r, and the gap
-    |‖r‖ - 1| of _sphere_argmin's root before it is renormalized."""
-    r = _sphere_argmin(b, q)
-    norm = np.linalg.norm(r)
-    return bloch_state(r / norm), abs(norm - 1.0)
+def _choi_matrix(ops):
+    """Choi matrix C[(i, a), (j, b)] = Σₙ Aₙ[a, i]·conj(Aₙ[b, j]), k² x k², of
+    the map ρ ↦ Σₙ AₙρAₙ† for a stack of k x k operators."""
+    v = np.asarray(ops, dtype=complex).transpose(0, 2, 1).reshape(len(ops), -1)
+    return v.T @ v.conj()
 
 
-def _minimize_over_pure_states(value, k):
-    """(minimum, minimizer) of a real function of a pure state in C^k: exact
-    for k = 1, which has one state, and for a qubit, where the function must
-    be quadratic in the Bloch vector as every fidelity is (its coefficients
-    are read at fixed states, ValueError if a check state disagrees), else a
-    seeded random search refined by Nelder-Mead, which imports scipy."""
+def _overlaps(m, psi):
+    """f(ψ) = (ψ̄ ⊗ ψ)† m (ψ̄ ⊗ ψ) for each unit row ψ of psi, and the
+    gradient ∂f/∂ψ̄ along the sphere; m is a Hermitian k² x k² matrix."""
+    s, k = psi.shape
+    w = ((psi.conj()[:, :, None] * psi[:, None, :]).reshape(s, -1) @ m.T).reshape(s, k, k)
+    f = np.einsum("sia,si,sa->s", w, psi, psi.conj()).real
+    return f, (np.einsum("sia,si->sa", w, psi) + np.einsum("sjb,sb->sj", w.conj(), psi)
+               - 2 * f[:, None] * psi)
+
+
+_STARTS = 64
+_STEPS = 500
+
+
+def _worst_overlap(m):
+    """(minimum, minimizer, residual) over unit ψ in C^k of the overlap
+    f(ψ) = ⟨ψ|E(ψψ†)|ψ⟩ = Σ C[(i, a), (j, b)]·ψᵢψ̄ₐψ̄ⱼψ_b, m = C Hermitian.
+
+    k = 1 has one state.  A qubit is exact: with ρ = (I + r·σ)/2, r₀ = 1,
+    f = Σ r_μ r_ν G_μν = b·r + rᵀqr on the sphere (G₀₀ folds into q), and
+    the residual is the secular root's gap |‖r‖ - 1|.  Above that, each of
+    _STARTS seeded starts takes _STEPS projected steps of ∂f/∂ψ̄ / (2‖C‖₂)
+    with Nesterov momentum, dropped when a step turns uphill (O'Donoghue &
+    Candès 2015), so flat minima, where f grows at fourth order, are reached
+    too; the lowest is kept, with its gradient norm over ‖C‖₂ as residual.
+    It is a local minimum: nothing certifies that it is global.
+    """
+    k = math.isqrt(m.shape[0])
     if k == 1:
-        psi = np.ones(1, dtype=complex)
-        return value(psi), psi
-    if k == 2:
-        psi, _ = _bloch_argmin(*_bloch_coefficients(
-            [value(bloch_state(r)) for r in _READ]))
-        return value(psi), psi
-
-    from scipy.optimize import minimize
-
-    def state(x):
-        v = x[:k] + 1j * x[k:]
-        return v / np.linalg.norm(v)
-
-    val = lambda x: value(state(x)) if np.linalg.norm(x) >= 1e-12 else math.inf
-    start = min(np.random.default_rng(0).normal(size=(4096, 2 * k)), key=val)
-    res = minimize(val, start, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
-    best = res.x if res.fun < val(start) else start
-    return val(best), state(best)
+        psi, residual = np.ones(1, dtype=complex), 0.0
+    elif k == 2:
+        # G is Hermitian as m is, so its real part is symmetric
+        g = np.einsum("iajb,mia,nbj->mn", m.reshape(2, 2, 2, 2), PAULIS, PAULIS).real / 4
+        r = _sphere_argmin(2 * g[0, 1:], g[1:, 1:] + g[0, 0] * np.eye(3))
+        psi, residual = bloch_state(r / np.linalg.norm(r)), abs(np.linalg.norm(r) - 1.0)
+    else:
+        x = np.random.default_rng(0).normal(size=(_STARTS, 2 * k))
+        psi = prev = (x[:, :k] + 1j * x[:, k:]) / np.linalg.norm(x, axis=1, keepdims=True)
+        norm, t = np.abs(np.linalg.eigvalsh(m)).max(), np.zeros((_STARTS, 1))
+        step = 0.5 / norm if norm > 0 else 0.0
+        for _ in range(_STEPS):
+            y = psi + t / (t + 3) * (psi - prev)
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            grad = _overlaps(m, y)[1]
+            prev, psi = psi, y - step * grad
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            t = np.where(np.sum(grad.conj() * (psi - prev), axis=1, keepdims=True).real > 0,
+                         0, t + 1)
+        f, grad = _overlaps(m, psi)
+        psi, residual = psi[np.argmin(f)], float(np.linalg.norm(2 * step * grad[np.argmin(f)]))
+    return float(_overlaps(m, psi[None])[0][0]), psi, residual
 
 
 def fidelity_lower_bound(report):
@@ -462,43 +459,50 @@ def fidelity_lower_bound(report):
         raise ValueError("report carries no restricted positive parts")
     if not hs:
         return 0.0
-    k = hs[0].shape[0]
-
-    def value(psi):
-        return float(sum(np.real(np.conjugate(psi) @ h @ psi) ** 2 for h in hs))
-
-    return _minimize_over_pure_states(value, k)[0]
+    h = np.asarray(hs, dtype=complex) if len({np.shape(m) for m in hs}) == 1 else np.ones(1)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError("code_h must hold square matrices of one size")
+    top = float(np.abs(h).max())   # every Choi entry is below size·top²
+    check_real("code_h size·max|entry|²", h.size * top * top)
+    return _worst_overlap(_choi_matrix(h))[0]
 
 
 def min_overlap_fidelity(channel, sampler=None, dim=None):
     """Worst-case overlap of input with channel output over pure states.
 
-    ``channel`` is a QuantumChannel or a callable on density matrices (pass
-    ``dim``, an integer of at least 1, for callables on anything but a
-    qubit; a qubit callable must be linear); ``sampler`` optionally supplies
-    candidate state vectors instead of the built-in search, which is exact
-    for a qubit and for dim = 1, where it is the value at the one state.
+    ``channel`` is a QuantumChannel with dim_out = dim_in or a linear
+    callable on density matrices (pass ``dim``, an integer of at least 1,
+    for callables on anything but a qubit); a callable is read through its
+    Choi matrix and checked against it at one generic state.  ``sampler``
+    optionally supplies candidate state vectors (finite, nonzero, of length
+    dim) instead of the built-in search, which is exact for dim ≤ 2.
     """
     if isinstance(channel, QuantumChannel):
         dim = channel.dim_in
-        act = lambda rho: apply(channel, rho)
+        if channel.dim_out != dim:
+            raise ValueError(f"need dim_out = dim_in, got dim_in={dim}, dim_out={channel.dim_out}")
+        m = _choi_matrix(channel.kraus)
     else:
-        act = channel
         dim = 2 if dim is None else dim
         check_int("dim", dim, 1)
+        m = choi_of_map(channel, dim).mat
+        psi = np.arange(1, dim + 1) * np.exp(1j * np.arange(dim))
+        rho = np.outer(psi, psi.conj()) / (psi.conj() @ psi)
+        want = np.einsum("ij,iajb->ab", rho, m.reshape((dim,) * 4))
+        residual = np.abs(np.asarray(channel(rho)) - want).max()
+        if not residual <= 1e-9 * max(1.0, np.abs(m).max()):
+            raise ValueError(f"channel is not linear, so not quadratic (residual {residual:.3e})")
+        m = (m + dagger(m)) / 2
 
-    def value(psi):
-        rho = np.outer(psi, psi.conj())
-        return float(np.real(np.conjugate(psi) @ act(rho) @ psi))
-
-    if sampler is not None:
-        best = math.inf
-        for psi in sampler:
-            psi = np.asarray(psi, dtype=complex)
-            best = min(best, value(psi / np.linalg.norm(psi)))
-        return best
-
-    return _minimize_over_pure_states(value, dim)[0]
+    if sampler is None:
+        return _worst_overlap(m)[0]
+    psi = [np.asarray(p, dtype=complex) for p in sampler]
+    ok = psi and all(p.shape == (dim,) for p in psi)
+    top = np.abs(psi).max(axis=1, keepdims=True) if ok else np.zeros(1)
+    if not (np.isfinite(top).all() and top.all()):
+        raise ValueError(f"sampler must give finite nonzero vectors of length {dim}")
+    psi = np.array(psi) / top   # so the norm cannot overflow
+    return float(_overlaps(m, psi / np.linalg.norm(psi, axis=1, keepdims=True))[0].min())
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +616,14 @@ def four_bit_pipeline(gamma):
     branch recoveries (rotation pair on the no-loss branch, the swap-like
     non-unitary element on single-loss branches).  Unrecoverable branches
     count as fidelity zero.  The circuit runs once, on the code's logical
-    basis: with ρ = (I + r·σ)/2 each recovered branch map M contributes
-    |tr(Mρ)|² = |t₀ + t·r|², t_μ = tr(Mσ_μ)/2, so the fidelity's Bloch
-    coefficients are exact and _sphere_argmin gives the worst state a.  The
-    report's branches are the M·a of probability 1e-14 or more.
+    basis: each recovered branch map M contributes |⟨a|M|a⟩|², so the
+    fidelity is the overlap of the map with Kraus operators M, and its
+    exact qubit minimum gives the worst state a.  The report's branches are
+    the M·a of probability 1e-14 or more.
     """
     maps = _four_bit_branches(gamma, four_bit_code())
     recovered = np.array([rec for *_, rec in _FOUR_BIT_LEAVES])
-    t = pauli_components(maps[:, recovered].reshape(-1, 2, 2))
-    b = 2 * np.real(t[:, :1].conj() * t[:, 1:]).sum(axis=0)
-    q = np.real(t[:, 1:].conj().T @ t[:, 1:]) + np.sum(np.abs(t[:, 0]) ** 2) * np.eye(3)
-    amp, residual = _bloch_argmin(b, q)
+    worst, amp, residual = _worst_overlap(_choi_matrix(maps[:, recovered].reshape(-1, 2, 2)))
     vecs = maps @ amp
     probs = np.einsum("...i,...i->...", vecs.conj(), vecs).real
     # 1 - F summed directly over every leaf: an unrecovered leaf's whole
@@ -630,14 +631,12 @@ def four_bit_pipeline(gamma):
     kept = vecs[:, recovered]
     outside = kept - (kept @ amp.conj())[..., None] * amp
     loss = probs[:, ~recovered].sum() + np.sum(np.abs(outside) ** 2)
-    branches, syn, worst = [], {}, 0.0
+    branches, syn = [], {}
     for pattern, leaf in zip(*np.nonzero(probs >= 1e-14)):
         key, suffix, rec = _FOUR_BIT_LEAVES[leaf]
         vec, p = vecs[pattern, leaf], float(probs[pattern, leaf])
         branches.append((key, f"{pattern:04b}{suffix}", vec if rec else None, p))
         syn[key] = syn.get(key, 0.0) + p
-        if rec:
-            worst += abs(np.vdot(amp, vec)) ** 2
     coeff = loss / gamma ** 2 if gamma ** 2 > 0 else 0.0   # 0 where gamma² underflows
     return FourBitReport(gamma, worst, amp, syn, branches, coeff,
                          "exact-sphere", residual)

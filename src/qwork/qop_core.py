@@ -638,12 +638,12 @@ def channel_from_linear_rep(rep):
 def choi_of_map(act, dim):
     """Choi matrix of an arbitrary linear map given as a function on matrices."""
     check_int("dim", dim, 1)
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            c[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = _as_mat(act(e))
+    # E(|i><j|) for the units in row-major order, stacked without broadcasting
+    blocks = np.array([_as_mat(act(e))
+                       for e in np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)])
+    if blocks.shape != (dim * dim, dim, dim):
+        raise ValueError(f"need a map of {dim} x {dim} matrices, got images {blocks.shape[1:]}")
+    c = blocks.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
     return ChoiMatrix(c, dim, dim)
 
 

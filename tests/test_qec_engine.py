@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from qwork import qec_engine as qe
 from qwork import qop_core as qc
@@ -361,6 +362,15 @@ def sphere_sample(count):
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
+def bloch_choi(c, b, q):
+    """A Hermitian 4 x 4 Choi matrix C whose overlap Σ C[(i, a), (j, b)]·ρᵢₐ·ρ_bⱼ
+    at ρ = (I + r·σ)/2 is c + b·r + rᵀqr: the Paulis are orthogonal, so
+    C = Σ H_μν σ̄_μ ⊗ σ̄_ν over H = [[c, b/2], [b/2, q]] realises it."""
+    h = np.block([[np.array([[c]]), b[None] / 2], [b[:, None] / 2, q]])
+    s = np.conj(np.array(qc.PAULIS))
+    return np.einsum("mn,mia,nbj->iajb", h, s, s).reshape(4, 4)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["generic", "b_perp_lowest", "b_along_lowest",
@@ -384,13 +394,11 @@ def test_exact_bloch_minimum_beats_dense_sample(seed, case):
         b = np.zeros(3)
     c = r.normal()
 
-    def value(psi):
-        v = bloch_vector(psi)
-        return c + b @ v + v @ q @ v
-
-    best, state = qe._minimize_over_pure_states(value, 2)
+    best, state, _ = qe._worst_overlap(bloch_choi(c, b, q))
     assert abs(np.linalg.norm(state) - 1) < 1e-14
-    assert abs(np.linalg.norm(bloch_vector(state)) - 1) < 1e-14
+    v = bloch_vector(state)
+    assert abs(np.linalg.norm(v) - 1) < 1e-14
+    assert abs(best - (c + b @ v + v @ q @ v)) < 1e-12
     pts = sphere_sample(200_000)
     dense = c + pts @ b + np.einsum("ij,jk,ik->i", pts, q, pts)
     assert best <= dense.min() + 1e-12
@@ -463,8 +471,10 @@ def test_secular_root_along_the_lowest_eigenvector():
 
 
 def test_qubit_minimizer_rejects_non_quadratic_objective():
+    # |ψ₀|⁶ = ⟨ψ|ρ₀₀³·I|ψ⟩ has no Choi matrix: the one read off the map
+    # predicts ρ₀₀·I at the check state
     with pytest.raises(ValueError, match="quadratic"):
-        qe._minimize_over_pure_states(lambda psi: abs(psi[0]) ** 6, 2)
+        qe.min_overlap_fidelity(lambda rho: rho[0, 0] ** 3 * np.eye(2))
     with pytest.raises(ValueError, match="quadratic"):
         qe.min_overlap_fidelity(lambda rho: np.diag(np.diag(rho) ** 3))
 
@@ -503,6 +513,76 @@ def test_min_overlap_with_sampler():
                for t in np.linspace(0, 2 * math.pi, 17)]
     f = qe.min_overlap_fidelity(ch, sampler=equator)
     assert abs(f - 0.8) < 1e-12
+
+
+def test_min_overlap_sampler_refuses_bad_candidates():
+    ch = qc.standard_channel("phase_damping", p=0.2)
+    for bad in ([], [np.zeros(2)], [np.array([np.nan, 1])], [np.array([1, 0, 0])],
+                [np.array([1, 0]), np.array([[1], [0]])]):
+        with pytest.raises(ValueError, match="sampler"):
+            qe.min_overlap_fidelity(ch, sampler=bad)
+
+
+def test_min_overlap_refuses_a_channel_between_different_dims():
+    ch = qc.QuantumChannel([np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])])
+    with pytest.raises(ValueError, match="dim_in=2, dim_out=1"):
+        qe.min_overlap_fidelity(ch)
+
+
+@pytest.mark.parametrize("hs", [[np.full((2, 2), np.nan)], [np.eye(2), np.inf * np.eye(2)],
+                                [np.ones((2, 3))], [np.eye(2), np.eye(3)], [np.ones(2)]])
+def test_fidelity_bound_refuses_bad_code_h(hs):
+    with pytest.raises(ValueError, match="code_h"):
+        qe.fidelity_lower_bound(qe.CriteriaReport(code_h=hs))
+
+
+def nelder_mead_reference(ch):
+    """Worst overlap from the best of 4096 seeded random starts refined by
+    Nelder-Mead, each value read through qop_core.apply."""
+    k = ch.dim_in
+
+    def val(x):
+        if np.linalg.norm(x) < 1e-12:
+            return math.inf
+        psi = (x[:k] + 1j * x[k:]) / np.linalg.norm(x)
+        return float(np.real(psi.conj() @ qc.apply(ch, np.outer(psi, psi.conj())) @ psi))
+
+    start = min(np.random.default_rng(0).normal(size=(4096, 2 * k)), key=val)
+    res = minimize(val, start, method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
+    return min(res.fun, val(start))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("seed", [100, 101])
+def test_projected_gradient_never_above_nelder_mead(k, seed):
+    ch = qc.random_channel(k, rng=np.random.default_rng(seed))
+    f, psi, residual = qe._worst_overlap(qe._choi_matrix(ch.kraus))
+    assert qe.min_overlap_fidelity(ch) == f
+    assert f <= nelder_mead_reference(ch) + 1e-12
+    assert residual <= 1e-10
+    direct = np.real(psi.conj() @ qc.apply(ch, np.outer(psi, psi.conj())) @ psi)
+    assert abs(f - direct) < 1e-14
+
+
+def test_min_overlap_reaches_a_flat_minimum():
+    # f = ⟨ψ|diag(1, 1/2, 0)|ψ⟩² grows only at fourth order away from |2>:
+    # 500 plain projected steps without momentum end 4e-7 above 0 here;
+    # the decay channel adds a second-order direction
+    assert qe.min_overlap_fidelity(qc.QuantumChannel([np.diag([1, 0.5, 0])])) < 1e-15
+    decay = [np.diag([1, math.sqrt(0.7), 0]), math.sqrt(0.3) * np.eye(3)[:, [0]] @ np.eye(3)[[1]],
+             np.eye(3)[:, [0]] @ np.eye(3)[[2]]]
+    assert qe.min_overlap_fidelity(qc.QuantumChannel(decay)) < 1e-15
+    # an error set that is c·I on the code plus one with a flat zero
+    rep = qe.CriteriaReport(code_h=[3 * np.eye(3), np.diag([1.0, 0.5, 0.0])])
+    assert abs(qe.fidelity_lower_bound(rep) - 9) < 1e-9
+    assert qe.fidelity_lower_bound(qe.CriteriaReport(code_h=[np.zeros((3, 3))])) == 0.0
+
+
+def test_min_overlap_finds_the_state_nelder_mead_missed():
+    # from its best random start Nelder-Mead stopped at 0.0928441 here
+    ch = qc.random_channel(4, rng=np.random.default_rng(0))
+    assert abs(qe.min_overlap_fidelity(ch) - 0.0918876541) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +680,10 @@ SCALARS = st.one_of(
 
 ENTRY_POINTS = {
     "min_overlap_fidelity.dim": lambda v: qe.min_overlap_fidelity(lambda rho: rho, dim=v),
+    "min_overlap_fidelity.sampler": lambda v: qe.min_overlap_fidelity(
+        qc.standard_channel("depolarizing", p=0.1), sampler=[np.array([v, 1.0])]),
+    "fidelity_lower_bound.code_h": lambda v: qe.fidelity_lower_bound(
+        qe.CriteriaReport(code_h=[v * np.eye(3), np.diag([1.0, 0.5, 0.0])])),
     "ad_kraus": lambda v: qe.ad_kraus(v),
     "four_bit_reversible_set": lambda v: qe.four_bit_reversible_set(v),
     "four_bit_pipeline": lambda v: qe.four_bit_pipeline(v),
@@ -616,6 +700,18 @@ ENTRY_POINTS = {
 @example(v=2.0)
 def test_entry_points_return_or_raise_value_error(name, v):
     try:
-        ENTRY_POINTS[name](v)
+        out = ENTRY_POINTS[name](v)
     except ValueError:
-        pass
+        return
+    assert all_finite(out), out
+
+
+def all_finite(x):
+    # every number a result holds, through reports, branches and lists
+    if dataclasses.is_dataclass(x):
+        return all_finite(list(vars(x).values()))
+    if isinstance(x, dict):
+        return all_finite(list(x.values()))
+    if isinstance(x, (list, tuple)):
+        return all(map(all_finite, x))
+    return x is None or isinstance(x, str) or bool(np.isfinite(x).all())

@@ -356,6 +356,15 @@ def test_linear_rep_amplitude_damping_affine():
     assert np.abs(rep.m - expect).max() < 1e-12
 
 
+def test_choi_of_map_refuses_images_of_the_wrong_shape():
+    # a 1 x 1 or length-2 image would broadcast into its 2 x 2 block
+    for act in (lambda rho: rho[:1, :1], lambda rho: np.zeros(2), lambda rho: np.eye(3)):
+        with pytest.raises(ValueError, match="2 x 2"):
+            qc.choi_of_map(act, 2)
+        with pytest.raises(ValueError, match="2 x 2"):
+            qc.is_cp(act, 2)
+
+
 def test_is_cp_detects_transpose():
     # the transpose map is positive but not completely positive
     rep = qc.LinearRep(1.0, np.zeros(3), np.zeros(3), np.diag([1.0, -1.0, 1.0]))

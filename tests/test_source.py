@@ -101,13 +101,12 @@ def _module_level(node):
             yield from _module_level(child)
 
 
-def test_no_module_level_scipy_import():
-    # importing scipy.optimize and scipy.linalg costs about 0.6 s, more than
-    # most commands' work, so only the functions that need scipy import it
+def test_no_scipy_import_in_package():
+    # scipy is a test dependency only: no import of it anywhere in the
+    # package, at module level or inside a function
     found = []
     for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in _module_level(tree):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -168,6 +167,16 @@ def test_rf_storage_analysis_runs_without_importing_scipy():
         " for th in nm.THETA_GRID]",
         "rc = round(nm.ellipse_analysis(pts)['ellipticity'], 2)")
     assert last == "[] 1.05", stderr
+
+
+def test_worst_overlap_above_a_qubit_runs_with_scipy_blocked():
+    # a None entry makes every scipy import raise ImportError
+    last, stderr = _modules_after(
+        "scipy", 'sys.modules["scipy"] = None',
+        "import numpy as np", "from qwork import qec_engine as qe, qop_core as qc",
+        "ch = qc.random_channel(4, rng=np.random.default_rng(0))",
+        "rc = round(qe.min_overlap_fidelity(ch), 7)", 'del sys.modules["scipy"]')
+    assert last == "[] 0.0918877", stderr
 
 
 def test_cli_imports_no_library_module_at_module_level():
