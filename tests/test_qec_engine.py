@@ -529,7 +529,7 @@ def test_min_overlap_refuses_a_channel_between_different_dims():
         qe.min_overlap_fidelity(ch)
 
 
-@pytest.mark.parametrize("hs", [[np.full((2, 2), np.nan)], [np.eye(2), np.inf * np.eye(2)],
+@pytest.mark.parametrize("hs", [[np.full((2, 2), np.nan)], [np.eye(2), np.diag([np.inf, np.inf])],
                                 [np.ones((2, 3))], [np.eye(2), np.eye(3)], [np.ones(2)]])
 def test_fidelity_bound_refuses_bad_code_h(hs):
     with pytest.raises(ValueError, match="code_h"):
@@ -683,7 +683,7 @@ ENTRY_POINTS = {
     "min_overlap_fidelity.sampler": lambda v: qe.min_overlap_fidelity(
         qc.standard_channel("depolarizing", p=0.1), sampler=[np.array([v, 1.0])]),
     "fidelity_lower_bound.code_h": lambda v: qe.fidelity_lower_bound(
-        qe.CriteriaReport(code_h=[v * np.eye(3), np.diag([1.0, 0.5, 0.0])])),
+        qe.CriteriaReport(code_h=[np.diag([v, v, v]), np.diag([1.0, 0.5, 0.0])])),
     "ad_kraus": lambda v: qe.ad_kraus(v),
     "four_bit_reversible_set": lambda v: qe.four_bit_reversible_set(v),
     "four_bit_pipeline": lambda v: qe.four_bit_pipeline(v),
