@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qop_core import (CNOT, DEFAULT_TOL, PAULIS, QuantumChannel, apply_local, check_int,
-                       check_positive, check_real, choi_of_map, dagger, kron_all, standard_channel)
+from .qop_core import (CNOT, DEFAULT_TOL, PAULIS, QuantumChannel, _choi_matrix, apply_local,
+                       check_int, check_positive, check_real, choi_of_map, dagger, kron_all,
+                       standard_channel)
 
 
 @dataclass
@@ -384,13 +385,6 @@ def _sphere_argmin(b, q):
         f, slope = phi(nu)
     raise RuntimeError(f"secular equation unsolved after {_SECULAR_STEPS} "
                        f"steps (bracket [{lo!r}, {hi!r}] around λ₀)")
-
-
-def _choi_matrix(ops):
-    """Choi matrix C[(i, a), (j, b)] = Σₙ Aₙ[a, i]·conj(Aₙ[b, j]), k² x k², of
-    the map ρ ↦ Σₙ AₙρAₙ† for a stack of k x k operators."""
-    v = np.asarray(ops, dtype=complex).transpose(0, 2, 1).reshape(len(ops), -1)
-    return v.T @ v.conj()
 
 
 def _overlaps(m, psi):

@@ -223,16 +223,24 @@ class QuantumChannel:
 
     def __init__(self, kraus, tol=DEFAULT_TOL, require_tp=False):
         check_positive("tol", tol)
-        kraus = [np.asarray(a, dtype=complex) for a in kraus]
-        if not kraus:
+        ops = [np.asarray(a, dtype=complex) for a in kraus]
+        if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        shape = kraus[0].shape
-        for a in kraus:
-            if a.shape != shape:
-                raise ValueError("inconsistent Kraus shapes")
-        self.kraus = kraus
-        self.dim_out, self.dim_in = shape
-        s = sum(dagger(a) @ a for a in kraus)
+        if any(a.shape != ops[0].shape for a in ops):
+            raise ValueError("inconsistent Kraus shapes")
+        if ops[0].ndim != 2:
+            raise ValueError(f"need each kraus operator as a matrix, got shape {ops[0].shape}")
+        # one (K, dim_out, dim_in) stack: indexable, iterable and len-able
+        self.kraus = np.array(ops)
+        if not np.isfinite(self.kraus).all():
+            raise ValueError("need finite kraus entries")
+        self.dim_out, self.dim_in = ops[0].shape
+        # sum_k A_k† A_k is F† F for the rows of every A_k stacked in F
+        rows = self.kraus.reshape(-1, self.dim_in)
+        with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+            s = dagger(rows) @ rows
+        if not np.isfinite(s).all():
+            raise ValueError("Kraus completeness sum exceeds identity")
         self._completeness_defect = float(np.abs(s - np.eye(self.dim_in)).max())
         self.trace_preserving = self._completeness_defect <= max(tol, 1e-7)
         if not self.trace_preserving:
@@ -310,19 +318,16 @@ def apply(channel, rho):
     return out
 
 
-def _vec(a):
-    # column-major flatten: segment i of the vector is column i of a
-    return np.asarray(a, dtype=complex).flatten(order="F")
-
-
-def _unvec(v, dim_out, dim_in):
-    return np.reshape(v, (dim_out, dim_in), order="F")
+def _choi_matrix(ops):
+    """Choi matrix C[(i, a), (j, b)] = Σₙ Aₙ[a, i]·conj(Aₙ[b, j]) of the map
+    ρ ↦ Σₙ AₙρAₙ† for a (K, d_out, d_in) stack: one product of the
+    column-major vectorized operators, whose segment i is column i of Aₙ."""
+    v = np.asarray(ops, dtype=complex).transpose(0, 2, 1).reshape(len(ops), -1)
+    return v.T @ v.conj()
 
 
 def choi_of(channel):
-    vs = [_vec(a) for a in channel.kraus]
-    c = sum(np.outer(v, v.conj()) for v in vs)
-    return ChoiMatrix(c, channel.dim_in, channel.dim_out)
+    return ChoiMatrix(_choi_matrix(channel.kraus), channel.dim_in, channel.dim_out)
 
 
 def kraus_from_choi(choi, tol=DEFAULT_TOL):
@@ -331,18 +336,21 @@ def kraus_from_choi(choi, tol=DEFAULT_TOL):
     negative raises NotCompletelyPositiveError."""
     check_positive("tol", tol)
     c = choi.as_unnormalized()
-    w, v = np.linalg.eigh((c.mat + dagger(c.mat)) / 2)
+    d = c.dim_in * c.dim_out
+    if np.shape(c.mat) != (d, d) or not np.isfinite(c.mat).all():
+        raise ValueError(f"need choi as a finite {d} x {d} matrix for dim_in={c.dim_in}, "
+                         f"dim_out={c.dim_out}, got shape {np.shape(c.mat)}")
+    # halves first, so a huge finite entry does not overflow the sum
+    w, v = np.linalg.eigh(c.mat / 2 + dagger(c.mat) / 2)
     if w.min() < -tol:
         raise NotCompletelyPositiveError(
             f"Choi matrix has eigenvalue {w.min():.3e} < -tol")
-    kraus = []
-    for lam, vec in zip(w, v.T):
-        if lam <= tol:
-            continue
-        kraus.append(math.sqrt(lam) * _unvec(vec, c.dim_out, c.dim_in))
-    if not kraus:
-        kraus = [np.zeros((c.dim_out, c.dim_in), dtype=complex)]
-    return QuantumChannel(kraus, tol=tol)
+    keep = w > tol
+    if not keep.any():
+        return QuantumChannel(np.zeros((1, c.dim_out, c.dim_in)), tol=tol)
+    # each kept column times sqrt(lambda), un-vectorized column-major
+    cols = v[:, keep] * np.sqrt(w[keep])
+    return QuantumChannel(cols.T.reshape(-1, c.dim_in, c.dim_out).transpose(0, 2, 1), tol=tol)
 
 
 def channels_equal(a, b, tol=DEFAULT_TOL):

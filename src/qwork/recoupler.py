@@ -46,15 +46,41 @@ class HadamardMatrix:
     provenance: str
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.int64)
-        object.__setattr__(self, "entries", e)
-        if e.shape != (self.order, self.order) or not np.all(np.abs(e) == 1):
+        e = _as_signs(self.entries)
+        if e is None or e.shape != (self.order, self.order):
             raise ValueError("entries must be a +/-1 square matrix")
-        # a float Gram product runs through BLAS and stays exact: every
-        # partial sum of +/-1 products is an integer of size <= order
-        f = e.astype(float)
-        if not np.array_equal(f @ f.T, self.order * np.eye(self.order)):
+        object.__setattr__(self, "entries", e)
+        if _first_unorthogonal(e):
             raise ValueError("rows are not orthogonal")
+
+
+def _as_signs(entries):
+    """entries as int64 when every value is +/-1 as given, else None: the
+    check runs before the cast, which would round 1.5 to 1 and warn on NaN,
+    and a bool is a flag, not a sign."""
+    e = np.asarray(entries)
+    if e.dtype.kind not in "iuf" or not np.all(np.abs(e) == 1):
+        return None
+    return e.astype(np.int64)
+
+
+def _first_unorthogonal(e, pairs=()):
+    """First 1-based rows (a, b), a < b, of the +/-1 matrix e that are not
+    orthogonal, skipping the 1-based pairs, whose rows must be identical;
+    None when there is none.  The float32 Gram product is one BLAS syrk and
+    exact: each partial sum is an integer of size at most e.shape[1], below
+    2**24 (MAX_ORDER for every built order).  The diagonal and the two
+    entries of each pair are that row length, so a nonzero count of n plus
+    two per pair accepts, and only a refusal looks for the pair."""
+    f = e.astype(np.float32 if e.shape[1] <= 2 ** 24 else float)
+    g = f @ f.T
+    if np.count_nonzero(g) == len(g) + 2 * len(pairs):
+        return None
+    bad = np.triu(g != 0, 1)
+    for i, j in pairs:
+        bad[i - 1, j - 1] = False
+    hits = np.argwhere(bad)
+    return (int(hits[0, 0]) + 1, int(hits[0, 1]) + 1) if len(hits) else None
 
 
 def _paley(q):
@@ -179,10 +205,10 @@ class SignMatrix:
     pairs: tuple = ()
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.int64)
-        object.__setattr__(self, "entries", e)
-        if e.ndim != 2 or not np.all(np.abs(e) == 1):
+        e = _as_signs(self.entries)
+        if e is None or e.ndim != 2:
             raise ValueError("entries must be a +/-1 matrix")
+        object.__setattr__(self, "entries", e)
         self.validate()
 
     @property
@@ -200,13 +226,9 @@ class SignMatrix:
             if not np.array_equal(e[i - 1], e[j - 1]):
                 raise ValueError(f"rows {i} and {j} must be identical")
         if self.target != "chain-decouple":
-            f = e.astype(float)   # exact, as in HadamardMatrix
-            bad = np.triu(f @ f.T != 0, 1)
-            for i, j in self.pairs:
-                bad[i - 1, j - 1] = False
-            if bad.any():
-                a, b = np.argwhere(bad)[0]
-                raise ValueError(f"rows {a + 1},{b + 1} not orthogonal")
+            bad = _first_unorthogonal(e, self.pairs)
+            if bad:
+                raise ValueError(f"rows {bad[0]},{bad[1]} not orthogonal")
         if self.target == "zeeman-free-identity" or self.pairs:
             if np.any(e.sum(axis=1) != 0):
                 raise ValueError("row sums must vanish")

@@ -523,28 +523,37 @@ def _ad_word(codes):
     return AdWord(tuple(_AD_LETTERS[c] for c in codes))
 
 
+def _combinations(n, r):
+    """itertools.combinations(range(n), r) as a (count, r) index array."""
+    combos = list(itertools.combinations(range(n), r))
+    return np.array(combos, dtype=np.intp).reshape(len(combos), r)
+
+
 def _ad_codes(n, t):
-    """Letter codes of ad_words(n, t), one row per word, in its order."""
+    """Letter codes of ad_words(n, t), one row per word, in its order: by r
+    A/A' letters and s B letters, then the A positions, the B positions
+    among the other qubits and the A/A' kinds, each in itertools order."""
     check_int("n", n, 1)
     check_int("t", t, 0)
     lower, raised, diag = (_AD_LETTERS.index(c) for c in ("A", "Ad", "B"))
-    rows = []
+    blocks = []
     # r + 2s <= 2t, and r + s <= n: larger r or s have no qubits to fill
     for r in range(0, min(2 * t, n) + 1):
+        a_pos = _combinations(n, r)
+        free = np.ones((len(a_pos), n), dtype=bool)
+        free[np.arange(len(a_pos))[:, None], a_pos] = False
+        others = np.nonzero(free)[1].reshape(len(a_pos), n - r)
+        # itertools.product((lower, raised), repeat=r) with at most t of each
+        up = (np.arange(1 << r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
+        ups = up.sum(axis=1)
+        kinds = np.where(up[(ups <= t) & (r - ups <= t)] == 1, raised, lower)
         for s in range(0, min(t - (r + 1) // 2, n - r) + 1):
-            for a_pos in itertools.combinations(range(n), r):
-                others = [q for q in range(n) if q not in a_pos]
-                for b_pos in itertools.combinations(others, s):
-                    for kinds in itertools.product((lower, raised), repeat=r):
-                        if kinds.count(lower) > t or kinds.count(raised) > t:
-                            continue
-                        row = [0] * n
-                        for q, kind in zip(a_pos, kinds):
-                            row[q] = kind
-                        for q in b_pos:
-                            row[q] = diag
-                        rows.append(row)
-    return np.array(rows, dtype=np.int8).reshape(len(rows), n)
+            b_pos = others[:, _combinations(n - r, s)]
+            rows = np.zeros((len(a_pos), b_pos.shape[1], len(kinds), n), dtype=np.int8)
+            np.put_along_axis(rows, a_pos[:, None, None, :], kinds[None, None], axis=3)
+            np.put_along_axis(rows, b_pos[:, :, None, :], diag, axis=3)
+            blocks.append(rows.reshape(-1, n))
+    return np.concatenate(blocks)
 
 
 def ad_words(n, t):

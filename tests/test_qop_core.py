@@ -226,6 +226,46 @@ def test_round_trip_random_channels(seed):
     assert len(back.kraus) <= dim * dim
 
 
+def _loop_choi(kraus):
+    # one outer product per Kraus operator of its column-major vec
+    return sum(np.outer(a.flatten(order="F"), a.flatten(order="F").conj()) for a in kraus)
+
+
+def _loop_kraus(choi, tol):
+    # one un-vectorized eigenvector per kept eigenvalue
+    c = choi.as_unnormalized()
+    w, v = np.linalg.eigh((c.mat + qc.dagger(c.mat)) / 2)
+    return [math.sqrt(lam) * vec.reshape(c.dim_out, c.dim_in, order="F")
+            for lam, vec in zip(w, v.T) if lam > tol]
+
+
+@pytest.mark.parametrize("din, dout, k, scale", [
+    (2, 3, 6, 1.0), (4, 2, 3, 1.0), (3, 3, 1, 1.0), (2, 2, 1, 1.0),
+    (3, 2, 4, 0.8),   # non-TP: every operator shrunk
+])
+def test_stacked_kernels_match_the_per_kraus_loops(din, dout, k, scale):
+    ch0 = qc.random_channel(din, dout, n_kraus=k, rng=np.random.default_rng(din * 10 + k))
+    ops = [scale * a for a in ch0.kraus]
+    ch = qc.QuantumChannel(ops)
+    assert ch.trace_preserving == (scale == 1.0)
+    assert len(ch.kraus) == k and all(np.array_equal(a, b) for a, b in zip(ch.kraus, ops))
+
+    want = _loop_choi(ops)
+    got = qc.choi_of(ch).mat
+    assert got.shape == (din * dout, din * dout)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    s = sum(qc.dagger(a) @ a for a in ops)
+    defect = np.abs(s - np.eye(din)).max()
+    assert abs(ch._completeness_defect - defect) <= 1e-15 * np.abs(s).max()
+
+    back = qc.kraus_from_choi(qc.ChoiMatrix(want, din, dout))
+    loop = _loop_kraus(qc.ChoiMatrix(want, din, dout), qc.DEFAULT_TOL)
+    assert len(back.kraus) == len(loop)
+    top = max(np.abs(a).max() for a in loop)
+    assert all(np.abs(a - b).max() <= 1e-15 * top for a, b in zip(back.kraus, loop))
+
+
 def test_canonical_kraus_orthogonality():
     # canonical Kraus operators are mutually orthogonal under tr(A†B)
     ch = qc.random_channel(3, rng=np.random.default_rng(5))
@@ -461,6 +501,23 @@ def test_channel_rejects_overcomplete_kraus():
         qc.QuantumChannel([np.eye(2), 0.5 * qc.SX])
 
 
+@pytest.mark.parametrize("make, name", [
+    # a NaN channel was accepted as non-TP, with a NaN completeness defect
+    (lambda: qc.QuantumChannel([[[math.nan, 0], [0, 1]]]), "kraus"),
+    (lambda: qc.QuantumChannel([[[math.inf, 0], [0, 1]]]), "kraus"),
+    # a 1-D or 3-D operator failed in tuple unpacking
+    (lambda: qc.QuantumChannel([[1, 0]]), "kraus"),
+    (lambda: qc.QuantumChannel([np.ones((1, 2, 2))]), "kraus"),
+    (lambda: qc.QuantumChannel(np.eye(2)), "kraus"),
+    # a NaN Choi matrix raised LinAlgError from eigh
+    (lambda: qc.kraus_from_choi(qc.ChoiMatrix(np.full((4, 4), math.nan), 2, 2)), "choi"),
+    (lambda: qc.kraus_from_choi(qc.ChoiMatrix(np.eye(3), 2, 2)), "choi"),
+])
+def test_malformed_channels_are_refused_by_name(make, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        make()
+
+
 @pytest.mark.parametrize("cutoff", [2.5, -1])
 def test_bosonic_ad_cutoff_must_be_nonnegative_integer(cutoff):
     with pytest.raises(ValueError, match="cutoff"):
@@ -493,6 +550,9 @@ ENTRY_POINTS = {
     "random_channel.dim_out": lambda v: qc.random_channel(2, v, rng=np.random.default_rng(0)),
     "random_channel.n_kraus":
         lambda v: qc.random_channel(2, n_kraus=v, rng=np.random.default_rng(0)),
+    "QuantumChannel.kraus": lambda v: qc.QuantumChannel([[[v, 0], [0, 0.5]]]),
+    "kraus_from_choi.choi":
+        lambda v: qc.kraus_from_choi(qc.ChoiMatrix(np.diag([v, 0.5, 0.0, 0.5]), 2, 2)),
 }
 
 

@@ -109,6 +109,35 @@ def test_invalid_matrix_rejected():
         rc.HadamardMatrix(4, bad, "nope")
 
 
+@pytest.mark.parametrize("entries", [
+    np.array([[1.5, 1.5], [1.5, -1.5]]),     # the int64 cast read [[1, 1], [1, -1]]
+    np.array([[1.0, 1.0], [1.0, math.nan]]),  # the cast warned before any check
+    np.array([[True, True], [True, True]]),    # a flag, not a sign
+    np.array([[1, 1], [1, -1]], dtype=complex),
+])
+def test_sign_entries_are_checked_as_given(entries):
+    with pytest.raises(ValueError, match=r"entries must be a \+/-1 square matrix"):
+        rc.HadamardMatrix(2, entries, "given")
+    with pytest.raises(ValueError, match=r"entries must be a \+/-1 matrix"):
+        rc.SignMatrix(entries, "decouple")
+
+
+def test_float_and_int8_signs_are_accepted_as_int64():
+    for entries in (np.array([[1.0, 1.0], [1.0, -1.0]]), rc._normalized_rows(2)):
+        assert rc.HadamardMatrix(2, entries, "given").entries.dtype == np.int64
+        assert rc.SignMatrix(entries, "decouple").entries.dtype == np.int64
+
+
+def test_longest_rows_with_dot_product_two_are_refused():
+    # one agreement more than disagreements over MAX_ORDER columns: the
+    # float32 Gram entry 2 must not round to 0
+    e = np.ones((2, rc.MAX_ORDER), dtype=np.int64)
+    e[1, :rc.MAX_ORDER // 2 - 1] = -1
+    assert e[0] @ e[1] == 2
+    with pytest.raises(ValueError, match="rows 1,2 not orthogonal"):
+        rc.SignMatrix(e, "decouple")
+
+
 def test_paley_requires_3_mod_4_prime():
     with pytest.raises(ValueError):
         rc._paley(5)

@@ -333,6 +333,13 @@ def _is_math_inf(node):
             and isinstance(node.value, ast.Name) and node.value.id == "math")
 
 
+def test_max_order_keeps_the_float32_gram_exact():
+    # recoupler checks +/-1 rows with a float32 Gram product: exact while
+    # every partial sum, an integer of size at most MAX_ORDER, fits the
+    # 24-bit significand
+    assert rc.MAX_ORDER <= 2 ** 24
+
+
 def test_finiteness_is_checked_only_in_qop_core():
     # a scalar entry check is one call to qop_core's check_int, check_real
     # or check_positive, so a hand-written NaN or infinity test elsewhere

@@ -265,6 +265,35 @@ def test_stabilizer_negation_signs():
         st.PauliWord.from_string("IZZIIIIII")) == -1
 
 
+def _reference_ad_codes(n, t):
+    # the nested loop _ad_codes broadcasts, one word at a time
+    lower, raised, diag = (st._AD_LETTERS.index(c) for c in ("A", "Ad", "B"))
+    rows = []
+    for r in range(0, min(2 * t, n) + 1):
+        for s in range(0, min(t - (r + 1) // 2, n - r) + 1):
+            for a_pos in itertools.combinations(range(n), r):
+                others = [q for q in range(n) if q not in a_pos]
+                for b_pos in itertools.combinations(others, s):
+                    for kinds in itertools.product((lower, raised), repeat=r):
+                        if kinds.count(lower) > t or kinds.count(raised) > t:
+                            continue
+                        row = [0] * n
+                        for q, kind in zip(a_pos, kinds):
+                            row[q] = kind
+                        for q in b_pos:
+                            row[q] = diag
+                        rows.append(row)
+    return np.array(rows, dtype=np.int8).reshape(len(rows), n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ad_codes_match_the_word_loop(n):
+    for t in range(4):
+        got = st._ad_codes(n, t)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _reference_ad_codes(n, t)), t
+
+
 def test_ad_word_enumeration_counts():
     assert len(st.ad_words(4, 1)) == 25
     assert len(st.ad_words(7, 1)) == 64
