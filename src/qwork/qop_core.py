@@ -2,9 +2,11 @@
 
 Channels are kept in operator-sum (Kraus) form.  The Choi matrix, the chi
 matrix with respect to a fixed operator basis, and the real linear
-(Bloch-affine) representation are derived views.  Two independent process
-tomography routes are provided, plus the structural results for unital qubit
-channels (random-unitary decompositions) and the extreme qutrit counterexample.
+(Bloch-affine) representation are derived views.  Two process tomography
+routes are provided, both through the Choi matrix: chi tomography over an
+operator basis, and the Choi state of a maximally entangled pair.  Also here
+are the structural results for unital qubit channels (random-unitary
+decompositions) and the extreme qutrit counterexample.
 
 Bit order: on an n-qubit register, qubit 0 is the leftmost tensor factor and
 the most significant bit of a basis index, so basis index x has qubit q in
@@ -348,9 +350,13 @@ def kraus_from_choi(choi, tol=DEFAULT_TOL):
     keep = w > tol
     if not keep.any():
         return QuantumChannel(np.zeros((1, c.dim_out, c.dim_in)), tol=tol)
-    # each kept column times sqrt(lambda), un-vectorized column-major
-    cols = v[:, keep] * np.sqrt(w[keep])
-    return QuantumChannel(cols.T.reshape(-1, c.dim_in, c.dim_out).transpose(0, 2, 1), tol=tol)
+    return QuantumChannel(_unvectorize(v[:, keep] * np.sqrt(w[keep]), c.dim_in), tol=tol)
+
+
+def _unvectorize(cols, dim_in):
+    """The operators with dim_in columns whose column-major vectors, as in
+    _choi_matrix, are the columns of cols, stacked as (K, dim_out, dim_in)."""
+    return cols.T.reshape(-1, dim_in, len(cols) // dim_in).transpose(0, 2, 1)
 
 
 def channels_equal(a, b, tol=DEFAULT_TOL):
@@ -457,89 +463,67 @@ def pauli_product_basis(n_qubits):
     """Normalized n-qubit Pauli products (orthonormal under <A,B>=tr(A†B))."""
     check_int("n_qubits", n_qubits, 1)
     d = 2 ** n_qubits
-    out = []
-    for idx in np.ndindex(*(4,) * n_qubits):
-        out.append(kron_all(*(PAULIS[i] for i in idx)) / math.sqrt(d))
-    return out
+    return [kron_all(*(PAULIS[i] for i in idx)) / math.sqrt(d)
+            for idx in np.ndindex(*(4,) * n_qubits)]
 
 
 def default_state_basis(dim):
     """d² spanning input states: |i><i|, and the +|j> / +i|j> superpositions."""
     check_int("dim", dim, 1)
-    states = []
-    for i in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[i] = 1.0
-        states.append(np.outer(e, e.conj()))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for amp in (1.0, 1j):
-                v = np.zeros(dim, dtype=complex)
-                v[i] = 1.0
-                v[j] = amp
-                v /= np.linalg.norm(v)
-                states.append(np.outer(v, v.conj()))
-    return states
+    e = np.eye(dim, dtype=complex)
+    vecs = list(e) + [(e[i] + amp * e[j]) / math.sqrt(2) for i in range(dim)
+                      for j in range(i + 1, dim) for amp in (1.0, 1j)]
+    return [np.outer(v, v.conj()) for v in vecs]
 
 
-def _chi_equations(oracle, rhos, op_basis):
-    """(lam, kappa) of tomography's lambda = kappa · chi: lam[i, j] expands
-    the oracle's output on rhos[i], and kappa[(i, j), (m, n)] expands
-    B_m rhos[i] B_n†, over the input states rhos[j]."""
-    d2 = len(rhos)
-    # R maps expansion coefficients over the input states to vectorized matrices
-    r_cols = np.column_stack([m.reshape(-1) for m in rhos])
-    if np.linalg.matrix_rank(r_cols, tol=1e-10) < d2:
-        raise ValueError("input basis does not span the operator space")
-
-    # every right-hand side of each system in one solve
-    outs = np.array([_as_mat(oracle(rho)).reshape(-1) for rho in rhos])
-    lam = np.linalg.solve(r_cols, outs.T).T
-    basis = np.array(op_basis)
-    left = basis[:, None] @ np.array(rhos)[None]                         # (m, i)
-    prods = left[:, None] @ basis.conj().swapaxes(1, 2)[None, :, None]  # (m, n, i)
-    coef = np.linalg.solve(r_cols, prods.reshape(d2 ** 3, d2).T)        # (j, m, n, i)
-    kappa = coef.reshape((d2,) * 4).transpose(3, 0, 1, 2).reshape(d2 * d2, d2 * d2)
-    return lam, kappa
+def _spanning_stack(name, mats, dim):
+    """mats as a (dim², dim, dim) stack of finite matrices that span the
+    dim x dim operators; the rank does not depend on the vectorization."""
+    d2 = dim * dim
+    stack = np.array([_as_mat(m) for m in mats])
+    if stack.shape != (d2, dim, dim) or not np.isfinite(stack).all():
+        raise ValueError(f"need {name} as {d2} finite {dim} x {dim} matrices, "
+                         f"got shape {stack.shape}")
+    if np.linalg.matrix_rank(stack.reshape(d2, d2), tol=1e-10) < d2:
+        raise ValueError(f"{name} does not span the operator space")
+    return stack
 
 
 def tomography_method1(oracle, dim, input_basis=None, op_basis=None,
                        tol=DEFAULT_TOL):
     """Process tomography by expanding outputs over a fixed operator basis.
 
-    ``oracle`` maps a density matrix to the channel output.  The chi matrix is
-    solved from lambda = kappa · chi and diagonalized; the returned Kraus set
-    is the canonical one built from the operator basis.
+    ``oracle`` maps a density matrix to the channel output.  Its outputs on
+    ``input_basis`` give the Choi matrix C, and chi of E(rho) = Σ chi_mn B_m
+    rho B_n† is V⁻¹·C·V⁻†, where column m of V is B_m vectorized as in
+    _choi_matrix.  chi is diagonalized; the returned Kraus set is the
+    canonical one built from the operator basis.
     """
     check_int("dim", dim, 1)
     check_positive("tol", tol)
     if op_basis is None:
-        n = round(math.log2(dim))
-        if 2 ** n != dim:
+        if dim & (dim - 1):
             raise ValueError("default operator basis needs a qubit register")
-        op_basis = pauli_product_basis(n)
+        op_basis = pauli_product_basis(int(dim).bit_length() - 1)
     if input_basis is None:
         input_basis = default_state_basis(dim)
-    rhos = [_as_mat(r) for r in input_basis]
-    d2 = dim * dim
-    if len(rhos) != d2 or len(op_basis) != d2:
-        raise ValueError("bases must have dim² elements")
+    rhos = _spanning_stack("input_basis", input_basis, dim)
+    ops = _spanning_stack("op_basis", op_basis, dim)
 
-    lam, kappa = _chi_equations(oracle, rhos, op_basis)
-    chi_vec, *_ = np.linalg.lstsq(kappa, lam.reshape(-1), rcond=None)
-    chi = chi_vec.reshape(d2, d2)
-    chi = (chi + dagger(chi)) / 2
-    w, v = np.linalg.eigh(chi)
+    c = _choi_of_inputs(oracle, rhos, "oracle").mat
+    v = ops.transpose(0, 2, 1).reshape(dim * dim, -1).T
+    v_inv = np.linalg.inv(v)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        chi = v_inv @ c @ dagger(v_inv)
+    if not np.isfinite(chi).all():
+        raise ValueError("need oracle output small enough for a finite chi matrix")
+    # halves first, so a huge finite entry does not overflow the sum
+    w, u = np.linalg.eigh(chi / 2 + dagger(chi) / 2)
     if w.min() < -1e-6:
         raise NotCompletelyPositiveError(
             f"chi matrix eigenvalue {w.min():.3e}: inconsistent oracle data")
-    kraus = []
-    for lam_k, col in zip(w, v.T):
-        if lam_k <= tol:
-            continue
-        a = sum(col[m] * op_basis[m] for m in range(d2))
-        kraus.append(math.sqrt(lam_k) * a)
-    return QuantumChannel(kraus)
+    keep = w > tol
+    return QuantumChannel(_unvectorize(v @ (u[:, keep] * np.sqrt(w[keep])), dim))
 
 
 def tomography_method2(oracle=None, dim=None, joint_state=None, tol=DEFAULT_TOL):
@@ -646,12 +630,23 @@ def channel_from_linear_rep(rep):
 def choi_of_map(act, dim):
     """Choi matrix of an arbitrary linear map given as a function on matrices."""
     check_int("dim", dim, 1)
-    # E(|i><j|) for the units in row-major order, stacked without broadcasting
-    blocks = np.array([_as_mat(act(e))
-                       for e in np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)])
-    if blocks.shape != (dim * dim, dim, dim):
-        raise ValueError(f"need a map of {dim} x {dim} matrices, got images {blocks.shape[1:]}")
-    c = blocks.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    return _choi_of_inputs(act, np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim), "act")
+
+
+def _choi_of_inputs(act, inputs, name):
+    """Choi matrix of the map ``act`` from its images of a (dim², dim, dim)
+    stack of spanning inputs, such as the units |i><j| in row-major order.
+    Images of another shape (a 1 x 1 or length-2 image would broadcast) or
+    with a non-finite entry are refused naming the map."""
+    d2, dim = len(inputs), inputs.shape[-1]
+    images = np.array([_as_mat(act(x)) for x in inputs])
+    if images.shape != inputs.shape or not np.isfinite(images).all():
+        raise ValueError(f"need {name} to map {dim} x {dim} matrices to finite "
+                         f"{dim} x {dim} matrices, got images of shape {images.shape[1:]}")
+    # the units' images are the combinations of the inputs' images that
+    # build the units from the inputs
+    images = np.linalg.solve(inputs.reshape(d2, d2), images.reshape(d2, d2))
+    c = images.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(d2, d2)
     return ChoiMatrix(c, dim, dim)
 
 

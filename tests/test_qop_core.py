@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -297,21 +298,50 @@ def chi_equations_by_loops(oracle, rhos, op_basis):
     return lam, kappa
 
 
-@pytest.mark.parametrize("dim, basis", [(2, "default"), (4, "default"), (2, "random")])
+def chi_by_loops(oracle, rhos, op_basis, tol=qc.DEFAULT_TOL):
+    """Method 1 through its chi equations: chi solved from lambda = kappa ·
+    chi, and one Kraus operator per kept eigenvalue of chi."""
+    lam, kappa = chi_equations_by_loops(oracle, rhos, op_basis)
+    d2 = len(rhos)
+    chi = np.linalg.solve(kappa, lam.reshape(-1)).reshape(d2, d2)
+    w, v = np.linalg.eigh((chi + qc.dagger(chi)) / 2)
+    return qc.QuantumChannel([math.sqrt(lam_k) * sum(c * b for c, b in zip(col, op_basis))
+                              for lam_k, col in zip(w, v.T) if lam_k > tol])
+
+
+@pytest.mark.parametrize("dim, basis", [(2, "default"), (4, "default"), (2, "random"),
+                                        (4, "random"), (2, "op"), (4, "op")])
 def test_chi_equations_match_the_per_element_loops(dim, basis):
+    # random input states, or a random operator basis that is neither
+    # orthogonal nor normalized, in place of the default one
     r = np.random.default_rng(dim)
     ch = qc.random_channel(dim, n_kraus=2, rng=r)
     oracle = lambda rho: qc.apply(ch, rho)
-    rhos = (qc.default_state_basis(dim) if basis == "default"
-            else [random_density(dim, r) for _ in range(dim * dim)])
-    ops = qc.pauli_product_basis(dim.bit_length() - 1)
-    lam, kappa = qc._chi_equations(oracle, rhos, ops)
-    want_lam, want_kappa = chi_equations_by_loops(oracle, rhos, ops)
-    assert np.abs(lam - want_lam).max() <= 1e-12
-    assert np.abs(kappa - want_kappa).max() <= 1e-12
-    if basis == "random":
-        got = qc.tomography_method1(oracle, dim, input_basis=rhos)
-        assert qc.channels_equal(got, ch, tol=1e-8)
+    rhos = ([random_density(dim, r) for _ in range(dim * dim)] if basis == "random"
+            else qc.default_state_basis(dim))
+    ops = ([r.normal(size=(dim, dim)) + 1j * r.normal(size=(dim, dim))
+            for _ in range(dim * dim)] if basis == "op"
+           else qc.pauli_product_basis(dim.bit_length() - 1))
+    got = qc.tomography_method1(oracle, dim, input_basis=rhos, op_basis=ops)
+    assert qc.channels_equal(got, chi_by_loops(oracle, rhos, ops), tol=1e-9)
+    assert qc.channels_equal(got, ch, tol=1e-9)
+
+
+def test_tomography_method1_recovers_a_random_channel_on_three_qubits():
+    # kappa would be 4096 x 4096 here; the Choi route solves a 64 x 64 system
+    ch = qc.random_channel(8, rng=np.random.default_rng(8))
+    got = qc.tomography_method1(lambda rho: qc.apply(ch, rho), 8)
+    assert qc.channels_equal(got, ch, tol=1e-9)
+
+
+def test_tomography_method1_refuses_an_operator_basis_that_does_not_span():
+    # B_3 = B_2 left Z out of reach: the least-squares chi gave a 3-Kraus
+    # channel whose Choi matrix missed depolarizing's by 0.067
+    ch = qc.standard_channel("depolarizing", p=0.2)
+    ops = qc.pauli_product_basis(1)
+    ops[3] = ops[2]
+    with pytest.raises(ValueError, match=r"\bop_basis\b"):
+        qc.tomography_method1(lambda rho: qc.apply(ch, rho), 2, op_basis=ops)
 
 
 def test_tomography_method2_phase_damping():
@@ -512,6 +542,17 @@ def test_channel_rejects_overcomplete_kraus():
     # a NaN Choi matrix raised LinAlgError from eigh
     (lambda: qc.kraus_from_choi(qc.ChoiMatrix(np.full((4, 4), math.nan), 2, 2)), "choi"),
     (lambda: qc.kraus_from_choi(qc.ChoiMatrix(np.eye(3), 2, 2)), "choi"),
+    # method 1 raised LinAlgError from eigh, numpy's solve message, or
+    # LinAlgError from the rank test's SVD
+    (lambda: qc.tomography_method1(lambda rho: np.full((2, 2), math.nan), 2), "oracle"),
+    (lambda: qc.tomography_method1(lambda rho: np.full((2, 2), math.inf), 2), "oracle"),
+    (lambda: qc.tomography_method1(lambda rho: np.eye(3), 2), "oracle"),
+    (lambda: qc.tomography_method1(lambda rho: rho, 2, input_basis=[np.full((2, 2), math.nan)] * 4),
+     "input_basis"),
+    (lambda: qc.tomography_method1(lambda rho: rho, 2, op_basis=[np.full((2, 2), math.inf)] * 4),
+     "op_basis"),
+    (lambda: qc.tomography_method1(lambda rho: rho, 2, input_basis=[np.eye(2)] * 4),
+     "input_basis"),
 ])
 def test_malformed_channels_are_refused_by_name(make, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
@@ -553,7 +594,17 @@ ENTRY_POINTS = {
     "QuantumChannel.kraus": lambda v: qc.QuantumChannel([[[v, 0], [0, 0.5]]]),
     "kraus_from_choi.choi":
         lambda v: qc.kraus_from_choi(qc.ChoiMatrix(np.diag([v, 0.5, 0.0, 0.5]), 2, 2)),
+    "tomography_method1.oracle": lambda v: qc.tomography_method1(lambda rho: _scaled(v, rho), 2),
+    "tomography_method1.op_basis": lambda v: qc.tomography_method1(
+        lambda rho: rho, 2, op_basis=[_scaled(v, b) for b in qc.pauli_product_basis(1)]),
 }
+
+
+def _scaled(v, m):
+    # v·m, where inf·0 is NaN without a warning: the entry point must refuse
+    # what it is given, not the arithmetic that built it
+    with np.errstate(invalid="ignore"):
+        return v * m
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -564,8 +615,21 @@ ENTRY_POINTS = {
 @example(v=-1)
 @example(v=2.5)
 @example(v=2.0)
+@example(v=np.int64(2))
 def test_entry_points_return_or_raise_value_error(name, v):
     try:
-        ENTRY_POINTS[name](v)
+        out = ENTRY_POINTS[name](v)
     except ValueError:
-        pass
+        return
+    assert all_finite(out), out
+
+
+def all_finite(x):
+    # every number a result holds, through channels, Choi matrices and lists
+    if isinstance(x, qc.QuantumChannel):
+        return all_finite(x.kraus)
+    if dataclasses.is_dataclass(x):
+        return all_finite(list(vars(x).values()))
+    if isinstance(x, (list, tuple)):
+        return all(map(all_finite, x))
+    return isinstance(x, str) or bool(np.isfinite(x).all())

@@ -1,6 +1,7 @@
 """Rules that hold for every module of the qwork package."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -440,3 +441,43 @@ def test_tolerances_refuse_what_they_cannot_mean(name, v):
     param = name.rsplit(".", 1)[1]
     with pytest.raises(ValueError, match=rf"\b{param}="):
         TOLERANCES[name](v)
+
+
+# each fast path of the package with the reference its tests compare it
+# against: the test module that defines the reference, and its name there
+REFERENCES = {
+    "qop_core._choi_matrix": ("test_qop_core", "_loop_choi"),
+    "qop_core.kraus_from_choi": ("test_qop_core", "_loop_kraus"),
+    "qop_core.apply_local": ("test_qop_core", "full_operator"),
+    "qop_core.tomography_method1": ("test_qop_core", "chi_equations_by_loops"),
+    "nmr_sim._run_pure": ("test_nmr_sim", "reference_run_pure"),
+    "recoupler.verify_schedule": ("test_recoupler", "_dense_deviation"),
+    "qec_engine._worst_overlap": ("test_qec_engine", "nelder_mead_reference"),
+    "stabilizer._ad_codes": ("test_stabilizer", "_reference_ad_codes"),
+    "stabilizer._quotient_kinds": ("test_stabilizer", "_reference_kinds"),
+    "stabilizer.ad_correctable": ("test_stabilizer", "_reference_ad"),
+    "stabilizer.verify_parity_measurement": ("test_stabilizer", "_reference_parity"),
+    "stabilizer._teleport": ("test_stabilizer", "_reference_teleport"),
+    "stabilizer.verify_teleport_identity": ("test_stabilizer", "_reference_swap"),
+}
+
+
+@pytest.mark.parametrize("fast", sorted(REFERENCES))
+def test_every_fast_path_keeps_its_reference(fast):
+    # a reference that is deleted, or that no test reaches any more, stops
+    # checking its fast path and fails nothing itself; a test reaches it by
+    # reading it, directly or through the module's other functions
+    module, name = fast.split(".")
+    assert hasattr(importlib.import_module(f"qwork.{module}"), name)
+    test_module, ref = REFERENCES[fast]
+    path = Path(__file__).parent / f"{test_module}.py"
+    funcs = {node.name: node for node in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(node, ast.FunctionDef)}
+    assert ref in funcs, f"{test_module} no longer defines {ref}"
+    todo = [f for f in funcs if f.startswith("test_")]
+    reached = set(todo)
+    while todo:
+        for read in set(_reads(funcs[todo.pop()])) & funcs.keys() - reached:
+            reached.add(read)
+            todo.append(read)
+    assert ref in reached, f"no test in {test_module} reaches {ref}"
