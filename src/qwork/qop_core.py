@@ -497,7 +497,8 @@ def tomography_method1(oracle, dim, input_basis=None, op_basis=None,
     ``input_basis`` give the Choi matrix C, and chi of E(rho) = Σ chi_mn B_m
     rho B_n† is V⁻¹·C·V⁻†, where column m of V is B_m vectorized as in
     _choi_matrix.  chi is diagonalized; the returned Kraus set is the
-    canonical one built from the operator basis.
+    canonical one built from the operator basis, or one zero operator when
+    no eigenvalue exceeds tol in units of the basis's mean squared norm.
     """
     check_int("dim", dim, 1)
     check_positive("tol", tol)
@@ -517,12 +518,23 @@ def tomography_method1(oracle, dim, input_basis=None, op_basis=None,
         chi = v_inv @ c @ dagger(v_inv)
     if not np.isfinite(chi).all():
         raise ValueError("need oracle output small enough for a finite chi matrix")
+    # chi scales as 1/s² when op_basis is scaled by s, so its eigenvalues are
+    # judged in units of the basis's mean squared Frobenius norm, summed
+    # over entries divided by the largest so that no square overflows
+    big = float(np.abs(v).max())
+    rms = big * math.sqrt(float(np.sum(np.abs(v / big) ** 2)) / len(v))
+    if rms * rms == math.inf:
+        raise ValueError(f"need op_basis with a finite mean squared norm, "
+                         f"got root mean square {rms:.3e}")
     # halves first, so a huge finite entry does not overflow the sum
     w, u = np.linalg.eigh(chi / 2 + dagger(chi) / 2)
-    if w.min() < -1e-6:
+    scaled = w * rms * rms
+    if scaled.min() < -1e-6:
         raise NotCompletelyPositiveError(
-            f"chi matrix eigenvalue {w.min():.3e}: inconsistent oracle data")
-    keep = w > tol
+            f"chi matrix eigenvalue {scaled.min():.3e}: inconsistent oracle data")
+    keep = scaled > tol
+    if not keep.any():
+        return QuantumChannel(np.zeros((1, dim, dim)))
     return QuantumChannel(_unvectorize(v @ (u[:, keep] * np.sqrt(w[keep])), dim))
 
 

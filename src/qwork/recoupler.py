@@ -11,6 +11,7 @@ checked against their targets in the toggling frame, exactly at every n.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 import numbers
@@ -67,11 +68,13 @@ def _as_signs(entries):
 def _first_unorthogonal(e, pairs=()):
     """First 1-based rows (a, b), a < b, of the +/-1 matrix e that are not
     orthogonal, skipping the 1-based pairs, whose rows must be identical;
-    None when there is none.  The float32 Gram product is one BLAS syrk and
-    exact: each partial sum is an integer of size at most e.shape[1], below
-    2**24 (MAX_ORDER for every built order).  The diagonal and the two
-    entries of each pair are that row length, so a nonzero count of n plus
-    two per pair accepts, and only a refusal looks for the pair."""
+    None when there is none.  HadamardMatrix runs it once per built matrix,
+    and SignMatrix on entries that carry no planner's certificate.  The
+    float32 Gram product is one BLAS syrk and exact: each partial sum is an
+    integer of size at most e.shape[1], below 2**24 (MAX_ORDER for every
+    built order).  The diagonal and the two entries of each pair are that
+    row length, so a nonzero count of n plus two per pair accepts, and only
+    a refusal looks for the pair."""
     f = e.astype(np.float32 if e.shape[1] <= 2 ** 24 else float)
     g = f @ f.T
     if np.count_nonzero(g) == len(g) + 2 * len(pairs):
@@ -170,10 +173,12 @@ def normalize(h):
 @lru_cache(maxsize=64)
 def _normalized_rows(order):
     """Read-only int8 entries of normalize(hadamard(order)), so each order
-    is built and Gram-checked once per process.  Callers pass an order
-    from achievable_order.  The 64 tables kept hold every order a plan for
-    n <= 257 uses (34 of them, 0.6 MiB); at worst they are the 64 largest
-    orders up to MAX_ORDER, 160 MiB."""
+    is built and Gram-checked once per process; a plan takes rows of it by
+    index and carries (order, index) to SignMatrix, which needs no second
+    Gram product.  Callers pass an order from achievable_order.  The 64
+    tables kept hold every order a plan for n <= 257 uses (34 of them,
+    0.6 MiB); at worst they are the 64 largest orders up to MAX_ORDER,
+    160 MiB."""
     rows = normalize(hadamard(order)).entries.astype(np.int8)
     rows.setflags(write=False)
     return rows
@@ -198,11 +203,18 @@ def _check_pairs(pairs, n):
 
 @dataclass(frozen=True)
 class SignMatrix:
-    """Per-spin, per-interval sign of Z.  Spin pair indices are 1-based."""
+    """Per-spin, per-interval sign of Z.  Spin pair indices are 1-based.
+
+    A planner's matrix also carries the checked order and the row indices
+    it took (_planned), and validate checks that certificate in O(n m);
+    entries given directly, by a caller or from JSON, get the full Gram
+    product instead.
+    """
 
     entries: np.ndarray
     target: str
     pairs: tuple = ()
+    _rows = None   # (order, index) from _planned; not a field
 
     def __post_init__(self):
         e = _as_signs(self.entries)
@@ -219,13 +231,25 @@ class SignMatrix:
     def m(self):
         return self.entries.shape[1]
 
+    def _certified(self):
+        """True when the entries are still rows index of the checked table
+        _normalized_rows(order), distinct apart from each recoupled pair
+        sharing one, so distinct rows are orthogonal by construction."""
+        if self._rows is None:
+            return False
+        order, index = self._rows
+        return (self.entries.shape == (len(index), order)
+                and np.count_nonzero(np.bincount(index)) == self.n - len(self.pairs)
+                and all(index[i - 1] == index[j - 1] for i, j in self.pairs)
+                and bool((self.entries == _normalized_rows(order)[index]).all()))
+
     def validate(self):
         e = self.entries
         _check_pairs(self.pairs, self.n)
         for i, j in self.pairs:
             if not np.array_equal(e[i - 1], e[j - 1]):
                 raise ValueError(f"rows {i} and {j} must be identical")
-        if self.target != "chain-decouple":
+        if self.target != "chain-decouple" and not self._certified():
             bad = _first_unorthogonal(e, self.pairs)
             if bad:
                 raise ValueError(f"rows {bad[0]},{bad[1]} not orthogonal")
@@ -233,6 +257,16 @@ class SignMatrix:
             if np.any(e.sum(axis=1) != 0):
                 raise ValueError("row sums must vanish")
         return self
+
+
+def _planned(order, index, target, pairs=()):
+    """SignMatrix of rows index (0-based, into 0..order-1) of the checked
+    table _normalized_rows(order), carrying (order, index) for validate."""
+    index.setflags(write=False)
+    sign = object.__new__(SignMatrix)
+    object.__setattr__(sign, "_rows", (order, index))
+    sign.__init__(_normalized_rows(order)[index], target, pairs)
+    return sign
 
 
 def plan_decouple(n, remove_zeeman=False):
@@ -245,19 +279,19 @@ def plan_decouple(n, remove_zeeman=False):
     """
     check_int("n", n, 2)
     if remove_zeeman:
-        e = _normalized_rows(achievable_order(n + 1))[1:n + 1]
-        return SignMatrix(e, "zeeman-free-identity")
-    e = _normalized_rows(achievable_order(n))[:n]
-    return SignMatrix(e, "decouple")
+        return _planned(achievable_order(n + 1), np.arange(1, n + 1),
+                        "zeeman-free-identity")
+    return _planned(achievable_order(n), np.arange(n), "decouple")
 
 
-def _assign_pairs(norm_entries, n, pairs):
-    rows = iter(range(1, norm_entries.shape[0]))
+def _assign_pairs(n, pairs):
+    """Row index of each of the n spins: each 1-based pair shares the next
+    unused row from 1 on, every other spin takes its own."""
+    rows = itertools.count(1)
     taken = {}
     for i, j in pairs:
         taken[i - 1] = taken[j - 1] = next(rows)
-    return norm_entries[[taken[s] if s in taken else next(rows)
-                         for s in range(n)]]
+    return np.array([taken[s] if s in taken else next(rows) for s in range(n)])
 
 
 def plan_recouple(n, i, j, remove_zeeman=False):
@@ -280,8 +314,8 @@ def plan_recouple_parallel(n, pairs, remove_zeeman=False):
     # the all-plus row 0 is never assigned, but a pair shares one row, so
     # the n spins fit order n; remove_zeeman asks for an order above n
     order = achievable_order(n + 1 if remove_zeeman else n)
-    rows = _assign_pairs(_normalized_rows(order), n, pairs)
-    return SignMatrix(rows, "recouple", tuple(tuple(p) for p in pairs))
+    return _planned(order, _assign_pairs(n, pairs), "recouple",
+                    tuple(tuple(p) for p in pairs))
 
 
 def plan_chain_decouple(n, k):
@@ -291,8 +325,7 @@ def plan_chain_decouple(n, k):
     check_int("k", k, 2)
     if n > MAX_ORDER:
         raise ValueError(f"chain length n={n} exceeds MAX_ORDER={MAX_ORDER}")
-    base = _normalized_rows(achievable_order(k))
-    return SignMatrix(base[np.arange(n) % k], "chain-decouple")
+    return _planned(achievable_order(k), np.arange(n) % k, "chain-decouple")
 
 
 # ---------------------------------------------------------------------------

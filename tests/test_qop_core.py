@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -344,6 +343,33 @@ def test_tomography_method1_refuses_an_operator_basis_that_does_not_span():
         qc.tomography_method1(lambda rho: qc.apply(ch, rho), 2, op_basis=ops)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-4, 1.0, 1e5, 1e150])
+def test_tomography_method1_does_not_depend_on_the_op_basis_scale(s):
+    # chi scales as 1/s²: thresholds absolute on chi refused s = 1e-6 as not
+    # completely positive, kept a third operator at 1e-4 and none at 1e5
+    ch = qc.standard_channel("amplitude_damping", gamma=0.3)
+    oracle = lambda rho: qc.apply(ch, rho)
+    ref = qc.tomography_method1(oracle, 2)
+    got = qc.tomography_method1(oracle, 2, op_basis=[s * b for b in qc.pauli_product_basis(1)])
+    assert len(got.kraus) == len(ref.kraus) == 2
+    assert qc.channels_equal(got, ref, tol=1e-9)
+
+
+def test_tomography_method1_refuses_a_basis_whose_squared_norm_overflows():
+    ops = [1e200 * b for b in qc.pauli_product_basis(1)]
+    with pytest.raises(ValueError, match=r"\bop_basis\b"):
+        qc.tomography_method1(lambda rho: rho, 2, op_basis=ops)
+
+
+def test_both_tomography_routes_give_the_zero_map_one_zero_operator():
+    # method 1 raised "channel needs at least one Kraus operator" here
+    zero = lambda rho: 0 * rho
+    got1, got2 = qc.tomography_method1(zero, 2), qc.tomography_method2(zero, 2)
+    assert got1.kraus.shape == got2.kraus.shape == (1, 2, 2)
+    assert not got1.kraus.any() and not got2.kraus.any()
+    assert qc.channels_equal(got1, got2)
+
+
 def test_tomography_method2_phase_damping():
     ch = qc.standard_channel("phase_damping", p=0.25)
     got = qc.tomography_method2(lambda rho: qc.apply(ch, rho), 2)
@@ -616,20 +642,9 @@ def _scaled(v, m):
 @example(v=2.5)
 @example(v=2.0)
 @example(v=np.int64(2))
-def test_entry_points_return_or_raise_value_error(name, v):
+def test_entry_points_return_or_raise_value_error(name, v, all_finite):
     try:
         out = ENTRY_POINTS[name](v)
     except ValueError:
         return
     assert all_finite(out), out
-
-
-def all_finite(x):
-    # every number a result holds, through channels, Choi matrices and lists
-    if isinstance(x, qc.QuantumChannel):
-        return all_finite(x.kraus)
-    if dataclasses.is_dataclass(x):
-        return all_finite(list(vars(x).values()))
-    if isinstance(x, (list, tuple)):
-        return all(map(all_finite, x))
-    return isinstance(x, str) or bool(np.isfinite(x).all())

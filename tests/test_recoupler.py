@@ -63,6 +63,7 @@ PINNED = {
     "zeeman": "0fd079f29403b27b3eabd3ff3f3a207ee219cdcaff9712249c44acf8d57e0669",
     "recouple": "d607ca0b9fc0f9dfcf1f177d3620d029bc6f7ec018fd5af76831c9cbff9fa6ca",
     "chain": "1d404228c9ce815a4354d4d410d10b51279c525e30081d4143458318e813d101",
+    "every planner": "a05bfcc8e611dcf07edd8b22062559407a8e322d04c8ed39ee55fc6b543d05f9",
 }
 
 
@@ -215,7 +216,7 @@ def test_recouple_rows_from_classic_twelve():
     # the deterministic assignment reproduces the textbook nine-spin
     # (3,4)-recoupling matrix when fed the stored order-12 seed
     norm = rc.normalize(rc.stored_h12()).entries
-    rows = rc._assign_pairs(norm, 9, [(3, 4)])
+    rows = norm[rc._assign_pairs(9, [(3, 4)])]
     got = ["".join("+" if x == 1 else "-" for x in r) for r in rows]
     assert got == EQ_718
 
@@ -669,16 +670,17 @@ def test_sign_matrix_rejects_pairs_outside_rows():
 
 # ------------------------------------------------------ one table per order
 
-def _counted(monkeypatch, cls, name):
-    """Wrap cls.name so each call records its instance in the returned list."""
+def _counted(monkeypatch, owner, name):
+    """Wrap owner.name so each call records its first argument (the
+    instance, for a method) in the returned list."""
     calls = []
-    original = getattr(cls, name)
+    original = getattr(owner, name)
 
-    def wrapper(self, *args, **kwargs):
-        calls.append(self)
-        return original(self, *args, **kwargs)
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
-    monkeypatch.setattr(cls, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -686,18 +688,22 @@ def test_each_order_is_built_and_checked_once(monkeypatch):
     rc._normalized_rows.cache_clear()
     built = _counted(monkeypatch, rc.HadamardMatrix, "__post_init__")
     validated = _counted(monkeypatch, rc.SignMatrix, "validate")
+    gram = _counted(monkeypatch, rc, "_first_unorthogonal")
     orders = sorted({rc.achievable_order(n) for n in range(2, 257)})
     first = [rc.plan_decouple(n) for n in range(2, 257)]
     assert sorted(h.order for h in built
                   if h.provenance.startswith("normalized(")) == orders
     assert {h.order for h in built} == set(orders)
     assert len(validated) == 255
+    assert len(gram) == len(built)   # the tables' own checks, no plan's
 
     built.clear()
     validated.clear()
+    gram.clear()
     second = [rc.plan_decouple(n) for n in range(2, 257)]
     assert built == []
     assert len(validated) == 255
+    assert len(gram) == 0   # each plan's certificate, not a Gram product
     assert all(np.array_equal(a.entries, b.entries) for a, b in zip(first, second))
 
 
@@ -723,6 +729,96 @@ def test_plan_entries_are_writable_copies(plan):
     expected = sign.entries.copy()
     sign.entries[:] *= -1
     assert np.array_equal(plan().entries, expected)
+
+
+# ------------------------------------------------ certified plans
+
+def _pair_sets(n):
+    """Disjoint 1-based pair sets to recouple on n spins."""
+    sets = [[(1, 2)], [(1, n)], [(i, i + 1) for i in range(1, n, 2)]]
+    if n >= 4:
+        sets.append([(2, n), (1, 3)])
+    return sets
+
+
+def _every_plan(n):
+    """(label, plan, chain period or None) from every planner at n spins."""
+    yield "decouple", rc.plan_decouple(n), None
+    yield "zeeman", rc.plan_decouple(n, remove_zeeman=True), None
+    yield "recouple", rc.plan_recouple(n, 1, 2), None
+    for pairs in _pair_sets(n):
+        for zeeman in (False, True):
+            yield f"parallel{pairs}{zeeman}", rc.plan_recouple_parallel(n, pairs, zeeman), None
+    for k in (2, 3, 5):
+        yield f"chain{k}", rc.plan_chain_decouple(n, k), k
+
+
+def _full_gram_check(sign, period=None):
+    """The plan's whole Gram product: m where two spins must share a row
+    (the same spin, a recoupled pair, or for a chain spins equal mod
+    period), 0 everywhere else.  Sums of at most 2**24 signs are exact
+    integers in float32."""
+    e = sign.entries.astype(np.float32)
+    row = np.arange(sign.n) % (period or sign.n)
+    same = row[:, None] == row[None, :]
+    for i, j in sign.pairs:
+        same[i - 1, j - 1] = same[j - 1, i - 1] = True
+    return np.array_equal(e @ e.T, sign.m * same)
+
+
+def test_every_planner_passes_the_full_gram_check():
+    labelled = []
+    for n in range(2, 258):
+        for label, sign, period in _every_plan(n):
+            assert _full_gram_check(sign, period), (n, label)
+            labelled.append((f"{n}:{label}:{sign.entries.shape}", sign.entries))
+    assert _digest(labelled) == PINNED["every planner"]
+
+
+@pytest.mark.parametrize("plan", [
+    lambda: rc.plan_decouple(12),
+    lambda: rc.plan_decouple(12, remove_zeeman=True),
+    lambda: rc.plan_recouple(12, 1, 2),
+], ids=["decouple", "zeeman", "recouple"])
+def test_a_plan_changed_after_planning_gets_the_full_check(monkeypatch, plan):
+    gram = _counted(monkeypatch, rc, "_first_unorthogonal")
+    sign = plan()
+    assert len(gram) == 0
+    # a negated row is no longer the certified one, but is still orthogonal
+    # and still sums to zero: accepted, as before certificates
+    sign.entries[-1] *= -1
+    sign.validate()
+    assert len(gram) == 1
+    sign.entries[-1, 0] *= -1
+    with pytest.raises(ValueError, match=r"rows 1,12 not orthogonal"):
+        sign.validate()
+
+
+def test_a_certificate_holds_only_for_distinct_rows(monkeypatch):
+    gram = _counted(monkeypatch, rc, "_first_unorthogonal")
+    sign = rc._planned(8, np.arange(1, 4), "decouple")
+    shared = rc._planned(8, np.array([1, 1, 2]), "recouple", ((1, 2),))
+    assert len(gram) == 0
+    assert np.array_equal(shared.entries, rc._normalized_rows(8)[[1, 1, 2]])
+    assert sign.entries.dtype == np.int64 and sign.entries.flags.writeable
+    # a repeated row outside the pairs is not orthogonal to itself: the
+    # certificate fails and the Gram product names the rows
+    with pytest.raises(ValueError, match="rows 1,2 not orthogonal"):
+        rc._planned(8, np.array([1, 1, 2]), "decouple")
+    with pytest.raises(ValueError, match="rows 1,3 not orthogonal"):
+        rc._planned(8, np.array([1, 1, 1]), "recouple", ((1, 2),))
+    assert len(gram) == 2
+
+
+def test_raw_entries_keep_the_gram_product(monkeypatch):
+    gram = _counted(monkeypatch, rc, "_first_unorthogonal")
+    e = rc.plan_recouple(12, 1, 2).entries
+    rc.SignMatrix(e, "recouple", ((1, 2),))
+    rc.SignMatrix(e[2:], "decouple")
+    assert len(gram) == 2
+    e[5, 3] *= -1
+    with pytest.raises(ValueError, match="rows 1,6 not orthogonal"):
+        rc.SignMatrix(e, "recouple", ((1, 2),))
 
 
 # ------------------------------------------------------ count arguments

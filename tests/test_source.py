@@ -452,6 +452,7 @@ REFERENCES = {
     "qop_core.tomography_method1": ("test_qop_core", "chi_equations_by_loops"),
     "nmr_sim._run_pure": ("test_nmr_sim", "reference_run_pure"),
     "recoupler.verify_schedule": ("test_recoupler", "_dense_deviation"),
+    "recoupler._planned": ("test_recoupler", "_full_gram_check"),
     "qec_engine._worst_overlap": ("test_qec_engine", "nelder_mead_reference"),
     "stabilizer._ad_codes": ("test_stabilizer", "_reference_ad_codes"),
     "stabilizer._quotient_kinds": ("test_stabilizer", "_reference_kinds"),

@@ -1160,8 +1160,9 @@ ENTRY_POINTS = {
 @example(v=math.inf)
 @example(v=-1)
 @example(v=2.5)
-def test_entry_points_return_or_raise_value_error(name, v):
+def test_entry_points_return_or_raise_value_error(name, v, all_finite):
     try:
-        ENTRY_POINTS[name](v)
+        out = ENTRY_POINTS[name](v)
     except ValueError:
-        pass
+        return
+    assert all_finite(out), out
