@@ -11,6 +11,7 @@ far enough apart that losses cannot map one onto another.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -20,8 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qec_engine
-from .qop_core import (DEFAULT_TOL, check_int, check_positive, check_real,
-                       standard_channel)
+from .qop_core import DEFAULT_TOL, check_int, check_positive, check_real
 
 
 @dataclass(frozen=True)
@@ -147,21 +147,6 @@ class BosonicCode:
             for (u, _), (v, _) in itertools.product(a, b):
                 best = min(best, qcs_distance(u, v))
         return best
-
-    def logical_vectors(self, cutoff=None):
-        """Dense state vectors on (cutoff+1)^m amplitudes."""
-        n = self.max_occupation if cutoff is None else cutoff
-        dim = (n + 1) ** self.m
-        vecs = []
-        for states in self.logicals:
-            v = np.zeros(dim, dtype=complex)
-            for q, mu in states:
-                idx = 0
-                for x in q:
-                    idx = idx * (n + 1) + x
-                v[idx] = math.sqrt(float(mu))
-            vecs.append(v / np.linalg.norm(v))
-        return vecs
 
     def to_json(self):
         return json.dumps({
@@ -361,6 +346,7 @@ class ChannelCheck:
     difference: float
     verdict: str
     report: object
+    basis: np.ndarray   # (D, m) occupation vectors, lexicographic: the rows of report.unitaries
 
     @property
     def passed(self):
@@ -370,46 +356,66 @@ class ChannelCheck:
 def verify_by_channel(code, gamma, t=None, max_amplitudes=20000):
     """Run the generic correctability checker on the actual loss channel.
 
-    Builds per-register loss operators at the code's occupation cutoff,
-    enumerates every loss pattern with up to t quanta in total, and
-    compares the summed detection probabilities against the closed-form
-    fidelity.  For a valid code the checker verdict is "exact": each
-    pattern shrinks the whole code space uniformly and distinct patterns
-    land in orthogonal sectors.
+    Every loss pattern p of up to t quanta, none above the code's largest
+    occupation, maps the number state |q> to the single state |q - p> times
+    Π_j √(C(q_j, p_j)·(1-γ)^(q_j-p_j)·γ^p_j), or to zero unless q ≥ p
+    (Chuang, Leung & Yamamoto, PRA 56, 1114, 1997).  So the checker runs on
+    the D reachable vectors q - p (``basis``, at most ``max_amplitudes``),
+    and the summed detection probabilities are compared with the closed-form
+    fidelity.  For a valid code the verdict is "exact": each pattern shrinks
+    the whole code space uniformly and distinct patterns land in orthogonal
+    sectors.
     """
     t = code.t if t is None else t
     check_int("t", t, 0)
     check_int("max_amplitudes", max_amplitudes, 1)
+    check_real("gamma", gamma, 0, 1)
     code.validate()
     if code.n_total is None:
         raise ValueError("basis-state totals differ; the formula does not apply")
-    n = code.max_occupation
-    dim = (n + 1) ** code.m
-    if dim > max_amplitudes:
-        raise ValueError(
-            f"state vector needs {dim} amplitudes, cap is {max_amplitudes}")
+    patterns = np.array([p for s in range(t + 1) for p in loss_patterns(code.m, s)
+                         if max(p) <= code.max_occupation])
+    owner, occ, amps = map(np.array, zip(*[(l, q.occupations, math.sqrt(float(mu)))
+                                           for l, states in enumerate(code.logicals)
+                                           for q, mu in states]))
+    grid = occ.max(axis=0) + 1
+    # (pattern, state) pairs with q >= p, pattern-major; p = 0 comes first
+    # and reaches every state, so the first len(occ) pairs are the states
+    lost = occ - patterns[:, None]
+    which, state = np.nonzero((lost >= 0).all(axis=-1))
+    flat, row = np.unique(np.ravel_multi_index(tuple(lost[which, state].T), grid),
+                          return_inverse=True)
+    if len(flat) > max_amplitudes:
+        raise ValueError(f"reachable occupation vectors number {len(flat)}, "
+                         f"cap is {max_amplitudes}")
+    basis = np.stack(np.unravel_index(flat, grid), axis=-1)
 
-    single = standard_channel("bosonic_ad", gamma=gamma, cutoff=n).kraus
-    shape = (n + 1,) * code.m
+    # per-register loss amplitudes, each (occupation, loss) pair once
+    g, width = float(gamma), t + 1
+    keys, pick = np.unique(occ[state] * width + patterns[which], return_inverse=True)
+    try:
+        rates = np.array([math.sqrt(math.comb(x, k)) * math.sqrt((1 - g) ** (x - k) * g ** k)
+                          for x, k in (divmod(int(key), width) for key in keys)])
+    except OverflowError:
+        raise ValueError("occupations too large for a float binomial coefficient") from None
+    factors, src = rates[pick.reshape(-1, code.m)], row[state]
 
-    def apply_pattern(pattern):
-        def act(vec):
-            tens = np.asarray(vec, dtype=complex).reshape(shape)
-            for axis, k in enumerate(pattern):
-                tens = np.moveaxis(
-                    np.tensordot(single[k], tens, axes=(1, axis)), 0, axis)
-            return tens.reshape(dim)
-        return act
+    def gather(vec, pair):
+        # pattern p on the code's own vectors, all the criteria apply it to;
+        # factors go on register by register, so images round as the dense
+        # product of per-register operators did
+        out = np.zeros(len(basis), dtype=complex)
+        out[row[pair]] = functools.reduce(np.multiply, factors[pair].T, vec[src[pair]])
+        return out
 
-    patterns = [p for s in range(t + 1) for p in loss_patterns(code.m, s)
-                if max(p) <= n]
-    errors = [apply_pattern(p) for p in patterns]
-    space = qec_engine.CodeSpace(dim, code.logical_vectors())
-    report = qec_engine.check_approximate(space, errors)
-    numeric = float(report.crude_bound)
-    formula = code_fidelity(code.n_total, t, gamma)
+    logicals = np.zeros((code.n_levels, len(basis)), dtype=complex)
+    logicals[owner, row[:len(occ)]] = amps
+    space = qec_engine.CodeSpace(len(basis), [v / np.linalg.norm(v) for v in logicals])
+    report = qec_engine.check_approximate(space, [functools.partial(gather, pair=which == e)
+                                                  for e in range(len(patterns))])
+    numeric, formula = report.crude_bound, code_fidelity(code.n_total, t, gamma)
     return ChannelCheck(gamma, t, numeric, formula, abs(numeric - formula),
-                        report.verdict, report)
+                        report.verdict, report, basis)
 
 
 # ---------------------------------------------------------------------------

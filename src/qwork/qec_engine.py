@@ -2,8 +2,9 @@
 
 A code is a list of orthonormal logical vectors in an ambient Hilbert space.
 Errors may be dense matrices or lazy appliers (callables mapping a state
-vector to a state vector); every check here only ever needs the images of the
-logical vectors, so ambient dimensions in the thousands stay cheap.
+vector to a state vector); every check needs only the images of the logical
+vectors, so any ambient basis that holds them will do (bosonic_codes uses
+the reachable occupation vectors), and the relaxed one takes one batched SVD.
 
 The module covers: the exact correctability criterion on cross products of
 errors, canonicalization to a diagonal error set, construction of the
@@ -108,14 +109,6 @@ def error_columns(code, err):
     return np.column_stack([apply_error(err, v) for v in code.logicals])
 
 
-def _thin_polar(ac):
-    """AC = W H with W an isometry (ambient x k) and H the k x k positive part."""
-    p, s, qh = np.linalg.svd(ac, full_matrices=False)
-    w = p @ qh
-    h = dagger(qh) @ np.diag(s) @ qh
-    return w, h, s
-
-
 def check_exact(code, errors, tol=DEFAULT_TOL):
     """Exact correctability: every cross product of errors must act on the
     code as a scalar g_mn times the identity, with no logical mixing."""
@@ -184,7 +177,7 @@ def canonicalize_errors(code, errors, g=None, tol=DEFAULT_TOL):
                 return sum(c * apply_error(e, vec) for c, e in zip(_c, _errs))
             new_errors.append(combo)
 
-    isometries = [_thin_polar(error_columns(code, e))[0] for e in new_errors]
+    isometries = _approx_quantities(code, new_errors)[0]
     return CanonicalSet(new_errors, np.clip(w, 0.0, None), isometries)
 
 
@@ -203,10 +196,8 @@ def build_recovery(code, canonical, tol=1e-8, prune=1e-12):
     d, k = code.ambient_dim, code.k
 
     kept = []
-    for e in errors:
-        ac = error_columns(code, e)
-        w, h, s = _thin_polar(ac)
-        p = float(s.max() ** 2) if s.size else 0.0
+    ws, hs, ps, _, _ = _approx_quantities(code, errors)
+    for w, h, p in zip(ws, hs, ps):
         if p <= prune:
             continue
         # the positive part must be a multiple of the identity on the code
@@ -239,23 +230,21 @@ def _fit_slope(xs, ys):
 
 
 def _approx_quantities(code, errors):
-    cols = [error_columns(code, e) for e in errors]
-    ne = len(errors)
-    ws, hs, p, lam = [], [], np.empty(ne), np.empty(ne)
-    for n, ac in enumerate(cols):
-        w, h, s = _thin_polar(ac)
-        ws.append(w)
-        hs.append(h)
-        p[n] = s.max() ** 2
-        lam[n] = (s.min() / s.max()) ** 2 if s.max() > 0 else 1.0
-    ortho = 0.0
-    for m in range(ne):
-        for n in range(m + 1, ne):
-            if p[m] <= 0 or p[n] <= 0:
-                continue  # dead error, its polar factor is arbitrary
-            ortho = max(ortho, float(
-                np.linalg.norm(dagger(ws[m]) @ ws[n], 2)))
-    return ws, hs, p, lam, ortho
+    """W, H, p_n and lambda_n of every error's image from one batched SVD, and
+    the worst ‖W_m† W_n‖₂ over live pairs (p > 0: a dead W is arbitrary)."""
+    ne, k = len(errors), code.k
+    cols = np.array([error_columns(code, e) for e in errors]).reshape(ne, code.ambient_dim, k)
+    u, s, vh = np.linalg.svd(cols, full_matrices=False)
+    ws, top = u @ vh, s.max(axis=-1)
+    hs = (vh.conj().swapaxes(-1, -2) * s[:, None, :]) @ vh
+    p = top ** 2
+    lam = np.divide(s.min(axis=-1), top, out=np.ones(ne), where=top > 0) ** 2
+    live = ws[p > 0]
+    flat = live.transpose(1, 0, 2).reshape(code.ambient_dim, -1)
+    blocks = (dagger(flat) @ flat).reshape(len(live), k, len(live), k).swapaxes(1, 2)
+    ortho = float(np.linalg.norm(blocks[np.triu_indices(len(live), 1)], 2, axis=(-2, -1))
+                  .max(initial=0.0))
+    return list(ws), list(hs), p, lam, ortho
 
 
 def check_approximate(code, errors, order=None, samples=None, tol=DEFAULT_TOL,

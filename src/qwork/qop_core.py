@@ -477,14 +477,14 @@ def default_state_basis(dim):
 
 
 def _spanning_stack(name, mats, dim):
-    """mats as a (dim², dim, dim) stack of finite matrices that span the
-    dim x dim operators; the rank does not depend on the vectorization."""
+    """mats as a (dim², dim, dim) stack of finite matrices that span the dim x dim
+    operators, in rank relative to the largest singular value (so at any scale)."""
     d2 = dim * dim
     stack = np.array([_as_mat(m) for m in mats])
     if stack.shape != (d2, dim, dim) or not np.isfinite(stack).all():
         raise ValueError(f"need {name} as {d2} finite {dim} x {dim} matrices, "
                          f"got shape {stack.shape}")
-    if np.linalg.matrix_rank(stack.reshape(d2, d2), tol=1e-10) < d2:
+    if np.linalg.matrix_rank(stack.reshape(d2, d2), rtol=1e-10) < d2:
         raise ValueError(f"{name} does not span the operator space")
     return stack
 

@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwork import bosonic_codes as bc
+from qwork import qec_engine as qe
+from qwork import qop_core as qc
 
 rng = np.random.default_rng(11)
 
@@ -266,9 +268,88 @@ def test_m_independence():
 
 
 def test_channel_dimension_cap():
+    # the dense check refused this code at 31³ amplitudes; only (30, 0, 0)
+    # and (29, 0, 0) are reachable, so the cap now bites at one vector
     big = bc.BosonicCode(3, 1, [[((30, 0, 0), 1)]]).validate()
+    assert len(bc.verify_by_channel(big, 0.01).basis) == 2
     with pytest.raises(ValueError):
-        bc.verify_by_channel(big, 0.01)
+        bc.verify_by_channel(big, 0.01, max_amplitudes=1)
+
+
+def test_channel_check_refuses_amplitudes_past_float_range():
+    # C(10¹², 30) overflows a float, although the amplitude it enters is below one
+    code = bc.BosonicCode(2, 30, [[((10 ** 12, 0), 1)]]).validate()
+    with pytest.raises(ValueError, match="binomial"):
+        bc.verify_by_channel(code, 0.01)
+
+
+def _kept_patterns(code, t):
+    return [p for s in range(t + 1) for p in bc.loss_patterns(code.m, s)
+            if max(p) <= code.max_occupation]
+
+
+def _dense_channel_reference(code, gamma):
+    """The criteria report on dense (N+1)^m registers, each loss pattern
+    applied as one tensordot per register."""
+    n = code.max_occupation
+    shape, dim = (n + 1,) * code.m, (n + 1) ** code.m
+    single = qc.standard_channel("bosonic_ad", gamma=gamma, cutoff=n).kraus
+    vecs = []
+    for states in code.logicals:
+        v = np.zeros(shape, dtype=complex)
+        for q, mu in states:
+            v[q.occupations] = math.sqrt(float(mu))
+        vecs.append(v.reshape(dim) / np.linalg.norm(v))
+
+    def apply_pattern(pattern):
+        def act(vec):
+            tens = np.asarray(vec, dtype=complex).reshape(shape)
+            for axis, k in enumerate(pattern):
+                tens = np.moveaxis(np.tensordot(single[k], tens, axes=(1, axis)), 0, axis)
+            return tens.reshape(dim)
+        return act
+
+    errors = [apply_pattern(p) for p in _kept_patterns(code, code.t)]
+    return qe.check_approximate(qe.CodeSpace(dim, vecs), errors)
+
+
+@pytest.mark.parametrize("name", [name for name, code in CODES.items()
+                                  if (code.max_occupation + 1) ** code.m <= 20000])
+def test_channel_check_matches_the_dense_registers(name):
+    code = CODES[name]
+    for g in (1e-4, 0.01, 0.2):
+        got, ref = bc.verify_by_channel(code, g), _dense_channel_reference(code, g)
+        assert got.verdict == ref.verdict
+        assert abs(got.numeric_fidelity - ref.crude_bound) <= 1e-15
+        rep = got.report
+        np.testing.assert_allclose(rep.canonical_p, ref.canonical_p, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rep.lambdas, ref.lambdas, rtol=0, atol=1e-15)
+
+
+def test_channel_check_reaches_past_the_dense_cap():
+    # 11⁵ = 161051 dense amplitudes; the reachable set is a few hundred
+    code = bc.construct_t1(5, 5)
+    chk = bc.verify_by_channel(code, 0.01)
+    assert chk.verdict == "exact"
+    assert len(chk.basis) <= 20000 < (code.max_occupation + 1) ** code.m
+    assert abs(chk.numeric_fidelity - bc.code_fidelity(code.n_total, 1, 0.01)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex8", "ex10"])
+def test_channel_basis_indexes_the_image_rows(name):
+    code = CODES[name]
+    chk = bc.verify_by_channel(code, 0.01)
+    basis = chk.basis
+    assert basis.dtype.kind == "i" and basis.shape == (len(basis), code.m)
+    assert [tuple(b) for b in basis] == sorted({tuple(b) for b in basis})
+    index = {tuple(b): i for i, b in enumerate(basis)}
+    states = [q.occupations for logical in code.logicals for q, _ in logical]
+    for p, w, weight in zip(_kept_patterns(code, code.t), chk.report.unitaries,
+                            chk.report.canonical_p):
+        want = {index[tuple(np.subtract(q, p))] for q in states if min(np.subtract(q, p)) >= 0}
+        assert (weight > 0) == bool(want)
+        if want:
+            assert set(np.flatnonzero(np.abs(w).max(axis=1) > 1e-12)) == want
 
 
 # ---------------------------------------------------------------------------

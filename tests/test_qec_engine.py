@@ -281,6 +281,56 @@ def test_exact_set_reports_exact_through_approx_path():
     assert np.abs(rep.lambdas - 1.0).max() < 1e-12
 
 
+def _loop_approx_quantities(code, errors):
+    """W, H, p, lambda and the worst image overlap, one error at a time."""
+    ne = len(errors)
+    ws, hs, p, lam = [], [], np.empty(ne), np.empty(ne)
+    for n, e in enumerate(errors):
+        u, s, vh = np.linalg.svd(qe.error_columns(code, e), full_matrices=False)
+        ws.append(u @ vh)
+        hs.append(qc.dagger(vh) @ np.diag(s) @ vh)
+        p[n] = s.max() ** 2
+        lam[n] = (s.min() / s.max()) ** 2 if s.max() > 0 else 1.0
+    ortho = 0.0
+    for m in range(ne):
+        for n in range(m + 1, ne):
+            if p[m] > 0 and p[n] > 0:
+                ortho = max(ortho, float(np.linalg.norm(qc.dagger(ws[m]) @ ws[n], 2)))
+    return ws, hs, p, lam, ortho
+
+
+def _bosonic_case(monkeypatch):
+    # the compact code space and gather errors that verify_by_channel builds
+    from qwork import bosonic_codes as bc
+    seen, batched = [], qe._approx_quantities
+
+    def record(code, errors):
+        seen.append((code, errors))
+        return batched(code, errors)
+
+    monkeypatch.setattr(qe, "_approx_quantities", record)
+    bc.verify_by_channel(bc.example_codes()["ex8"], 0.01)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["four_bit", "four_bit_with_dead", "five_qubit_paulis",
+                                  "bosonic_ex8", "empty"])
+def test_batched_approx_quantities_match_the_loop(case, monkeypatch):
+    code, errors = {
+        "four_bit": lambda: (qe.four_bit_code(), qe.four_bit_reversible_set(0.01)),
+        "four_bit_with_dead": lambda: (qe.four_bit_code(), [np.zeros((16, 16))]
+                                       + qe.four_bit_reversible_set(0.2)),
+        "five_qubit_paulis": lambda: (five_qubit_code(), weight_one_paulis(5)),
+        "bosonic_ex8": lambda: _bosonic_case(monkeypatch),
+        "empty": lambda: (qe.four_bit_code(), []),
+    }[case]()
+    got, ref = qe._approx_quantities(code, errors), _loop_approx_quantities(code, errors)
+    for a, b in zip(got[:4], ref[:4]):
+        np.testing.assert_allclose(np.reshape(a, np.shape(b)), b, rtol=0, atol=1e-14)
+    assert abs(got[4] - ref[4]) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # fidelity bounds
 

@@ -355,6 +355,20 @@ def test_tomography_method1_does_not_depend_on_the_op_basis_scale(s):
     assert qc.channels_equal(got, ref, tol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["op_basis", "input_basis"])
+def test_tomography_method1_judges_span_against_the_basis_scale(name):
+    # an absolute rank tolerance of 1e-10 refused both bases scaled by 1e-11
+    # as not spanning; a rank-deficient basis at that scale is still refused
+    ch = qc.standard_channel("amplitude_damping", gamma=0.3)
+    oracle = lambda rho: qc.apply(ch, rho)
+    basis = qc.pauli_product_basis(1) if name == "op_basis" else qc.default_state_basis(2)
+    got = qc.tomography_method1(oracle, 2, **{name: [1e-11 * b for b in basis]})
+    assert qc.channels_equal(got, qc.tomography_method1(oracle, 2), tol=1e-9)
+    basis[3] = basis[2]
+    with pytest.raises(ValueError, match=rf"\b{name}\b does not span"):
+        qc.tomography_method1(oracle, 2, **{name: [1e-11 * b for b in basis]})
+
+
 def test_tomography_method1_refuses_a_basis_whose_squared_norm_overflows():
     ops = [1e200 * b for b in qc.pauli_product_basis(1)]
     with pytest.raises(ValueError, match=r"\bop_basis\b"):

@@ -446,6 +446,8 @@ def test_tolerances_refuse_what_they_cannot_mean(name, v):
 # each fast path of the package with the reference its tests compare it
 # against: the test module that defines the reference, and its name there
 REFERENCES = {
+    "bosonic_codes.verify_by_channel": ("test_bosonic_codes", "_dense_channel_reference"),
+    "qec_engine._approx_quantities": ("test_qec_engine", "_loop_approx_quantities"),
     "qop_core._choi_matrix": ("test_qop_core", "_loop_choi"),
     "qop_core.kraus_from_choi": ("test_qop_core", "_loop_kraus"),
     "qop_core.apply_local": ("test_qop_core", "full_operator"),
