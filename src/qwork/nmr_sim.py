@@ -24,7 +24,9 @@ the stack's size, 4^n * S * 16 bytes each (256 KB for 32 x 32 quadrature
 nodes on two spins), and writes into them in place; each delay builds one
 2^n x 2^n factor, kept only while that delay runs.  The storage
 experiment's labeled input, one more stack of that size, is built once per
-(system, RF model) and shared read-only by every point.
+(system, RF model) and shared read-only by every point.  A storage sweep
+puts its thetas on the same axis: T thetas times S sets per evolution, T
+capped so that a stack holds at most _STACK_SETS sets.
 """
 
 import csv
@@ -314,9 +316,14 @@ def _settle(run, cur, other, flipped):
     return cur, other, flipped
 
 
-def _run_pure(system, rho, events, scales):
-    """Evolve rho (or a (2^n, 2^n, S) stack) once per row of the (S, n)
-    scales; returns the (2^n, 2^n, S) stack.
+def _run_pure(system, rho, events, scales, lead=None):
+    """Evolve rho (or a (2^n, 2^n, R) stack) once per row of the (S, n)
+    scales; returns the (2^n, 2^n, S) stack.  An R-set stack, R dividing
+    S, is repeated S / R times along the last axis.
+
+    lead, if given, is a first pulse (spin, axis, angles) with one angle per
+    row of scales, its RF scale already applied: the storage sweep's theta
+    pulse, which differs across a stack that holds several thetas.
 
     Pulses and refocusing flips are one-spin rotations, applied in runs
     broken only by the elementwise steps of a delay half: its factor F, or
@@ -324,9 +331,11 @@ def _run_pure(system, rho, events, scales):
     symmetric under transposition.
     """
     rho = np.asarray(rho)
+    sets = rho.shape[2] if rho.ndim == 3 else 1
     cur = np.empty(rho.shape[:2] + (len(scales),), dtype=complex)
-    cur[...] = rho.reshape(rho.shape[:2] + (-1,))
-    other, flipped, run = np.empty_like(cur), False, []
+    cur.reshape(rho.shape[:2] + (-1, sets))[...] = rho.reshape(rho.shape[:2] + (1, sets))
+    other, flipped = np.empty_like(cur), False
+    run = [] if lead is None else [(lead[0], _rot2(lead[1], lead[2]))]
     for ev in events:
         if ev.kind == "pulse":
             scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
@@ -918,28 +927,42 @@ def _labeled_input(system, rf):
     return stack
 
 
-def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
-                       t1_relax=False):
-    """One point of the storage experiment; returns decoded spin-a components.
+# Thetas per evolution: as many as keep the stack within this many scale
+# sets.  With one BLAS thread on a 2-core x86-64, all 11 thetas of the grid
+# under 32 x 32 quadrature in one stack (11264 sets, 2.9 MB) slowed the RF
+# sweep from 0.20 to 0.30 s; up to 64 sets per point, batching was 2-5x
+# faster, and at 512 Monte-Carlo shots two thetas per evolution took the
+# sweep from 182 to 151 ms.
+_STACK_SETS = 1024
 
-    Pipeline: two-run labeled input, variable-angle preparation, optional
-    encoding, storage with dephasing and mid/end refocusing flips on the
-    ancilla, optional decoding, then a quarter-turn readout pulse.  Accepted
-    components live on the ancilla-|0> line, rejected ones on the |1> line.
-    """
-    if system is None:
-        system = formate_system()
+
+def _check_storage(system, thetas, tds, modes):
+    """Refuse what the storage experiment cannot run, before any evolution."""
     if system.n != 2:
         raise ValueError(f"the storage experiment needs a two-spin system, "
                          f"got {system.n} spins")
-    check_real("theta", theta, 0, math.pi)
-    check_real("t_d", t_d, 0)
-    _check_delay_phase(system, "t_d", t_d)
-    if mode not in ("coded", "control"):
-        raise ValueError("mode must be 'coded' or 'control'")
+    for theta in thetas:
+        check_real("theta", theta, 0, math.pi)
+    for t_d in tds:
+        check_real("t_d", t_d, 0)
+        _check_delay_phase(system, "t_d", t_d)
+    for mode in modes:
+        if mode not in ("coded", "control"):
+            raise ValueError("mode must be 'coded' or 'control'")
     if system.omega[0] == 0.0:
         raise ValueError("outputs are normalized by omega of spin 0, which is zero")
-    events = [pulse(0, "y", theta)]
+
+
+def _storage_points(system, thetas, t_d, mode, rf, t1_relax):
+    """Decoded outputs at each theta of one checked (t_d, mode).
+
+    Theta enters only through the first pulse, so the thetas share one
+    evolution: the stack holds T thetas times S scale sets on its last
+    axis (theta slow), the labeled input repeated T times, and the theta
+    pulse is one leading rotation by theta_t * scale_s.  T is capped at
+    _STACK_SETS // S, at least one.
+    """
+    events = []
     if mode == "coded":
         events += encode_events(system)
     events.append(delay(t_d, dephase=True, refocus=(1,), t1_relax=t1_relax))
@@ -948,13 +971,39 @@ def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
     events.append(pulse(0, "x", math.pi / 2))
 
     scales, weights = rf_scale_sets(rf, system.n)
-    stack = _run_pure(_labeled_units(system), _labeled_input(system, rf),
-                      events, scales)
-    peaks = peak_integrals(np.einsum("ijs,s->ij", stack, weights))
-    return {
-        "accepted": (-peaks.a_low.imag, peaks.a_low.real),
-        "rejected": (-peaks.a_high.imag, peaks.a_high.real),
-    }
+    step = max(1, _STACK_SETS // len(weights))
+    outs = []
+    for k in range(0, len(thetas), step):
+        chunk = np.array([float(theta) for theta in thetas[k:k + step]])
+        angles = (chunk[:, None] * scales[:, 0]).ravel()
+        stack = _run_pure(_labeled_units(system), _labeled_input(system, rf), events,
+                          np.tile(scales, (len(chunk), 1)), lead=(0, "y", angles))
+        means = np.einsum("ijts,s->ijt", stack.reshape(stack.shape[:2] + (len(chunk), -1)),
+                          weights)
+        for t in range(len(chunk)):
+            peaks = peak_integrals(means[..., t])
+            outs.append({
+                "accepted": (-peaks.a_low.imag, peaks.a_low.real),
+                "rejected": (-peaks.a_high.imag, peaks.a_high.real),
+            })
+    return outs
+
+
+def two_bit_experiment(theta, t_d, mode="coded", rf=None, system=None,
+                       t1_relax=False):
+    """One point of the storage experiment; returns decoded spin-a components.
+
+    Pipeline: two-run labeled input, variable-angle preparation, optional
+    encoding, storage with dephasing and mid/end refocusing flips on the
+    ancilla, optional decoding, then a quarter-turn readout pulse.  Accepted
+    components live on the ancilla-|0> line, rejected ones on the |1> line.
+    This is two_bit_sweep's evolution with one theta, so a one-theta sweep
+    gives these outputs to the byte.
+    """
+    if system is None:
+        system = formate_system()
+    _check_storage(system, (theta,), (t_d,), (mode,))
+    return _storage_points(system, (theta,), t_d, mode, rf, t1_relax)[0]
 
 
 def ideal_outputs(theta, p_a, p_b, mode="coded"):
@@ -980,17 +1029,27 @@ def ideal_outputs(theta, p_a, p_b, mode="coded"):
 
 def two_bit_sweep(system=None, thetas=THETA_GRID, tds=None, modes=("coded", "control"),
                   rf=None, t1_relax=False):
-    """Sweep the experiment over a theta/storage grid; returns row dicts."""
+    """Sweep the experiment over a theta/storage grid; returns row dicts,
+    storage time slowest and theta fastest.
+
+    Every argument is checked before the first evolution, and each
+    (t_d, mode) evolves its thetas in one stack, as many at a time as keep
+    it within _STACK_SETS (1024) scale sets: the whole grid per evolution
+    with RF off, one theta at 32 x 32 quadrature nodes.  A row equals
+    two_bit_experiment at its point to rounding (within 1e-15 on
+    formate_system).
+    """
     if system is None:
         system = formate_system()
     if tds is None:
         tds = storage_grid(system)
+    thetas, tds, modes = list(thetas), list(tds), list(modes)
+    _check_storage(system, thetas, tds, modes)
     rows = []
     for td in tds:
         for mode in modes:
-            for theta in thetas:
-                out = two_bit_experiment(theta, td, mode=mode, rf=rf,
-                                         system=system, t1_relax=t1_relax)
+            outs = _storage_points(system, thetas, td, mode, rf, t1_relax)
+            for theta, out in zip(thetas, outs, strict=True):
                 rows.append({
                     "theta": theta, "td": td, "mode": mode,
                     "x_acc": out["accepted"][0], "z_acc": out["accepted"][1],

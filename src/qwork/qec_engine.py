@@ -207,10 +207,9 @@ def build_recovery(code, canonical, tol=1e-8, prune=1e-12):
                 "error set does not meet the exact criteria "
                 f"(image deformation {np.abs(h - scale * np.eye(k)).max():.3e})")
         kept.append(w)
-    for i, wi in enumerate(kept):
-        for j in range(i):
-            if np.abs(dagger(kept[j]) @ wi).max() > tol:
-                raise ValueError("error images overlap; recovery is ambiguous")
+    blocks = _gram_blocks(np.array(kept).reshape(len(kept), d, k))
+    if np.abs(blocks[np.triu_indices(len(kept), 1)]).max(initial=0.0) > tol:
+        raise ValueError("error images overlap; recovery is ambiguous")
 
     recovery_ops = [l @ dagger(w) for w in kept]
     completion = np.eye(d, dtype=complex)
@@ -229,6 +228,14 @@ def _fit_slope(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
+def _gram_blocks(ws):
+    """W_m† W_n for every pair of an (m, d, k) stack, as (m, m, k, k) blocks
+    of one Gram product."""
+    m, d, k = ws.shape
+    flat = ws.transpose(1, 0, 2).reshape(d, m * k)
+    return (dagger(flat) @ flat).reshape(m, k, m, k).swapaxes(1, 2)
+
+
 def _approx_quantities(code, errors):
     """W, H, p_n and lambda_n of every error's image from one batched SVD, and
     the worst ‖W_m† W_n‖₂ over live pairs (p > 0: a dead W is arbitrary)."""
@@ -240,8 +247,7 @@ def _approx_quantities(code, errors):
     p = top ** 2
     lam = np.divide(s.min(axis=-1), top, out=np.ones(ne), where=top > 0) ** 2
     live = ws[p > 0]
-    flat = live.transpose(1, 0, 2).reshape(code.ambient_dim, -1)
-    blocks = (dagger(flat) @ flat).reshape(len(live), k, len(live), k).swapaxes(1, 2)
+    blocks = _gram_blocks(live)
     ortho = float(np.linalg.norm(blocks[np.triu_indices(len(live), 1)], 2, axis=(-2, -1))
                   .max(initial=0.0))
     return list(ws), list(hs), p, lam, ortho

@@ -217,7 +217,9 @@ class SignMatrix:
     _rows = None   # (order, index) from _planned; not a field
 
     def __post_init__(self):
-        e = _as_signs(self.entries)
+        # a planner's rows come from the checked int8 table: no +/-1 scan
+        e = (_as_signs(self.entries) if self._rows is None
+             else self.entries.astype(np.int64))
         if e is None or e.ndim != 2:
             raise ValueError("entries must be a +/-1 matrix")
         object.__setattr__(self, "entries", e)

@@ -624,7 +624,10 @@ def test_labeled_input_built_once_per_system_and_rf_model(monkeypatch):
     try:
         rows = nm.two_bit_sweep(**kw)
         info = cached.cache_info()
-        assert (info.misses, info.hits) == (1, len(rows) - 1)
+        # read once per evolution: 3 thetas x 36 scale sets fit one stack,
+        # so one per (storage time, mode)
+        assert 3 * 6 ** 2 <= nm._STACK_SETS
+        assert (info.misses, info.hits) == (1, len(rows) // 3 - 1)
         stack = cached(system, rf)
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0, 0] = 0.0
@@ -714,6 +717,110 @@ def test_two_bit_experiment_needs_two_spins():
                           t2_star=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="two-spin system, got 3 spins"):
         nm.two_bit_experiment(0.5, 0.0, system=three)
+
+
+def _pointwise_sweep(system=None, thetas=nm.THETA_GRID, tds=None, modes=("coded", "control"),
+                     rf=None, t1_relax=False):
+    """two_bit_sweep as one two_bit_experiment per point, the sweep before
+    it evolved each (storage time, mode) as one stack over theta."""
+    if system is None:
+        system = nm.formate_system()
+    if tds is None:
+        tds = nm.storage_grid(system)
+    rows = []
+    for td in tds:
+        for mode in modes:
+            for theta in thetas:
+                out = nm.two_bit_experiment(theta, td, mode=mode, rf=rf,
+                                            system=system, t1_relax=t1_relax)
+                rows.append({
+                    "theta": theta, "td": td, "mode": mode,
+                    "x_acc": out["accepted"][0], "z_acc": out["accepted"][1],
+                    "x_rej": out["rejected"][0], "z_rej": out["rejected"][1],
+                })
+    return rows
+
+
+SWEEP_CASES = {
+    "rf-off": dict(),
+    "quadrature-4": dict(rf=nm.RfModel.lorentzian(nodes=4)),
+    "monte-carlo-32": dict(rf=nm.RfModel(kind="lorentzian",
+                                         widths=nm.RfModel.lorentzian().widths,
+                                         integration="monte-carlo", shots=32, seed=5)),
+    "t1": dict(t1_relax=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+@pytest.mark.parametrize("stack_sets", [None, 40])
+def test_sweep_matches_the_pointwise_reference(case, stack_sets, monkeypatch):
+    # at 40 sets per stack, 4-node quadrature (16 sets) evolves the grid two
+    # thetas at a time, the last alone, and 32 shots one theta at a time
+    if stack_sets is not None:
+        monkeypatch.setattr(nm, "_STACK_SETS", stack_sets)
+    kw = dict(SWEEP_CASES[case], tds=(0.0, 0.05, 0.2))
+    got, want = nm.two_bit_sweep(**kw), _pointwise_sweep(**kw)
+    assert len(got) == len(want) == 3 * 2 * len(nm.THETA_GRID)
+    for g, w in zip(got, want, strict=True):
+        assert (g["theta"], g["td"], g["mode"]) == (w["theta"], w["td"], w["mode"])
+        for key in ("x_acc", "z_acc", "x_rej", "z_rej"):
+            assert abs(g[key] - w[key]) <= 1e-15, (case, g, w)
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_one_theta_sweep_is_the_point_to_the_byte(case):
+    kw = SWEEP_CASES[case]
+    for theta, td, mode in ((0.0, 0.0, "coded"), (0.9, 0.05, "control"),
+                            (math.pi, 0.2, "coded")):
+        [row] = nm.two_bit_sweep(thetas=(theta,), tds=(td,), modes=(mode,), **kw)
+        out = nm.two_bit_experiment(theta, td, mode=mode, **kw)
+        assert (row["x_acc"], row["z_acc"]) == out["accepted"]
+        assert (row["x_rej"], row["z_rej"]) == out["rejected"]
+
+
+def _count_evolutions(monkeypatch, rf, **kw):
+    """_run_pure calls of one sweep, the labeled input built beforehand."""
+    system = nm.formate_system()
+    nm._labeled_input(system, rf)
+    calls = []
+    run_pure = nm._run_pure
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].shape[0])
+        return run_pure(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "_run_pure", counted)
+    nm.two_bit_sweep(system=system, rf=rf, **kw)
+    return calls
+
+
+def test_sweep_evolves_once_per_storage_time_and_mode(monkeypatch):
+    # RF off: the whole theta grid in one stack per (t_d, mode)
+    calls = _count_evolutions(monkeypatch, None, tds=(0.0, 0.05, 0.2))
+    assert calls == [len(nm.THETA_GRID)] * 6
+    # 32 x 32 nodes: 1024 sets fill a stack, so one evolution per point
+    calls = _count_evolutions(monkeypatch, nm.RfModel.lorentzian(nodes=32),
+                              thetas=(0.0, 0.9, 2.0), tds=(0.05,), modes=("coded",))
+    assert calls == [1024] * 3
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(thetas=(math.nan, 0.3, 0.9)), "theta"),
+    (dict(thetas=(0.3, -0.1, 0.9)), "theta"),
+    (dict(thetas=(0.3, 0.9, 4.0)), "theta"),
+    (dict(tds=(0.0, 0.05, -1.0)), "t_d"),
+    (dict(tds=(0.0, math.inf)), "t_d"),
+    (dict(tds=(0.0, 1e308)), "t_d"),
+    (dict(modes=("coded", "protected")), "mode"),
+])
+def test_sweep_checks_every_argument_before_evolving(kw, name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolved before the arguments were checked")
+
+    monkeypatch.setattr(nm, "_run_pure", refuse)
+    monkeypatch.setattr(nm, "_labeled_input", refuse)
+    with pytest.raises(ValueError, match=name):
+        nm.two_bit_sweep(**kw)
 
 
 # ---------------------------------------------------------------- analysis
@@ -943,17 +1050,23 @@ def reference_t1_step(system, stack, t):
         r2[:, 1, 1] = even - zpart
 
 
-def reference_run_pure(system, rho, events, scales):
+def reference_run_pure(system, rho, events, scales, lead=None):
     """The in-place evolution that evolution in runs replaced, on an
     (S, 2^n, 2^n) stack: every rotation is two complex matmuls, each copied
     back transposed, and each delay half multiplies by the phases, then by
     every spin's dephasing factor on the quarter views where that spin's
-    bits differ.  Takes and returns _run_pure's (2^n, 2^n, S) layout."""
+    bits differ.  Takes and returns _run_pure's (2^n, 2^n, S) layout, and
+    its lead pulse."""
     n = system.n
     rho = np.asarray(rho)
+    sets = rho.shape[2] if rho.ndim == 3 else 1
     stack = np.empty((len(scales),) + rho.shape[:2], dtype=complex)
-    stack[...] = np.moveaxis(rho.reshape(rho.shape[:2] + (-1,)), -1, 0)
+    stack.reshape((-1, sets) + rho.shape[:2])[...] = np.moveaxis(
+        rho.reshape(rho.shape[:2] + (sets,)), -1, 0)
     scratch = np.empty_like(stack)
+    if lead is not None:
+        spin, axis, angles = lead
+        reference_conjugate_spin(reference_rot2(axis, angles), stack, spin, scratch)
     for ev in events:
         if ev.kind == "pulse":
             scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
@@ -1254,6 +1367,10 @@ ENTRY_POINTS = {
     "calibrate_width.nodes": lambda v: nm.calibrate_width(0.9, v),
     "two_bit_experiment.theta": lambda v: nm.two_bit_experiment(v, 0.0),
     "two_bit_experiment.t_d": lambda v: nm.two_bit_experiment(0.3, v),
+    "two_bit_sweep.thetas": lambda v: nm.two_bit_sweep(
+        thetas=(0.3, v, 1.2), tds=(0.0,), modes=("coded",)),
+    "two_bit_sweep.tds": lambda v: nm.two_bit_sweep(
+        thetas=(0.3, 1.2), tds=(0.05, v), modes=("control",)),
     "ideal_outputs.theta": lambda v: nm.ideal_outputs(v, 0.1, 0.2),
     "ideal_outputs.p_a": lambda v: nm.ideal_outputs(0.3, v, 0.2),
     "ideal_outputs.p_b": lambda v: nm.ideal_outputs(0.3, 0.1, v, mode="control"),

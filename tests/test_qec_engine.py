@@ -213,6 +213,44 @@ def test_recovery_rejects_bad_error_set():
         qe.build_recovery(code, [qe.ad_product((0, 0, 0, 0), 0.2)])
 
 
+def _pairwise_overlap(code, errors, prune=1e-12):
+    """The largest entry of W_j† W_i over pairs of kept images, one pair at
+    a time, as build_recovery checked them before one Gram product."""
+    kept = []
+    for e in errors:
+        u, s, vh = np.linalg.svd(qe.error_columns(code, e), full_matrices=False)
+        if s.max() ** 2 > prune:
+            kept.append(u @ vh)
+    return max((float(np.abs(qc.dagger(kept[j]) @ wi).max())
+                for i, wi in enumerate(kept) for j in range(i)), default=0.0)
+
+
+@pytest.mark.parametrize("case", ["five_qubit_canonical", "repeated", "half_overlap",
+                                  "slight_overlap", "slight_overlap_strict", "single",
+                                  "dead_and_live"])
+def test_recovery_overlap_check_matches_the_pairwise_loop(case):
+    code = five_qubit_code()
+    x0, z1 = pauli_word("XIIII"), pauli_word("IZIII")
+    errors, tol = {
+        "five_qubit_canonical": (qe.canonicalize_errors(code, weight_one_paulis(5)).errors,
+                                 1e-8),
+        "repeated": ([np.eye(32), 2 * np.eye(32)], 1e-8),
+        "half_overlap": ([x0, (x0 + z1) / math.sqrt(2)], 1e-8),
+        "slight_overlap": ([x0, z1 + 1e-9 * x0], 1e-8),
+        "slight_overlap_strict": ([x0, z1 + 1e-9 * x0], 1e-10),
+        "single": ([z1], 1e-8),
+        "dead_and_live": ([np.zeros((32, 32)), x0, np.zeros((32, 32))], 1e-8),
+    }[case]
+    overlap = _pairwise_overlap(code, errors)
+    if overlap > tol:
+        with pytest.raises(ValueError, match="error images overlap"):
+            qe.build_recovery(code, errors, tol=tol)
+    else:
+        rec = qe.build_recovery(code, errors, tol=tol)
+        assert len(rec.channel.kraus) == len(rec.isometries) + 1
+    assert (overlap > tol) == (case in ("repeated", "half_overlap", "slight_overlap_strict"))
+
+
 # ---------------------------------------------------------------------------
 # approximate criteria
 

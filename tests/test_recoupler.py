@@ -707,6 +707,21 @@ def test_each_order_is_built_and_checked_once(monkeypatch):
     assert all(np.array_equal(a.entries, b.entries) for a, b in zip(first, second))
 
 
+def test_planned_rows_skip_the_sign_scan(monkeypatch):
+    # a plan's rows come from the checked int8 table, so only entries given
+    # directly are scanned for +/-1; both are kept as int64
+    plans = [rc.plan_decouple(n) for n in (5, 12, 40)]
+    scanned = _counted(monkeypatch, rc, "_as_signs")
+    again = [rc.plan_decouple(n) for n in (5, 12, 40)]
+    assert scanned == []
+    assert all(p.entries.dtype == np.int64 and np.array_equal(p.entries, q.entries)
+               for p, q in zip(plans, again))
+    direct = rc.SignMatrix(plans[1].entries.astype(float), "decouple")
+    assert len(scanned) == 1 and direct.entries.dtype == np.int64
+    with pytest.raises(ValueError, match=r"\+/-1 matrix"):
+        rc.SignMatrix(np.where(plans[1].entries > 0, 1.0, -1.5), "decouple")
+
+
 def test_rows_table_is_read_only_int8():
     rows = rc._normalized_rows(12)
     assert rows.dtype == np.int8

@@ -448,11 +448,13 @@ def test_tolerances_refuse_what_they_cannot_mean(name, v):
 REFERENCES = {
     "bosonic_codes.verify_by_channel": ("test_bosonic_codes", "_dense_channel_reference"),
     "qec_engine._approx_quantities": ("test_qec_engine", "_loop_approx_quantities"),
+    "qec_engine.build_recovery": ("test_qec_engine", "_pairwise_overlap"),
     "qop_core._choi_matrix": ("test_qop_core", "_loop_choi"),
     "qop_core.kraus_from_choi": ("test_qop_core", "_loop_kraus"),
     "qop_core.apply_local": ("test_qop_core", "full_operator"),
     "qop_core.tomography_method1": ("test_qop_core", "chi_equations_by_loops"),
     "nmr_sim._run_pure": ("test_nmr_sim", "reference_run_pure"),
+    "nmr_sim.two_bit_sweep": ("test_nmr_sim", "_pointwise_sweep"),
     "recoupler.verify_schedule": ("test_recoupler", "_dense_deviation"),
     "recoupler._planned": ("test_recoupler", "_full_gram_check"),
     "qec_engine._worst_overlap": ("test_qec_engine", "nelder_mead_reference"),
