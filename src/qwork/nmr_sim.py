@@ -253,24 +253,35 @@ def _rotate_rows(op, src, dst, spin):
         dst[:, r] += op[r, 1] * src[:, 1]
 
 
-def _delay_factor(system, t, dephase):
+def _delay_factor(system, t, dephase, refocus=()):
     """Elementwise factor of a free evolution over t, or None for all ones:
     the coupling phases ph ⊗ ph* times each spin's dephasing mask, (1 - p) - p
-    where that spin's row and column bits differ and 1 where they agree."""
-    total = ising_diagonal(np.zeros(system.n), math.pi * np.array(system.j) / 2.0 * t)
+    where that spin's row and column bits differ and 1 where they agree.
+
+    With refocus, the refocused delay's F ⊙ P(F): F over t/2, exact pi flips
+    of those spins (P flips their bits), F, the flips again; that is, F over t
+    less each refocused-to-unrefocused coupling, with every mask squared."""
+    halves = 2 if refocus else 1
+    j = np.array(system.j)
+    if refocus:
+        side = np.array([i in refocus for i in range(system.n)])
+        j[side[:, None] != side[None, :]] = 0.0
+    total = ising_diagonal(np.zeros(system.n), math.pi * j / 2.0 * t)
     if not (dephase or total.any()):
         return None
-    factor = np.ones((1, 1))
-    for t2 in reversed(system.t2_star) if dephase else ():   # spin 0 ends high
-        p, d = dephase_probability(t, t2), len(factor)
-        doubled = np.empty((2 * d, 2 * d))
-        doubled[:d, :d] = doubled[d:, d:] = factor
-        doubled[:d, d:] = doubled[d:, :d] = ((1.0 - p) - p) * factor
-        factor = doubled
+    factor = None
+    if dephase:   # each doubling fills three blocks of one buffer from the first
+        factor = np.empty((2 ** system.n,) * 2)
+        factor[0, 0] = 1.0
+        for k, t2 in enumerate(reversed(system.t2_star)):   # spin 0 ends high
+            p, d = dephase_probability(t / halves, t2), 1 << k
+            np.multiply(factor[:d, :d], ((1.0 - p) - p) ** halves, out=factor[:d, d:2 * d])
+            factor[d:2 * d, :d] = factor[:d, d:2 * d]
+            factor[d:2 * d, d:2 * d] = factor[:d, :d]
     if total.any():
         ph = np.exp(-1j * total)
         phase = ph[:, None] * ph.conj()[None, :]
-        factor = np.multiply(phase, factor, out=phase)
+        factor = phase if factor is None else np.multiply(phase, factor, out=phase)
     # the phases do not touch populations; pin those so the identity
     # component is preserved exactly, not just to rounding
     np.fill_diagonal(factor, 1.0)
@@ -344,11 +355,15 @@ def _run_pure(system, rho, events, scales, lead=None):
         if ev.duration == 0.0:
             continue
         # a refocused delay is two halves, each followed by pi_y flips of
-        # the refocused spins, which carry the RF scales
-        halves = 2 if ev.refocus else 1
+        # the refocused spins, which carry the RF scales; exact flips with
+        # no T1 step between them fold into one factor over the whole delay
+        if ev.refocus and (ev.t1_relax or (scales[:, list(ev.refocus)] != 1.0).any()):
+            refocus, flips = (), [(s, _rot2("y", math.pi * scales[:, s])) for s in ev.refocus]
+        else:
+            refocus, flips = ev.refocus, []
+        halves = 2 if flips else 1
         t = ev.duration / halves
-        factor, factor_flipped = _delay_factor(system, t, ev.dephase), False
-        flips = [(s, _rot2("y", math.pi * scales[:, s])) for s in ev.refocus]
+        factor, factor_flipped = _delay_factor(system, t, ev.dephase, refocus), False
         for _ in range(halves):
             if factor is not None or ev.t1_relax:
                 cur, other, flipped = _settle(run, cur, other, flipped)
@@ -980,12 +995,12 @@ def _storage_points(system, thetas, t_d, mode, rf, t1_relax):
                           np.tile(scales, (len(chunk), 1)), lead=(0, "y", angles))
         means = np.einsum("ijts,s->ijt", stack.reshape(stack.shape[:2] + (len(chunk), -1)),
                           weights)
-        for t in range(len(chunk)):
-            peaks = peak_integrals(means[..., t])
-            outs.append({
-                "accepted": (-peaks.a_low.imag, peaks.a_low.real),
-                "rejected": (-peaks.a_high.imag, peaks.a_high.real),
-            })
+        # each theta's spin-a lines, b in |0> (low) and |1> (high), as peak_integrals
+        up, dn = means[[0, 1], [2, 3]], means[[2, 3], [0, 1]]
+        lines = -(1j * ((up + dn) / 2.0) + (1j * up - 1j * dn) / 2.0)
+        for low, high in zip(*lines.tolist()):
+            outs.append({"accepted": (-low.imag, low.real),
+                         "rejected": (-high.imag, high.real)})
     return outs
 
 

@@ -778,6 +778,32 @@ def test_one_theta_sweep_is_the_point_to_the_byte(case):
         assert (row["x_rej"], row["z_rej"]) == out["rejected"]
 
 
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_rows_are_peak_integrals_to_the_byte(case, monkeypatch):
+    # the sweep reads spin a's lines of all thetas of a stack at once; each
+    # row keeps the bytes peak_integrals gives on that theta's mean
+    kw = dict(SWEEP_CASES[case], tds=(0.0, 0.05))
+    stacks, run_pure = [], nm._run_pure
+
+    def recorded(*args, **kwargs):
+        out = run_pure(*args, **kwargs)
+        if "lead" in kwargs:   # the sweep's evolutions, not the labeled input's
+            stacks.append(out)
+        return out
+
+    monkeypatch.setattr(nm, "_run_pure", recorded)
+    rows = nm.two_bit_sweep(**kw)
+    weights = nm.rf_scale_sets(kw.get("rf"), 2)[1]
+    want = []
+    for stack in stacks:
+        means = np.einsum("ijts,s->ijt", stack.reshape((4, 4, -1, len(weights))), weights)
+        for t in range(means.shape[2]):
+            peaks = nm.peak_integrals(means[..., t])
+            want.append((-peaks.a_low.imag, peaks.a_low.real,
+                         -peaks.a_high.imag, peaks.a_high.real))
+    assert [(r["x_acc"], r["z_acc"], r["x_rej"], r["z_rej"]) for r in rows] == want
+
+
 def _count_evolutions(monkeypatch, rf, **kw):
     """_run_pure calls of one sweep, the labeled input built beforehand."""
     system = nm.formate_system()
@@ -1140,10 +1166,43 @@ def digest_of(outputs):
 
 
 def test_rf_free_outputs_are_pinned_to_the_byte():
-    # one scale set takes the matmul branch of _rotate_rows, unchanged since
-    # these bytes were recorded with numpy 2.4, OpenBLAS 0.3.31 on x86-64
+    # one scale set takes the matmul branch of _rotate_rows and folds each
+    # refocused delay into one factor; recorded with numpy 2.4, OpenBLAS
+    # 0.3.31 on x86-64
     assert digest_of(out for with_rf, out in pinned_outputs() if not with_rf) == (
-        "17add8f08b5768ca8f901f6471536c7746b35e638a6e76bdd3972449615560f6")
+        "e78677b52f873aef9587177fe23c9eaefcfe721239ac8680bed60e8f701cdf38")
+
+
+def test_rf_outputs_are_pinned_to_the_byte():
+    # the RF stacks' refocusing flips carry scales other than 1, so every
+    # refocused delay there still takes its two halves and their flips
+    assert digest_of(out for with_rf, out in pinned_outputs() if with_rf) == (
+        "4d9f82b7cdbcdb284b269b30b867aa576b0d57665a500a427b4837269b975975")
+
+
+def unfolded_outputs():
+    """Seeded evolutions whose every refocused delay keeps its flips: with
+    T1 relaxation at 3 and 6 spins, and without it at one scale set where
+    each delay has a refocused spin off scale 1."""
+    for n in (3, 6):
+        rng = np.random.default_rng(60 + n)
+        system = replace(coupled_system(n, rng), t1=tuple(rng.uniform(0.05, 1.0, size=n)))
+        events = [nm.pulse(int(rng.integers(n)), "xy"[k % 2], float(rng.uniform(-3, 3)))
+                  for k in range(6)]
+        events += [nm.delay(float(rng.uniform(1e-3, 2e-2)), dephase=bool(k % 2),
+                            refocus=(k % n, (k + 1) % n), t1_relax=True) for k in range(3)]
+        yield nm.run_sequence(system, rand_deviation(n, rng), events)
+        # spin 0 stays at scale 1: a delay refocusing it with another spin
+        # keeps its flips too
+        scales = 1.0 + 1e-3 * np.arange(n)[None, :]
+        events = [replace(ev, t1_relax=False) for ev in events]
+        yield nm._run_pure(system, rand_deviation(n, rng), events, scales)
+
+
+def test_unfolded_delays_keep_their_bytes():
+    # recorded before refocused delays were folded into one factor
+    assert digest_of(unfolded_outputs()) == (
+        "a2776467681e1f93ae977ee18ee40b9efe9f08ee811c334f1292960843de0296")
 
 
 def test_outputs_are_pinned_to_the_byte():
@@ -1151,7 +1210,41 @@ def test_outputs_are_pinned_to_the_byte():
     # differ from the reference kernel's by rounding, which the test below
     # bounds at 1e-13 relative
     assert digest_of(out for _, out in pinned_outputs()) == (
-        "f805fb58eda70497db0997df262bde0e254fcb648fb03fbc7038d4abd47a6ef1")
+        "8cfcb55e4dd35a973a988fd6541b743f93cd733fb13e6834b7ed3804d2151f8a")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_folded_delays_match_the_per_half_path(n, monkeypatch):
+    # with every refocused spin at scale 1 and no T1 step, a refocused delay
+    # is one factor over its whole duration; the reference takes the two
+    # halves and flips them as rotations
+    rng = np.random.default_rng(90 + n)
+    full = coupled_system(n, rng)
+    pair = np.zeros((n, n))
+    if n > 1:
+        pair[0, 1] = pair[1, 0] = full.j[0][1]
+    rho, scales = rand_deviation(n, rng), np.ones((1, n))
+    folded = []
+    factor = nm._delay_factor
+    monkeypatch.setattr(nm, "_delay_factor",
+                        lambda *args: folded.append(args[3]) or factor(*args))
+    for j, size, first, dephase in itertools.product(
+            (np.zeros((n, n)), pair, np.array(full.j)), range(1, n + 1), (True, False),
+            (False, True)):
+        # the first or last spins: spin 0's pair with spin 1 is kept by some
+        # sets and cut by others
+        refocus = tuple(range(size) if first else range(n - size, n))
+        system = replace(full, j=tuple(map(tuple, j)))
+        events = [nm.pulse(0, "x", 0.7), nm.delay(7e-3, dephase, refocus),
+                  nm.pulse(n - 1, "y", -1.1), nm.delay(0.0, dephase, refocus),
+                  nm.delay(4e-3, dephase, refocus[::-1]), nm.pulse(0, "y", 0.4)]
+        folded.clear()
+        got = nm._run_pure(system, rho, events, scales)
+        assert folded == [refocus, refocus]
+        assert close(got, reference_run_pure(system, rho, events, scales))
+        g = factor(system, 7e-3, dephase, refocus)
+        assert g is None or (np.diag(g) == 1.0).all()
+        assert nm.identity_offset(system, events) < 1e-12
 
 
 def test_pinned_outputs_match_the_reference_kernel(monkeypatch):
