@@ -11,8 +11,7 @@ decompositions) and the extreme qutrit counterexample.
 Bit order: on an n-qubit register, qubit 0 is the leftmost tensor factor and
 the most significant bit of a basis index, so basis index x has qubit q in
 state (x >> (n - 1 - q)) & 1.  The dense kernel below (``z_signs``,
-``apply_local``, ``conjugate_local``) and every module built on it use this
-order.
+``apply_local``) and every module built on it use this order.
 """
 
 from __future__ import annotations
@@ -161,13 +160,6 @@ def apply_local(op, state, axes):
     t = state.reshape(*lead, *dims).transpose(perm)
     t = np.matmul(op, t.reshape(*lead, -1, 1 << k, t.shape[-1])).reshape(t.shape)
     return t.transpose(np.argsort(perm)).reshape(state.shape)
-
-
-def conjugate_local(op, rho, axes):
-    """op rho op† for a local ``op`` on qubits ``axes`` of a 2^n x 2^n rho
-    (or of an (S, 2^n, 2^n) stack, under an (S, 2^k, 2^k) stack of ops)."""
-    half = apply_local(op, rho, axes).swapaxes(-1, -2)
-    return apply_local(np.conj(op), half, axes).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -100,27 +100,6 @@ def _paley(q):
     return h
 
 
-_H12_TEXT = [
-    "++++++-+++++",
-    "+++--++-+--+",
-    "++++--++-+--",
-    "+-+++-+-+-+-",
-    "+--++++--+-+",
-    "++--++++--+-",
-    "-+++++------",
-    "+-+--+---++-",
-    "++-+------++",
-    "+-+-+--+---+",
-    "+--+-+-++---",
-    "++--+---++--",
-]
-
-
-def stored_h12():
-    rows = [[1 if c == "+" else -1 for c in line] for line in _H12_TEXT]
-    return HadamardMatrix(12, np.array(rows, dtype=np.int64), "stored(h12)")
-
-
 def _build_recipes():
     """order -> recipe for the orders hadamard() builds up to MAX_ORDER:
     1 and 2, the other powers of two as Sylvester products 2 x order/2, and

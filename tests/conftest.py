@@ -27,3 +27,16 @@ def _all_finite(x):
 def all_finite():
     """The check that an entry point's output holds only finite numbers."""
     return _all_finite
+
+
+def _conjugate_local(op, rho, axes):
+    half = qc.apply_local(op, rho, axes).swapaxes(-1, -2)
+    return qc.apply_local(np.conj(op), half, axes).swapaxes(-1, -2)
+
+
+@pytest.fixture(scope="session")
+def conjugate_local():
+    """op rho op† for a local op on qubits axes of a 2^n x 2^n rho (or of an
+    (S, 2^n, 2^n) stack, under an (S, 2^k, 2^k) stack of ops), by two passes
+    of qop_core.apply_local."""
+    return _conjugate_local

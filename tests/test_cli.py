@@ -324,6 +324,8 @@ def test_nmr_dj_without_signal_fails_for_both_oracles(capsys):
                                  "--oracle", oracle, "--p", "0.5")
         assert code == 2 and "decision=undecided" in out
         assert "PASS" not in out and "undecided" in err
+        # a qubit at p = 0.5 prints an exact 0, never -0
+        assert "\nE: 0 0 0\n" in out
 
 
 @pytest.mark.parametrize("path", [("channel", "roundtrip"), ("nmr", "tomo"),

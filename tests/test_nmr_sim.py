@@ -373,6 +373,40 @@ def test_dj_balanced_pure_bound():
         assert out["decision"] == "balanced"
 
 
+def _convolution_dj_reference(table, p_reg, p_work):
+    # the thermal register simulated: a diagonal mixture in, so the pure
+    # output distribution is XOR-convolved with the register's weights
+    n = len(p_reg)
+    dim = 2 ** n
+    ghat = nm._fwht(1.0 - 2.0 * np.asarray(table)) / dim
+    pvec = ghat * ghat
+    weights = np.array([1.0])
+    for pi in p_reg:
+        weights = np.kron(weights, np.array([pi, 1.0 - pi]))
+    pout = nm._fwht(nm._fwht(weights) * nm._fwht(pvec)) / dim
+    scale = 2.0 * np.asarray(p_reg) - 1.0
+    return p_work * (pout @ qc.z_signs(n).T) + (1.0 - p_work) * scale
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dj_thermal_matches_the_convolution(n):
+    rng = np.random.default_rng(40 + n)
+    dim = 2 ** n
+    balanced = np.zeros(dim, dtype=int)
+    balanced[rng.permutation(dim)[:dim // 2]] = 1
+    mixed = list(rng.uniform(0.0, 1.0, size=n))
+    mixed[0] = 0.5
+    mixed[-1] = 0.5 + 1e-9
+    cases = [(0.7, [0.7] * n, 1.0), (0.5, [0.5] * n, 1.0), (0.2, [0.2] * n, 1.0),
+             (mixed, mixed, 1.0), (mixed + [0.8], mixed, 0.8),
+             ([0.9] * n + [0.3], [0.9] * n, 0.3)]
+    for table in (np.ones(dim, dtype=int), balanced):
+        for p, p_reg, p_work in cases:
+            out = nm.dj_thermal(n, lambda x: table[x], p)
+            want = _convolution_dj_reference(table, p_reg, p_work)
+            assert np.abs(np.array(out["E"]) - want).max() < 1e-12
+
+
 def test_dj_thermal_scaling_exact():
     rng = np.random.default_rng(31)
     for n in (1, 2, 5, 10):
@@ -381,7 +415,8 @@ def test_dj_thermal_scaling_exact():
         table[rng.permutation(dim)[:dim // 2]] = 1
         p = rng.uniform(0.05, 1.0, size=n + 1)
         out = nm.dj_thermal(n, lambda x: table[x], list(p))
-        assert out["scaling_error"] < 1e-12
+        assert out["E"] == pytest.approx(
+            list(_convolution_dj_reference(table, p[:n], p[n])), abs=1e-12)
         scale = 2 * p[:n] - 1
         assert out["E"] == pytest.approx(list(scale * out["E_pure"]),
                                          abs=1e-12)
@@ -1021,7 +1056,7 @@ def close(got, want, rel=1e-13):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_a_run_of_rotations_matches_successive_conjugations(n):
+def test_a_run_of_rotations_matches_successive_conjugations(n, conjugate_local):
     # scale-last stacks of one scale set take _rotate_rows' matmul branch,
     # of three its broadcast branch
     assert nm._rot2("y", 0.3).dtype == float
@@ -1035,7 +1070,7 @@ def test_a_run_of_rotations_matches_successive_conjugations(n):
                for k, s in enumerate(spins)]
         want = rho
         for s, op in run:
-            want = qc.conjugate_local(np.moveaxis(op, -1, 0), want, (s,))
+            want = conjugate_local(np.moveaxis(op, -1, 0), want, (s,))
         stack = np.moveaxis(rho, 0, -1)
         start = np.ascontiguousarray(stack.swapaxes(0, 1) if flipped else stack)
         got, _, now = nm._settle(run, start, np.empty_like(start), flipped)

@@ -146,8 +146,30 @@ def test_paley_requires_3_mod_4_prime():
         rc._paley(9)
 
 
+# a textbook order-12 Hadamard matrix, not in normal form
+_H12_TEXT = [
+    "++++++-+++++",
+    "+++--++-+--+",
+    "++++--++-+--",
+    "+-+++-+-+-+-",
+    "+--++++--+-+",
+    "++--++++--+-",
+    "-+++++------",
+    "+-+--+---++-",
+    "++-+------++",
+    "+-+-+--+---+",
+    "+--+-+-++---",
+    "++--+---++--",
+]
+
+
+def stored_h12():
+    rows = [[1 if c == "+" else -1 for c in line] for line in _H12_TEXT]
+    return rc.HadamardMatrix(12, np.array(rows, dtype=np.int64), "stored(h12)")
+
+
 def test_stored_twelve_normalizes_by_seventh_row_and_column():
-    s = rc.stored_h12()
+    s = stored_h12()
     nrm = rc.normalize(s)
     flips = s.entries != nrm.entries
     expected = np.zeros((12, 12), dtype=bool)
@@ -215,7 +237,7 @@ EQ_718 = ["++++---+-+--",
 def test_recouple_rows_from_classic_twelve():
     # the deterministic assignment reproduces the textbook nine-spin
     # (3,4)-recoupling matrix when fed the stored order-12 seed
-    norm = rc.normalize(rc.stored_h12()).entries
+    norm = rc.normalize(stored_h12()).entries
     rows = norm[rc._assign_pairs(9, [(3, 4)])]
     got = ["".join("+" if x == 1 else "-" for x in r) for r in rows]
     assert got == EQ_718

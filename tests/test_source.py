@@ -241,25 +241,19 @@ def test_spin_system_fixture_dir_serves_nmr_without_stabilizer(tmp_path):
 
 
 def test_no_unread_private_names():
-    # a private module-level helper, class or constant that no module of the
-    # package reads is dead code; reads inside its own definition (recursion)
-    # do not count
+    # a private module-level helper, class or constant, or a private method
+    # or class attribute, that no module of the package reads is dead code;
+    # reads inside its own definition (recursion) do not count
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(Path(qwork.__file__).parent.glob("*.py"))}
-
-    def reads(node):
-        return [n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-                or isinstance(n, ast.Attribute)]
-
-    everywhere = [name for tree in trees.values() for name in reads(tree)]
+    everywhere = [name for tree in trees.values() for name in _reads(tree)]
     found = []
     for module, tree in trees.items():
-        for node in tree.body:
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in (node for scope in scopes for node in scope.body):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                names, inside = [node.name], reads(node)
+                names, inside = [node.name], _reads(node)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [n.id for t in targets for n in ast.walk(t)
@@ -456,6 +450,7 @@ REFERENCES = {
     "nmr_sim._run_pure": ("test_nmr_sim", "reference_run_pure"),
     "nmr_sim._delay_factor": ("test_nmr_sim", "reference_run_pure"),
     "nmr_sim.two_bit_sweep": ("test_nmr_sim", "_pointwise_sweep"),
+    "nmr_sim.dj_thermal": ("test_nmr_sim", "_convolution_dj_reference"),
     "recoupler.verify_schedule": ("test_recoupler", "_dense_deviation"),
     "recoupler._planned": ("test_recoupler", "_full_gram_check"),
     "qec_engine._worst_overlap": ("test_qec_engine", "nelder_mead_reference"),
