@@ -21,8 +21,8 @@ scale set, and every average sums stack * weights over the last axis.  A
 one-spin rotation is then a few broadcast multiplies over contiguous
 S-long rows, or one matmul when S = 1.  The evolution holds two buffers of
 the stack's size, 4^n * S * 16 bytes each (256 KB for 32 x 32 quadrature
-nodes on two spins), and writes into them in place; each delay builds one
-2^n x 2^n factor, kept only while that delay runs.  The storage
+nodes on two spins), and writes into them in place; the delays between
+two pulses build one 2^n x 2^n factor, in the buffer not in use.  The storage
 experiment's labeled input, one more stack of that size, is built once per
 (system, RF model) and shared read-only by every point.  A storage sweep
 puts its thetas on the same axis: T thetas times S sets per evolution, T
@@ -241,7 +241,7 @@ def _rotate_rows(op, src, dst, spin):
     op[r, 0] * src_0 + op[r, 1] * src_1, two multiplies broadcast over the
     contiguous scale axis and one add, with no per-scale-set matmul."""
     if src.shape[-1] == 1:   # as apply_local: one op for a one-set stack
-        if not np.iscomplexobj(op):
+        if op.dtype == float:
             src, dst = src.view(float), dst.view(float)
         shape = (1 << spin, 2, -1)
         np.matmul(op[..., 0], src.reshape(shape), out=dst.reshape(shape))
@@ -253,39 +253,54 @@ def _rotate_rows(op, src, dst, spin):
         dst[:, r] += op[r, 1] * src[:, 1]
 
 
-def _delay_factor(system, t, dephase, refocus=()):
-    """Elementwise factor of a free evolution over t, or None for all ones:
-    the coupling phases ph ⊗ ph* times each spin's dephasing mask, (1 - p) - p
-    where that spin's row and column bits differ and 1 where they agree.
+def _delay_pair(system, t, dephase, refocus=()):
+    """A free delay over t as the pair (coupling angles, coherence factors),
+    or None when it does nothing: the n x n angles pi J / 2 t of its ZZ
+    phases, and each spin's factor (1 - p) - p on the coherences where that
+    spin's row and column bits differ, or the scalar 1.0 without dephasing.
+    Two pairs in a row join as one: the angles add and the factors multiply,
+    since both act elementwise.
 
-    With refocus, the refocused delay's F ⊙ P(F): F over t/2, exact pi flips
-    of those spins (P flips their bits), F, the flips again; that is, F over t
-    less each refocused-to-unrefocused coupling, with every mask squared."""
-    halves = 2 if refocus else 1
+    With refocus, the refocused delay's pair: F over t/2, exact pi flips of
+    those spins (P flips their bits), F, the flips again, which is
+    F ⊙ P(F): F over t less each refocused-to-unrefocused coupling, with
+    every factor squared."""
     j = np.array(system.j)
     if refocus:
         side = np.array([i in refocus for i in range(system.n)])
         j[side[:, None] != side[None, :]] = 0.0
-    total = ising_diagonal(np.zeros(system.n), math.pi * j / 2.0 * t)
-    if not (dephase or total.any()):
-        return None
-    factor = None
-    if dephase:   # each doubling fills three blocks of one buffer from the first
-        factor = np.empty((2 ** system.n,) * 2)
-        factor[0, 0] = 1.0
-        for k, t2 in enumerate(reversed(system.t2_star)):   # spin 0 ends high
-            p, d = dephase_probability(t / halves, t2), 1 << k
-            np.multiply(factor[:d, :d], ((1.0 - p) - p) ** halves, out=factor[:d, d:2 * d])
-            factor[d:2 * d, :d] = factor[:d, d:2 * d]
-            factor[d:2 * d, d:2 * d] = factor[:d, :d]
-    if total.any():
-        ph = np.exp(-1j * total)
-        phase = ph[:, None] * ph.conj()[None, :]
-        factor = phase if factor is None else np.multiply(phase, factor, out=phase)
+    halves = 2 if refocus else 1
+    angles = math.pi * j / 2.0 * t
+    keeps = (np.array([((1.0 - p) - p) ** halves for p in
+                       (dephase_probability(t / halves, t2) for t2 in system.t2_star)])
+             if dephase else 1.0)
+    return None if not (dephase or angles.any()) else (angles, keeps)
+
+
+def _gap_factor(system, angles, keeps, flipped, out):
+    """Fill out, a complex 2^n x 2^n buffer, with the elementwise factor of a
+    pair and return it: the coupling phases ph ⊗ ph* times each spin's mask,
+    keeps[i] where that spin's row and column bits differ and 1 where they
+    agree.  For a flipped stack, which holds each rho transposed, the factor
+    is built transposed, that is, conjugated: with ph* in place of ph."""
+    total = ising_diagonal(np.zeros(system.n), angles)
+    ph = np.exp(1j * total if flipped else -1j * total)
+    if isinstance(keeps, float):   # no dephasing
+        np.multiply(ph[:, None], ph.conj()[None, :], out=out)
+    else:   # each doubling fills three blocks of out from the first
+        out[0, 0] = 1.0
+        for k, keep in enumerate(keeps[::-1]):   # spin 0 ends high
+            d = 1 << k
+            np.multiply(out[:d, :d], keep, out=out[:d, d:2 * d])
+            out[d:2 * d, :d] = out[:d, d:2 * d]
+            out[d:2 * d, d:2 * d] = out[:d, :d]
+        if total.any():
+            out *= ph[:, None]
+            out *= ph.conj()[None, :]
     # the phases do not touch populations; pin those so the identity
     # component is preserved exactly, not just to rounding
-    np.fill_diagonal(factor, 1.0)
-    return factor
+    np.fill_diagonal(out, 1.0)
+    return out
 
 
 def _t1_step(system, rho, t):
@@ -311,19 +326,37 @@ def _t1_step(system, rho, t):
         r2[1, 1] = even - zpart
 
 
-def _settle(run, cur, other, flipped):
-    """Apply a run of (spin, U) rotations to a stack in buffers cur and other
-    that holds each rho or, when flipped, its transpose, which evolves under
-    conj(U): the row sides, each one _rotate_rows into the other buffer, then
-    one transpose of the two matrix axes and the owed column sides as row
-    sides in the same order."""
+def _then(run, spin, op):
+    """Add a (2, 2, S) op on spin to a run, a dict of one op per spin: ops
+    on different spins commute, so the op only multiplies that spin's op so
+    far, from the left."""
+    first = run.get(spin)
+    if first is None:
+        run[spin] = op
+    else:   # op @ first, with one temporary
+        product = op[:, :1] * first[:1]
+        product += op[:, 1:] * first[1:]
+        run[spin] = product
+
+
+def _settle(system, run, gap, cur, other, flipped):
+    """Apply a run (spin: U), then a gap's pair (or None), to a stack in
+    buffers cur and other that holds each rho or, when flipped, its
+    transpose, which evolves under conj(U).
+
+    The run is one rotation per spin and side: the row sides, each one
+    _rotate_rows into the other buffer, then one transpose of the two matrix
+    axes and the owed column sides as row sides.  The gap's factor is then
+    built, already oriented, in the free buffer and multiplied in."""
     for side in range(2 if run else 0):
         if side:
             np.copyto(other, cur.swapaxes(0, 1))
             cur, other, flipped = other, cur, not flipped
-        for spin, op in run:
+        for spin, op in run.items():
             _rotate_rows(np.conj(op) if flipped else op, cur, other, spin)
             cur, other = other, cur
+    if gap is not None:
+        cur *= _gap_factor(system, *gap, flipped, other[..., 0])[..., None]
     return cur, other, flipped
 
 
@@ -336,61 +369,65 @@ def _run_pure(system, rho, events, scales, lead=None):
     row of scales, its RF scale already applied: the storage sweep's theta
     pulse, which differs across a stack that holds several thetas.
 
-    Pulses and refocusing flips are one-spin rotations, applied in runs
-    broken only by the elementwise steps of a delay half: its factor F, or
-    F^T = conj(F) while the stack is flipped, then the T1 step, which is
-    symmetric under transposition.
+    Pulses and refocusing flips are one-spin rotations, gathered in a run
+    of one op per spin (_then); delays are elementwise pairs (_delay_pair),
+    joined in a gap.  A delay with no T1 step whose refocusing flips, if
+    any, are exact (every refocused spin at scale 1) is one pair; any other
+    is two halves, each a pair, the T1 step if asked, then its flips.  The
+    run and the gap settle (_settle: one rotation per spin and side, then
+    one factor) when a rotation follows the gap, before a T1 step, which is
+    symmetric under transposition, and at the end.
     """
     rho = np.asarray(rho)
     sets = rho.shape[2] if rho.ndim == 3 else 1
     cur = np.empty(rho.shape[:2] + (len(scales),), dtype=complex)
     cur.reshape(rho.shape[:2] + (-1, sets))[...] = rho.reshape(rho.shape[:2] + (1, sets))
-    other, flipped = np.empty_like(cur), False
-    run = [] if lead is None else [(lead[0], _rot2(lead[1], lead[2]))]
+    other, flipped, gap = np.empty_like(cur), False, None
+    run = {} if lead is None else {lead[0]: _rot2(lead[1], lead[2])}
     for ev in events:
         if ev.kind == "pulse":
+            if gap is not None:
+                cur, other, flipped = _settle(system, run, gap, cur, other, flipped)
+                run, gap = {}, None
             scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
-            run.append((ev.spin, _rot2(ev.axis, ev.angle * scale)))
+            _then(run, ev.spin, _rot2(ev.axis, ev.angle * scale))
             continue
         if ev.duration == 0.0:
             continue
-        # a refocused delay is two halves, each followed by pi_y flips of
-        # the refocused spins, which carry the RF scales; exact flips with
-        # no T1 step between them fold into one factor over the whole delay
+        # pi_y flips of the refocused spins carry the RF scales
         if ev.refocus and (ev.t1_relax or (scales[:, list(ev.refocus)] != 1.0).any()):
             refocus, flips = (), [(s, _rot2("y", math.pi * scales[:, s])) for s in ev.refocus]
         else:
             refocus, flips = ev.refocus, []
         halves = 2 if flips else 1
         t = ev.duration / halves
-        factor, factor_flipped = _delay_factor(system, t, ev.dephase, refocus), False
+        pair = _delay_pair(system, t, ev.dephase, refocus)
         for _ in range(halves):
-            if factor is not None or ev.t1_relax:
-                cur, other, flipped = _settle(run, cur, other, flipped)
-                run = []
-            if factor is not None:
-                if factor_flipped != flipped:
-                    np.conjugate(factor, out=factor)
-                    factor_flipped = flipped
-                cur *= factor[..., None]
+            if pair is not None:
+                gap = pair if gap is None else (gap[0] + pair[0], gap[1] * pair[1])
+            if ev.t1_relax or (flips and gap is not None):
+                cur, other, flipped = _settle(system, run, gap, cur, other, flipped)
+                run, gap = {}, None
             if ev.t1_relax:
                 _t1_step(system, cur, t)
-            run += flips
-        del factor   # one factor at a time: the next delay builds its own
-    cur, other, flipped = _settle(run, cur, other, flipped)
+            for s, op in flips:
+                _then(run, s, op)
+    cur, other, flipped = _settle(system, run, gap, cur, other, flipped)
     if flipped:
         np.copyto(other, cur.swapaxes(0, 1))
     return other if flipped else cur
 
 
-def _check_delay_phase(system, name, t):
-    """Refuse a delay whose coupling phase, sum_{i<k} |J_ik| pi/2 t, is not
-    finite: the delay factor would overflow to NaN.  Each term is rounded in
-    the order _delay_factor rounds it."""
+def _check_delay_phase(system, name, t, before=0.0):
+    """Refuse a delay whose coupling phase, sum_{i<k} |J_ik| pi/2 t, added to
+    the phase before of the delays just ahead of it with no pulse between,
+    is not finite: their joint factor would overflow to NaN.  Returns the
+    sum.  Each term is rounded in the order _delay_pair rounds it."""
     n = system.n
-    check_real(f"sum|J| pi/2 {name}",
-               sum(abs(system.j[i][k]) * math.pi / 2.0 * t
-                   for i in range(n) for k in range(i + 1, n)))
+    phase = before + sum(abs(system.j[i][k]) * math.pi / 2.0 * t
+                         for i in range(n) for k in range(i + 1, n))
+    check_real(f"sum|J| pi/2 {name}", phase)
+    return phase
 
 
 def run_sequence(system, rho, events, rf=None):
@@ -406,6 +443,7 @@ def run_sequence(system, rho, events, rf=None):
                          f"got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("rho must be finite")
+    phase = 0.0
     for ev in events:
         if not (isinstance(ev, Event) and ev.kind in ("pulse", "delay")):
             raise ValueError(f"events must hold pulse and delay Events, got {ev!r}")
@@ -414,10 +452,13 @@ def run_sequence(system, rho, events, rf=None):
         for s in spins:
             if not 0 <= s < n:
                 raise ValueError(f"{ev.kind} {name} {s} outside 0..{n - 1}")
-        if ev.kind == "delay":
-            _check_delay_phase(system, "duration", ev.duration)
+        phase = (_check_delay_phase(system, "duration", ev.duration, phase)
+                 if ev.kind == "delay" else 0.0)
     scales, weights = rf_scale_sets(rf, system.n)
-    return np.einsum("ijs,s->ij", _run_pure(system, rho, events, scales), weights)
+    stack = _run_pure(system, rho, events, scales)
+    if len(weights) == 1:   # einsum's one-term sum, 0 + rho * w, without its setup
+        return stack[..., 0] * weights[0] + 0.0
+    return np.einsum("ijs,s->ij", stack, weights)
 
 
 def identity_offset(system, events):
@@ -655,8 +696,9 @@ def dj_thermal(n, f, p):
     """Run the constant-vs-balanced query circuit on a thermal-model input.
 
     f maps integers 0..2^n-1 to {0, 1} and must be constant or balanced.
-    p gives each qubit's probability of starting in its nominal basis state
-    (length n, or n+1 with the work bit last).  Returns the per-qubit
+    p gives each qubit's probability of starting in its nominal basis state:
+    one real for every register qubit (a 0-d array too), or a flat list of
+    length n, or n+1 with the work bit last.  Returns the per-qubit
     longitudinal outputs, the pure-register reference, and the decision:
     "constant", "balanced", or "undecided" when the outputs cannot tell the
     two apart: the register carries no signal (every register qubit at
@@ -669,10 +711,14 @@ def dj_thermal(n, f, p):
     check_int("n", n, 1)
     if n > 12:
         raise ValueError(f"register size capped at 12 for dense simulation, got n={n}")
-    probs = [float(x) for x in ([p] if np.isscalar(p) else p)]
+    given = np.asarray(p, dtype=object)   # a 0-d array reads as its scalar
+    if given.ndim > 1:
+        raise ValueError(f"p must be a probability or a flat list of them, got p={p!r}")
+    probs = given.tolist() if given.ndim else [given.item()]
     for x in probs:
         check_real("p", x, 0, 1)
-    if np.isscalar(p):
+    probs = [float(x) for x in probs]
+    if not given.ndim:
         p_reg, p_work = probs * n, 1.0
     elif len(probs) == n:
         p_reg, p_work = probs, 1.0

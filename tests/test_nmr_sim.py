@@ -492,6 +492,18 @@ def test_dj_rejects_probabilities_outside_unit_interval(p):
         nm.dj_thermal(3, lambda x: 0, p)
 
 
+def test_dj_reads_p_as_one_probability_or_a_flat_list_of_them():
+    # a 0-d array is its scalar; a nested list, text or a complex entry is
+    # refused, where they raised TypeError or read '0.6' as 0.6
+    f = lambda x: x & 1
+    assert nm.dj_thermal(3, f, np.array(0.6)) == nm.dj_thermal(3, f, 0.6)
+    assert nm.dj_thermal(3, f, np.full(4, 0.6)) == nm.dj_thermal(3, f, [0.6] * 4)
+    for p in ([[0.6, 0.6, 0.6]], np.full((1, 3), 0.6), "0.6", ["0.6"] * 3,
+              [0.6, 0.6, 0.6 + 0j], [0.6, [0.6], 0.6]):
+        with pytest.raises(ValueError, match=r"\bp\b"):
+            nm.dj_thermal(3, f, p)
+
+
 # ----------------------------------------------------------------- RF model
 
 def test_rf_calibration_hits_targets():
@@ -1056,16 +1068,25 @@ def close(got, want, rel=1e-13):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_a_run_of_rotations_matches_successive_conjugations(n, conjugate_local):
+def test_a_run_of_rotations_matches_successive_conjugations(n, conjugate_local, monkeypatch):
     # scale-last stacks of one scale set take _rotate_rows' matmul branch,
-    # of three its broadcast branch
+    # of three its broadcast branch; a run composes each spin's ops in time
+    # order, so it rotates every spin it touches once per side
     assert nm._rot2("y", 0.3).dtype == float
+    rotated = []
+    rotate = nm._rotate_rows
+    monkeypatch.setattr(nm, "_rotate_rows",
+                        lambda op, src, dst, spin: rotated.append(spin)
+                        or rotate(op, src, dst, spin))
     rng = np.random.default_rng(70 + n)
-    for rows, flipped in itertools.product((1, 3), (False, True)):
+    for rows, flipped, interleaved in itertools.product((1, 3), (False, True), (False, True)):
         rho = (rng.normal(size=(rows, 2 ** n, 2 ** n))
                + 1j * rng.normal(size=(rows, 2 ** n, 2 ** n)))
         spins = [int(s) for s in rng.integers(n, size=n + 2)]
         spins.insert(1, spins[0])   # an x then a y rotation of one spin
+        if interleaved:   # one spin before, between and after all the others
+            hot = int(rng.integers(n))
+            spins = [hot] + [x for s in spins for x in (s, hot)]
         run = [(s, nm._rot2("xy"[k % 2], rng.uniform(-math.pi, math.pi, size=rows)))
                for k, s in enumerate(spins)]
         want = rho
@@ -1073,8 +1094,13 @@ def test_a_run_of_rotations_matches_successive_conjugations(n, conjugate_local):
             want = conjugate_local(np.moveaxis(op, -1, 0), want, (s,))
         stack = np.moveaxis(rho, 0, -1)
         start = np.ascontiguousarray(stack.swapaxes(0, 1) if flipped else stack)
-        got, _, now = nm._settle(run, start, np.empty_like(start), flipped)
+        ops = {}
+        for s, op in run:
+            nm._then(ops, s, op)
+        rotated.clear()
+        got, _, now = nm._settle(None, ops, None, start, np.empty_like(start), flipped)
         assert now != flipped
+        assert rotated == list(dict.fromkeys(spins)) * 2
         assert close(np.moveaxis(got.swapaxes(0, 1) if now else got, -1, 0), want)
 
 
@@ -1201,18 +1227,19 @@ def digest_of(outputs):
 
 
 def test_rf_free_outputs_are_pinned_to_the_byte():
-    # one scale set takes the matmul branch of _rotate_rows and folds each
-    # refocused delay into one factor; recorded with numpy 2.4, OpenBLAS
-    # 0.3.31 on x86-64
+    # one scale set takes the matmul branch of _rotate_rows, folds each
+    # refocused delay into one pair and each run of pulses into one
+    # rotation per spin; recorded with numpy 2.4, OpenBLAS 0.3.31 on x86-64
     assert digest_of(out for with_rf, out in pinned_outputs() if not with_rf) == (
-        "e78677b52f873aef9587177fe23c9eaefcfe721239ac8680bed60e8f701cdf38")
+        "7d98f068bcfc5e7bae4ffecbe01852583864793a8eff419314955c4d20113b6d")
 
 
 def test_rf_outputs_are_pinned_to_the_byte():
     # the RF stacks' refocusing flips carry scales other than 1, so every
-    # refocused delay there still takes its two halves and their flips
+    # refocused delay there still takes its two halves and their flips,
+    # which compose with the pulses around them
     assert digest_of(out for with_rf, out in pinned_outputs() if with_rf) == (
-        "4d9f82b7cdbcdb284b269b30b867aa576b0d57665a500a427b4837269b975975")
+        "00e884efe7821dd608f273c40dccc809fb2e44f8e456c48e64ec42fe4669aafe")
 
 
 def unfolded_outputs():
@@ -1235,17 +1262,17 @@ def unfolded_outputs():
 
 
 def test_unfolded_delays_keep_their_bytes():
-    # recorded before refocused delays were folded into one factor
+    # delays that keep their halves, with rotations composed per spin
     assert digest_of(unfolded_outputs()) == (
-        "a2776467681e1f93ae977ee18ee40b9efe9f08ee811c334f1292960843de0296")
+        "1233fd0473506934bdb40b09d251546a5b2d876c127ea90c9ee591ded30548dc")
 
 
 def test_outputs_are_pinned_to_the_byte():
-    # the bytes of the scale-last stack, recorded as above; its RF outputs
+    # the bytes of the scale-last stack, recorded as above; its outputs
     # differ from the reference kernel's by rounding, which the test below
     # bounds at 1e-13 relative
     assert digest_of(out for _, out in pinned_outputs()) == (
-        "8cfcb55e4dd35a973a988fd6541b743f93cd733fb13e6834b7ed3804d2151f8a")
+        "aa1dcd51a2cef81f8b9681c86649f8ec859582920d470d01472b3ba52897521a")
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -1260,9 +1287,10 @@ def test_folded_delays_match_the_per_half_path(n, monkeypatch):
         pair[0, 1] = pair[1, 0] = full.j[0][1]
     rho, scales = rand_deviation(n, rng), np.ones((1, n))
     folded = []
-    factor = nm._delay_factor
-    monkeypatch.setattr(nm, "_delay_factor",
-                        lambda *args: folded.append(args[3]) or factor(*args))
+    delay_pair = nm._delay_pair
+    monkeypatch.setattr(nm, "_delay_pair",
+                        lambda *args: folded.append(args[3]) or delay_pair(*args))
+    out = np.empty((2 ** n, 2 ** n), dtype=complex)
     for j, size, first, dephase in itertools.product(
             (np.zeros((n, n)), pair, np.array(full.j)), range(1, n + 1), (True, False),
             (False, True)):
@@ -1277,8 +1305,12 @@ def test_folded_delays_match_the_per_half_path(n, monkeypatch):
         got = nm._run_pure(system, rho, events, scales)
         assert folded == [refocus, refocus]
         assert close(got, reference_run_pure(system, rho, events, scales))
-        g = factor(system, 7e-3, dephase, refocus)
-        assert g is None or (np.diag(g) == 1.0).all()
+        pair = delay_pair(system, 7e-3, dephase, refocus)
+        if pair is not None:
+            g = nm._gap_factor(system, *pair, False, out).copy()
+            assert (np.diag(g) == 1.0).all()
+            # a flipped stack holds each rho transposed: its factor is G^T = G*
+            assert np.array_equal(nm._gap_factor(system, *pair, True, out), g.conj())
         assert nm.identity_offset(system, events) < 1e-12
 
 
@@ -1325,9 +1357,51 @@ def test_run_sequence_matches_the_reference_kernel(n, with_rf, data):
     assert close(nm.run_sequence(system, rho, events, rf=rf), want)
 
 
+# what may break a composed gap: each kind draws one event, or a few in a row
+GAP_EVENTS = {
+    "pulse": lambda draw, n: [nm.pulse(draw(st.integers(0, n - 1)), draw(st.sampled_from("xy")),
+                                       draw(st.floats(-math.pi, math.pi)),
+                                       scale_sensitive=draw(st.booleans()))],
+    "free": lambda draw, n: [nm.delay(draw(st.floats(1e-4, 2e-2)), dephase=draw(st.booleans()))
+                             for _ in range(draw(st.integers(1, 3)))],
+    "zero": lambda draw, n: [nm.delay(0.0, dephase=draw(st.booleans()),
+                                      refocus=[q for q in range(n) if draw(st.booleans())])],
+    "refocused": lambda draw, n: [nm.delay(
+        draw(st.floats(1e-4, 2e-2)), dephase=draw(st.booleans()),
+        refocus=draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))],
+    "t1": lambda draw, n: [nm.delay(draw(st.floats(1e-4, 2e-2)), dephase=draw(st.booleans()),
+                                    refocus=[q for q in range(n) if draw(st.booleans())],
+                                    t1_relax=True)],
+}
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(min_value=1, max_value=4), st.sampled_from([1, 3]), st.data())
+def test_composed_runs_and_gaps_match_the_reference_kernel(n, sets, data):
+    # adjacent delays join into one factor, and each spin's pulses between
+    # two factors into one rotation; every kind of event that must break a
+    # gap or a run is drawn next to the kinds that must not.  Spins drawn
+    # at scale 1 in every set keep exact refocusing flips; the others do not.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    system = replace(coupled_system(n, rng), t1=tuple(rng.uniform(0.05, 1.0, size=n)))
+    exact = [data.draw(st.booleans()) for _ in range(n)]
+    scales = np.where(exact, 1.0, rng.uniform(0.9, 1.1, size=(sets, n)))
+    events = []
+    for kind in data.draw(st.lists(st.sampled_from(sorted(GAP_EVENTS)), min_size=1,
+                                   max_size=12)):
+        events += GAP_EVENTS[kind](data.draw, n)
+    lead = None
+    if data.draw(st.booleans()):
+        lead = (data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from("xy")),
+                rng.uniform(-math.pi, math.pi, size=sets))
+    rho = rand_deviation(n, rng)
+    assert close(nm._run_pure(system, rho, events, scales, lead=lead),
+                 reference_run_pure(system, rho, events, scales, lead=lead))
+
+
 def test_eight_spin_run_sequence_peaks_under_five_mib():
-    # each delay builds its 2^n x 2^n factor and drops it after its halves:
-    # kept across events, every distinct delay would hold another MiB
+    # each gap builds its 2^n x 2^n factor in the buffer not in use: kept
+    # across events, every distinct delay would hold another MiB
     rng = np.random.default_rng(12)
     system = coupled_system(8, rng)
     events = [nm.pulse(int(rng.integers(8)), str(rng.choice(["x", "y"])),
@@ -1430,7 +1504,15 @@ def test_delays_whose_coupling_phase_overflows_are_refused():
     assert np.isfinite(out["accepted"] + out["rejected"]).all()
     free = nm.SpinSystem(s.omega, ((0.0, 0.0), (0.0, 0.0)), s.t2_star)
     rho = nm.thermal_state(free)
-    assert np.array_equal(nm.run_sequence(free, rho, [nm.delay(1e308)]), rho)
+    assert np.array_equal(nm.run_sequence(free, rho, [nm.delay(1e308)] * 2), rho)
+    # delays with no pulse between them join in one factor, so their
+    # phases add: each of these is finite, their sum is not
+    with pytest.raises(ValueError, match="duration"):
+        nm.run_sequence(s, nm.thermal_state(s), [nm.delay(4e305), nm.delay(0.0),
+                                                 nm.delay(4e305, dephase=True)])
+    out = nm.run_sequence(s, nm.thermal_state(s),
+                          [nm.delay(4e305), nm.pulse(0, "x", 0.3), nm.delay(4e305)])
+    assert np.isfinite(out).all()
 
 
 @pytest.mark.parametrize("events", [["x"], [nm.pulse(0, "x", 0.3), nm.Event("wait")]],
@@ -1488,6 +1570,9 @@ ENTRY_POINTS = {
     "hybrid_label.omegas": lambda v: nm.hybrid_label(3, [3.0, v, 1.0]),
     "dj_thermal.n": lambda v: nm.dj_thermal(v, lambda x: 0, 0.9),
     "dj_thermal.p": lambda v: nm.dj_thermal(2, lambda x: x & 1, [0.9, v]),
+    "dj_thermal.p_array": lambda v: nm.dj_thermal(2, lambda x: x & 1, np.array(v)),
+    "dj_thermal.p_nested": lambda v: nm.dj_thermal(2, lambda x: x & 1, [[0.9, v]]),
+    "dj_thermal.p_text": lambda v: nm.dj_thermal(2, lambda x: x & 1, [0.9, str(v)]),
     "RfModel.widths": lambda v: nm.RfModel("lorentzian", (0.1, v)),
     "RfModel.nodes": lambda v: nm.RfModel("lorentzian", (0.1,), nodes=v),
     "RfModel.shots": lambda v: nm.RfModel("lorentzian", (0.1,), shots=v),

@@ -448,7 +448,10 @@ REFERENCES = {
     "qop_core.apply_local": ("test_qop_core", "full_operator"),
     "qop_core.tomography_method1": ("test_qop_core", "chi_equations_by_loops"),
     "nmr_sim._run_pure": ("test_nmr_sim", "reference_run_pure"),
-    "nmr_sim._delay_factor": ("test_nmr_sim", "reference_run_pure"),
+    "nmr_sim._delay_pair": ("test_nmr_sim", "reference_run_pure"),
+    "nmr_sim._gap_factor": ("test_nmr_sim", "reference_run_pure"),
+    "nmr_sim._settle": ("test_nmr_sim", "reference_run_pure"),
+    "nmr_sim._then": ("test_nmr_sim", "reference_run_pure"),
     "nmr_sim.two_bit_sweep": ("test_nmr_sim", "_pointwise_sweep"),
     "nmr_sim.dj_thermal": ("test_nmr_sim", "_convolution_dj_reference"),
     "recoupler.verify_schedule": ("test_recoupler", "_dense_deviation"),
