@@ -287,6 +287,13 @@ class ChoiMatrix:
     dim_out: int
     normalization: str = "unnormalized-Y"
 
+    def __post_init__(self):
+        check_int("dim_in", self.dim_in, 1)
+        check_int("dim_out", self.dim_out, 1)
+        if self.normalization not in ("unnormalized-Y", "state"):
+            raise ValueError(f'need normalization "unnormalized-Y" or "state", '
+                             f'got normalization={self.normalization!r}')
+
     def as_state(self):
         if self.normalization == "state":
             return self

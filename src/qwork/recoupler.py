@@ -153,11 +153,12 @@ def normalize(h):
 def _normalized_rows(order):
     """Read-only int8 entries of normalize(hadamard(order)), so each order
     is built and Gram-checked once per process; a plan takes rows of it by
-    index and carries (order, index) to SignMatrix, which needs no second
-    Gram product.  Callers pass an order from achievable_order.  The 64
-    tables kept hold every order a plan for n <= 257 uses (34 of them,
-    0.6 MiB); at worst they are the 64 largest orders up to MAX_ORDER,
-    160 MiB."""
+    index and carries (order, index) to SignMatrix as its certificate,
+    which needs no second Gram product.  Every row but the all-plus row 0
+    is orthogonal to it and so sums to zero.  Callers pass an order from
+    achievable_order.  The 64 tables kept hold every order a plan for
+    n <= 257 uses (34 of them, 0.6 MiB); at worst they are the 64 largest
+    orders up to MAX_ORDER, 160 MiB."""
     rows = normalize(hadamard(order)).entries.astype(np.int8)
     rows.setflags(write=False)
     return rows
@@ -180,14 +181,22 @@ def _check_pairs(pairs, n):
         seen |= {i, j}
 
 
+_PLAIN_TARGETS = ("decouple", "zeeman-free-identity", "chain-decouple")
+_ZERO_SUM_TARGETS = ("zeeman-free-identity", "recouple")   # each row must sum to zero
+
+
 @dataclass(frozen=True)
 class SignMatrix:
     """Per-spin, per-interval sign of Z.  Spin pair indices are 1-based.
 
-    A planner's matrix also carries the checked order and the row indices
-    it took (_planned), and validate checks that certificate in O(n m);
-    entries given directly, by a caller or from JSON, get the full Gram
-    product instead.
+    target is "decouple", "zeeman-free-identity" or "chain-decouple", or
+    "recouple" with one or more pairs to recouple.  A planner's matrix is
+    one int64 cast of rows of a checked table and carries the order and
+    the row indices it took (_planned) as a certificate, which
+    construction checks on the indices alone.  Entries given directly, by
+    a caller or from JSON, get the full check, with the Gram product.  A
+    later validate() checks the entries as they are then: the entries are
+    writable, so it compares a plan's with its table's rows first.
     """
 
     entries: np.ndarray
@@ -196,13 +205,20 @@ class SignMatrix:
     _rows = None   # (order, index) from _planned; not a field
 
     def __post_init__(self):
-        # a planner's rows come from the checked int8 table: no +/-1 scan
-        e = (_as_signs(self.entries) if self._rows is None
-             else self.entries.astype(np.int64))
-        if e is None or e.ndim != 2:
-            raise ValueError("entries must be a +/-1 matrix")
-        object.__setattr__(self, "entries", e)
-        self.validate()
+        wanted = ("recouple",) if len(self.pairs) else _PLAIN_TARGETS
+        if not (isinstance(self.target, str) and self.target in wanted):
+            raise ValueError(f"need target in {', '.join(_PLAIN_TARGETS)}, or recouple with "
+                             f"pairs, got target={self.target!r} with pairs={self.pairs!r}")
+        if self._rows is None:
+            e = _as_signs(self.entries)
+            if e is None or e.ndim != 2:
+                raise ValueError("entries must be a +/-1 matrix")
+            object.__setattr__(self, "entries", e)
+        _check_pairs(self.pairs, self.n)
+        # a planner's entries are the rows it cast, so its certificate is
+        # checked on the indices; one that fails gets the full check
+        if not self._certified():
+            self.validate()
 
     @property
     def n(self):
@@ -213,40 +229,53 @@ class SignMatrix:
         return self.entries.shape[1]
 
     def _certified(self):
-        """True when the entries are still rows index of the checked table
-        _normalized_rows(order), distinct apart from each recoupled pair
-        sharing one, so distinct rows are orthogonal by construction."""
+        """True when the certificate (order, index) from _planned passes
+        every check of validate for entries that are rows index of the
+        checked table _normalized_rows(order): the shape matches, the
+        indices are distinct apart from each recoupled pair sharing one,
+        so distinct rows are orthogonal by construction, and none is the
+        all-plus row 0 where rows must sum to zero.  Pairs must already be
+        in range.  It does not read the entries, which are writable:
+        validate compares them with the table."""
         if self._rows is None:
             return False
         order, index = self._rows
         return (self.entries.shape == (len(index), order)
                 and np.count_nonzero(np.bincount(index)) == self.n - len(self.pairs)
                 and all(index[i - 1] == index[j - 1] for i, j in self.pairs)
-                and bool((self.entries == _normalized_rows(order)[index]).all()))
+                and not (self.target in _ZERO_SUM_TARGETS and not index.all()))
 
     def validate(self):
+        """Check the entries as they are now: O(n m) when they still equal
+        the certified rows of the table, else the full check (identical
+        rows for each pair, the Gram product unless the target is
+        chain-decouple, and the row sums), which names what fails."""
         e = self.entries
         _check_pairs(self.pairs, self.n)
+        if self._certified():
+            order, index = self._rows
+            if np.array_equal(e, _normalized_rows(order)[index]):
+                return self
         for i, j in self.pairs:
             if not np.array_equal(e[i - 1], e[j - 1]):
                 raise ValueError(f"rows {i} and {j} must be identical")
-        if self.target != "chain-decouple" and not self._certified():
+        if self.target != "chain-decouple":
             bad = _first_unorthogonal(e, self.pairs)
             if bad:
                 raise ValueError(f"rows {bad[0]},{bad[1]} not orthogonal")
-        if self.target == "zeeman-free-identity" or self.pairs:
-            if np.any(e.sum(axis=1) != 0):
-                raise ValueError("row sums must vanish")
+        if self.target in _ZERO_SUM_TARGETS and np.any(e.sum(axis=1) != 0):
+            raise ValueError("row sums must vanish")
         return self
 
 
 def _planned(order, index, target, pairs=()):
     """SignMatrix of rows index (0-based, into 0..order-1) of the checked
-    table _normalized_rows(order), carrying (order, index) for validate."""
+    table _normalized_rows(order): one gather and one int64 cast, carrying
+    (order, index) as the certificate construction checks."""
     index.setflags(write=False)
     sign = object.__new__(SignMatrix)
     object.__setattr__(sign, "_rows", (order, index))
-    sign.__init__(_normalized_rows(order)[index], target, pairs)
+    sign.__init__(_normalized_rows(order)[index].astype(np.int64), target, pairs)
     return sign
 
 
@@ -319,7 +348,8 @@ class PulseSchedule:
 
     boundaries[b] lists the 1-based spins pulsed at boundary b; target is
     "decouple", "zeeman-free-identity", "chain-decouple", or one or more
-    "recouple(i,j)" joined by "&".
+    "recouple(i,j)" joined by "&", with 1 <= i, j <= n distinct.
+    Construction refuses any other target.
     """
 
     n: int
@@ -341,6 +371,7 @@ class PulseSchedule:
                     raise ValueError(f"boundary {b} pulses spin {s!r}, not one of 1..{self.n}")
             if len(set(spins)) < len(spins):   # X X is no flip, not one
                 raise ValueError(f"boundary {b} pulses spin {max(spins, key=spins.count)} twice")
+        _target_pairs(self.target, self.n)   # a bad target is refused here
 
     @property
     def pulse_count(self):
@@ -370,6 +401,26 @@ def _target_string(sign):
     if sign.pairs:
         return "&".join(f"recouple({i},{j})" for i, j in sign.pairs)
     return sign.target
+
+
+def _target_pairs(target, n):
+    """The 1-based pairs (i, j), i < j, that a schedule target recouples:
+    none for a plain target, one per "recouple(i,j)" joined by "&"."""
+    if not isinstance(target, str):
+        raise ValueError(f"need target as text, got target={target!r}")
+    if target in _PLAIN_TARGETS:
+        return []
+    pairs = []
+    for part in target.split("&"):
+        named = part.startswith("recouple(") and part.endswith(")")
+        try:   # int() and the unpacking refuse all but two integers
+            i, j = sorted(int(x) for x in (part[len("recouple("):-1] if named else "").split(","))
+        except ValueError:
+            raise ValueError(f"unknown target {target!r}") from None
+        if not 1 <= i < j <= n:
+            raise ValueError(f"target {target!r} names a pair outside spins 1..{n}")
+        pairs.append((i, j))
+    return pairs
 
 
 def emit_pulses(sign, interval_duration):
@@ -436,15 +487,8 @@ class ScheduleCheck:
 
 def _target_phases(schedule):
     """ZZ phases the target turns, pi/4 on each recoupled pair (i < j)."""
-    n = schedule.n
-    phase = np.zeros((n, n))
-    plain = schedule.target in ("decouple", "zeeman-free-identity", "chain-decouple")
-    for part in () if plain else schedule.target.split("&"):
-        if not part.startswith("recouple(") or not part.endswith(")"):
-            raise ValueError(f"unknown target {schedule.target!r}")
-        i, j = sorted(int(x) for x in part[len("recouple("):-1].split(","))
-        if not 1 <= i < j <= n:
-            raise ValueError(f"target {schedule.target!r} names a pair outside spins 1..{n}")
+    phase = np.zeros((schedule.n, schedule.n))
+    for i, j in _target_pairs(schedule.target, schedule.n):
         phase[i - 1, j - 1] += math.pi / 4.0
     return phase
 

@@ -582,6 +582,11 @@ def test_channel_rejects_overcomplete_kraus():
     # a NaN Choi matrix raised LinAlgError from eigh
     (lambda: qc.kraus_from_choi(qc.ChoiMatrix(np.full((4, 4), math.nan), 2, 2)), "choi"),
     (lambda: qc.kraus_from_choi(qc.ChoiMatrix(np.eye(3), 2, 2)), "choi"),
+    # an unknown normalization was read as "state", and a float dimension
+    # raised TypeError in the reshape
+    (lambda: qc.ChoiMatrix(np.eye(4), 2, 2, "unnormalized"), "normalization"),
+    (lambda: qc.ChoiMatrix(np.eye(4), 2.0, 2), "dim_in"),
+    (lambda: qc.ChoiMatrix(np.eye(4), 2, 0), "dim_out"),
     # method 1 raised LinAlgError from eigh, numpy's solve message, or
     # LinAlgError from the rank test's SVD
     (lambda: qc.tomography_method1(lambda rho: np.full((2, 2), math.nan), 2), "oracle"),
@@ -634,6 +639,10 @@ ENTRY_POINTS = {
     "QuantumChannel.kraus": lambda v: qc.QuantumChannel([[[v, 0], [0, 0.5]]]),
     "kraus_from_choi.choi":
         lambda v: qc.kraus_from_choi(qc.ChoiMatrix(np.diag([v, 0.5, 0.0, 0.5]), 2, 2)),
+    "kraus_from_choi.dim_in": lambda v: qc.kraus_from_choi(qc.ChoiMatrix(np.eye(4) / 2, v, 2)),
+    # 1 and 2 name the two normalizations; any other value is refused
+    "kraus_from_choi.normalization": lambda v: qc.kraus_from_choi(qc.ChoiMatrix(
+        np.eye(4) / 2, 2, 2, {1: "state", 2: "unnormalized-Y"}.get(v, v))),
     "tomography_method1.oracle": lambda v: qc.tomography_method1(lambda rho: _scaled(v, rho), 2),
     "tomography_method1.op_basis": lambda v: qc.tomography_method1(
         lambda rho: rho, 2, op_basis=[_scaled(v, b) for b in qc.pauli_product_basis(1)]),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -681,6 +682,41 @@ def test_validate_names_first_bad_pair(e, data):
         rc.SignMatrix(e, target, pairs)
 
 
+@pytest.mark.parametrize("target, pairs", [
+    (3, ()), ("bogus", ()), ("recouple", ()), ("decouple", ((1, 2),)),
+    ("recouple(1,2)", ((1, 2),)), (None, ()), (np.array(["decouple"]), ()),
+])
+def test_sign_matrix_refuses_an_unknown_target(target, pairs):
+    # each was accepted; a non-text target failed later, in verify_schedule
+    e = rc.plan_recouple(4, 1, 2).entries
+    with pytest.raises(ValueError, match=re.escape(f"target={target!r}")):
+        rc.SignMatrix(e, target, pairs)
+    with pytest.raises(ValueError, match="target="):
+        rc._planned(4, np.array([1, 1, 2, 3]), target, pairs)
+
+
+@pytest.mark.parametrize("target", [
+    3, None, ["decouple"], np.array(["decouple"]), "bogus", "recouple", "recouple()", "recouple(1)", "recouple(1,2,3)",
+    "recouple(a,b)", "recouple(1,2)&", "recouple(1,2)&decouple", "recouple(1.5,2)",
+])
+def test_pulse_schedule_refuses_an_unknown_target(target):
+    with pytest.raises(ValueError, match=r"target"):
+        rc.PulseSchedule(4, 1, 1e-3, [[], []], target)
+
+
+def test_a_schedule_is_checked_against_its_target_as_it_is_then():
+    sched = rc.PulseSchedule(4, 1, 1e-3, [[], []], "recouple(4,3)&recouple(1, 2)")
+    phase = rc._target_phases(sched)
+    assert phase[2, 3] == phase[0, 1] == math.pi / 4 and np.count_nonzero(phase) == 2
+    sign = rc.plan_recouple(4, 1, 2)
+    sched = rc.emit_pulses(sign, rc.recouple_duration(1.0, sign.m))
+    system = rc.CouplingSystem(np.ones((4, 4)) - np.eye(4))
+    assert rc.verify_schedule(sched, system).passed
+    # the dataclass is mutable: a target set later is read when verified
+    sched.target = "decouple"
+    assert not rc.verify_schedule(sched, system).passed
+
+
 def test_sign_matrix_rejects_pairs_outside_rows():
     e = rc.plan_recouple(4, 1, 2).entries
     for pair in ((0, 1), (1, 5), (2, 1)):
@@ -709,24 +745,37 @@ def _counted(monkeypatch, owner, name):
 def test_each_order_is_built_and_checked_once(monkeypatch):
     rc._normalized_rows.cache_clear()
     built = _counted(monkeypatch, rc.HadamardMatrix, "__post_init__")
+    certified = _counted(monkeypatch, rc.SignMatrix, "_certified")
     validated = _counted(monkeypatch, rc.SignMatrix, "validate")
     gram = _counted(monkeypatch, rc, "_first_unorthogonal")
+    tables = _counted(monkeypatch, rc, "_normalized_rows")
     orders = sorted({rc.achievable_order(n) for n in range(2, 257)})
+    each = [rc.achievable_order(n) for n in range(2, 257)]
     first = [rc.plan_decouple(n) for n in range(2, 257)]
     assert sorted(h.order for h in built
                   if h.provenance.startswith("normalized(")) == orders
     assert {h.order for h in built} == set(orders)
-    assert len(validated) == 255
+    assert len(certified) == 255   # each plan's certificate, on its indices
+    assert validated == []
     assert len(gram) == len(built)   # the tables' own checks, no plan's
+    assert tables == each   # one read per plan, its gather: no compare
 
     built.clear()
-    validated.clear()
+    certified.clear()
     gram.clear()
+    tables.clear()
     second = [rc.plan_decouple(n) for n in range(2, 257)]
     assert built == []
-    assert len(validated) == 255
+    assert len(certified) == 255
+    assert validated == []
     assert len(gram) == 0   # each plan's certificate, not a Gram product
+    assert tables == each
     assert all(np.array_equal(a.entries, b.entries) for a, b in zip(first, second))
+
+    # a later validate reads the table once, to compare the entries
+    tables.clear()
+    assert second[-1].validate() is second[-1]
+    assert tables == [each[-1]] and len(validated) == 1 and len(gram) == 0
 
 
 def test_planned_rows_skip_the_sign_scan(monkeypatch):
@@ -943,6 +992,11 @@ def _couplings(v):
     return g
 
 
+def _with_target(target):
+    data = dict(json.loads(rc.emit_pulses(_DECOUPLE3, 1e-3).to_json()), target=target)
+    return rc.PulseSchedule.from_json(json.dumps(data))
+
+
 VERIFY_INPUTS = {
     "g": lambda v: rc.verify_schedule(rc.emit_pulses(_DECOUPLE3, 1e-3),
                                       rc.CouplingSystem(_couplings(v))),
@@ -952,6 +1006,14 @@ VERIFY_INPUTS = {
     "dt": lambda v: rc.verify_schedule(rc.emit_pulses(_DECOUPLE3, v),
                                        rc.CouplingSystem(_couplings(30.0),
                                                          omega=[5.0, 1.0, 2.0])),
+    # a target that is not text failed in verify_schedule with AttributeError
+    "sign_target": lambda v: rc.verify_schedule(
+        rc.emit_pulses(rc.SignMatrix(_DECOUPLE3.entries, v), 1e-3),
+        rc.CouplingSystem(_couplings(1.0))),
+    "schedule_target": lambda v: rc.verify_schedule(_with_target(v),
+                                                    rc.CouplingSystem(_couplings(1.0))),
+    "schedule_target_pair": lambda v: rc.verify_schedule(_with_target(f"recouple(1,{v})"),
+                                                         rc.CouplingSystem(_couplings(1.0))),
 }
 
 
