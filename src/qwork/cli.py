@@ -108,12 +108,9 @@ _CHANNEL_KINDS = {
 
 
 def _built_in_codes():
-    from . import stabilizer
-    codes = {}
-    for name in ("shor9", "steane7", "five_qubit", "ad4", "ad7"):
-        codes[name] = getattr(stabilizer, name)()
-        codes[name].validate()
-    return codes
+    from . import stabilizer   # from_strings validates each code
+    return {name: getattr(stabilizer, name)()
+            for name in ("shor9", "steane7", "five_qubit", "ad4", "ad7")}
 
 
 def _built_in_systems():
@@ -124,11 +121,8 @@ def _built_in_systems():
 
 
 def _built_in_bosonic():
-    from . import bosonic_codes
-    codes = bosonic_codes.example_codes()
-    for code in codes.values():
-        code.validate()
-    return codes
+    from . import bosonic_codes   # example_codes validates each code
+    return bosonic_codes.example_codes()
 
 
 class FixtureRegistry:
@@ -171,10 +165,8 @@ class FixtureRegistry:
                 name = data["name"]
                 payload = json.dumps(data["payload"])
                 if kind == "stabilizer_code":
-                    from . import stabilizer
-                    code = stabilizer.StabilizerCode.from_json(payload)
-                    code.validate()
-                    self._custom_codes[name] = code
+                    from . import stabilizer   # from_json validates
+                    self._custom_codes[name] = stabilizer.StabilizerCode.from_json(payload)
                 elif kind == "spin_system":
                     from . import nmr_sim
                     self._custom_systems[name] = nmr_sim.SpinSystem.from_json(
@@ -626,7 +618,7 @@ def cmd_nmr_sequence(fixture_dir, system, events_file, rf, nodes):
     rho = nmr_sim.run_sequence(spins, nmr_sim.thermal_state(spins), events,
                                rf=_rf_model(rf, nodes=nodes))
     peaks = nmr_sim.peak_integrals(rho)
-    for (spin, bits), value in sorted(peaks.lines.items()):
+    for (spin, bits), value in sorted(peaks.items()):
         label = "".join(str(b) for b in bits)
         click.echo(f"spin={spin} partner=|{label}> "
                    f"re={fmt(value.real)} im={fmt(value.imag)}")

@@ -33,7 +33,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -489,55 +489,38 @@ def thermal_scale(system, temperature=298.0):
 # ---------------------------------------------------------------------------
 # spectral readout
 
-@dataclass(frozen=True)
-class PeakSet:
-    """Complex line integrals keyed by (spin, partner basis state)."""
-
-    lines: dict = field(compare=False)
-
-    def line(self, spin, partner_bits):
-        return self.lines[(spin, tuple(partner_bits))]
-
-    # two-spin shorthand: the high-frequency line of a spin sits on the
-    # partner-in-|1> transition, the low-frequency line on partner-in-|0>
-    @property
-    def a_high(self):
-        return self.lines[(0, (1,))]
-
-    @property
-    def a_low(self):
-        return self.lines[(0, (0,))]
-
-    @property
-    def b_high(self):
-        return self.lines[(1, (1,))]
-
-    @property
-    def b_low(self):
-        return self.lines[(1, (0,))]
+def _lines(rho):
+    """Spectral lines of a (2^n, 2^n, ...) deviation or stack, as an
+    (n, 2^(n-1), ...) array: entry [i, s] is spin i's line with the other
+    spins, in spin order, in basis state s; in two-spin systems s = 0 is the
+    low-frequency line and s = 1 the high one.  A line is -(i*x + y) with
+    x = (u + d)/2, y = (i*u - i*d)/2 of u = rho[spin i at 0, spin i at 1]
+    and its mirror entry d."""
+    n = rho.shape[0].bit_length() - 1
+    weight = 1 << np.arange(n - 1, -1, -1)[:, None]          # spin i's bit
+    s = np.arange(rho.shape[0] // 2)
+    low = s // weight * (2 * weight) + s % weight            # spin i at 0
+    up, dn = rho[low, low + weight], rho[low + weight, low]
+    return -(1j * ((up + dn) / 2.0) + (1j * up - 1j * dn) / 2.0)
 
 
 def peak_integrals(rho):
-    """Line integrals -(i*x + y) per spin, conditioned on the partner state."""
+    """Every line of a 2^n x 2^n deviation, as _lines reads it: a dict of
+    complex values keyed by (spin, partner bits), the other spins' basis
+    state as a tuple in spin order."""
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
+    dim = rho.shape[0] if rho.ndim else 0
     n = dim.bit_length() - 1
     if 2 ** n != dim or rho.shape != (dim, dim):
-        raise ValueError("square matrix with power-of-two dimension required")
-    r = rho.reshape([2] * (2 * n))
-    lines = {}
-    for i in range(n):
-        r2 = np.moveaxis(r, (i, n + i), (0, 1))
-        up = r2[0, 1].reshape(2 ** (n - 1), 2 ** (n - 1))
-        dn = r2[1, 0].reshape(2 ** (n - 1), 2 ** (n - 1))
-        for bits in itertools.product((0, 1), repeat=n - 1):
-            s = 0
-            for b in bits:
-                s = 2 * s + b
-            cx = (up[s, s] + dn[s, s]) / 2.0
-            cy = (1j * up[s, s] - 1j * dn[s, s]) / 2.0
-            lines[(i, bits)] = complex(-(1j * cx + cy))
-    return PeakSet(lines=lines)
+        raise ValueError("rho must be a square matrix with power-of-two dimension")
+    if not np.isfinite(rho).all():
+        raise ValueError("rho must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = _lines(rho)
+    if not np.isfinite(lines).all():
+        raise ValueError("rho's lines overflow: its coherences are too large")
+    return {(i, bits): line for i, row in enumerate(lines.tolist())
+            for bits, line in zip(itertools.product((0, 1), repeat=n - 1), row)}
 
 
 def _rotation_table(axis):
@@ -553,53 +536,35 @@ def state_tomography(prepare, tol=1e-8):
     """Reconstruct a two-spin deviation from nine readout-pulse variants.
 
     prepare() must return the same deviation each time; variants apply
-    none/x/y quarter-turn pulses per spin before acquisition.  Raises if the
-    overdetermined line data are inconsistent beyond tol.
+    none/x/y quarter-turn pulses per spin before acquisition.  The data are
+    each variant's four _lines; the model is the _lines of the 15 non-identity
+    Pauli products under the same pulses, in closed form (the kron of the two
+    spins' _rotation_tables), and the fit weights those products in the result.
+    Raises if the overdetermined line data are inconsistent beyond tol.
     """
     check_positive("tol", tol)
     tables = {axis: _rotation_table(axis) for axis in (None, "x", "y")}
     system = SpinSystem(omega=(0.0, 0.0), j=((0.0, 0.0), (0.0, 0.0)),
                         t2_star=(1.0, 1.0))
-    unknowns = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
-    col = {ij: k for k, ij in enumerate(unknowns)}
-    rows, vals = [], []
+    products = np.array([np.kron(p, q) for p in PAULIS for q in PAULIS])
+    model, data = [], []
     for ra, rb in itertools.product(tables, repeat=2):
         rho = np.asarray(prepare(), dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("tomography needs two-spin deviations")
-        events = []
-        if ra:
-            events.append(pulse(0, ra, math.pi / 2))
-        if rb:
-            events.append(pulse(1, rb, math.pi / 2))
-        rot_a, rot_b = tables[ra], tables[rb]
-        peaks = peak_integrals(run_sequence(system, rho, events))
-        for partner, sign in (((0,), 1.0), ((1,), -1.0)):
-            # spin-a line: -(i*(c10 + s*c13) + c20 + s*c23) after the pulses
-            for k, pick in ((1, "imag"), (2, "real")):
-                row = np.zeros(len(unknowns))
-                for (i, j), c in col.items():
-                    row[c] = -rot_a[k, i] * (rot_b[0, j] + sign * rot_b[3, j])
-                rows.append(row)
-                v = peaks.line(0, partner)
-                vals.append(v.imag if pick == "imag" else v.real)
-            for k, pick in ((1, "imag"), (2, "real")):
-                row = np.zeros(len(unknowns))
-                for (i, j), c in col.items():
-                    row[c] = -rot_b[k, j] * (rot_a[0, i] + sign * rot_a[3, i])
-                rows.append(row)
-                v = peaks.line(1, partner)
-                vals.append(v.imag if pick == "imag" else v.real)
-    a = np.array(rows)
-    y = np.array(vals)
+        events = [pulse(spin, axis, math.pi / 2)
+                  for spin, axis in ((0, ra), (1, rb)) if axis]
+        data.append(_lines(run_sequence(system, rho, events)))
+        turned = np.einsum("pq,pij->ijq", np.kron(tables[ra], tables[rb]), products)
+        model.append(_lines(turned)[..., 1:])
+    model, data = np.array(model).reshape(-1, 15), np.array(data).ravel()
+    a = np.concatenate([model.real, model.imag])
+    y = np.concatenate([data.real, data.imag])
     sol, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = float(np.max(np.abs(a @ sol - y)))
     if resid > tol * max(1.0, float(np.max(np.abs(y)))):
         raise ValueError(f"inconsistent readout data (residual {resid:.3g})")
-    rec = np.zeros((4, 4), dtype=complex)
-    for (i, j), c in col.items():
-        rec = rec + sol[c] * np.kron(PAULIS[i], PAULIS[j])
-    return rec
+    return np.tensordot(sol, products[1:], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,10 +992,8 @@ def _storage_points(system, thetas, t_d, mode, rf, t1_relax):
                           np.tile(scales, (len(chunk), 1)), lead=(0, "y", angles))
         means = np.einsum("ijts,s->ijt", stack.reshape(stack.shape[:2] + (len(chunk), -1)),
                           weights)
-        # each theta's spin-a lines, b in |0> (low) and |1> (high), as peak_integrals
-        up, dn = means[[0, 1], [2, 3]], means[[2, 3], [0, 1]]
-        lines = -(1j * ((up + dn) / 2.0) + (1j * up - 1j * dn) / 2.0)
-        for low, high in zip(*lines.tolist()):
+        # each theta's spin-a lines, b in |0> (low) and |1> (high)
+        for low, high in zip(*_lines(means)[0].tolist()):
             outs.append({"accepted": (-low.imag, low.real),
                          "rejected": (-high.imag, high.real)})
     return outs
@@ -1208,13 +1171,18 @@ def fidelity_delta(points):
     """Worst-case input-output overlap, normalized by the theta=0 amplitude."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("need (theta, x, z) samples")
+        raise ValueError("points must hold (theta, x, z) samples")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     at_zero = pts[np.abs(pts[:, 0]) < 1e-12]
     if at_zero.shape[0] == 0:
         raise ValueError("a theta=0 sample is required for normalization")
     norm = math.hypot(at_zero[0, 1], at_zero[0, 2])
     if norm == 0:
         raise ValueError("vanishing theta=0 amplitude")
-    overlaps = (1.0 + (np.sin(pts[:, 0]) * pts[:, 1]
-                       + np.cos(pts[:, 0]) * pts[:, 2]) / norm) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlaps = (1.0 + (np.sin(pts[:, 0]) * pts[:, 1]
+                           + np.cos(pts[:, 0]) * pts[:, 2]) / norm) / 2.0
+    if not np.isfinite(overlaps).all():
+        raise ValueError("points' x and z overflow against the theta=0 amplitude")
     return float(np.min(overlaps))

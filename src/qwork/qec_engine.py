@@ -115,8 +115,8 @@ def check_exact(code, errors, tol=DEFAULT_TOL):
     check_positive("tol", tol)
     code.validate(max(tol, 1e-12))
     ne, k = len(errors), code.k
-    cols = np.array([error_columns(code, e) for e in errors])
-    blocks = cols.conj().swapaxes(1, 2)[:, None] @ cols[None]    # (A_m C)†(A_n C)
+    blocks = _gram_blocks(np.array([error_columns(code, e) for e in errors])
+                          .reshape(ne, code.ambient_dim, k))    # (A_m C)†(A_n C)
     g = np.trace(blocks, axis1=2, axis2=3) / k
     defect = float(np.abs(blocks - g[..., None, None] * np.eye(k)).max())
     g = (g + dagger(g)) / 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -290,6 +291,43 @@ def test_nmr_sequence_rejects_bad_spins(capsys, tmp_path, event, name):
     events.write_text(json.dumps([event]))
     code, out, err = run_cli(capsys, "nmr", "sequence", "--events", str(events))
     assert code == 3 and out == "" and name in err and "Traceback" not in err
+
+
+SEQUENCE_SYSTEMS = {
+    "three": {"omega_hz": [10.0, 5.0, 3.0],
+              "J_hz": [[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]],
+              "t2_star_s": [1.0, 1.0, 1.0]},
+    "pair": {"omega_hz": [10.0, 5.0], "J_hz": [[0.0, 2.0], [2.0, 0.0]],
+             "t2_star_s": [1.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("system, rf, digest", [
+    ("three", (), "dbd3138f3a98d4d5fc17a6169bcddf9d00e427123b4077cbea8bc213ca36fd44"),
+    ("pair", (), "8ef6e64f9554679ba148555fd9f5e31f17e3f0a00f195748994b8ac80dcc7f0a"),
+    ("pair", ("--rf", "lorentzian", "--nodes", "4"),
+     "1756037812123954513fa9b8881bcb1a906bda83acb86f9f878a63896d40d625"),
+], ids=["three", "pair", "pair-rf"])
+def test_nmr_sequence_stdout_is_pinned(tmp_path, capsys, system, rf, digest):
+    # every line of the spectrum, by spin and partner state, to the printed
+    # digit; the Lorentzian model has two widths, so RF runs on two spins;
+    # recorded with numpy 2.4, OpenBLAS 0.3.31 on x86-64
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    for name, payload in SEQUENCE_SYSTEMS.items():
+        (fixtures / f"{name}.json").write_text(json.dumps({
+            "kind": "spin_system", "name": name, "payload": payload}))
+    n = len(SEQUENCE_SYSTEMS[system]["omega_hz"])
+    items = [{"type": "pulse", "spin": k % n, "axis": "xy"[k % 2], "angle": 0.4 + 0.3 * k}
+             for k in range(5)]
+    items[2:2] = [{"type": "delay", "duration": 0.013, "dephase": True, "refocus": [1]},
+                  {"type": "delay", "duration": 0.021}]
+    (tmp_path / "events.json").write_text(json.dumps(items))
+    code, out, _ = run_cli(capsys, "--fixture-dir", str(fixtures), "nmr", "sequence",
+                           "--system", system, "--events", str(tmp_path / "events.json"),
+                           *rf)
+    assert code == 0 and len(out.splitlines()) == n * 2 ** (n - 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_nmr_tomo(capsys):

@@ -226,25 +226,83 @@ def test_t1_storage_relaxes_in_the_state_normalization(mode):
 
 # ----------------------------------------------------------------- readout
 
+def _looped_peak_integrals(rho):
+    """The lines of a 2^n x 2^n deviation by a loop over spins and partner
+    bits, one coherence at a time: the reference nm._lines must match to the
+    byte."""
+    rho = np.asarray(rho, dtype=complex)
+    n = rho.shape[0].bit_length() - 1
+    r = rho.reshape([2] * (2 * n))
+    lines = {}
+    for i in range(n):
+        r2 = np.moveaxis(r, (i, n + i), (0, 1))
+        up = r2[0, 1].reshape(2 ** (n - 1), 2 ** (n - 1))
+        dn = r2[1, 0].reshape(2 ** (n - 1), 2 ** (n - 1))
+        for bits in itertools.product((0, 1), repeat=n - 1):
+            s = 0
+            for b in bits:
+                s = 2 * s + b
+            cx = (up[s, s] + dn[s, s]) / 2.0
+            cy = (1j * up[s, s] - 1j * dn[s, s]) / 2.0
+            lines[(i, bits)] = complex(-(1j * cx + cy))
+    return lines
+
+
+def _line_bytes(lines):
+    return list(lines), np.array(list(lines.values()), dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_lines_are_the_looped_readout_to_the_byte(n):
+    # n = 0: a 1 x 1 deviation has no lines
+    rng = np.random.default_rng(90 + n)
+    rho = rand_deviation(n, rng)
+    rho[rng.random(rho.shape) < 0.2] = 0.0      # signed zeros keep their sign too
+    assert _line_bytes(nm.peak_integrals(rho)) == _line_bytes(_looped_peak_integrals(rho))
+    stack = np.stack([rand_deviation(n, rng) for _ in range(3)], axis=-1)
+    lines = nm._lines(stack)
+    assert lines.shape == (n, 2 ** n // 2, 3)
+    for t in range(3):
+        want = np.array(list(_looped_peak_integrals(stack[..., t]).values()), dtype=complex)
+        assert lines[..., t].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rho, match", [
+    (3.0, "power-of-two"),
+    (np.zeros((4, 2)), "power-of-two"),
+    (np.zeros((3, 3)), "power-of-two"),
+    (np.zeros((0, 0)), "power-of-two"),
+    (np.full((4, 4), math.nan), "finite"),
+    (np.diag([math.inf, 0.0, 0.0, 0.0]), "finite"),
+    # each entry is finite; their sum in the line is not
+    (np.array([[0.0, 1e308, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), "overflow"),
+], ids=["scalar", "oblong", "three", "empty", "nan", "inf-diagonal", "overflow"])
+def test_peak_integrals_refuses_what_has_no_finite_lines(rho, match):
+    with pytest.raises(ValueError, match=f"rho.*{match}"):
+        nm.peak_integrals(rho)
+
+
 def test_thermal_state_has_no_lines():
     peaks = nm.peak_integrals(nm.thermal_state(nm.formate_system()))
-    for v in peaks.lines.values():
+    for v in peaks.values():
         assert v == 0
 
 
 def test_readout_of_thermal_state():
     # quarter turn about x maps z onto the detected quadrature: both lines
-    # of each spin come out equal, positive and real
+    # of each spin come out equal, positive and real; partner bit 0 is the
+    # low-frequency line, 1 the high one
     s = nm.formate_system()
     rho = nm.run_sequence(s, nm.thermal_state(s),
                           [nm.pulse(0, "x", math.pi / 2),
                            nm.pulse(1, "x", math.pi / 2)])
     peaks = nm.peak_integrals(rho)
     wa, wb = s.omega
-    assert peaks.a_low == pytest.approx(wa / 2)
-    assert peaks.a_high == pytest.approx(wa / 2)
-    assert peaks.b_low == pytest.approx(wb / 2)
-    assert peaks.b_high == pytest.approx(wb / 2)
+    assert peaks[(0, (0,))] == pytest.approx(wa / 2)
+    assert peaks[(0, (1,))] == pytest.approx(wa / 2)
+    assert peaks[(1, (0,))] == pytest.approx(wb / 2)
+    assert peaks[(1, (1,))] == pytest.approx(wb / 2)
 
 
 def test_flip_then_readout_splits_lines():
@@ -254,8 +312,8 @@ def test_flip_then_readout_splits_lines():
     rho = nm.run_sequence(s, rho, [nm.pulse(0, "x", math.pi / 2)])
     peaks = nm.peak_integrals(rho)
     wa = s.omega[0]
-    assert peaks.a_low == pytest.approx(wa / 2)
-    assert peaks.a_high == pytest.approx(-wa / 2)
+    assert peaks[(0, (0,))] == pytest.approx(wa / 2)
+    assert peaks[(0, (1,))] == pytest.approx(-wa / 2)
 
 
 def test_cnot_interchanges_populations():
@@ -267,6 +325,51 @@ def test_cnot_interchanges_populations():
     assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-6
 
 
+def _hand_expanded_tomography(prepare, tol=1e-8):
+    """state_tomography with its model rows written out per unknown: the
+    spin-a line is -(i*(c10 + s*c13) + c20 + s*c23) after the pulses, s the
+    partner's sign, and the spin-b line likewise with the spins swapped."""
+    tables = {axis: nm._rotation_table(axis) for axis in (None, "x", "y")}
+    system = nm.SpinSystem(omega=(0.0, 0.0), j=((0.0, 0.0), (0.0, 0.0)),
+                           t2_star=(1.0, 1.0))
+    unknowns = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
+    col = {ij: k for k, ij in enumerate(unknowns)}
+    rows, vals = [], []
+    for ra, rb in itertools.product(tables, repeat=2):
+        rho = np.asarray(prepare(), dtype=complex)
+        events = []
+        if ra:
+            events.append(nm.pulse(0, ra, math.pi / 2))
+        if rb:
+            events.append(nm.pulse(1, rb, math.pi / 2))
+        rot_a, rot_b = tables[ra], tables[rb]
+        peaks = _looped_peak_integrals(nm.run_sequence(system, rho, events))
+        for partner, sign in (((0,), 1.0), ((1,), -1.0)):
+            for k, pick in ((1, "imag"), (2, "real")):
+                row = np.zeros(len(unknowns))
+                for (i, j), c in col.items():
+                    row[c] = -rot_a[k, i] * (rot_b[0, j] + sign * rot_b[3, j])
+                rows.append(row)
+                v = peaks[(0, partner)]
+                vals.append(v.imag if pick == "imag" else v.real)
+            for k, pick in ((1, "imag"), (2, "real")):
+                row = np.zeros(len(unknowns))
+                for (i, j), c in col.items():
+                    row[c] = -rot_b[k, j] * (rot_a[0, i] + sign * rot_a[3, i])
+                rows.append(row)
+                v = peaks[(1, partner)]
+                vals.append(v.imag if pick == "imag" else v.real)
+    a = np.array(rows)
+    y = np.array(vals)
+    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
+    if np.max(np.abs(a @ sol - y)) > tol * max(1.0, float(np.max(np.abs(y)))):
+        raise ValueError("inconsistent readout data")
+    rec = np.zeros((4, 4), dtype=complex)
+    for (i, j), c in col.items():
+        rec = rec + sol[c] * np.kron(qc.PAULIS[i], qc.PAULIS[j])
+    return rec
+
+
 def test_tomography_round_trip():
     rng = np.random.default_rng(23)
     for _ in range(50):
@@ -274,6 +377,7 @@ def test_tomography_round_trip():
         rho = rho - np.trace(rho) / 4 * np.eye(4)   # traceless deviation
         rec = nm.state_tomography(lambda: rho)
         assert np.max(np.abs(rec - rho)) < 1e-10
+        assert np.max(np.abs(rec - _hand_expanded_tomography(lambda: rho))) < 1e-13
 
 
 def test_tomography_rejects_inconsistent_data():
@@ -846,8 +950,8 @@ def test_sweep_rows_are_peak_integrals_to_the_byte(case, monkeypatch):
         means = np.einsum("ijts,s->ijt", stack.reshape((4, 4, -1, len(weights))), weights)
         for t in range(means.shape[2]):
             peaks = nm.peak_integrals(means[..., t])
-            want.append((-peaks.a_low.imag, peaks.a_low.real,
-                         -peaks.a_high.imag, peaks.a_high.real))
+            low, high = peaks[(0, (0,))], peaks[(0, (1,))]
+            want.append((-low.imag, low.real, -high.imag, high.real))
     assert [(r["x_acc"], r["z_acc"], r["x_rej"], r["z_rej"]) for r in rows] == want
 
 
@@ -1031,6 +1135,18 @@ def test_fidelity_delta_perfect_run():
     assert nm.fidelity_delta(pts) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         nm.fidelity_delta([(0.1, 1.0, 0.0)])
+
+
+@pytest.mark.parametrize("points, match", [
+    ([(0.0, 1.0, 0.0), (0.3, math.nan, 0.5)], "finite"),
+    ([(0.0, 1.0, math.nan), (0.3, 0.5, 0.5)], "finite"),
+    ([(0.0, 1.0, 0.0), (math.inf, 0.5, 0.5)], "finite"),
+    ([(0.0, 1e-320, 0.0), (1.2, 0.5, 0.5)], "overflow"),
+    ([(0.0, 1.0, 0.0), (math.pi / 4, 1.7e308, 1.7e308)], "overflow"),
+], ids=["nan-x", "nan-z", "inf-theta", "tiny-amplitude", "huge-sum"])
+def test_fidelity_delta_refuses_points_without_a_finite_overlap(points, match):
+    with pytest.raises(ValueError, match=f"points.*{match}"):
+        nm.fidelity_delta(points)
 
 
 # -------------------------------------------------------------- sweep/CSV
@@ -1587,6 +1703,11 @@ ENTRY_POINTS = {
     "ideal_outputs.theta": lambda v: nm.ideal_outputs(v, 0.1, 0.2),
     "ideal_outputs.p_a": lambda v: nm.ideal_outputs(0.3, v, 0.2),
     "ideal_outputs.p_b": lambda v: nm.ideal_outputs(0.3, 0.1, v, mode="control"),
+    "peak_integrals": lambda v: nm.peak_integrals(
+        np.array([[0, 0, v, 0], [0, 0, 0, 0], [v, 0, 0, 0], [0, 0, 0, 0]])),
+    "fidelity_delta.theta": lambda v: nm.fidelity_delta([(0.0, 1.0, 0.0), (v, 0.5, 0.5)]),
+    # a tiny theta=0 amplitude overflows the normalized overlaps
+    "fidelity_delta.x": lambda v: nm.fidelity_delta([(0.0, v, 0.0), (1.2, 0.5, v)]),
 }
 
 

@@ -454,6 +454,8 @@ REFERENCES = {
     "nmr_sim._then": ("test_nmr_sim", "reference_run_pure"),
     "nmr_sim.two_bit_sweep": ("test_nmr_sim", "_pointwise_sweep"),
     "nmr_sim.dj_thermal": ("test_nmr_sim", "_convolution_dj_reference"),
+    "nmr_sim.peak_integrals": ("test_nmr_sim", "_looped_peak_integrals"),
+    "nmr_sim.state_tomography": ("test_nmr_sim", "_hand_expanded_tomography"),
     "recoupler.verify_schedule": ("test_recoupler", "_dense_deviation"),
     "recoupler._planned": ("test_recoupler", "_full_gram_check"),
     "qec_engine._worst_overlap": ("test_qec_engine", "nelder_mead_reference"),
