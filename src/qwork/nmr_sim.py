@@ -1148,10 +1148,15 @@ def ellipse_analysis(points):
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     theta = pts[:, 0]
-    intensity = pts[:, 1] ** 2 + pts[:, 2] ** 2
-    i0 = intensity[np.argmin(np.abs(theta))]
-    i90 = intensity[np.argmin(np.abs(theta - math.pi / 2))]
-    params, res = _fit_ellipse(theta, intensity, np.array([i0, i90 - i0, 0.0, 0.0]))
+    try:
+        with np.errstate(over="raise"):
+            intensity = pts[:, 1] ** 2 + pts[:, 2] ** 2
+            i0 = intensity[np.argmin(np.abs(theta))]
+            i90 = intensity[np.argmin(np.abs(theta - math.pi / 2))]
+            params, res = _fit_ellipse(theta, intensity,
+                                       np.array([i0, i90 - i0, 0.0, 0.0]))
+    except FloatingPointError as err:
+        raise ValueError(f"points overflow the ellipse fit ({err})") from None
     residual = float(np.linalg.norm(res))
     a, b, c, d = (float(x) for x in params)
     top = a + b * math.sin(d) ** 2

@@ -5,6 +5,7 @@ Errors may be dense matrices or lazy appliers (callables mapping a state
 vector to a state vector); every check needs only the images of the logical
 vectors, so any ambient basis that holds them will do (bosonic_codes uses
 the reachable occupation vectors), and the relaxed one takes one batched SVD.
+Canonicalization, which mixes the errors, takes matrices only.
 
 The module covers: the exact correctability criterion on cross products of
 errors, canonicalization to a diagonal error set, construction of the
@@ -56,10 +57,6 @@ class CodeSpace:
         if np.abs(gram - np.eye(self.k)).max() > tol:
             raise ValueError("logical vectors are not orthonormal")
         return self
-
-    def projector(self):
-        l = self.matrix
-        return l @ dagger(l)
 
     def encode(self, amplitudes):
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -149,10 +146,12 @@ def canonicalize_errors(code, errors, g=None, tol=DEFAULT_TOL):
     """Mix the error set so cross products become diagonal on the code.
 
     New error l is sum_n u_nl A_n where the columns u_l diagonalize g; the
-    weights p_l are g's eigenvalues (descending).  Works for lazy errors by
-    returning lazy linear combinations.
+    weights p_l are g's eigenvalues (descending).  The errors must be
+    matrices, since the new ones are their linear combinations.
     """
     check_positive("tol", tol)
+    if any(callable(e) for e in errors):
+        raise ValueError("need errors as matrices, got a callable in errors")
     if g is None:
         g = check_exact(code, errors, tol=tol).g
     w, u = np.linalg.eigh((g + dagger(g)) / 2)
@@ -166,17 +165,9 @@ def canonicalize_errors(code, errors, g=None, tol=DEFAULT_TOL):
         if abs(ph) > 0:
             u[:, l] = u[:, l] * (ph.conjugate() / abs(ph))
 
-    new_errors = []
-    for l in range(len(errors)):
-        coeffs = u[:, l].copy()
-        if all(not callable(e) for e in errors):
-            new_errors.append(sum(c * np.asarray(e, dtype=complex)
-                                  for c, e in zip(coeffs, errors)))
-        else:
-            def combo(vec, _c=coeffs, _errs=tuple(errors)):
-                return sum(c * apply_error(e, vec) for c, e in zip(_c, _errs))
-            new_errors.append(combo)
-
+    new_errors = [sum(c * np.asarray(e, dtype=complex)
+                      for c, e in zip(u[:, l], errors))
+                  for l in range(len(errors))]
     isometries = _approx_quantities(code, new_errors)[0]
     return CanonicalSet(new_errors, np.clip(w, 0.0, None), isometries)
 

@@ -43,8 +43,10 @@ class NotCompletelyPositiveError(ValueError):
 
 def check_int(name, value, least):
     """value is a count of at least least; a bool is a flag, not a count."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least):
+    # a plain int, the common case, skips the costly ABC check
+    integral = type(value) is int or (isinstance(value, numbers.Integral)
+                                      and not isinstance(value, bool))
+    if not (integral and value >= least):
         raise ValueError(f"need {name} >= {least} as an integer, "
                          f"got {name}={value!r}")
 
@@ -163,46 +165,6 @@ def apply_local(op, state, axes):
 
 
 # ---------------------------------------------------------------------------
-# states
-
-
-@dataclass
-class DensityMatrix:
-    """A density matrix, either normalized or a traceless deviation part."""
-
-    mat: np.ndarray
-    kind: str = "normalized"  # "normalized" | "deviation"
-
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        if self.kind not in ("normalized", "deviation"):
-            raise ValueError(f"unknown density-matrix kind {self.kind!r}")
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def validate(self, tol=DEFAULT_TOL):
-        if not is_hermitian(self.mat, tol):
-            raise ValueError("density matrix is not hermitian")
-        tr = np.trace(self.mat)
-        if self.kind == "normalized":
-            if abs(tr - 1.0) > tol:
-                raise ValueError(f"trace {tr} != 1")
-            w = np.linalg.eigvalsh(self.mat)
-            if w.min() < -tol:
-                raise ValueError(f"negative eigenvalue {w.min()}")
-        else:
-            if abs(tr) > tol:
-                raise ValueError(f"deviation has trace {tr} != 0")
-        return self
-
-
-def _as_mat(rho):
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
-# ---------------------------------------------------------------------------
 # channels
 
 
@@ -309,14 +271,11 @@ class ChoiMatrix:
 
 def apply(channel, rho):
     """Apply the channel: sum_k A_k rho A_k† (no renormalization)."""
-    mat = _as_mat(rho)
+    mat = np.asarray(rho, dtype=complex)
     if mat.shape[0] != channel.dim_in:
         raise ValueError(
             f"state dim {mat.shape[0]} != channel dim_in {channel.dim_in}")
-    out = sum(a @ mat @ dagger(a) for a in channel.kraus)
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out, rho.kind)
-    return out
+    return sum(a @ mat @ dagger(a) for a in channel.kraus)
 
 
 def _choi_matrix(ops):
@@ -379,7 +338,7 @@ def tensor(a, b):
 
 def partial_trace(rho, dims, index):
     """Trace out subsystem ``index`` of a state on ordered subsystems ``dims``."""
-    mat = _as_mat(rho)
+    mat = np.asarray(rho, dtype=complex)
     dims = list(dims)
     if mat.shape[0] != int(np.prod(dims)):
         raise ValueError("dims do not match state dimension")
@@ -479,7 +438,7 @@ def _spanning_stack(name, mats, dim):
     """mats as a (dim², dim, dim) stack of finite matrices that span the dim x dim
     operators, in rank relative to the largest singular value (so at any scale)."""
     d2 = dim * dim
-    stack = np.array([_as_mat(m) for m in mats])
+    stack = np.array([np.asarray(m, dtype=complex) for m in mats])
     if stack.shape != (d2, dim, dim) or not np.isfinite(stack).all():
         raise ValueError(f"need {name} as {d2} finite {dim} x {dim} matrices, "
                          f"got shape {stack.shape}")
@@ -550,7 +509,7 @@ def tomography_method2(oracle=None, dim=None, joint_state=None, tol=DEFAULT_TOL)
         if oracle is None or dim is None:
             raise ValueError("need either joint_state or (oracle, dim)")
         return kraus_from_choi(choi_of_map(oracle, dim), tol)
-    joint_state = _as_mat(joint_state)
+    joint_state = np.asarray(joint_state, dtype=complex)
     d = round(joint_state.size ** 0.25)
     if joint_state.shape != (d * d, d * d):
         raise ValueError(f"joint_state must be square with side d², "
@@ -630,7 +589,7 @@ def channel_from_linear_rep(rep):
     positive; use is_cp to test).
     """
     def act(rho):
-        c = pauli_components(_as_mat(rho))
+        c = pauli_components(np.asarray(rho, dtype=complex))
         c0, r = c[0], c[1:]
         rp = rep.m.astype(complex) @ r + c0 * rep.v2
         c0p = rep.m0 * c0 + rep.v1 @ r
@@ -650,7 +609,7 @@ def _choi_of_inputs(act, inputs, name):
     Images of another shape (a 1 x 1 or length-2 image would broadcast) or
     with a non-finite entry are refused naming the map."""
     d2, dim = len(inputs), inputs.shape[-1]
-    images = np.array([_as_mat(act(x)) for x in inputs])
+    images = np.array([np.asarray(act(x), dtype=complex) for x in inputs])
     if images.shape != inputs.shape or not np.isfinite(images).all():
         raise ValueError(f"need {name} to map {dim} x {dim} matrices to finite "
                          f"{dim} x {dim} matrices, got images of shape {images.shape[1:]}")

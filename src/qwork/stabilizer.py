@@ -245,7 +245,7 @@ class StabilizerCode:
 
 
 # the dense checks build complex 2^n x 2^n matrices, 1 GiB at n = 13; the
-# exact parity check holds 2^(3a) amplitudes for a subset of a qubits
+# parity check holds 2^(3a) amplitudes for a subset of a qubits, whatever n
 _DENSE_QUBITS = 12
 _PARITY_SUBSET = 7
 
@@ -846,8 +846,7 @@ def measure_update_code(code, k_op):
 # cat-state parity measurement
 
 
-def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
-                              rng=None, special_inputs=()):
+def verify_parity_measurement(subset, n, letters=None, tol=1e-8):
     """Check the cat-ancilla circuit against the ideal parity measurement.
 
     Measures the product M of the given letters (default Z) over ``subset``,
@@ -855,14 +854,12 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
     a = len(subset) ancillas controls the single-qubit operators, ancillas
     rotate back through Hadamards and are read out.  Every ancilla record r
     must apply 2^(-(a-1)/2) (I + (-1)^|r| M)/2 to the data, within tol
-    entry by entry.  The circuit runs once on the subset and the ancillas:
-    on the 2^a subset basis states, then on the columns over the other
-    qubits of states random inputs and of the special_inputs.
+    entry by entry.  The circuit acts on the subset and the ancillas alone,
+    so it runs once on the 2^a subset basis states: their outputs are each
+    record's whole operator, and any other input is a combination of them.
+    n only bounds the qubits of the subset.
     """
     check_int("n", n, 1)
-    if n > _DENSE_QUBITS:
-        raise ValueError(f"parity check capped at {_DENSE_QUBITS} qubits, "
-                         f"got n={n}")
     check_positive("tol", tol)
     if not (len(subset) and len(set(subset)) == len(subset) and all(
             isinstance(q, numbers.Integral) and 0 <= q < n for q in subset)):
@@ -877,31 +874,7 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
     if a > _PARITY_SUBSET:
         raise ValueError(f"parity check capped at {_PARITY_SUBSET} subset "
                          f"qubits, got subset={subset!r}")
-    check_int("states", states, 0 if len(special_inputs) else 1)
-    rng = _generator(rng, 0xCA7)
-    samples = [_random_inputs(1 << n, states, rng)]
-    for v in map(np.asarray, special_inputs):
-        if not (v.shape == (1 << n,) and v.dtype.kind in "iufc"
-                and np.isfinite(v).all() and v.any()):
-            raise ValueError(f"need special_inputs as finite nonzero vectors "
-                             f"of length 2^n = {1 << n}")
-        v = v / np.abs(v.astype(complex).view(float)).max()   # no overflow
-        samples.append(v[:, None] / np.linalg.norm(v))
-    word = ["I"] * n
-    for q, c in zip(subset, letters):
-        word[q] = c
-    m_word = PauliWord.from_string("".join(word))
-    b = np.arange(1 << a)
-    basis = np.zeros((1 << n, 1 << a))   # |b> on the subset, |0> elsewhere
-    basis[sum(((b >> (a - 1 - j)) & 1) << (n - 1 - q)
-              for j, q in enumerate(subset)), b] = 1
-    batch = np.hstack([basis] + samples)
-    # subset qubits (in subset order) by the other qubits and batch column
-    psi, m_psi = (np.moveaxis(v.reshape((2,) * n + (-1,)), subset, range(a))
-                  .reshape(1 << a, -1) for v in (batch, m_word.apply(batch)))
-    keep = psi.any(axis=0)   # a zero column has zero branches
-    psi, m_psi = psi[:, keep], m_psi[:, keep]
-
+    psi = np.eye(1 << a)   # the subset basis, in subset order
     state = np.kron(psi, np.eye(1 << a, 1))   # ancillas at |0>
     # cat ancilla
     state = apply_local(HADAMARD, state, (a,))
@@ -912,8 +885,9 @@ def verify_parity_measurement(subset, n, letters=None, states=6, tol=1e-8,
         state = apply_local(controlled(_LETTER[c]), state, (a + j, j))
     for j in range(a):
         state = apply_local(HADAMARD, state, (a + j,))
-    sign = 1 - 2 * _parities(b)
-    ideal = (psi[:, None] + sign[:, None] * m_psi[:, None]) / 2
+    sign = 1 - 2 * _parities(np.arange(1 << a))
+    m = kron_all(*(_LETTER[c] for c in letters))
+    ideal = (psi[:, None] + sign[:, None] * m[:, None]) / 2
     out = state.reshape(1 << a, 1 << a, -1) * math.sqrt(1 << (a - 1))
     return bool(np.abs(out - ideal).max() <= tol)
 

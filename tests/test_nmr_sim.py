@@ -1120,6 +1120,13 @@ def test_ellipse_rejects_bad_points():
     for short in (pts[:5], [], [(0.0, 1.0)] * 8):
         with pytest.raises(ValueError, match="points must hold at least six"):
             nm.ellipse_analysis(short)
+    # finite points whose intensity, cost or normal matrix overflows raised
+    # numpy's RuntimeWarning, and without the warning filter fitted on inf
+    for column, value in ((1, 1e100), (1, 1e200), (0, 1e200)):
+        broken = [list(p) for p in pts]
+        broken[3][column] = value
+        with pytest.raises(ValueError, match="points overflow"):
+            nm.ellipse_analysis(broken)
 
 
 def test_ellipse_fit_iteration_cap():

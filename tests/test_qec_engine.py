@@ -118,6 +118,9 @@ def test_lazy_errors_match_dense():
     r2 = qe.check_exact(code, lazy)
     assert np.abs(r1.g - r2.g).max() < 1e-12
     assert r2.verdict == "exact"
+    # canonicalization mixes the errors, so it takes matrices only
+    with pytest.raises(ValueError, match=r"\berrors\b"):
+        qe.canonicalize_errors(code, dense[:-1] + lazy[-1:])
 
 
 # ---------------------------------------------------------------------------

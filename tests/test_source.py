@@ -299,25 +299,33 @@ def _called_by_click(node):
                and d.func.attr in ("command", "group") for d in node.decorator_list)
 
 
+def _attribute_reads(node):
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+
+
 def test_no_unread_public_names():
     # a public function, method or property of the package that nothing in
     # src, tests or perfbench reads is dead code; reads inside its own
-    # definition (recursion) do not count
+    # definition (recursion) do not count.  A method or property is read
+    # only as an attribute (.name): a bare name that matches it, such as a
+    # local variable, does not count
     root = Path(qwork.__file__).resolve().parents[2]
-    everywhere = [name for top in ("src", "tests", "perfbench")
-                  for path in sorted((root / top).rglob("*.py"))
-                  for name in _reads(ast.parse(path.read_text(), filename=str(path)))]
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for top in ("src", "tests", "perfbench")
+             for path in sorted((root / top).rglob("*.py"))]
+    everywhere = {reads: [name for tree in trees for name in reads(tree)]
+                  for reads in (_reads, _attribute_reads)}
     found = []
     for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        scopes = [("", tree)] + [(node.name + ".", node) for node in tree.body
-                                 if isinstance(node, ast.ClassDef)
-                                 and not _called_by_click(node)]
+        scopes = [("", tree, _reads)] + [
+            (node.name + ".", node, _attribute_reads) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not _called_by_click(node)]
         found += [f"{path.name}:{node.lineno} {prefix}{node.name}"
-                  for prefix, scope in scopes for node in scope.body
+                  for prefix, scope, reads in scopes for node in scope.body
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and not node.name.startswith("_") and not _called_by_click(node)
-                  and everywhere.count(node.name) == _reads(node).count(node.name)]
+                  and everywhere[reads].count(node.name) == reads(node).count(node.name)]
     assert found == []
 
 
@@ -367,8 +375,6 @@ TOLERANCES = {
     "qop_core.is_hermitian.tol": lambda v: qc.is_hermitian(np.eye(2), tol=v),
     "qop_core.unitaries_equal_up_to_phase.tol":
         lambda v: qc.unitaries_equal_up_to_phase(qc.SX, qc.SX, tol=v),
-    "qop_core.DensityMatrix.validate.tol":
-        lambda v: qc.DensityMatrix(np.eye(2) / 2).validate(tol=v),
     "qop_core.QuantumChannel.__init__.tol":
         lambda v: qc.QuantumChannel([2 * qc.I2], tol=v),
     "qop_core.kraus_from_choi.tol": lambda v: qc.kraus_from_choi(qc.choi_of(_DEPOL), tol=v),
@@ -403,7 +409,7 @@ TOLERANCES = {
         tol=v),
     "stabilizer.codewords.tol": lambda v: st.codewords(st.ad4(), tol=v),
     "stabilizer.verify_parity_measurement.tol":
-        lambda v: st.verify_parity_measurement([0, 1], 2, states=1, tol=v),
+        lambda v: st.verify_parity_measurement([0, 1], 2, tol=v),
     "stabilizer.verify_teleport_identity.tol":
         lambda v: st.verify_teleport_identity("z", states=1, tol=v),
     "stabilizer.verify_c3_construction.tol":

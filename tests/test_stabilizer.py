@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,16 +513,13 @@ def test_parity_measurement_mixed_letters():
 
 
 def test_parity_measurement_deterministic_input():
+    # GHZ is a ZZZ eigenstate, so every record of odd parity leaves nothing;
+    # the sampled check sees that, and the exact one covers it on the basis
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1 / math.sqrt(2)
-    assert st.verify_parity_measurement([0, 1, 2], 3, special_inputs=[ghz])
-
-
-def test_parity_measurement_special_inputs_alone():
-    ghz = np.zeros(8, dtype=complex)
-    ghz[0] = ghz[7] = 1 / math.sqrt(2)
-    assert st.verify_parity_measurement([0, 1, 2], 3, states=0,
-                                        special_inputs=[ghz])
+    assert _reference_parity([0, 1, 2], 3, "ZZZ", 0, 1e-8,
+                             np.random.default_rng(0), [ghz])
+    assert st.verify_parity_measurement([0, 1, 2], 3)
 
 
 @pytest.mark.parametrize("subset,letters,match", [
@@ -537,48 +535,44 @@ def test_parity_measurement_rejects_malformed_input(subset, letters, match):
 
 
 def test_parity_measurement_pairs_letters_with_subset_in_given_order(monkeypatch):
-    words = []
-    parse = st.PauliWord.from_string
+    factors = []
+    build = st.kron_all
 
-    def spy(text):
-        words.append(text)
-        return parse(text)
+    def spy(*mats):
+        factors.append(mats)
+        return build(*mats)
 
-    monkeypatch.setattr(st.PauliWord, "from_string", spy)
+    monkeypatch.setattr(st, "kron_all", spy)
     assert st.verify_parity_measurement([2, 0], 3, letters="XZ")
-    assert words == ["ZIX"]   # X on qubit 2, Z on qubit 0
-
-
-@pytest.mark.parametrize("special", [
-    np.full(8, np.nan), np.zeros(8), np.ones(4), np.ones((8, 1)),
-    np.array([np.inf] + [0] * 7), np.array(["1"] * 8),
-], ids=["nan", "zero", "short", "column", "infinite", "text"])
-def test_parity_measurement_refuses_bad_special_inputs(special):
-    # NaN and zero inputs passed (a NaN comparison is False, and a zero
-    # input has no branch to compare); the rest failed inside numpy
-    with pytest.raises(ValueError, match="special_inputs"):
-        st.verify_parity_measurement([0, 1, 2], 3, special_inputs=[special])
+    assert factors == [(st.SX, st.SZ)]   # X on qubit 2, Z on qubit 0
+    # the sampled check on the whole register puts the letters on those qubits
+    assert _reference_parity([2, 0], 3, "XZ", 4, 1e-8, np.random.default_rng(0))
 
 
 def test_parity_measurement_caps_the_subset(monkeypatch):
     # the exact check pushes 2^(3a) amplitudes through a subset of a qubits
-    def no_word(text):
-        raise AssertionError(f"built {text} before checking the subset")
+    def refuse(*args):
+        raise AssertionError("ran the circuit before checking the subset")
 
-    monkeypatch.setattr(st.PauliWord, "from_string", no_word)
+    monkeypatch.setattr(st, "kron_all", refuse)
+    monkeypatch.setattr(st, "apply_local", refuse)
     with pytest.raises(ValueError, match=r"capped at 7 subset qubits"):
-        st.verify_parity_measurement(list(range(8)), 12, states=1)
+        st.verify_parity_measurement(list(range(8)), 12)
 
 
-def test_parity_measurement_caps_n_before_allocating(monkeypatch):
-    # n = 14 built the 2^14 x 2^14 matrix of the measured word, gigabytes,
-    # before anything looked at n
-    def no_word(text):
-        raise AssertionError(f"built {text} before checking n")
-
-    monkeypatch.setattr(st.PauliWord, "from_string", no_word)
-    with pytest.raises(ValueError, match=r"capped at 12 qubits, got n=14"):
-        st.verify_parity_measurement([0], 14, states=1)
+def test_parity_measurement_allocates_nothing_of_size_2_to_the_n():
+    # the circuit runs on the subset and its ancillas alone: n = 10**6 only
+    # bounds the subset's qubits, and 2^n amplitudes could not be held
+    tracemalloc.start()
+    try:
+        assert st.verify_parity_measurement([0, 1, 2], 10 ** 6)
+        assert st.verify_parity_measurement([5, 40, 17], 50, letters="XYZ")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="subset"):
+        st.verify_parity_measurement([0, 10 ** 6], 10 ** 6)
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -639,8 +633,7 @@ def test_c3_constructions(gate):
 @pytest.mark.parametrize("states", [0, -2])
 @pytest.mark.parametrize("verify", [
     lambda states: st.verify_c3_construction("T", states=states),
-    lambda states: st.verify_parity_measurement([0, 1], 2, states=states),
-], ids=["c3", "parity"])
+], ids=["c3"])
 def test_verifiers_check_at_least_one_state(verify, states):
     with pytest.raises(ValueError, match=r"need states >= 1 as an integer, got states="):
         verify(states)
@@ -787,10 +780,9 @@ def test_c3_construction_matches_the_sampled_check(gate, seed, monkeypatch):
 
 @pytest.mark.parametrize("subset,n,letters,special", PARITY_CASES)
 def test_parity_measurement_matches_the_sampled_check(subset, n, letters, special):
+    # the exact check needs no inputs; special inputs go to the reference
+    exact = st.verify_parity_measurement(subset, n, letters)
     for seed in (0, 1, 2):
-        exact = st.verify_parity_measurement(
-            subset, n, letters, rng=np.random.default_rng(seed),
-            special_inputs=special)
         sampled = _reference_parity(subset, n, letters, 6, 1e-8,
                                     np.random.default_rng(seed), special)
         assert exact is sampled is True
@@ -847,19 +839,15 @@ _SWAPPED = {"X": st.SZ, "Y": st.SX, "Z": st.SX, "I": st.SZ}
 
 
 @pytest.mark.parametrize("subset,n,letters,special", PARITY_CASES)
-@settings(deadline=None, max_examples=5)
-@given(seed=hst.integers(0, 2 ** 32 - 1), data=hst.data())
 def test_parity_with_a_controlled_letter_swapped_is_refused(
-        subset, n, letters, special, seed, data):
-    j = data.draw(hst.integers(0, len(subset) - 1))
+        subset, n, letters, special):
     letter = {id(m): c for c, m in st._LETTER.items()}
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = _mutate_controlled(monkeypatch, j,
-                                   lambda u: _SWAPPED[letter[id(u)]])
-        assert st.verify_parity_measurement(
-            subset, n, letters, rng=np.random.default_rng(seed),
-            special_inputs=special) is False
-    assert len(calls) == len(subset)
+    for j in range(len(subset)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _mutate_controlled(monkeypatch, j,
+                                       lambda u: _SWAPPED[letter[id(u)]])
+            assert st.verify_parity_measurement(subset, n, letters) is False
+        assert len(calls) == len(subset)
 
 
 @settings(deadline=None, max_examples=30)
@@ -868,10 +856,7 @@ def test_parity_with_a_controlled_letter_swapped_is_refused(
            [lambda s, r, k=k: st.verify_teleport_identity(k, states=s, rng=r)
             for k in ("z", "x", "swap")]
            + [lambda s, r, g=g: st.verify_c3_construction(g, states=s, rng=r)
-              for g in ("T", "CP", "Toffoli")]
-           + [lambda s, r, c=c: st.verify_parity_measurement(
-               c[0], c[1], c[2], states=s, rng=r, special_inputs=c[3])
-              for c in PARITY_CASES]))
+              for g in ("T", "CP", "Toffoli")]))
 def test_verifiers_pass_at_every_seed_and_state_count(seed, states, case):
     assert case(states, np.random.default_rng(seed)) is True
 
@@ -1099,13 +1084,11 @@ def test_negated_pairs_match_group_search_on_random_codes(code, t):
     (lambda: st.identity_word(math.nan), "n"),
     (lambda: st.verify_teleport_identity("z", rng=5), "rng"),
     (lambda: st.verify_c3_construction("T", rng=5), "rng"),
-    (lambda: st.verify_parity_measurement([0], 2, rng=np.random.RandomState(5)),
-     "rng"),
 ], ids=["qubit-negative", "qubit-too-high", "qubit-fractional",
         "weight-fractional", "weight-nan", "count-fractional",
         "parity-fractional-n", "parity-nan-tol", "teleport-nan-tol",
         "x-mask-too-wide", "z-mask-negative", "identity-nan-n",
-        "teleport-int-rng", "c3-int-rng", "parity-legacy-rng"])
+        "teleport-int-rng", "c3-int-rng"])
 def test_bad_scalar_raises_value_error_naming_it(call, name):
     # each of these once returned a wrong word or verdict, or raised
     # TypeError or IndexError
@@ -1139,13 +1122,9 @@ ENTRY_POINTS = {
     "ad_correctable": lambda v: st.ad_correctable(st.ad4(), v),
     "ad_dense_check": lambda v: st.ad_dense_check(st.ad4(), v),
     "hierarchy_level": lambda v: st.hierarchy_level(np.eye(2), v),
-    "parity.n": lambda v: st.verify_parity_measurement([0], v, states=1),
-    "parity.subset": lambda v: st.verify_parity_measurement([v], 3, states=1),
-    "parity.states": lambda v: st.verify_parity_measurement([0, 1], 2, states=v),
-    "parity.tol": lambda v: st.verify_parity_measurement([0, 1], 2, states=1,
-                                                         tol=v),
-    "parity.special_inputs": lambda v: st.verify_parity_measurement(
-        [0, 1], 2, states=1, special_inputs=[[v, 0, 0, 1]]),
+    "parity.n": lambda v: st.verify_parity_measurement([0], v),
+    "parity.subset": lambda v: st.verify_parity_measurement([v], 3),
+    "parity.tol": lambda v: st.verify_parity_measurement([0, 1], 2, tol=v),
     "teleport.states": lambda v: st.verify_teleport_identity("z", states=v),
     "teleport.tol": lambda v: st.verify_teleport_identity("z", states=1, tol=v),
     "c3.states": lambda v: st.verify_c3_construction("T", states=v),
