@@ -17,12 +17,18 @@ units, so the thermal deviation is sum_i omega_i Z_i / 2.
 The RF ensemble is a trailing array axis: ``rf_scale_sets`` gives S rows of
 per-channel pulse scales with their weights (one row of ones when RF is
 off), ``_run_pure`` evolves a (2^n, 2^n, S) stack with one deviation per
-scale set, and every average sums stack * weights over the last axis.  A
-one-spin rotation is then a few broadcast multiplies over contiguous
-S-long rows, or one matmul when S = 1.  The evolution holds two buffers of
-the stack's size, 4^n * S * 16 bytes each (256 KB for 32 x 32 quadrature
-nodes on two spins), and writes into them in place; the delays between
-two pulses build one 2^n x 2^n factor, in the buffer not in use.  The storage
+scale set, and every average sums stack * weights over the last axis.  The
+pulses between two delays compose into one op per spin, and the delays
+between two pulses into one elementwise 2^n x 2^n factor.  With S > 1 a
+one-spin rotation is a few broadcast multiplies over contiguous S-long
+rows.  With S = 1 an op whose run has delays on both sides splits as
+Rz Ry Rz: the Z parts are diagonal, so they ride as fields on those
+delays' factors, as virtual Z gates do in hardware (McKay et al., PRA 96,
+022330, 2017), and the real Ry parts pass over the stack's float view in
+blocks of up to three adjacent spins, one real matmul each.  The evolution
+holds two buffers of the stack's size, 4^n * S * 16 bytes each (256 KB
+for 32 x 32 quadrature nodes on two spins), and writes into them in
+place; each factor is built in the buffer not in use.  The storage
 experiment's labeled input, one more stack of that size, is built once per
 (system, RF model) and shared read-only by every point.  A storage sweep
 puts its thetas on the same axis: T thetas times S sets per evolution, T
@@ -34,7 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,6 +100,14 @@ class SpinSystem:
     @property
     def n(self):
         return len(self.omega)
+
+    @cached_property
+    def _couplings(self):
+        """j as a read-only array, and each pair's phase rate |J_ik| pi/2
+        (i < k, row-major), built once per system."""
+        j = np.array(self.j)
+        j.setflags(write=False)
+        return j, tuple(abs(x) * math.pi / 2.0 for i, row in enumerate(self.j) for x in row[i + 1:])
 
     def coupling(self, i, k):
         """Effective two-spin phase-evolution rate in rad/s."""
@@ -233,20 +247,21 @@ def _rot2(axis, angle):
     return out
 
 
-def _rotate_rows(op, src, dst, spin):
-    """dst = op on spin's row bit times src, for a (2, 2, S) op and
-    C-contiguous (2^n, 2^n, S) stacks.  For S = 1 this is one matmul, on the
-    float views when op is real, since a real op mixes the real and
-    imaginary parts alike; for S > 1 each output bit r is
-    op[r, 0] * src_0 + op[r, 1] * src_1, two multiplies broadcast over the
-    contiguous scale axis and one add, with no per-scale-set matmul."""
-    if src.shape[-1] == 1:   # as apply_local: one op for a one-set stack
+def _rotate_rows(op, src, dst, first):
+    """dst = op on the row bits of spins first.. times src, for C-contiguous
+    (2^n, 2^n, S) stacks.  With S = 1 op is a (2^k, 2^k) block (_blocks) or
+    a lone spin's (2, 2, 1) op, applied by one matmul, on the float views
+    when op is real, since a real op mixes the real and imaginary parts
+    alike; with S > 1 it is a (2, 2, S) op on spin first, and each output
+    bit r is op[r, 0] * src_0 + op[r, 1] * src_1, broadcast over the
+    contiguous scale axis."""
+    if src.shape[-1] == 1:
         if op.dtype == float:
             src, dst = src.view(float), dst.view(float)
-        shape = (1 << spin, 2, -1)
-        np.matmul(op[..., 0], src.reshape(shape), out=dst.reshape(shape))
+        shape = (1 << first, len(op), -1)
+        np.matmul(op.reshape(len(op), -1), src.reshape(shape), out=dst.reshape(shape))
         return
-    shape = (1 << spin, 2, -1, src.shape[-1])
+    shape = (1 << first, 2, -1, src.shape[-1])
     src, dst = src.reshape(shape), dst.reshape(shape)
     for r in range(2):
         np.multiply(op[r, 0], src[:, 0], out=dst[:, r])
@@ -257,33 +272,36 @@ def _delay_pair(system, t, dephase, refocus=()):
     """A free delay over t as the pair (coupling angles, coherence factors),
     or None when it does nothing: the n x n angles pi J / 2 t of its ZZ
     phases, and each spin's factor (1 - p) - p on the coherences where that
-    spin's row and column bits differ, or the scalar 1.0 without dephasing.
-    Two pairs in a row join as one: the angles add and the factors multiply,
+    spin's row and column bits differ, or the scalar 1.0 without dephasing;
+    p is dephase_probability's expression, on inputs checked at entry.  Two
+    pairs in a row join as one: the angles add and the factors multiply,
     since both act elementwise.
 
     With refocus, the refocused delay's pair: F over t/2, exact pi flips of
     those spins (P flips their bits), F, the flips again, which is
     F ⊙ P(F): F over t less each refocused-to-unrefocused coupling, with
     every factor squared."""
-    j = np.array(system.j)
+    j = system._couplings[0]
     if refocus:
         side = np.array([i in refocus for i in range(system.n)])
-        j[side[:, None] != side[None, :]] = 0.0
+        j = np.where(side[:, None] == side[None, :], j, 0.0)
     halves = 2 if refocus else 1
     angles = math.pi * j / 2.0 * t
     keeps = (np.array([((1.0 - p) - p) ** halves for p in
-                       (dephase_probability(t / halves, t2) for t2 in system.t2_star)])
+                       ((1.0 - math.exp(-(t / halves) / t2)) / 2.0 for t2 in system.t2_star)])
              if dephase else 1.0)
     return None if not (dephase or angles.any()) else (angles, keeps)
 
 
-def _gap_factor(system, angles, keeps, flipped, out):
+def _gap_factor(angles, keeps, fields, flipped, out):
     """Fill out, a complex 2^n x 2^n buffer, with the elementwise factor of a
-    pair and return it: the coupling phases ph ⊗ ph* times each spin's mask,
+    pair and return it: the phases ph ⊗ ph* of the Ising diagonal of the
+    fields (None, or alpha / 2 for each spin's Z rotation by alpha that
+    rides on the pair) and the coupling angles, times each spin's mask,
     keeps[i] where that spin's row and column bits differ and 1 where they
     agree.  For a flipped stack, which holds each rho transposed, the factor
     is built transposed, that is, conjugated: with ph* in place of ph."""
-    total = ising_diagonal(np.zeros(system.n), angles)
+    total = ising_diagonal(fields, angles)
     ph = np.exp(1j * total if flipped else -1j * total)
     if isinstance(keeps, float):   # no dephasing
         np.multiply(ph[:, None], ph.conj()[None, :], out=out)
@@ -339,25 +357,79 @@ def _then(run, spin, op):
         run[spin] = product
 
 
-def _settle(system, run, gap, cur, other, flipped):
-    """Apply a run (spin: U), then a gap's pair (or None), to a stack in
-    buffers cur and other that holds each rho or, when flipped, its
-    transpose, which evolves under conj(U).
+def _split(run, owed):
+    """Split each complex op of a one-set run as Rz(alpha) Ry(beta) Rz(gamma)
+    (Nielsen & Chuang, Thm 4.1): U00 = e^{-i(alpha+gamma)/2} cos(beta/2)
+    and U10 = e^{i(alpha-gamma)/2} sin(beta/2).  Returns the run of real
+    Ry(beta) ops, the owed pair with each gamma / 2 added to its fields, and
+    the fields alpha / 2 for the next pair (None when every op is real)."""
+    angles, keeps, before = owed
+    real, after = {}, None
+    for spin, op in run.items():
+        if op.dtype == complex:
+            if after is None:
+                after = np.zeros(len(angles))
+                before = after.copy() if before is None else before
+            a, b = complex(op[0, 0, 0]), complex(op[1, 0, 0])
+            pa, pb = math.atan2(a.imag, a.real), math.atan2(b.imag, b.real)
+            before[spin] -= (pa + pb) / 2.0
+            after[spin] = (pb - pa) / 2.0
+            op = np.array([[[abs(a)], [-abs(b)]], [[abs(b)], [abs(a)]]])
+        real[spin] = op
+    return real, (angles, keeps, before), after
 
-    The run is one rotation per spin and side: the row sides, each one
-    _rotate_rows into the other buffer, then one transpose of the two matrix
-    axes and the owed column sides as row sides.  The gap's factor is then
-    built, already oriented, in the free buffer and multiplied in."""
+
+def _blocks(run):
+    """A one-set run as blocks (first spin, (2^k, 2^k) kron of the ops on
+    spins first..first+k-1, the identity on those the run leaves alone),
+    each on at most three spins and starting at the lowest spin not yet
+    covered: the fewest blocks, at most ceil(n / 3)."""
+    blocks = []
+    for spin in sorted(run):
+        u = run[spin][:, :, 0]
+        if blocks and spin < blocks[-1][0] + 3:
+            first, op = blocks[-1]
+            while len(op) < 1 << (spin - first):
+                op = _kron(op, np.eye(2))
+            blocks[-1] = (first, _kron(op, u))
+        else:
+            blocks.append((spin, u))
+    return blocks
+
+
+def _kron(a, b):
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(2 * len(a), -1)
+
+
+def _settle(owed, run, gap, cur, other, flipped):
+    """Multiply in the owed pair (angles, keeps, fields), if any, then apply
+    a run (spin: U) to a stack in buffers cur and other that holds each rho
+    or, when flipped, its transpose, which evolves under conj(U); returns
+    the stack and the gap's pair, now owed.
+
+    The owed factor is built, already oriented, in the free buffer.  The
+    run's row sides are one _rotate_rows each into the other buffer, then
+    one transpose of the two matrix axes turns the column sides into row
+    sides.  With one scale set the run goes in blocks (_blocks), and with a
+    pair on both sides each complex op is split (_split): its Z parts are
+    diagonal, so they ride as fields on the owed pair and the gap's, and
+    only real blocks pass over the stack.  With S > 1 each op is applied
+    whole on its own spin."""
+    fields, steps = None, run.items()
+    if cur.shape[-1] == 1:
+        if run and owed is not None and gap is not None:
+            run, owed, fields = _split(run, owed)
+        steps = _blocks(run) if len(run) > 1 else run.items()
+    if owed is not None:
+        cur *= _gap_factor(*owed, flipped, other[..., 0])[..., None]
     for side in range(2 if run else 0):
         if side:
             np.copyto(other, cur.swapaxes(0, 1))
             cur, other, flipped = other, cur, not flipped
-        for spin, op in run.items():
-            _rotate_rows(np.conj(op) if flipped else op, cur, other, spin)
+        for first, op in steps:
+            _rotate_rows(np.conj(op) if flipped else op, cur, other, first)
             cur, other = other, cur
-    if gap is not None:
-        cur *= _gap_factor(system, *gap, flipped, other[..., 0])[..., None]
-    return cur, other, flipped
+    return cur, other, flipped, None if gap is None else gap + (fields,)
 
 
 def _run_pure(system, rho, events, scales, lead=None):
@@ -373,21 +445,22 @@ def _run_pure(system, rho, events, scales, lead=None):
     of one op per spin (_then); delays are elementwise pairs (_delay_pair),
     joined in a gap.  A delay with no T1 step whose refocusing flips, if
     any, are exact (every refocused spin at scale 1) is one pair; any other
-    is two halves, each a pair, the T1 step if asked, then its flips.  The
-    run and the gap settle (_settle: one rotation per spin and side, then
-    one factor) when a rotation follows the gap, before a T1 step, which is
-    symmetric under transposition, and at the end.
+    is two halves, each a pair, the T1 step if asked, then its flips.  A
+    run settles (_settle: the pair owed before it, then the run, owing its
+    gap) when a rotation follows the gap, before a T1 step, which is
+    symmetric under transposition, and at the end; the owed pair is
+    multiplied in before a T1 step and at the end.
     """
     rho = np.asarray(rho)
     sets = rho.shape[2] if rho.ndim == 3 else 1
     cur = np.empty(rho.shape[:2] + (len(scales),), dtype=complex)
     cur.reshape(rho.shape[:2] + (-1, sets))[...] = rho.reshape(rho.shape[:2] + (1, sets))
-    other, flipped, gap = np.empty_like(cur), False, None
+    other, flipped, gap, owed = np.empty_like(cur), False, None, None
     run = {} if lead is None else {lead[0]: _rot2(lead[1], lead[2])}
     for ev in events:
         if ev.kind == "pulse":
             if gap is not None:
-                cur, other, flipped = _settle(system, run, gap, cur, other, flipped)
+                cur, other, flipped, owed = _settle(owed, run, gap, cur, other, flipped)
                 run, gap = {}, None
             scale = scales[:, ev.spin] if ev.scale_sensitive else np.ones(len(scales))
             _then(run, ev.spin, _rot2(ev.axis, ev.angle * scale))
@@ -406,13 +479,16 @@ def _run_pure(system, rho, events, scales, lead=None):
             if pair is not None:
                 gap = pair if gap is None else (gap[0] + pair[0], gap[1] * pair[1])
             if ev.t1_relax or (flips and gap is not None):
-                cur, other, flipped = _settle(system, run, gap, cur, other, flipped)
+                cur, other, flipped, owed = _settle(owed, run, gap, cur, other, flipped)
                 run, gap = {}, None
             if ev.t1_relax:
+                cur, other, flipped, owed = _settle(owed, {}, None, cur, other, flipped)
                 _t1_step(system, cur, t)
             for s, op in flips:
                 _then(run, s, op)
-    cur, other, flipped = _settle(system, run, gap, cur, other, flipped)
+    cur, other, flipped, owed = _settle(owed, run, gap, cur, other, flipped)
+    if owed is not None:
+        cur, other, flipped, _ = _settle(owed, {}, None, cur, other, flipped)
     if flipped:
         np.copyto(other, cur.swapaxes(0, 1))
     return other if flipped else cur
@@ -423,9 +499,7 @@ def _check_delay_phase(system, name, t, before=0.0):
     the phase before of the delays just ahead of it with no pulse between,
     is not finite: their joint factor would overflow to NaN.  Returns the
     sum.  Each term is rounded in the order _delay_pair rounds it."""
-    n = system.n
-    phase = before + sum(abs(system.j[i][k]) * math.pi / 2.0 * t
-                         for i in range(n) for k in range(i + 1, n))
+    phase = before + sum(rate * t for rate in system._couplings[1])
     check_real(f"sum|J| pi/2 {name}", phase)
     return phase
 

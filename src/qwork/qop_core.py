@@ -112,11 +112,16 @@ def _ising_rows(n):
 
 def ising_diagonal(fields, couplings):
     """Diagonal of sum_i h_i Z_i + sum_{i<j} J_ij Z_i Z_j over the 2^n basis
-    states, for fields h of length n and an n x n coupling matrix J whose
-    strict upper triangle is read."""
-    fields = np.asarray(fields, dtype=float)
-    i, j, rows = _ising_rows(len(fields))
-    coef = np.concatenate([np.asarray(couplings, dtype=float)[i, j], fields])
+    states, for an n x n coupling matrix J whose strict upper triangle is
+    read and fields h of length n, or None for none: then only the pair rows
+    are summed, to the values that zero fields give."""
+    couplings = np.asarray(couplings, dtype=float)
+    i, j, rows = _ising_rows(len(couplings))
+    coef = couplings[i, j]
+    if fields is None:
+        rows = rows[:len(coef)]
+    else:
+        coef = np.concatenate([coef, np.asarray(fields, dtype=float)])
     # an axis-0 sum adds the rows in order, pairs first, as one loop would
     return (coef[:, None] * rows).sum(axis=0)
 

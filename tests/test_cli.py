@@ -303,7 +303,7 @@ SEQUENCE_SYSTEMS = {
 
 
 @pytest.mark.parametrize("system, rf, digest", [
-    ("three", (), "dbd3138f3a98d4d5fc17a6169bcddf9d00e427123b4077cbea8bc213ca36fd44"),
+    ("three", (), "2444498567d0dd9401101064128c41764a081981824e6c1a956292c06ccda97b"),
     ("pair", (), "8ef6e64f9554679ba148555fd9f5e31f17e3f0a00f195748994b8ac80dcc7f0a"),
     ("pair", ("--rf", "lorentzian", "--nodes", "4"),
      "1756037812123954513fa9b8881bcb1a906bda83acb86f9f878a63896d40d625"),

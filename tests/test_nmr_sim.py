@@ -1192,17 +1192,22 @@ def close(got, want, rel=1e-13):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_run_of_rotations_matches_successive_conjugations(n, conjugate_local, monkeypatch):
-    # scale-last stacks of one scale set take _rotate_rows' matmul branch,
-    # of three its broadcast branch; a run composes each spin's ops in time
-    # order, so it rotates every spin it touches once per side
+    # a run composes each spin's ops in time order.  A scale-last stack of
+    # three scale sets takes _rotate_rows' broadcast branch once per spin
+    # it touches and side; one of one set takes its matmul branch once per
+    # block of up to three adjacent spins and side, and with a pair on both
+    # sides of the run (here pairs of no delay, which carry only the Z
+    # parts) every block is real
     assert nm._rot2("y", 0.3).dtype == float
     rotated = []
     rotate = nm._rotate_rows
     monkeypatch.setattr(nm, "_rotate_rows",
-                        lambda op, src, dst, spin: rotated.append(spin)
+                        lambda op, src, dst, spin: rotated.append((spin, op.dtype == float))
                         or rotate(op, src, dst, spin))
     rng = np.random.default_rng(70 + n)
-    for rows, flipped, interleaved in itertools.product((1, 3), (False, True), (False, True)):
+    bare = (np.zeros((n, n)), 1.0)
+    for rows, flipped, interleaved, ride in itertools.product(
+            (1, 3), (False, True), (False, True), (False, True)):
         rho = (rng.normal(size=(rows, 2 ** n, 2 ** n))
                + 1j * rng.normal(size=(rows, 2 ** n, 2 ** n)))
         spins = [int(s) for s in rng.integers(n, size=n + 2)]
@@ -1221,9 +1226,16 @@ def test_a_run_of_rotations_matches_successive_conjugations(n, conjugate_local, 
         for s, op in run:
             nm._then(ops, s, op)
         rotated.clear()
-        got, _, now = nm._settle(None, ops, None, start, np.empty_like(start), flipped)
+        owed, gap = (bare + (None,), bare) if ride else (None, None)
+        *settled, owed = nm._settle(owed, ops, gap, start, np.empty_like(start), flipped)
+        passes = list(rotated)
+        got, _, now, _ = nm._settle(owed, {}, None, *settled)
         assert now != flipped
-        assert rotated == list(dict.fromkeys(spins)) * 2
+        if rows == 1:
+            assert len(passes) <= 2 * -(-n // 3) and passes[:len(passes) // 2] * 2 == passes
+            assert all(real for _, real in passes) or not ride
+        else:
+            assert [s for s, _ in passes] == list(dict.fromkeys(spins)) * 2
         assert close(np.moveaxis(got.swapaxes(0, 1) if now else got, -1, 0), want)
 
 
@@ -1350,11 +1362,12 @@ def digest_of(outputs):
 
 
 def test_rf_free_outputs_are_pinned_to_the_byte():
-    # one scale set takes the matmul branch of _rotate_rows, folds each
-    # refocused delay into one pair and each run of pulses into one
-    # rotation per spin; recorded with numpy 2.4, OpenBLAS 0.3.31 on x86-64
+    # one scale set folds each refocused delay into one pair and each run of
+    # pulses into one rotation per spin, applies the runs in blocks of up to
+    # three spins, and moves the Z parts of a run between two pairs into
+    # their factors; recorded with numpy 2.4, OpenBLAS 0.3.31 on x86-64
     assert digest_of(out for with_rf, out in pinned_outputs() if not with_rf) == (
-        "7d98f068bcfc5e7bae4ffecbe01852583864793a8eff419314955c4d20113b6d")
+        "3caeccf9159e8d495abf5d7eafe2199818ff3dc804cd14e7bad0f41d7e8a2691")
 
 
 def test_rf_outputs_are_pinned_to_the_byte():
@@ -1387,7 +1400,7 @@ def unfolded_outputs():
 def test_unfolded_delays_keep_their_bytes():
     # delays that keep their halves, with rotations composed per spin
     assert digest_of(unfolded_outputs()) == (
-        "1233fd0473506934bdb40b09d251546a5b2d876c127ea90c9ee591ded30548dc")
+        "959c4517938ae75e3346ab5523a05d2dd85a4f19dbe53eaac3477dee1943cf27")
 
 
 def test_outputs_are_pinned_to_the_byte():
@@ -1395,7 +1408,7 @@ def test_outputs_are_pinned_to_the_byte():
     # differ from the reference kernel's by rounding, which the test below
     # bounds at 1e-13 relative
     assert digest_of(out for _, out in pinned_outputs()) == (
-        "aa1dcd51a2cef81f8b9681c86649f8ec859582920d470d01472b3ba52897521a")
+        "ddff12923545f6757ba40f66a0b533b95d417bc1dc733833208a1eb30277606a")
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -1430,10 +1443,10 @@ def test_folded_delays_match_the_per_half_path(n, monkeypatch):
         assert close(got, reference_run_pure(system, rho, events, scales))
         pair = delay_pair(system, 7e-3, dephase, refocus)
         if pair is not None:
-            g = nm._gap_factor(system, *pair, False, out).copy()
+            g = nm._gap_factor(*pair, None, False, out).copy()
             assert (np.diag(g) == 1.0).all()
             # a flipped stack holds each rho transposed: its factor is G^T = G*
-            assert np.array_equal(nm._gap_factor(system, *pair, True, out), g.conj())
+            assert np.array_equal(nm._gap_factor(*pair, None, True, out), g.conj())
         assert nm.identity_offset(system, events) < 1e-12
 
 
@@ -1520,6 +1533,39 @@ def test_composed_runs_and_gaps_match_the_reference_kernel(n, sets, data):
     rho = rand_deviation(n, rng)
     assert close(nm._run_pure(system, rho, events, scales, lead=lead),
                  reference_run_pure(system, rho, events, scales, lead=lead))
+
+
+# what may stand between two runs: a zero-length delay does nothing, so the
+# runs on either side of it join
+BETWEEN_RUNS = ("free", "refocused", "t1", "zero")
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(min_value=1, max_value=8), st.data())
+def test_z_parts_riding_on_gaps_match_the_reference_kernel(n, data):
+    # one scale set: each complex op of a run with a pair on both sides
+    # splits, its Z parts riding as fields on those pairs' factors and its
+    # real part applied in blocks.  Drawn: runs of x pulses only, so that
+    # every op is complex; a first run with or without a delay before it,
+    # and a last with or without one after it; free, refocused, T1 and
+    # zero-length delays between runs
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    system = replace(coupled_system(n, rng), t1=tuple(rng.uniform(0.05, 1.0, size=n)))
+    events = GAP_EVENTS["free"](draw, n) if draw(st.booleans()) else []
+    runs = draw(st.integers(1, 4))
+    for k in range(runs):
+        axes = draw(st.sampled_from(["x", "xy"]))
+        events += [nm.pulse(draw(st.integers(0, n - 1)), draw(st.sampled_from(axes)),
+                            draw(st.floats(-math.pi, math.pi)))
+                   for _ in range(draw(st.integers(1, 2 * n)))]
+        if k < runs - 1:
+            events += GAP_EVENTS[draw(st.sampled_from(BETWEEN_RUNS))](draw, n)
+    if draw(st.booleans()):
+        events += GAP_EVENTS["free"](draw, n)
+    rho, scales = rand_deviation(n, rng), np.ones((1, n))
+    assert close(nm._run_pure(system, rho, events, scales),
+                 reference_run_pure(system, rho, events, scales))
 
 
 def test_eight_spin_run_sequence_peaks_under_five_mib():

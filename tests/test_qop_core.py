@@ -191,6 +191,9 @@ def test_ising_diagonal_matches_the_pair_loop(n):
     for a in range(n):
         for b in range(a + 1, n):
             want = want + j[a, b] * z[a] * z[b]
+    # no fields: the pair rows alone, the values that zero fields give
+    assert np.array_equal(qc.ising_diagonal(None, j), want)
+    assert np.array_equal(qc.ising_diagonal(None, j), qc.ising_diagonal(np.zeros(n), j))
     for a in range(n):
         want = want + h[a] * z[a]
     # the same sum in the same order: equal to the last bit

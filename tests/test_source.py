@@ -458,6 +458,8 @@ REFERENCES = {
     "nmr_sim._gap_factor": ("test_nmr_sim", "reference_run_pure"),
     "nmr_sim._settle": ("test_nmr_sim", "reference_run_pure"),
     "nmr_sim._then": ("test_nmr_sim", "reference_run_pure"),
+    "nmr_sim._split": ("test_nmr_sim", "reference_run_pure"),
+    "nmr_sim._blocks": ("test_nmr_sim", "reference_run_pure"),
     "nmr_sim.two_bit_sweep": ("test_nmr_sim", "_pointwise_sweep"),
     "nmr_sim.dj_thermal": ("test_nmr_sim", "_convolution_dj_reference"),
     "nmr_sim.peak_integrals": ("test_nmr_sim", "_looped_peak_integrals"),
