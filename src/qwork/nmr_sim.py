@@ -548,7 +548,7 @@ def thermal_state(system):
     """High-temperature deviation: diagonal sum of omega_i Z_i / 2."""
     n = system.n
     diag = ising_diagonal(np.array(system.omega) / 2.0, np.zeros((n, n)))
-    return np.diag(diag).astype(complex)
+    return np.diag(diag.astype(complex))
 
 
 def thermal_scale(system, temperature=298.0):
@@ -694,9 +694,9 @@ def hybrid_label(n, omegas):
     dim = 2 ** n
     half = dim // 2
     diag = ising_diagonal(np.array(omegas) / 2.0, np.zeros((n, n)))
+    idx = np.arange(dim)
     # fan-out: when spin 1 reads |1>, flip every other spin
-    perm1 = np.array([x ^ (half - 1) if x & half else x for x in range(dim)])
-    avg = (diag + diag[perm1]) / 2.0
+    avg = (diag + diag[idx ^ np.where(idx & half, half - 1, 0)]) / 2.0
     # conditional flip of spin 1 when the rest are all |1>
     perm2 = np.arange(dim)
     perm2[half - 1], perm2[dim - 1] = dim - 1, half - 1
@@ -706,7 +706,7 @@ def hybrid_label(n, omegas):
     gates_fanout = n - 1
     gates_flip = 1 if n == 2 else 8 * (n - 2)
     return {
-        "state": np.diag(eff).astype(complex),
+        "state": np.diag(eff.astype(complex)),
         "upper_block": np.diag(upper),
         "lower_block": np.diag(lower),
         "gate_count": {"fanout": gates_fanout, "conditional_flip": gates_flip,
@@ -766,7 +766,7 @@ def dj_thermal(n, f, p):
     else:
         raise ValueError("p must have length n or n+1")
     dim = 2 ** n
-    table = np.array([int(bool(f(x))) for x in range(dim)])
+    table = np.fromiter(map(bool, map(f, range(dim))), dtype=bool, count=dim)
     ones = int(table.sum())
     if ones not in (0, dim, dim // 2):
         raise ValueError("oracle is neither constant nor balanced")

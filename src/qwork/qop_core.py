@@ -77,11 +77,6 @@ def dagger(m):
     return np.conjugate(np.transpose(m))
 
 
-def is_hermitian(m, tol=DEFAULT_TOL):
-    check_positive("tol", tol)
-    return bool(np.abs(m - dagger(m)).max() <= tol)
-
-
 def unitaries_equal_up_to_phase(u, v, tol=DEFAULT_TOL):
     """Phase-insensitive unitary equality: | tr(U† V) | / d == 1."""
     check_positive("tol", tol)

@@ -674,37 +674,42 @@ def ad_correctable(code, t):
     return AdReport(not rejections, t, len(codes), rejections, negated)
 
 
+_GATHER_ENTRIES = 1 << 16   # entries of one gathered stack in _ad_blocks, 1 MiB
+
+
 def _ad_blocks(basis, codes):
     """basis^dagger W basis for the damping word W of each letter-code row.
 
     Every non-I letter has a single nonzero entry in _AD_MATRIX, so W sends
     basis index j to j ^ flip, times the product of those entries, when
     each non-I qubit of j holds its letter's input bit, and to zero
-    otherwise.  Words with one flip pattern share one table of
-    conj(basis[j ^ flip])^T basis[j], and their blocks are one 0/1-mask
-    product with it.  Only the j where some codeword is nonzero enter: the
-    other rows of the table are exact zeros.
+    otherwise.  So the blocks are one gather of basis^dagger at j ^ flip,
+    over the j where some codeword is nonzero and with a j that misses the
+    inputs reading a zero column appended to it, and one GEMM with basis[j].
     """
-    k = basis.shape[1]
-    care, need, flip = np.zeros((3, len(_AD_LETTERS)), dtype=np.int64)
-    entry = np.ones(len(_AD_LETTERS), dtype=complex)
+    dim, k = basis.shape
+    masks = np.zeros((3, len(_AD_LETTERS)), dtype=np.int64)   # care, need, flip
+    entry = np.ones(len(_AD_LETTERS))
     for c, letter in enumerate(_AD_LETTERS[1:], 1):
         (out, inp), = np.argwhere(_AD_MATRIX[letter])
-        care[c], need[c], flip[c] = 1, inp, out ^ inp
-        entry[c] = _AD_MATRIX[letter][out, inp]
+        masks[:, c] = 1, inp, out ^ inp
+        entry[c] = _AD_MATRIX[letter][out, inp].real
     bits = 1 << np.arange(codes.shape[1] - 1, -1, -1)   # qubit 0 is the top bit
-    word_care, word_need, word_flip = (table[codes] @ bits
-                                       for table in (care, need, flip))
+    care, need, flip = np.take(masks, codes, axis=1) @ bits
     index = np.flatnonzero(np.abs(basis).max(axis=1))
+    padded = np.concatenate([basis.T.conj(), np.zeros((k, 1))], axis=1)
     blocks = np.empty((len(codes), k, k), dtype=complex)
-    flips, group = np.unique(word_flip, return_inverse=True)
-    for g, f in enumerate(flips):
-        rows = np.flatnonzero(group == g)
-        mask = (index & word_care[rows, None]) == word_need[rows, None]
-        table = basis[index ^ f].conj()[:, :, None] * basis[index, None, :]
-        blocks[rows] = (mask @ table.reshape(len(index), k * k).view(np.float64)
-                        ).view(complex).reshape(-1, k, k)
-    return blocks * entry[codes].prod(axis=1)[:, None, None]
+    step = max(1, _GATHER_ENTRIES // (k * len(index)))
+    for w in range(0, len(codes), step):
+        cut = slice(w, w + step)
+        gather = np.where((index & care[cut, None]) == need[cut, None],
+                          index ^ flip[cut, None], dim)
+        stack = np.take(padded, gather, axis=1).reshape(-1, len(index))
+        blocks[cut] = (stack @ basis[index]).reshape(k, -1, k).transpose(1, 0, 2)
+    scale = np.ones(len(codes))
+    for column in codes.T:
+        scale *= np.take(entry, column)
+    return blocks * scale[:, None, None]
 
 
 def ad_dense_check(code, t):

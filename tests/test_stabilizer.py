@@ -349,26 +349,74 @@ def test_ad4_distance_gap():
     assert st.ad_correctable(code, 1).correctable
 
 
+def _letter_matrix_blocks(basis, words):
+    """basis^dagger W basis for each damping word, W applied letter by
+    letter through its dense 2 x 2 matrices."""
+    return np.array([basis.conj().T @ word.apply(basis) for word in words])
+
+
 def test_dense_gather_matches_letter_matrices():
     # the masked row gather against the letters' dense matrices
     basis = np.column_stack(st.codewords(st.ad4()))
     words = st.ad_words(4, 2)
     blocks = st._ad_blocks(basis, st._ad_codes(4, 2))
-    assert len(blocks) == len(words)
-    for word, block in zip(words, blocks):
-        assert np.abs(block - basis.conj().T @ word.apply(basis)).max() < 1e-14
+    assert blocks.shape == (len(words), 2, 2)
+    assert np.abs(blocks - _letter_matrix_blocks(basis, words)).max() < 1e-14
 
 
-@pytest.mark.parametrize("name,t", [("ad7", 1), ("five_qubit", 1),
-                                    ("steane7", 1), ("shor9", 1)])
+@pytest.mark.parametrize("name,t", [(name, t) for t in (1, 2) for name in (
+    "ad4", "ad7", "five_qubit", "steane7", "shor9")])
 def test_support_gather_matches_letter_matrices(name, t):
     # the gather runs over the rows where some codeword is nonzero; every
     # other row of W basis meets only zeros of basis^dagger
     code = getattr(st, name)()
     basis = np.column_stack(st.codewords(code))
     blocks = st._ad_blocks(basis, st._ad_codes(code.n, t))
-    for word, block in zip(st.ad_words(code.n, t), blocks):
-        assert np.abs(block - basis.conj().T @ word.apply(basis)).max() < 1e-14
+    want = _letter_matrix_blocks(basis, st.ad_words(code.n, t))
+    assert np.abs(blocks - want).max() < 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=hst.integers(1, 6), k=hst.integers(1, 3), t=hst.integers(1, 2),
+       seed=hst.integers(0, 2 ** 32 - 1), full=hst.booleans())
+def test_gather_matches_letter_matrices_on_random_bases(n, k, t, seed, full):
+    # unit columns on every row, or on a random subset of rows, so that
+    # words move support rows onto rows outside it and the letters' input
+    # bits miss some rows; at n = 6, t = 2 with k > 1 on every row the
+    # 604 words take two chunks
+    rng = np.random.default_rng(seed)
+    basis = rng.normal(size=(1 << n, k)) + 1j * rng.normal(size=(1 << n, k))
+    if not full:
+        basis[rng.random(1 << n) < 0.5] = 0
+        basis[rng.integers(1 << n)] += 1
+    basis /= np.linalg.norm(basis, axis=0)
+    blocks = st._ad_blocks(basis, st._ad_codes(n, t))
+    want = _letter_matrix_blocks(basis, st.ad_words(n, t))
+    assert np.abs(blocks - want).max() < 1e-14
+
+
+def test_gather_is_chunked_on_a_full_support_code(monkeypatch):
+    # the XX chain's codewords |+...+> and |-...-> are nonzero on every
+    # row, so all 3856 words gathered at once would hold 2 * 3856 * 1024
+    # complex entries, 120 MiB
+    code = st.StabilizerCode.from_strings(
+        ["I" * i + "XX" + "I" * (8 - i) for i in range(9)],
+        logical_x=["Z" * 10], logical_z=["X" + "I" * 9])
+    basis = np.column_stack(st.codewords(code))
+    codes = st._ad_codes(10, 2)
+    tracemalloc.start()
+    try:
+        blocks = st._ad_blocks(basis, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    sample = np.arange(0, len(codes), 97)
+    want = _letter_matrix_blocks(basis, [st._ad_word(c) for c in codes[sample]])
+    assert np.abs(blocks[sample] - want).max() < 1e-14
+    # a chunk of one word gives the same blocks
+    monkeypatch.setattr(st, "_GATHER_ENTRIES", 1)
+    assert np.abs(st._ad_blocks(basis, codes[sample]) - want).max() < 1e-14
 
 
 @pytest.mark.parametrize("max_weight", [2.5, 0, -3, float("nan")])
@@ -808,6 +856,18 @@ def test_teleport_refuses_a_branch_of_the_wrong_weight(scale):
     verdict = st._teleport(st.T_GATE, "x", ancillas, 4, 1e-10,
                            np.random.default_rng(0))
     assert verdict is (abs(scale) == 1)
+
+
+@pytest.mark.parametrize("excess,passes", [(3.0, False), (0.3, True)])
+def test_relocation_residual_is_held_to_tol(excess, passes):
+    # the excess sits on an entry where ideal is zero, so it leaves c and
+    # |c|^2 as they were and the residual alone, excess * tol, decides: a
+    # bound of 10 * tol let the 3 * tol residual through
+    tol = 1e-8
+    ideal = np.array([0.6, 0.8j, 0.0, 0.0])[:, None, None]
+    out = np.exp(0.7j) * ideal
+    out[2, 0, 0] += excess * tol
+    assert st._relocates(out, ideal, 1.0, tol) is passes
 
 
 def _mutate_controlled(monkeypatch, index, mutate):
