@@ -644,21 +644,16 @@ def state_tomography(prepare, tol=1e-8):
 # ---------------------------------------------------------------------------
 # labeling
 
-def temporal_label(system, preps, rho=None):
-    """Sum of prepared copies: one experiment per preparation, results added.
+def temporal_label(system, preps):
+    """Sum of prepared copies of the thermal deviation: one experiment per
+    preparation, results added.
 
-    Each prep is None (no pulses), a unitary matrix, or an event list.
+    Each prep is None (no pulses) or an event list, which run_sequence checks.
     """
-    base = thermal_state(system) if rho is None else np.asarray(rho, complex)
+    base = thermal_state(system)
     total = np.zeros_like(base)
     for prep in preps:
-        if prep is None:
-            total = total + base
-        elif isinstance(prep, (list, tuple)) and (not prep or isinstance(prep[0], Event)):
-            total = total + run_sequence(system, base, prep)
-        else:
-            u = np.asarray(prep, dtype=complex)
-            total = total + u @ base @ u.conj().T
+        total = total + (base if prep is None else run_sequence(system, base, prep))
     return total
 
 
@@ -829,10 +824,6 @@ class RfModel:
         object.__setattr__(self, "widths", tuple(self.widths))
         for w in self.widths:
             check_positive("widths", w)
-
-    @classmethod
-    def none(cls):
-        return cls(kind="none")
 
     @classmethod
     def lorentzian(cls, attenuations=(0.96, 0.92), nodes=32,

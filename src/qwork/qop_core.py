@@ -77,13 +77,6 @@ def dagger(m):
     return np.conjugate(np.transpose(m))
 
 
-def unitaries_equal_up_to_phase(u, v, tol=DEFAULT_TOL):
-    """Phase-insensitive unitary equality: | tr(U† V) | / d == 1."""
-    check_positive("tol", tol)
-    d = u.shape[0]
-    return abs(abs(np.trace(dagger(u) @ v)) / d - 1.0) <= tol
-
-
 @lru_cache(maxsize=16)
 def z_signs(n):
     """Read-only (n, 2**n) table of Z eigenvalues: entry [q, x] is
@@ -334,20 +327,6 @@ def compose(outer, inner):
 
 def tensor(a, b):
     return QuantumChannel([np.kron(x, y) for x in a.kraus for y in b.kraus])
-
-
-def partial_trace(rho, dims, index):
-    """Trace out subsystem ``index`` of a state on ordered subsystems ``dims``."""
-    mat = np.asarray(rho, dtype=complex)
-    dims = list(dims)
-    if mat.shape[0] != int(np.prod(dims)):
-        raise ValueError("dims do not match state dimension")
-    n = len(dims)
-    t = mat.reshape(dims + dims)
-    out = np.trace(t, axis1=index, axis2=n + index)
-    keep = [d for k, d in enumerate(dims) if k != index]
-    dkeep = int(np.prod(keep)) if keep else 1
-    return out.reshape(dkeep, dkeep)
 
 
 def unitary_channel(u):

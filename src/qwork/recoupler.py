@@ -389,13 +389,6 @@ class PulseSchedule:
         return cls(d["n"], d["intervals"], d["dt"],
                    [list(b) for b in d["boundaries"]], d["target"])
 
-    def to_text(self):
-        lines = []
-        for b, spins in enumerate(self.boundaries):
-            label = " ".join(f"X{s}" for s in sorted(spins)) or "-"
-            lines.append(f"boundary {b}: {label}")
-        return "\n".join(lines)
-
 
 def _target_string(sign):
     if sign.pairs:

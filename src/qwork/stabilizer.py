@@ -73,7 +73,7 @@ class PauliWord:
                 s = s[len(prefix):]
                 break
         x = z = 0
-        for q, c in enumerate(s.upper()):
+        for q, c in enumerate(s):
             if c == "X":
                 x |= 1 << q
             elif c == "Z":
@@ -124,10 +124,6 @@ class PauliWord:
         if self.n != other.n:
             raise ValueError("qubit counts differ")
         return (_parity(self.x & other.z) ^ _parity(self.z & other.x)) == 0
-
-    @property
-    def weight(self):
-        return bin(self.x | self.z).count("1")
 
     @property
     def is_hermitian(self):
@@ -186,8 +182,8 @@ class StabilizerCode:
             raise ValueError("generators must hold at least one word "
                              "(the qubit count is read from them)")
         to = PauliWord.from_string
-        code = cls(len(generators[0].lstrip("+-i")),
-                   [to(g) for g in generators],
+        words = [to(g) for g in generators]
+        code = cls(words[0].n, words,
                    [to(g) for g in logical_x], [to(g) for g in logical_z])
         return code.validate()
 
@@ -244,22 +240,8 @@ class StabilizerCode:
                                 d.get("logical_z", ()))
 
 
-# the dense checks build complex 2^n x 2^n matrices, 1 GiB at n = 13; the
-# parity check holds 2^(3a) amplitudes for a subset of a qubits, whatever n
-_DENSE_QUBITS = 12
+# the parity check holds 2^(3a) amplitudes for a subset of a qubits, whatever n
 _PARITY_SUBSET = 7
-
-
-def code_projector(code, max_qubits=_DENSE_QUBITS):
-    """Dense projector onto the joint +1 eigenspace of the generators."""
-    check_int("max_qubits", max_qubits, 1)
-    if code.n > max_qubits:
-        raise ValueError(f"projector capped at {max_qubits} qubits")
-    dim = 1 << code.n
-    p = np.eye(dim, dtype=complex)
-    for g in code.generators:
-        p = (p + g.matrix() @ p) / 2
-    return p
 
 
 def codewords(code, tol=DEFAULT_TOL):
@@ -425,16 +407,6 @@ def _weight_masks(n, w):
             ((letters > 0) * bits).sum(axis=2).ravel())
 
 
-def weight_words(n, w):
-    """All Pauli words of exact weight w (no phase prefix)."""
-    check_int("n", n, 1)
-    check_int("w", w, 0)
-    _check_masks(n)
-    x, z = _weight_masks(n, w)
-    return [PauliWord(n, a, b, 1j ** bin(a & b).count("1"))
-            for a, b in zip(x.tolist(), z.tolist())]
-
-
 def pauli_distance(code, max_weight=None):
     """Smallest weight of an undetected non-stabilizer word."""
     top = code.n if max_weight is None else max_weight
@@ -463,60 +435,12 @@ _AD_LETTERS = ("I", "B", "Ad", "A")
 
 @dataclass(frozen=True)
 class AdWord:
-    """Tensor word over the damping letters; r counts raising/lowering
-    factors, s counts the diagonal B factors."""
+    """Tensor word over the damping letters I, A, A' (spelled "Ad") and B."""
 
     letters: tuple
 
-    @property
-    def n(self):
-        return len(self.letters)
-
-    @property
-    def r(self):
-        return sum(1 for c in self.letters if c in ("A", "Ad"))
-
-    @property
-    def s(self):
-        return sum(1 for c in self.letters if c == "B")
-
-    def relevant(self, t):
-        """Whether ad_words(n, t) lists this word: r + 2s <= 2t, with at
-        most t plain and at most t raised letters."""
-        check_int("t", t, 0)
-        return (self.r + 2 * self.s <= 2 * t and self.letters.count("A") <= t
-                and self.letters.count("Ad") <= t)
-
     def __str__(self):
         return "".join(c if c != "Ad" else "A'" for c in self.letters)
-
-    def _codes(self):
-        return np.array([[_AD_LETTERS.index(c) for c in self.letters]],
-                        dtype=np.int8)
-
-    def pauli_terms(self):
-        """Expansion into signed Pauli words: A = X - XZ, A' = X + XZ,
-        B = I - Z."""
-        _, x, z, sign = _ad_terms(self._codes())
-        return [PauliWord(self.n, int(a), int(b), complex(c))
-                for a, b, c in zip(x, z, sign)]
-
-    def times_stabilizer_sign(self, word):
-        """Sign c with (self * word) = c * self, or None when the product
-        changes letters.  Only Z letters can be absorbed."""
-        _, support, ab = _ad_masks(self._codes())
-        return _negation_sign(int(support[0]), int(ab[0]), word) or None
-
-    def matrix(self):
-        return kron_all(np.eye(1), *(_AD_MATRIX[letter] for letter in self.letters))
-
-    def apply(self, vec):
-        """The word applied to a state vector, or to each column of a matrix."""
-        out = np.asarray(vec, dtype=complex)
-        for q, letter in enumerate(self.letters):
-            if letter != "I":
-                out = apply_local(_AD_MATRIX[letter], out, (q,))
-        return out
 
 
 def _ad_word(codes):
@@ -782,69 +706,46 @@ class MeasureUpdate:
     kind: str            # "update" or "commuting"
     generators: list
     fixup: object
-    replaced: int
 
 
-def measure_update(generators, k_op, logicals=None):
-    """Rewrite a stabilizer presentation after measuring k_op.
+def measure_update(generators, k_op, logicals=()):
+    """Rewrite a stabilizer presentation of dense matrices after measuring k_op.
 
     The first generator anticommuting with k_op is replaced by k_op and
     doubles as the fix-up for the -1 outcome; every other anticommuting
     generator (and logical) absorbs it.  If nothing anticommutes the
     measurement is of a logical/stabilizer value and nothing changes.
     """
-    symbolic = isinstance(k_op, PauliWord)
-    gens = list(generators)
-    logicals = list(logicals) if logicals is not None else []
+    k_op = np.asarray(k_op, dtype=complex)
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    logicals = [np.asarray(g, dtype=complex) for g in logicals]
+    # each test is negated so that a NaN entry fails it
+    if not np.abs(k_op @ k_op - np.eye(len(k_op))).max() <= 1e-8:
+        raise ValueError("measured operator k_op must square to identity")
+    if not np.abs(k_op - dagger(k_op)).max() <= 1e-8:
+        raise ValueError("measured operator k_op must be hermitian")
 
-    if symbolic:
-        def anticommutes(g):
-            return not g.commutes(k_op)
-
-        def absorb(g):
-            return g * m1
-    else:
-        k_op = np.asarray(k_op, dtype=complex)
-        if np.abs(k_op @ k_op - np.eye(len(k_op))).max() > 1e-8:
-            raise ValueError("measured operator must square to identity")
-        if np.abs(k_op - dagger(k_op)).max() > 1e-8:
-            raise ValueError("measured operator must be hermitian")
-        gens = [g.matrix() if isinstance(g, PauliWord)
-                else np.asarray(g, dtype=complex) for g in gens]
-        logicals = [g.matrix() if isinstance(g, PauliWord)
-                    else np.asarray(g, dtype=complex) for g in logicals]
-
-        def anticommutes(g):
+    def anticommuting(name, ops):
+        out = []
+        for g in ops:
             anti = np.abs(g @ k_op + k_op @ g).max()
-            comm = np.abs(g @ k_op - k_op @ g).max()
-            if anti > 1e-8 and comm > 1e-8:
-                raise ValueError("generator neither commutes nor anticommutes")
-            return anti <= 1e-8
+            if not (anti <= 1e-8 or np.abs(g @ k_op - k_op @ g).max() <= 1e-8):
+                raise ValueError(f"each of {name} must commute or anticommute "
+                                 f"with k_op")
+            out.append(anti <= 1e-8)
+        return out
 
-        def absorb(g):
-            return g @ m1
+    anti = anticommuting("generators", gens)
+    anti_logicals = anticommuting("logicals", logicals)
+    if not any(anti):
+        return MeasureUpdate("commuting", gens, None), logicals
 
-    anti = [i for i, g in enumerate(gens) if anticommutes(g)]
-    if not anti:
-        return MeasureUpdate("commuting", gens, None, -1), logicals
-
-    idx = anti[0]
+    idx = anti.index(True)
     m1 = gens[idx]
-    new_gens = [k_op if i == idx else (absorb(g) if i in anti else g)
-                for i, g in enumerate(gens)]
-    new_logicals = [absorb(g) if anticommutes(g) else g for g in logicals]
-    return MeasureUpdate("update", new_gens, m1, idx), new_logicals
-
-
-def measure_update_code(code, k_op):
-    """measure_update lifted to a StabilizerCode."""
-    update, logs = measure_update(
-        code.generators, k_op, code.logical_x + code.logical_z)
-    if update.kind == "commuting":
-        return update, code
-    kx = len(code.logical_x)
-    new = StabilizerCode(code.n, update.generators, logs[:kx], logs[kx:])
-    return update, new
+    new_gens = [k_op if i == idx else (g @ m1 if a else g)
+                for i, (g, a) in enumerate(zip(gens, anti))]
+    new_logicals = [g @ m1 if a else g for g, a in zip(logicals, anti_logicals)]
+    return MeasureUpdate("update", new_gens, m1), new_logicals
 
 
 # ---------------------------------------------------------------------------

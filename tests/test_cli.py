@@ -82,6 +82,19 @@ def test_malformed_code_fixture_exits_3(tmp_path, capsys, payload):
     assert "odd.json" in err and ("generators" in err or "logical_x" in err)
 
 
+def test_lowercase_code_fixture_exits_3_naming_the_letter(tmp_path, capsys):
+    # "izz" read as i * ZZ on two qubits, so a lowercase file either moved
+    # its qubit count or was refused as "bad generator iIZZ"
+    (tmp_path / "lower.json").write_text(json.dumps({
+        "kind": "stabilizer_code", "name": "lower",
+        "payload": {"generators": ["xxxx", "zzii", "iizz"],
+                    "logical_x": ["xxii"], "logical_z": ["zizi"]}}))
+    code, out, err = run_cli(capsys, "--fixture-dir", str(tmp_path),
+                             "stab", "check", "--code", "lower")
+    assert code == 3 and out == ""
+    assert "lower.json" in err and "bad Pauli letter 'x'" in err
+
+
 @pytest.mark.parametrize("args", [
     ("nmr", "thermal"),
     ("nmr", "two-bit", "--theta", "0", "--td", "0", "--mode", "coded"),

@@ -303,30 +303,114 @@ def _attribute_reads(node):
     return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
 
 
-def test_no_unread_public_names():
-    # a public function, method or property of the package that nothing in
-    # src, tests or perfbench reads is dead code; reads inside its own
-    # definition (recursion) do not count.  A method or property is read
-    # only as an attribute (.name): a bare name that matches it, such as a
-    # local variable, does not count
-    root = Path(qwork.__file__).resolve().parents[2]
-    trees = [ast.parse(path.read_text(), filename=str(path))
-             for top in ("src", "tests", "perfbench")
-             for path in sorted((root / top).rglob("*.py"))]
-    everywhere = {reads: [name for tree in trees for name in reads(tree)]
-                  for reads in (_reads, _attribute_reads)}
+def _looked_up_by_name(tree):
+    # the strings a loop or comprehension over a literal tuple passes to
+    # getattr, as the CLI builds its built-in codes from their names
     found = []
+    for node in ast.walk(tree):
+        for loop in [node] if isinstance(node, ast.For) else getattr(node, "generators", []):
+            if not (isinstance(loop.target, ast.Name) and isinstance(loop.iter, ast.Tuple)):
+                continue
+            if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+                   and len(call.args) > 1
+                   and getattr(call.args[1], "id", None) == loop.target.id
+                   for call in ast.walk(node)):
+                found += [e.value for e in loop.iter.elts if isinstance(e, ast.Constant)]
+    return found
+
+
+def _read_names(paths):
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    return {_reads: [name for tree in trees
+                     for name in _reads(tree) + _looked_up_by_name(tree)],
+            _attribute_reads: [name for tree in trees for name in _attribute_reads(tree)]}
+
+
+def _public_functions():
+    # (module.name or module.Class.name, file:line, node, the reads that
+    # count for it) of every public function, method and property
     for path in sorted(Path(qwork.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         scopes = [("", tree, _reads)] + [
             (node.name + ".", node, _attribute_reads) for node in tree.body
             if isinstance(node, ast.ClassDef) and not _called_by_click(node)]
-        found += [f"{path.name}:{node.lineno} {prefix}{node.name}"
-                  for prefix, scope, reads in scopes for node in scope.body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and not node.name.startswith("_") and not _called_by_click(node)
-                  and everywhere[reads].count(node.name) == reads(node).count(node.name)]
+        yield from ((f"{path.stem}.{prefix}{node.name}", f"{path.name}:{node.lineno}",
+                     node, reads)
+                    for prefix, scope, reads in scopes for node in scope.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_") and not _called_by_click(node))
+
+
+def _outside_reads():
+    # src, perfbench and the acceptance battery: every reader but the tests
+    root = Path(qwork.__file__).resolve().parents[2]
+    return _read_names([path for top in ("src", "perfbench")
+                        for path in sorted((root / top).rglob("*.py"))]
+                       + [Path(__file__).parent / "test_acceptance.py"])
+
+
+# public names that only the tests read.  Each reproduces a result of the
+# source paper, Leung, "Towards robust quantum computation" (cs/0012017), or
+# is a reference the tests compare against; its row cites the work
+LIBRARY_RESULTS = {
+    "bosonic_codes.construct_t1": "one-loss codes from rotation orbits; Chuang, "
+                                  "Leung & Yamamoto, PRA 56, 1114 (1997)",
+    "bosonic_codes.construct_t2": "two-loss codes from an orbit and its reversal; "
+                                  "PRA 56, 1114",
+    "bosonic_codes.existence_min_NT": "the counting bound on total quanta; PRA 56, 1114",
+    "bosonic_codes.balance_weights": "moment-matching codeword weights; PRA 56, 1114",
+    "nmr_sim.cyclic_label_ops": "temporal labeling by cyclic permutations; Knill, "
+                                "Chuang & Laflamme, PRA 57, 3348 (1998)",
+    "qop_core.channels_equal": "equal channels have equal Choi matrices; Choi, Lin. "
+                               "Alg. Appl. 10, 285 (1975)",
+    "qop_core.tensor": "operations on independent systems have Kraus operators "
+                       "A_j (x) B_k; Kraus, States, Effects and Operations (1983)",
+    "qop_core.ChoiMatrix.as_state": "the channel as a state; Jamiolkowski, Rep. "
+                                    "Math. Phys. 3, 275 (1972)",
+    "qop_core.LinearRep.unital": "a qubit channel is unital when its affine "
+                                 "translation is zero; Fujiwara & Algoet, PRA 59, "
+                                 "3290 (1999)",
+    "recoupler.plan_chain_decouple": "a chain of coupling range < k decoupled in "
+                                     "k-bar intervals; Leung, Chuang, Yamaguchi & "
+                                     "Yamamoto, PRA 61, 042310 (2000)",
+    "stabilizer.pauli_correctable": "the Knill-Laflamme condition on Pauli errors; "
+                                    "Knill & Laflamme, PRA 55, 900 (1997)",
+    "stabilizer.ad_words": "the damping errors of order t; Leung, Nielsen, Chuang & "
+                           "Yamamoto, PRA 56, 2567 (1997)",
+    "stabilizer.verify_parity_measurement": "cat-state parity measurement; "
+                                            "DiVincenzo & Shor, PRL 77, 3260 (1996)",
+    "stabilizer.hierarchy_level": "the conjugation hierarchy; Gottesman & Chuang, "
+                                  "Nature 402, 390 (1999)",
+    "stabilizer.StabilizerCode.stabilizer_group": "the tests' reference for group "
+                                                  "membership; Gottesman, PhD "
+                                                  "thesis (1997)",
+}
+
+
+def test_no_unread_public_names():
+    # a public function, method or property of the package that nothing in
+    # src, perfbench or the acceptance battery reads is dead code, unless
+    # it is a LIBRARY_RESULTS row: only then do the other tests' reads
+    # count.  Reads inside its own definition (recursion) do not count.  A
+    # method or property is read only as an attribute (.name): a bare name
+    # that matches it, such as a local variable, does not count
+    outside = _outside_reads()
+    tests = _read_names(path for path in sorted(Path(__file__).parent.glob("*.py"))
+                        if path.name != "test_acceptance.py")
+    found = [f"{line} {key}" for key, line, node, reads in _public_functions()
+             if outside[reads].count(node.name)
+             + (tests[reads].count(node.name) if key in LIBRARY_RESULTS else 0)
+             == reads(node).count(node.name)]
     assert found == []
+
+
+def test_library_results_have_no_other_reader():
+    # a row whose name is gone, or has gained a reader outside the tests,
+    # would exempt nothing
+    outside = _outside_reads()
+    test_only = {key for key, _, node, reads in _public_functions()
+                 if outside[reads].count(node.name) == reads(node).count(node.name)}
+    assert sorted(set(LIBRARY_RESULTS) - test_only) == []
 
 
 def _is_math_inf(node):
@@ -372,8 +456,6 @@ _FLIPS = [np.eye(8)] + [np.eye(8)[np.arange(8) ^ (1 << k)] for k in range(3)]
 # one call per public tolerance parameter, each refused at a valid
 # tolerance where it can be: a NaN tolerance let these through
 TOLERANCES = {
-    "qop_core.unitaries_equal_up_to_phase.tol":
-        lambda v: qc.unitaries_equal_up_to_phase(qc.SX, qc.SX, tol=v),
     "qop_core.QuantumChannel.__init__.tol":
         lambda v: qc.QuantumChannel([2 * qc.I2], tol=v),
     "qop_core.kraus_from_choi.tol": lambda v: qc.kraus_from_choi(qc.choi_of(_DEPOL), tol=v),

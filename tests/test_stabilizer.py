@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as hst
 
+from qwork import qop_core as qc
 from qwork import stabilizer as st
 from qwork.qec_engine import four_bit_code
 
@@ -62,12 +63,6 @@ def test_apply_acts_on_each_column():
     w = st.PauliWord.from_string("-iYZX")
     m = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
     assert np.allclose(w.apply(m), w.matrix() @ m)
-
-
-def test_weight():
-    assert st.PauliWord.from_string("XZZXI").weight == 4
-    assert st.identity_word(6).weight == 0
-    assert st.single_qubit_word(6, 3, "Y").weight == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,6 +150,23 @@ def test_validation_names_the_parameter():
         st.StabilizerCode.from_strings(["ZZI"], ["XXX"], ["ZII"])
 
 
+def test_pauli_letters_are_uppercase_only():
+    # a lowercase i reads as a phase prefix, so "izz" was i * ZZ on two
+    # qubits and "iIZZ" a bad generator of a four-qubit code
+    for text in ("izz", "xI", "-z"):
+        with pytest.raises(ValueError, match="bad Pauli letter"):
+            st.PauliWord.from_string(text)
+    with pytest.raises(ValueError, match="bad Pauli letter 'x'"):
+        st.StabilizerCode.from_strings(["xxxx", "zzii", "iizz"])
+
+
+def test_code_qubit_count_is_the_first_parsed_word():
+    # the count was a second parse, len(text.lstrip("+-i")), which kept
+    # the space that from_string strips
+    assert st.StabilizerCode.from_strings(["ZZ ", "-XX"]).n == 2
+    assert st.StabilizerCode.from_strings(["-Y"]).n == 1
+
+
 def test_negative_logical_sign_normalized():
     code = st.StabilizerCode.from_strings(["ZZ"], logical_x=["-XX"],
                                           logical_z=["ZI"])
@@ -170,17 +182,28 @@ def test_json_round_trip():
 
 
 def test_projector_rank_and_group_size():
-    assert int(round(np.trace(st.code_projector(st.five_qubit())).real)) == 2
-    assert int(round(np.trace(st.code_projector(st.ad4())).real)) == 2
+    for code in (st.five_qubit(), st.ad4()):
+        p = np.eye(1 << code.n)
+        for g in code.generators:
+            p = (p + g.matrix() @ p) / 2
+        assert int(round(np.trace(p).real)) == 2
     assert len(st.shor9().stabilizer_group()) == 256
     assert len(st.five_qubit().stabilizer_group()) == 16
 
 
 # ------------------------------------------------------- Pauli correctability
 
+def weight_words(n, w):
+    # every Pauli word of exact weight w, hermitian with no sign, in
+    # _weight_masks order
+    x, z = st._weight_masks(n, w)
+    return [st.PauliWord(n, a, b, 1j ** bin(a & b).count("1"))
+            for a, b in zip(x.tolist(), z.tolist())]
+
+
 def test_five_qubit_corrects_weight_one():
     code = st.five_qubit()
-    errs = [st.identity_word(5)] + st.weight_words(5, 1)
+    errs = [st.identity_word(5)] + weight_words(5, 1)
     rep = st.pauli_correctable(code, errs)
     assert rep.correctable
     assert not rep.degenerate
@@ -200,7 +223,7 @@ def test_five_qubit_weight_two_violation():
     # adding one weight-2 error breaks the set: the quotient against Z4
     # is the undetected weight-3 word XXIZI
     code = st.five_qubit()
-    errs = [st.identity_word(5)] + st.weight_words(5, 1) + \
+    errs = [st.identity_word(5)] + weight_words(5, 1) + \
         [st.PauliWord.from_string("XXIII")]
     rep = st.pauli_correctable(code, errs)
     assert not rep.correctable
@@ -209,7 +232,7 @@ def test_five_qubit_weight_two_violation():
 
 
 def test_steane_corrects_weight_one():
-    errs = [st.identity_word(7)] + st.weight_words(7, 1)
+    errs = [st.identity_word(7)] + weight_words(7, 1)
     rep = st.pauli_correctable(st.steane7(), errs)
     assert rep.correctable
 
@@ -222,48 +245,66 @@ def test_pauli_distance(fn, d):
 
 # ----------------------------------------------------- damping correctability
 
+def _relevant(letters, t):
+    # the definition ad_words enumerates: r A/A' letters and s B letters
+    # with r + 2s <= 2t, at most t plain and at most t raised letters
+    r = letters.count("A") + letters.count("Ad")
+    return (r + 2 * letters.count("B") <= 2 * t and letters.count("A") <= t
+            and letters.count("Ad") <= t)
+
+
 def test_ad_word_counts():
-    assert st.AdWord(("Ad", "A", "I", "I")).r == 2
-    assert st.AdWord(("Ad", "A", "B", "I")).s == 1
-    assert st.AdWord(("A", "I", "I", "I")).relevant(1)
-    assert not st.AdWord(("A", "A", "B", "I")).relevant(1)
+    # r = 2 raising/lowering letters are order 1; one B more is order 2
+    assert st.AdWord(("Ad", "A", "I", "I")) in st.ad_words(4, 1)
+    assert st.AdWord(("Ad", "A", "B", "I")) not in st.ad_words(4, 1)
+    assert st.AdWord(("Ad", "A", "B", "I")) in st.ad_words(4, 2)
+    assert st.AdWord(("A", "I", "I", "I")) in st.ad_words(4, 1)
+    assert st.AdWord(("A", "A", "B", "I")) not in st.ad_words(4, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_relevant_matches_ad_words(n):
-    words = [st.AdWord(letters) for letters in
-             itertools.product(("I", "A", "Ad", "B"), repeat=n)]
+    every = list(itertools.product(("I", "A", "Ad", "B"), repeat=n))
     for t in range(4):
-        assert ({w for w in words if w.relevant(t)}
-                == set(st.ad_words(n, t))), t
+        assert ({letters for letters in every if _relevant(letters, t)}
+                == {w.letters for w in st.ad_words(n, t)}), t
     # two plain letters are order 1, but no quotient of two single losses
-    assert not st.AdWord(("A", "A", "I", "I")).relevant(1)
+    assert st.AdWord(("A", "A", "I", "I")) not in st.ad_words(4, 1)
+
+
+def _letter_codes(letters):
+    return np.array([[st._AD_LETTERS.index(c) for c in letters]], dtype=np.int8)
 
 
 def test_ad_expansion_matches_dense():
-    rng = np.random.default_rng(3)
+    # A = X - XZ, A' = X + XZ and B = I - Z: the signed Pauli terms of a
+    # word sum to the kron of its letters' matrices
     for letters in [("A", "I"), ("Ad", "B"), ("B", "I", "A"),
                     ("Ad", "A", "I", "I")]:
-        w = st.AdWord(letters)
-        acc = sum(t.matrix() for t in w.pauli_terms())
-        assert np.allclose(acc, w.matrix())
-        v = rng.normal(size=1 << w.n)
-        assert np.allclose(w.apply(v), w.matrix() @ v)
+        row, x, z, sign = st._ad_terms(_letter_codes(letters))
+        assert not row.any()
+        acc = sum(c * st.PauliWord(len(letters), a, b).matrix()
+                  for a, b, c in zip(x.tolist(), z.tolist(), sign.tolist()))
+        want = st.kron_all(*(st._AD_MATRIX[c] for c in letters))
+        assert np.array_equal(acc, want)
+
+
+def _negation(letters, word):
+    _, support, ab = st._ad_masks(_letter_codes(letters))
+    return st._negation_sign(int(support[0]), int(ab[0]),
+                             st.PauliWord.from_string(word))
 
 
 def test_stabilizer_negation_signs():
-    w = st.AdWord(("Ad", "A", "I", "I"))
-    assert w.times_stabilizer_sign(st.PauliWord.from_string("ZZII")) == -1
+    assert _negation(("Ad", "A", "I", "I"), "ZZII") == -1
     # two plain lowering letters pick up (-1)(-1)
-    w2 = st.AdWord(("A", "A", "I", "I"))
-    assert w2.times_stabilizer_sign(st.PauliWord.from_string("ZZII")) == 1
+    assert _negation(("A", "A", "I", "I"), "ZZII") == 1
     # identity letter cannot absorb a Z
-    assert w.times_stabilizer_sign(st.PauliWord.from_string("IIZZ")) is None
+    assert _negation(("Ad", "A", "I", "I"), "IIZZ") == 0
     # X letters never absorb
-    assert w.times_stabilizer_sign(st.PauliWord.from_string("XXII")) is None
-    shor_w = st.AdWord(("A", "A", "Ad", "I", "I", "I", "I", "I", "I"))
-    assert shor_w.times_stabilizer_sign(
-        st.PauliWord.from_string("IZZIIIIII")) == -1
+    assert _negation(("Ad", "A", "I", "I"), "XXII") == 0
+    assert _negation(("A", "A", "Ad", "I", "I", "I", "I", "I", "I"),
+                     "IZZIIIIII") == -1
 
 
 def _reference_ad_codes(n, t):
@@ -352,7 +393,14 @@ def test_ad4_distance_gap():
 def _letter_matrix_blocks(basis, words):
     """basis^dagger W basis for each damping word, W applied letter by
     letter through its dense 2 x 2 matrices."""
-    return np.array([basis.conj().T @ word.apply(basis) for word in words])
+    blocks = []
+    for word in words:
+        out = basis.astype(complex)
+        for q, letter in enumerate(word.letters):
+            if letter != "I":
+                out = qc.apply_local(st._AD_MATRIX[letter], out, (q,))
+        blocks.append(basis.conj().T @ out)
+    return np.array(blocks)
 
 
 def test_dense_gather_matches_letter_matrices():
@@ -458,7 +506,6 @@ def test_bit_array_checks_stop_at_63_qubits():
     wide = st.StabilizerCode.from_strings(["Z" * 64])
     for check in (lambda: st.ad_correctable(wide, 1),
                   lambda: st.pauli_distance(wide),
-                  lambda: st.weight_words(64, 1),
                   lambda: st.pauli_correctable(wide, [st.identity_word(64)])):
         with pytest.raises(ValueError, match="n=64"):
             check()
@@ -471,7 +518,7 @@ def _verdict_dump():
     out = {}
     for name in ("shor9", "steane7", "five_qubit", "ad4", "ad7"):
         code = getattr(st, name)()
-        errs = [st.identity_word(code.n)] + st.weight_words(code.n, 1)
+        errs = [st.identity_word(code.n)] + weight_words(code.n, 1)
         check = st.pauli_correctable(code, errs)
         entry = {"pauli_distance": st.pauli_distance(code),
                  "pauli_verdicts": [[i, j, kind]
@@ -502,27 +549,57 @@ def test_shor_order_three():
 
 # ---------------------------------------------------------- measurement update
 
+def _word(text):
+    return st.PauliWord.from_string(text).matrix()
+
+
 def test_measure_update_symbolic_anchor():
-    upd, _ = st.measure_update([st.PauliWord.from_string("Z")],
-                               st.PauliWord.from_string("X"))
+    upd, _ = st.measure_update([_word("Z")], _word("X"))
     assert upd.kind == "update"
-    assert [str(g) for g in upd.generators] == ["X"]
-    assert str(upd.fixup) == "Z"
+    assert np.array_equal(upd.generators[0], _word("X"))
+    assert len(upd.generators) == 1
+    assert np.array_equal(upd.fixup, _word("Z"))
 
 
 def test_measure_update_commuting_flag():
-    upd, _ = st.measure_update([st.PauliWord.from_string("ZZ")],
-                               st.PauliWord.from_string("IZ"))
+    upd, _ = st.measure_update([_word("ZZ")], _word("IZ"))
     assert upd.kind == "commuting"
     assert upd.fixup is None
 
 
+def _anticommute(a, b):
+    return np.allclose(a @ b, -b @ a)
+
+
 def test_measure_update_code_stays_valid():
+    # Z on qubit 1 anticommutes with IXZZX and ZXIXZ: the first is
+    # replaced and is the fix-up, and the second absorbs it, as does
+    # X-bar = XXXXX; Z-bar = ZZZZZ commutes and stays
     code = st.five_qubit()
-    upd, new = st.measure_update_code(code, st.single_qubit_word(5, 1, "Z"))
+    gens = [g.matrix() for g in code.generators]
+    logicals = [w.matrix() for w in code.logical_x + code.logical_z]
+    z1 = _word("IZIII")
+    upd, (xbar, zbar) = st.measure_update(gens, z1, logicals)
     assert upd.kind == "update"
-    new.validate()
-    assert str(new.generators[upd.replaced]) == "IZIII"
+    assert np.array_equal(upd.generators[1], z1)
+    assert np.array_equal(upd.fixup, gens[1])
+    assert np.array_equal(upd.generators[3], gens[3] @ gens[1])
+    for g in upd.generators:
+        assert not _anticommute(g, xbar) and not _anticommute(g, zbar)
+        assert all(not _anticommute(g, h) for h in upd.generators)
+    assert _anticommute(xbar, zbar)
+    assert np.array_equal(xbar, logicals[0] @ gens[1])
+    assert np.array_equal(zbar, logicals[1])
+
+
+@pytest.mark.parametrize("field", ["k_op", "generators", "logicals"])
+def test_measure_update_refuses_non_finite_operators(field):
+    # a NaN entry failed every "> 1e-8" test, so it passed as commuting
+    ops = {"generators": [st.SZ.astype(complex)], "k_op": st.SZ,
+           "logicals": [st.SX.astype(complex)]}
+    ops[field] = np.full((2, 2), math.nan) if field == "k_op" else [np.full((2, 2), math.nan)]
+    with pytest.raises(ValueError, match=field):
+        st.measure_update(ops["generators"], ops["k_op"], ops["logicals"])
 
 
 def test_measure_update_dense_t_prep():
@@ -943,8 +1020,8 @@ def _kinds(code, words):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_quotient_kinds_match_group_on_low_weight_words(name):
     code = getattr(st, name)()
-    words = ([st.identity_word(code.n)] + st.weight_words(code.n, 1)
-             + st.weight_words(code.n, 2))
+    words = ([st.identity_word(code.n)] + weight_words(code.n, 1)
+             + weight_words(code.n, 2))
     assert _kinds(code, words) == _reference_kinds(code, words)
 
 
@@ -1001,7 +1078,7 @@ def test_forty_qubit_repetition_code_without_group(monkeypatch):
 
     monkeypatch.setattr(st.StabilizerCode, "stabilizer_group", no_group)
     assert st.pauli_distance(code) == 1
-    errs = [st.identity_word(n)] + st.weight_words(n, 1)
+    errs = [st.identity_word(n)] + weight_words(n, 1)
     check = st.pauli_correctable(code, errs)
     for (i, j), kind in check.verdicts.items():
         x, z = errs[i].x ^ errs[j].x, errs[i].z ^ errs[j].z
@@ -1029,7 +1106,7 @@ def test_weight_words_match_letter_strings(n, w):
             for q, c in zip(qubits, letters):
                 s[q] = c
             want.append(st.PauliWord.from_string("".join(s)))
-    assert st.weight_words(n, w) == want
+    assert weight_words(n, w) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1064,7 +1141,7 @@ def test_hierarchy_level_cap_must_be_integer():
 def _negates(word, g):
     # g * W = -W: g has no X part, its Z letters sit on W's non-I letters,
     # and its sign times -1 for each Z on an A or a B letter is -1
-    zs = [q for q in range(word.n) if (g.z >> q) & 1]
+    zs = [q for q in range(len(word.letters)) if (g.z >> q) & 1]
     if g.x or any(word.letters[q] == "I" for q in zs):
         return False
     return g.phase * (-1) ** sum(word.letters[q] in ("A", "B") for q in zs) == -1
@@ -1133,9 +1210,6 @@ def test_negated_pairs_match_group_search_on_random_codes(code, t):
     (lambda: st.single_qubit_word(5, -1, "X"), "q"),
     (lambda: st.single_qubit_word(5, 7, "X"), "q"),
     (lambda: st.single_qubit_word(5, 1.5, "X"), "q"),
-    (lambda: st.weight_words(5, 2.5), "w"),
-    (lambda: st.weight_words(5, math.nan), "w"),
-    (lambda: st.weight_words(2.5, 1), "n"),
     (lambda: st.verify_parity_measurement([0], 1.5), "n"),
     (lambda: st.verify_parity_measurement([0, 1], 2, tol=math.nan), "tol"),
     (lambda: st.verify_teleport_identity("z", tol=math.nan), "tol"),
@@ -1145,7 +1219,6 @@ def test_negated_pairs_match_group_search_on_random_codes(code, t):
     (lambda: st.verify_teleport_identity("z", rng=5), "rng"),
     (lambda: st.verify_c3_construction("T", rng=5), "rng"),
 ], ids=["qubit-negative", "qubit-too-high", "qubit-fractional",
-        "weight-fractional", "weight-nan", "count-fractional",
         "parity-fractional-n", "parity-nan-tol", "teleport-nan-tol",
         "x-mask-too-wide", "z-mask-negative", "identity-nan-n",
         "teleport-int-rng", "c3-int-rng"])
@@ -1172,13 +1245,9 @@ ENTRY_POINTS = {
     "identity_word": lambda v: st.identity_word(v),
     "single_qubit_word.n": lambda v: st.single_qubit_word(v, 0, "X"),
     "single_qubit_word.q": lambda v: st.single_qubit_word(5, v, "X"),
-    "weight_words.n": lambda v: st.weight_words(v, 1),
-    "weight_words.w": lambda v: st.weight_words(5, v),
     "pauli_distance": lambda v: st.pauli_distance(st.ad4(), v),
-    "code_projector": lambda v: st.code_projector(st.ad4(), v),
     "codewords": lambda v: st.codewords(st.ad4(), v),
     "ad_words": lambda v: st.ad_words(4, v),
-    "AdWord.relevant": lambda v: st.AdWord(("A", "B", "I")).relevant(v),
     "ad_correctable": lambda v: st.ad_correctable(st.ad4(), v),
     "ad_dense_check": lambda v: st.ad_dense_check(st.ad4(), v),
     "hierarchy_level": lambda v: st.hierarchy_level(np.eye(2), v),
