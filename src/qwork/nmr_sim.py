@@ -517,6 +517,12 @@ def run_sequence(system, rho, events, rf=None):
                          f"got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("rho must be finite")
+    # taken once: an iterator would be used up by the checks below
+    try:
+        events = list(events)
+    except TypeError:
+        raise ValueError(f"events must be an iterable of Events, "
+                         f"got {events!r}") from None
     phase = 0.0
     for ev in events:
         if not (isinstance(ev, Event) and ev.kind in ("pulse", "delay")):
@@ -679,6 +685,11 @@ def hybrid_label(n, omegas):
     Averages the thermal deviation with a copy conjugated by a fan-out of
     CNOTs from spin 1, then flips spin 1 conditioned on all others being |1>.
     Conditioned on spin 1 = |1>, the remaining spins carry a pure deviation.
+
+    Returns the two half-size diagonal blocks and the gate count.  The full
+    labeled diagonal d is not built as a matrix, since the blocks hold it
+    exactly: d[:half] = (diag(upper) + omegas[0])/2 and
+    d[half:] = (diag(lower) - omegas[0])/2, with half = 2**(n-1).
     """
     check_int("n", n, 2)
     omegas = [float(w) for w in omegas]
@@ -701,7 +712,6 @@ def hybrid_label(n, omegas):
     gates_fanout = n - 1
     gates_flip = 1 if n == 2 else 8 * (n - 2)
     return {
-        "state": np.diag(eff.astype(complex)),
         "upper_block": np.diag(upper),
         "lower_block": np.diag(lower),
         "gate_count": {"fanout": gates_fanout, "conditional_flip": gates_flip,

@@ -64,6 +64,8 @@ class PauliWord:
 
     @classmethod
     def from_string(cls, text):
+        if not isinstance(text, str):
+            raise ValueError(f"a Pauli word must be a string, got {text!r}")
         s = text.strip()
         phase = 1 + 0j
         for prefix, val in (("-i", -1j), ("+i", 1j), ("i", 1j),
@@ -456,9 +458,16 @@ def _combinations(n, r):
 def _ad_codes(n, t):
     """Letter codes of ad_words(n, t), one row per word, in its order: by r
     A/A' letters and s B letters, then the A positions, the B positions
-    among the other qubits and the A/A' kinds, each in itertools order."""
+    among the other qubits and the A/A' kinds, each in itertools order.
+    The array is built once per (n, t) and is read-only."""
+    # checked before the cache: a list is unhashable, and 1.0 == 1 hashes alike
     check_int("n", n, 1)
     check_int("t", t, 0)
+    return _build_ad_codes(int(n), int(t))
+
+
+@functools.lru_cache(maxsize=16)
+def _build_ad_codes(n, t):
     lower, raised, diag = (_AD_LETTERS.index(c) for c in ("A", "Ad", "B"))
     blocks = []
     # r + 2s <= 2t, and r + s <= n: larger r or s have no qubits to fill
@@ -477,7 +486,9 @@ def _ad_codes(n, t):
             np.put_along_axis(rows, a_pos[:, None, None, :], kinds[None, None], axis=3)
             np.put_along_axis(rows, b_pos[:, :, None, :], diag, axis=3)
             blocks.append(rows.reshape(-1, n))
-    return np.concatenate(blocks)
+    codes = np.concatenate(blocks)
+    codes.flags.writeable = False
+    return codes
 
 
 def ad_words(n, t):
@@ -719,6 +730,14 @@ def measure_update(generators, k_op, logicals=()):
     k_op = np.asarray(k_op, dtype=complex)
     gens = [np.asarray(g, dtype=complex) for g in generators]
     logicals = [np.asarray(g, dtype=complex) for g in logicals]
+    if k_op.ndim != 2 or k_op.shape[0] != k_op.shape[1]:
+        raise ValueError(f"measured operator k_op must be a square matrix, "
+                         f"got shape {k_op.shape}")
+    for name, ops in (("generators", gens), ("logicals", logicals)):
+        for g in ops:
+            if g.shape != k_op.shape:
+                raise ValueError(f"each of {name} must have k_op's shape "
+                                 f"{k_op.shape}, got {g.shape}")
     # each test is negated so that a NaN entry fails it
     if not np.abs(k_op @ k_op - np.eye(len(k_op))).max() <= 1e-8:
         raise ValueError("measured operator k_op must square to identity")

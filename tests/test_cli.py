@@ -95,6 +95,17 @@ def test_lowercase_code_fixture_exits_3_naming_the_letter(tmp_path, capsys):
     assert "lower.json" in err and "bad Pauli letter 'x'" in err
 
 
+def test_code_fixture_with_a_number_for_a_word_exits_3(tmp_path, capsys):
+    (tmp_path / "numeric.json").write_text(json.dumps({
+        "kind": "stabilizer_code", "name": "numeric",
+        "payload": {"generators": ["ZZI", 7], "logical_x": ["XXX"],
+                    "logical_z": ["ZII"]}}))
+    code, out, err = run_cli(capsys, "--fixture-dir", str(tmp_path),
+                             "stab", "check", "--code", "shor9")
+    assert code == 3 and out == ""
+    assert "numeric.json" in err and "a Pauli word must be a string, got 7" in err
+
+
 @pytest.mark.parametrize("args", [
     ("nmr", "thermal"),
     ("nmr", "two-bit", "--theta", "0", "--td", "0", "--mode", "coded"),

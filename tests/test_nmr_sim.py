@@ -453,6 +453,52 @@ def test_hybrid_label_two_spins():
     assert out["gate_count"]["total"] == 2
 
 
+def test_hybrid_label_returns_the_blocks_and_gate_count_only():
+    # a dense 2^n x 2^n complex "state" went out too, and nothing read it
+    out = nm.hybrid_label(4, (3.0, 1.0, 1.5, 2.0))
+    assert set(out) == {"upper_block", "lower_block", "gate_count"}
+
+
+def _bit_permutation(n, move):
+    # the 0/1 matrix sending basis state j to move(j), qubit 0 the top bit
+    dim = 2 ** n
+    perm = np.zeros((dim, dim))
+    for j in range(dim):
+        perm[move(j), j] = 1.0
+    return perm
+
+
+@pytest.mark.parametrize("omegas", [(2.0, 1.0), (3.0, 1.0, 1.5, 2.0),
+                                    (0.7, -2.0, 1.1, 0.4, 3.0)])
+def test_hybrid_label_blocks_rebuild_the_full_diagonal(omegas):
+    n = len(omegas)
+    half = 2 ** (n - 1)
+    z = np.diag([1.0, -1.0])
+    thermal = sum(w / 2 * np.kron(np.kron(np.eye(2 ** i), z), np.eye(2 ** (n - 1 - i)))
+                  for i, w in enumerate(omegas))
+    fanout = np.eye(2 ** n)
+    for t in range(1, n):   # one CNOT from spin 1 onto each other spin
+        fanout = _bit_permutation(
+            n, lambda j, t=t: j ^ (1 << (n - 1 - t)) if j & half else j) @ fanout
+    flip = _bit_permutation(n, lambda j: j ^ half if j % half == half - 1 else j)
+    labeled = flip @ ((thermal + fanout @ thermal @ fanout.T) / 2) @ flip.T
+    out = nm.hybrid_label(n, omegas)
+    diagonal = np.concatenate([(np.diag(out["upper_block"]) + omegas[0]) / 2,
+                               (np.diag(out["lower_block"]) - omegas[0]) / 2])
+    assert np.allclose(np.diag(diagonal), labeled, atol=1e-12)
+
+
+def test_hybrid_label_memory_at_ten_spins():
+    # the dense complex state alone was 16 MiB; the two real blocks are 2 each
+    tracemalloc.start()
+    try:
+        nm.hybrid_label(10, np.linspace(1.0, 3.0, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20
+
+
 # --------------------------------------------------- constant-vs-balanced
 
 def test_dj_constant_pure():
@@ -1679,6 +1725,24 @@ def test_delays_whose_coupling_phase_overflows_are_refused():
     out = nm.run_sequence(s, nm.thermal_state(s),
                           [nm.delay(4e305), nm.pulse(0, "x", 0.3), nm.delay(4e305)])
     assert np.isfinite(out).all()
+
+
+def test_run_sequence_takes_an_iterator_of_events():
+    # the checks used the iterator up, so rho came back unevolved
+    s = nm.formate_system()
+    rho = nm.thermal_state(s)
+    events = nm.cnot_ba_events(s)
+    want = nm.run_sequence(s, rho, events)
+    assert np.abs(want - rho).max() > 0.1
+    assert nm.run_sequence(s, rho, iter(events)).tobytes() == want.tobytes()
+
+
+def test_run_sequence_refuses_events_that_are_not_iterable():
+    s = nm.formate_system()
+    with pytest.raises(ValueError, match="events must be an iterable"):
+        nm.run_sequence(s, nm.thermal_state(s), 3)
+    with pytest.raises(ValueError, match="events must be an iterable"):
+        nm.temporal_label(s, [None, 3])
 
 
 @pytest.mark.parametrize("events", [["x"], [nm.pulse(0, "x", 0.3), nm.Event("wait")]],

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,14 @@ def test_pauli_letters_are_uppercase_only():
             st.PauliWord.from_string(text)
     with pytest.raises(ValueError, match="bad Pauli letter 'x'"):
         st.StabilizerCode.from_strings(["xxxx", "zzii", "iizz"])
+
+
+@pytest.mark.parametrize("word", [3, None, b"XX", ["X", "Z"]])
+def test_pauli_word_must_be_a_string(word):
+    with pytest.raises(ValueError, match=rf"must be a string, got {re.escape(repr(word))}"):
+        st.PauliWord.from_string(word)
+    with pytest.raises(ValueError, match="must be a string"):
+        st.StabilizerCode.from_strings(["ZZ", word])
 
 
 def test_code_qubit_count_is_the_first_parsed_word():
@@ -334,6 +343,21 @@ def test_ad_codes_match_the_word_loop(n):
         got = st._ad_codes(n, t)
         assert got.dtype == np.int8
         assert np.array_equal(got, _reference_ad_codes(n, t)), t
+
+
+def test_ad_codes_are_built_once_and_read_only():
+    codes = st._ad_codes(9, 2)
+    assert st._ad_codes(9, 2) is codes
+    with pytest.raises(ValueError, match="read-only"):
+        codes[0, 0] = 1
+
+
+@pytest.mark.parametrize("t", [[2], 1.0, True])
+def test_ad_codes_check_t_in_front_of_the_cache(t):
+    # a list is unhashable, and 1.0 and True would hit the entry for 1
+    st._ad_codes(3, 1)
+    with pytest.raises(ValueError, match=r"need t >= 0 as an integer"):
+        st._ad_codes(3, t)
 
 
 def test_ad_word_enumeration_counts():
@@ -615,6 +639,22 @@ def test_measure_update_dense_rejections():
     with pytest.raises(ValueError):
         # Hadamard neither commutes nor anticommutes with Z
         st.measure_update([st.SZ.astype(complex)], st.HADAMARD)
+
+
+@pytest.mark.parametrize("gens, logicals, name", [
+    ([np.eye(4)], [], "generators"),
+    ([st.SX], [np.eye(4)], "logicals"),
+    ([st.SX], [np.ones(2)], "logicals"),
+], ids=["generator-4x4", "logical-4x4", "logical-vector"])
+def test_measure_update_checks_shapes_at_entry(gens, logicals, name):
+    # a 4 x 4 generator against a 2 x 2 k_op failed inside numpy's matmul
+    with pytest.raises(ValueError, match=rf"each of {name} must have k_op's shape"):
+        st.measure_update(gens, st.SZ, logicals)
+
+
+def test_measure_update_needs_a_square_k_op():
+    with pytest.raises(ValueError, match="k_op must be a square matrix"):
+        st.measure_update([st.SZ], np.ones(2))
 
 
 def test_w_t_is_the_conjugated_x():
